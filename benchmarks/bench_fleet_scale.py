@@ -1,10 +1,13 @@
-"""Incremental fleet scheduling — memoised, pruned, shard-ready ticks.
+"""Incremental fleet scheduling — a cross-tick candidate table.
 
-The incremental scoring mode replays version-keyed score memos, prunes
-candidates against an exact per-machine rate bound, and batches every
-remaining solve of a tick into one vectorised call (optionally sharded
-across forked worker processes). This benchmark pins down its two
-claims on the 64-machine heterogeneous fleet:
+The incremental scoring mode keeps, per arrival kind, a dense
+per-machine candidate table across ticks stamped with each machine's
+state version and capacity-scale key: only machines whose stamp moved
+(or that still hold an unscored slot) are refreshed, candidates that
+provably lose are pruned against an exact rate bound, every remaining
+solve of a tick goes into one vectorised call, and one ``np.lexsort``
+per kind ranks the result. This benchmark pins down its two claims on
+the 64-machine heterogeneous fleet:
 
 1. **Speed** — incremental scoring admits arrivals at >= 10x the
    exhaustive batched mode's rate on a saturated trace (the committed
@@ -12,10 +15,9 @@ claims on the 64-machine heterogeneous fleet:
    completes in single-digit minutes.
 2. **Exactness** — placements, completions, SLO accounting, and
    utilisation are bitwise-identical to the exhaustive batched and
-   scalar modes, fault-free and under the full-intensity chaos plan,
-   serial and sharded: the memo replays the very floats the solver
-   produced, the bound only discards provably-losing candidates, and
-   shard merges are order-preserving.
+   scalar modes, fault-free and under the full-intensity chaos plan:
+   the table replays the very floats the solver produced and the bound
+   only discards provably-losing candidates.
 
 Set ``BWAP_BENCH_QUICK=1`` to shrink the trace and skip the timing
 floors and the million-arrival run (CI smoke mode); the exactness
@@ -57,11 +59,11 @@ def _plan():
     )
 
 
-def _run(scoring, *, arrivals=_ARRIVALS, faults=None, shards=1):
+def _run(scoring, *, arrivals=_ARRIVALS, faults=None):
     sched = FleetScheduler(
         build_fleet(_MIX),
         _trace(arrivals),
-        SchedulerConfig(scoring=scoring, tick_s=2.0, shards=shards),
+        SchedulerConfig(scoring=scoring, tick_s=2.0),
         seed=42,
         faults=faults,
     )
@@ -109,13 +111,10 @@ def _run_all():
     inc_small, _w = _run("incremental", arrivals=scalar_arrivals)
     _assert_bitwise_equal(scalar, inc_small)
 
-    # Exactness under full-intensity chaos, serial and sharded.
+    # Exactness under full-intensity chaos.
     chaos_b, _w = _run("batched", faults=plan)
     chaos_i, _w = _run("incremental", faults=plan)
     _assert_bitwise_equal(chaos_b, chaos_i)
-    chaos_sh, _w = _run("incremental", faults=plan, shards=2)
-    _assert_bitwise_equal(chaos_b, chaos_sh)
-    assert chaos_sh.shards_used == 2 or os.name != "posix"
 
     million_wall = None
     if not _QUICK:

@@ -496,15 +496,6 @@ def main(argv=None) -> int:
         "stderr every SECONDS; stdout and results are unaffected "
         "(equivalent to BWAP_HEARTBEAT=SECONDS)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan incremental fleet-scheduler solves out over N forked "
-        "shard processes (equivalent to BWAP_FLEET_SHARDS=N); an "
-        "execution knob only — results are bitwise-identical to serial",
-    )
     args = parser.parse_args(argv)
 
     if args.no_store:
@@ -514,11 +505,6 @@ def main(argv=None) -> int:
         if args.heartbeat <= 0:
             parser.error("--heartbeat must be a positive number of seconds")
         os.environ["BWAP_HEARTBEAT"] = str(args.heartbeat)
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be a positive integer")
-        # Via the environment so --jobs worker processes inherit it too.
-        os.environ["BWAP_FLEET_SHARDS"] = str(args.shards)
     if args.jobs is not None:
         from repro.experiments.common import set_default_jobs
 

@@ -115,10 +115,9 @@ class FleetOutcome:
     #: Completed original work over submitted work (1.0 when nothing
     #: arrived).
     goodput: float = 1.0
-    # ---- incremental-scoring observability (zeros / 1 elsewhere) ----- #
+    # ---- incremental-scoring observability (zeros elsewhere) ---------- #
     memo_hits: int = 0
     bound_pruned: int = 0
-    shards_used: int = 1
 
     def to_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {}
@@ -219,7 +218,6 @@ def outcome_from_result(result: FleetResult) -> FleetOutcome:
         ),
         memo_hits=result.memo_hits,
         bound_pruned=result.bound_pruned,
-        shards_used=result.shards_used,
     )
 
 
@@ -381,7 +379,6 @@ def run_fleet(jobs: Optional[int] = None) -> FleetReport:
         print(
             f"fleet[{label}]: {out.entries_scored} candidates scored, "
             f"{out.memo_hits} memo hits, {out.bound_pruned} pruned, "
-            f"{out.shards_used} shard(s), "
             f"{solves_per_arrival:.2f} solves/arrival",
             file=sys.stderr,
         )

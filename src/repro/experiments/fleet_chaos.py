@@ -231,10 +231,9 @@ def run_fleet_chaos(
     pruned = sum(out.bound_pruned for out in outcomes)
     solves = sum(out.solver_calls for out in outcomes)
     total_arrivals = sum(out.arrivals for out in outcomes)
-    shards = max(out.shards_used for out in outcomes)
     print(
         f"fleet-chaos: {scored} candidates scored, {hits} memo hits, "
-        f"{pruned} pruned, {shards} shard(s), "
+        f"{pruned} pruned, "
         f"{solves / max(total_arrivals, 1):.2f} solves/arrival",
         file=sys.stderr,
     )

@@ -1,55 +1,42 @@
-"""Trace-driven fleet scheduler with one vectorised solve per tick.
+"""Trace-driven fleet scheduler.
 
-Each scheduling tick the scheduler admits arrivals, then scores every
-(pending app x machine x worker-set) candidate placement — plus one
-state entry per fluid machine with residents — in a **single**
-:func:`repro.memsim.solve_batch_fleet` call. The scalar scoring mode
-(``scoring="scalar"``) runs the identical decision procedure with one
-:func:`repro.memsim.solve` per entry; because the batched solver is
-bitwise-identical to the scalar one, both modes produce byte-for-byte
-the same placements, completions, and metrics — that equivalence is
-asserted by ``benchmarks/bench_fleet.py`` and ``tests/test_fleet.py``.
+Each scheduling tick admits a batch of pending arrivals. Every app ranks
+its feasible (machine x worker-set) candidates by the discipline's rank
+key and takes the first maximum; machines claimed earlier in the tick
+are skipped. Three scoring modes run this same decision procedure and
+produce byte-for-byte the same placements, completions, and metrics:
 
-Between ticks the fleet skips idle spans in one jump (to the tick
-containing the next arrival, or to the horizon when only running apps
-remain), so sparse traces cost time proportional to events, not to
-simulated seconds.
+``"batched"``
+    Scores every candidate — plus one state entry per fluid machine with
+    residents — in a **single** :func:`repro.memsim.solve_batch_fleet`
+    call per tick.
+``"scalar"``
+    One :func:`repro.memsim.solve` per entry (the batched solver is
+    bitwise-identical to it).
+``"incremental"``
+    Keeps a dense candidate table across ticks, stamped with each
+    machine's monotonic
+    :attr:`~repro.fleet.backend.MachineBackend.state_version` and
+    capacity-scale key, and re-scores only what changed; candidates that
+    provably lose are pruned by a residual-capacity bound
+    (:func:`repro.memsim.candidate_rate_bound`).
 
-The third scoring mode (``scoring="incremental"``) runs the *same*
-decision procedure but only solves what changed: candidate scores are
-memoised per machine keyed by its monotonic
-:attr:`~repro.fleet.backend.MachineBackend.state_version` (plus the
-arrival kind, worker set, and active capacity-scale key), candidates
-that provably cannot beat the incumbent best are pruned by a cheap
-residual-capacity bound (:func:`repro.memsim.candidate_rate_bound`),
-and the surviving solves can be sharded across a process pool
-(``SchedulerConfig.shards`` / ``BWAP_FLEET_SHARDS``) with a
-deterministic in-order merge. Because memoised scores replay bitwise
-and pruning only ever removes provably-losing candidates, the
-incremental mode produces byte-for-byte the placements, completions,
-and SLO accounting of the exhaustive modes — with and without chaos
-faults (asserted by ``benchmarks/bench_fleet_scale.py`` and
-``tests/test_fleet_incremental.py``).
+Between ticks the fleet skips idle spans in one jump, so sparse traces
+cost time proportional to events, not to simulated seconds.
 
-Fault tolerance (``faults=`` / :mod:`repro.fleet.faults`): under a
-:class:`~repro.fleet.faults.FleetFaultPlan` the scheduler evicts the
-residents of crashing machines and requeues them with bounded
-exponential backoff (``recovery="requeue"``; ``"requeue+checkpoint"``
-additionally resumes from the last completed progress quantum), skips
-crashed and circuit-breaker-blocked machines when placing, re-scores
-degraded machines with scaled link capacities inside the same batched
-solve, and realises admission-rejection / lost-completion draws in
-decision order so both scoring modes see identical fault sequences.
-Every fault hook is gated on the injector: ``faults=None`` (or a null
-plan) leaves the fault-free run byte-for-byte what it was before the
-fault layer existed.
+Fault tolerance (``faults=`` / :mod:`repro.fleet.faults`): the scheduler
+evicts the residents of crashing machines and requeues them with bounded
+exponential backoff (``"requeue+checkpoint"`` resumes from the last
+completed progress quantum), skips crashed and circuit-breaker-blocked
+machines, re-scores degraded machines with scaled link capacities, and
+draws admission rejections and lost completions in decision order so
+every scoring mode sees identical faults. ``faults=None`` leaves the
+fault-free run byte-for-byte what it was before the fault layer existed.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,8 +61,9 @@ from repro.workloads.arrivals import ArrivalTrace
 DISCIPLINES = ("best-rate", "first-fit", "least-loaded")
 
 #: Scoring modes: one fleet-batched solve per tick, one scalar solve per
-#: candidate (the baseline the benchmark beats), or memo+prune+shard
-#: delta scoring ("incremental") — all three byte-for-byte identical.
+#: candidate (the baseline the benchmark beats), or cross-tick
+#: memo+prune delta scoring ("incremental") — all three byte-for-byte
+#: identical.
 SCORINGS = ("batched", "scalar", "incremental")
 
 #: Reserved app id of memoised candidate consumers. Trace app ids are
@@ -84,35 +72,6 @@ SCORINGS = ("batched", "scalar", "incremental")
 #: and :meth:`FleetBatch.app_total_rate` matches by id, so reading the
 #: placeholder's total is bitwise the score the real app would get.
 _CAND_APP = "\x00cand"
-
-#: Sentinel score of a candidate eliminated by the rate bound.
-_PRUNED = object()
-
-#: Machines of the current shard pool's fleet, indexed by mid. Installed
-#: by :func:`_shard_init` in each worker; under the ``fork`` start method
-#: the objects (and their memoised ``MachineTables``) are inherited, not
-#: pickled, so workers score against the exact same tables.
-_SHARD_MACHINES: List = []
-
-
-def _shard_init(machines) -> None:
-    global _SHARD_MACHINES
-    _SHARD_MACHINES = machines
-
-
-def _shard_score(task):
-    """Score one contiguous chunk of solve rows in a pool worker.
-
-    ``task`` is ``(rows, with_scales)`` with rows of ``(mid, consumers,
-    scale)``. Chunk composition cannot change any entry's floats (every
-    batch element solves exactly as it would alone), so sharded scores
-    merge bitwise-identical to the unsharded solve.
-    """
-    rows, with_scales = task
-    entries = [(_SHARD_MACHINES[mid], cons) for mid, cons, _sc in rows]
-    scales = [sc for _mid, _cons, sc in rows] if with_scales else None
-    fb = solve_batch_fleet_lazy(entries, capacity_scales=scales)
-    return [fb.app_total_rate(i, _CAND_APP) for i in range(len(rows))]
 
 #: Recovery policies for work interrupted by a machine crash (or a lost
 #: completion report): strand it, requeue it from scratch, or requeue it
@@ -148,18 +107,21 @@ class SchedulerConfig:
     #: Circuit-breaker cooldown after a restart (doubles per crash of the
     #: same machine); 0 disables the breaker.
     breaker_cooldown_s: float = 60.0
-    #: Process-pool width for ``scoring="incremental"`` solve sharding:
-    #: ``0`` resolves from ``BWAP_FLEET_SHARDS`` (default serial), ``1``
-    #: forces serial, ``N > 1`` forks a pool of N scorers. Purely an
-    #: execution knob — results are bitwise-identical at every setting,
-    #: so it is excluded from the run fingerprint.
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
             raise ValueError(f"tick_s must be positive, got {self.tick_s}")
-        if not self.worker_counts or any(k <= 0 for k in self.worker_counts):
-            raise ValueError(f"bad worker_counts {self.worker_counts}")
+        wc = self.worker_counts
+        if (
+            not isinstance(wc, tuple)
+            or not wc
+            or any(type(k) is not int or k <= 0 for k in wc)
+            or len(set(wc)) != len(wc)
+        ):
+            raise ValueError(
+                "worker_counts must be a non-empty tuple of unique positive "
+                f"ints, got {wc!r}"
+            )
         if self.max_pending_per_tick <= 0:
             raise ValueError(
                 f"max_pending_per_tick must be positive, got {self.max_pending_per_tick}"
@@ -190,8 +152,6 @@ class SchedulerConfig:
             raise ValueError(
                 f"breaker_cooldown_s must be non-negative, got {self.breaker_cooldown_s}"
             )
-        if self.shards < 0:
-            raise ValueError(f"shards must be non-negative, got {self.shards}")
 
 
 @dataclass
@@ -243,8 +203,6 @@ class FleetResult:
     memo_hits: int = 0
     #: Candidates eliminated by the residual-capacity rate bound.
     bound_pruned: int = 0
-    #: Solve-shard pool width actually exercised (1 = serial).
-    shards_used: int = 1
 
 
 class _Pend:
@@ -270,12 +228,13 @@ class _PendQueue:
     and ``list.remove`` on every admit is O(queue) — the backlog shift
     alone dominated million-arrival runs. Admits instead flag the record
     ``done`` and the queue compacts lazily: leading retired records are
-    popped by advancing a head pointer (admits overwhelmingly retire
+    skipped by advancing a head pointer (admits overwhelmingly retire
     from the front of the queue, where the tick batches come from), and
-    the backing list is trimmed once the dead prefix dominates. Visible
-    order — arrivals and requeues append, retired records disappear — is
-    exactly that of the plain list this replaces, so every scoring mode
-    sees identical batches.
+    the backing list is compacted once retired records dominate it. A
+    requeue appends a fresh record and leaves the retired one where it
+    is. Visible order — arrivals and requeues append, retired records
+    disappear — is exactly that of the plain list this replaces, so
+    every scoring mode sees identical batches.
     """
 
     __slots__ = ("_items", "_head", "_retired")
@@ -290,10 +249,12 @@ class _PendQueue:
 
     def append(self, rec: _Pend) -> None:
         if rec.done:
-            # A requeued record may still occupy its retired slot; drop
-            # the stale entry so its position becomes the queue tail.
-            self._compact()
-            rec.done = False
+            # A requeued record still occupies its retired slot: queue a
+            # fresh copy at the tail instead.
+            fresh = _Pend(rec.idx, rec.eligible_s)
+            fresh.attempts = rec.attempts
+            fresh.resume_frac = rec.resume_frac
+            rec = fresh
         self._items.append(rec)
 
     def retire(self, rec: _Pend) -> None:
@@ -301,9 +262,7 @@ class _PendQueue:
         self._retired += 1
 
     def _compact(self) -> None:
-        self._items = [
-            r for r in self._items[self._head:] if not r.done
-        ]
+        self._items = [r for r in self._items[self._head :] if not r.done]
         self._head = 0
         self._retired = 0
 
@@ -318,9 +277,10 @@ class _PendQueue:
             h += 1
             self._retired -= 1
         self._head = h
-        if h > 1024 and h * 2 >= n:
-            del items[:h]
-            self._head = 0
+        dead = h + self._retired
+        if dead > 1024 and dead * 2 >= n:
+            self._compact()
+            items = self._items
         out: List[_Pend] = []
         for idx in range(self._head, len(items)):
             r = items[idx]
@@ -342,6 +302,41 @@ def _trace_work_bytes(trace: ArrivalTrace, count: int) -> float:
     )
 
 
+class _CandidateTable:
+    """Cross-tick candidate table: dense ``(slot, kind, machine)`` arrays.
+
+    Row ``(kind, mid)`` is valid while its ``(state_version, scale id)``
+    stamp matches the machine's — versions are monotonic, so equal stamps
+    mean an identical resident set and capacity scale. ``score`` holds the
+    slot scores known at that stamp; NaN marks a slot that does not fit
+    or is *cold* (never solved, or pruned by the rate bound).
+
+    Empty-machine scores and all rate bounds depend only on the kind, the
+    machine class with its worker set, and the scale key, so they live in
+    ``set_score``/``set_bound`` indexed by ``(kind, worker-set id, scale
+    id)``: shared across same-class machines and valid forever.
+    """
+
+    __slots__ = ("ver", "sid", "score", "set_score", "set_bound")
+
+    def __init__(self, kinds: int, machines: int, slots: int):
+        self.ver = np.full((kinds, machines), -1, dtype=np.int64)
+        self.sid = np.full((kinds, machines), -1, dtype=np.int64)
+        self.score = np.full((slots, kinds, machines), np.nan)
+        self.set_score = np.full((kinds, 16, 4), np.nan)
+        self.set_bound = np.full((kinds, 16, 4), np.nan)
+
+    def reserve(self, sets: int, scales: int) -> None:
+        """Grow the per-worker-set arrays to cover every assigned id."""
+        kinds, w, z = self.set_score.shape
+        if sets <= w and scales <= z:
+            return
+        for name in ("set_score", "set_bound"):
+            grown = np.full((kinds, max(sets, 2 * w), max(scales, 2 * z)), np.nan)
+            grown[:, :w, :z] = getattr(self, name)
+            setattr(self, name, grown)
+
+
 class FleetScheduler:
     """Admits a trace onto a fleet of machine backends."""
 
@@ -361,10 +356,7 @@ class FleetScheduler:
         self.trace = trace
         self.config = config
         self.injector = as_fleet_injector(faults, num_machines=len(self.fleet))
-        #: Worker-set choices keyed by (machine identity, occupied nodes,
-        #: k) — pure and shared across ticks and same-class machines.
-        self._worker_cache: Dict[Tuple[int, Tuple[int, ...], int], Tuple[int, ...]] = {}
-        # ---- incremental-scoring state (unused by exhaustive modes) --- #
+        # ---- scoring caches (mostly incremental-mode state) ------------ #
         #: Candidate (consumers, threads) templates keyed by (machine
         #: identity, workers, arrival kind), built once under the
         #: reserved ``_CAND_APP`` id. Consumers depend on the workload
@@ -373,18 +365,38 @@ class FleetScheduler:
         #: same-class machines — for scoring, bounds, and (re-labelled
         #: with the real app id) the fluid admit path.
         self._cand_cache: Dict[Tuple[int, Tuple[int, ...], int], tuple] = {}
-        #: Per-machine score memo: mid -> (state_version, {(scale_key,
-        #: workers, kind): score}). The bucket is discarded whenever the
-        #: backend's version moved (versions are monotonic, never reused).
-        self._score_memo: Dict[int, Tuple[int, Dict[tuple, float]]] = {}
-        #: Empty-machine scores keyed by (machine identity, workers, kind,
-        #: scale_key) — independent of any state version, shared across
-        #: same-class machines, and valid forever.
-        self._empty_memo: Dict[tuple, float] = {}
-        #: Rate upper bounds, same key space as :attr:`_empty_memo`.
-        self._bound_memo: Dict[tuple, float] = {}
-        self._shard_count = 1
-        self._pool = None
+        #: Per-machine score bucket of its current state version,
+        #: ``{(scale id, kind, slot): score}``, for a machine with
+        #: residents (empty machines score through the candidate table's
+        #: per-worker-set arrays). Replaced whenever the machine's version
+        #: moves (versions are monotonic, never reused).
+        self._bucket: List[Dict[tuple, float]] = [{} for _ in self.fleet]
+        #: Machine-level slot state, refreshed when a machine's version
+        #: moves: the version it was derived at, the free-node count,
+        #: whether it is empty, and per ``worker_counts`` slot (leading
+        #: axis) whether it fits, its worker set, and that set's id.
+        m = len(self.fleet)
+        ks = config.worker_counts
+        self._mver = np.full(m, -1, dtype=np.int64)
+        self._free_len = np.zeros(m, dtype=np.int64)
+        self._empty = np.zeros(m, dtype=bool)
+        self._fit = np.zeros((len(ks), m), dtype=bool)
+        self._set_id = np.zeros((len(ks), m), dtype=np.int64)
+        self._slots: List[Tuple[Optional[Tuple[int, ...]], ...]] = [() for _ in self.fleet]
+        #: :meth:`_slot_row` per (machine identity, occupied nodes) —
+        #: pure, shared across ticks and same-class machines.
+        self._slot_cache: Dict[tuple, tuple] = {}
+        #: Small-int ids of (machine identity, worker set) pairs and of
+        #: capacity-scale keys: the index space of the table's
+        #: per-worker-set arrays and of the stamps.
+        self._set_ids: Dict[tuple, int] = {}
+        self._scale_ids: Dict[Optional[tuple], int] = {None: 0}
+        #: Slot worker counts, and the slots in ascending-count order.
+        self._ks = np.array(ks, dtype=np.int64)
+        self._by_k = np.argsort(self._ks, kind="stable").tolist()
+        self._table = _CandidateTable(len(trace.catalog), m, len(ks))
+        #: :meth:`_fault_state` of the current fault-window edge interval.
+        self._fault_view: Optional[tuple] = None
         self.backends: List[MachineBackend] = [
             make_backend(
                 config.backend,
@@ -436,283 +448,408 @@ class FleetScheduler:
             cons, threads, _tpn = backend.candidate_consumers(
                 _CAND_APP, self.trace.workload(p), workers
             )
-            tpl = (cons, threads)
-            self._cand_cache[key] = tpl
+            tpl = self._cand_cache[key] = (cons, threads)
         return tpl
 
-    def _cand_consumers(self, backend: MachineBackend, workers, kind: int, p: int):
-        return self._cand_template(backend, workers, kind, p)[0]
+    def _slot_row(self, b: MachineBackend) -> tuple:
+        """``(worker set per slot, set ids, free-node count)`` of machine
+        ``b`` in its current state; a slot that does not fit has worker
+        set ``None``."""
+        key = (id(b.machine), b.occupied_nodes())
+        hit = self._slot_cache.get(key)
+        if hit is None:
+            free_len = len(b.free_nodes())
+            row = tuple(
+                pick_worker_nodes(b.machine, k, exclude=key[1]) if k <= free_len else None
+                for k in self.config.worker_counts
+            )
+            ids = self._set_ids
+            hit = self._slot_cache[key] = (
+                row,
+                [0 if w is None else ids.setdefault((key[0], w), len(ids)) for w in row],
+                free_len,
+            )
+        return hit
 
-    def _ensure_pool(self) -> bool:
-        if self._pool is not None:
-            return True
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            return False  # platform without fork: stay serial
-        self._pool = ctx.Pool(
-            self._shard_count,
-            initializer=_shard_init,
-            initargs=([b.machine for b in self.backends],),
+    def _refresh_machines(self, stale: np.ndarray, ver: np.ndarray) -> None:
+        """Re-derive the slot state of every machine in ``stale``."""
+        mids = np.flatnonzero(stale)
+        if not mids.size:
+            return
+        rows = [self._slot_row(self.backends[mid]) for mid in mids.tolist()]
+        for mid, row in zip(mids.tolist(), rows):
+            self._slots[mid] = row[0]
+            self._bucket[mid] = {}
+        self._free_len[mids] = [row[2] for row in rows]
+        self._fit[:, mids] = self._ks[:, None] <= self._free_len[mids]
+        self._empty[mids] = [not self.backends[mid].num_live for mid in mids.tolist()]
+        self._set_id[:, mids] = np.array([row[1] for row in rows]).T
+        self._mver[mids] = ver[mids]
+
+    def _admit(
+        self, r: _Pend, b: MachineBackend, workers, placements, pending, inflight,
+        template=None,
+    ) -> None:
+        """Start pending record ``r`` on ``workers`` of machine ``b``."""
+        p = r.idx
+        app_id = self.trace.app_id(p)
+        r.attempts += 1
+        b.admit(
+            app_id,
+            self.trace.workload(p),
+            workers,
+            float(self.trace.times[p]),
+            resume_frac=r.resume_frac,
+            attempts=r.attempts,
+            **({} if template is None else {"template": template}),
         )
-        return True
+        placements.append((app_id, b.mid, workers))
+        pending.retire(r)
+        if self.injector is not None:
+            inflight[app_id] = r
 
-    def _close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
+    def _summary(self, score: np.ndarray):
+        """Per ``(kind, machine)`` best score, its slot, and the number of
+        scored slots. Within a machine the rank key orders by score, then
+        toward smaller k: slots are scanned by ascending k and only a
+        strictly larger score replaces the incumbent."""
+        known = ~np.isnan(score)
+        filled = np.where(known, score, -np.inf)
+        first, *rest = self._by_k
+        best = filled[first]
+        slot = np.full(best.shape, first)
+        for s in rest:
+            better = filled[s] > best
+            best = np.where(better, filled[s], best)
+            slot = np.where(better, s, slot)
+        return best, slot, known.sum(axis=0)
 
-    def _solve_rows(self, rows: List[tuple], with_scales: bool, inc: dict) -> List[float]:
-        """Scores for solve rows of ``(mid, consumers, scale)``, sharding
-        across the process pool when wide enough to pay for the round
-        trip. In-order chunk merge + per-entry batch independence keep
-        every path bitwise-identical."""
-        eff = self._shard_count
-        if eff > 1 and len(rows) >= 2 * eff and self._ensure_pool():
-            chunk = (len(rows) + eff - 1) // eff
-            tasks = [
-                (rows[o : o + chunk], with_scales)
-                for o in range(0, len(rows), chunk)
-            ]
-            inc["solver_calls"] += len(tasks)
-            inc["sharded"] = True
-            scores: List[float] = []
-            for part in self._pool.map(_shard_score, tasks, chunksize=1):
-                scores.extend(part)
-            return scores
-        entries = [(self.backends[mid].machine, cons) for mid, cons, _sc in rows]
-        scales_list = [sc for _mid, _cons, sc in rows] if with_scales else None
-        fb = solve_batch_fleet_lazy(entries, capacity_scales=scales_list)
-        inc["solver_calls"] += 1
-        return [fb.app_total_rate(i, _CAND_APP) for i in range(len(rows))]
+    def _ranked(self, best: np.ndarray, hits: np.ndarray, elig: np.ndarray):
+        """``(kind position, mid)`` of every eligible machine with a
+        scored slot, grouped by kind, each group in descending
+        ``_rank_key`` of the machine's best slot (keys never tie across
+        machines, so ``mid`` alone breaks score ties)."""
+        kk, mm = np.nonzero((hits > 0) & elig)
+        cols = (mm, -best[kk, mm])
+        if self.config.discipline == "least-loaded":
+            cols += (-self._free_len[mm],)
+        order = np.lexsort(cols + (kk,))
+        return kk[order], mm[order]
+
+    def _below(self, bound, mid, k, ts, t, kt) -> np.ndarray:
+        """Whether each candidate's bound key ``_rank_key(mid, bound, k)``
+        sorts strictly below its threshold key ``_rank_key(t, ts, kt)`` —
+        the same tuple comparison, column by column."""
+        below = (bound < ts) | ((bound == ts) & ((mid > t) | ((mid == t) & (k > kt))))
+        if self.config.discipline == "least-loaded":
+            fl = self._free_len[mid]
+            tfl = self._free_len[t]
+            below = (fl < tfl) | ((fl == tfl) & below)
+        return below
+
+    def _fault_state(self, now: float):
+        """``(capacity scales, crashed flags, scale-key ids)`` per machine
+        at ``now``. Crash and brown-out windows only change at window
+        edges, so the view is rebuilt once per edge interval."""
+        injector = self.injector
+        edge = injector.next_edge_after(now)
+        view = self._fault_view
+        if view is None or view[0] != edge:
+            ids = self._scale_ids
+            backends = self.backends
+            keys = [injector.scale_key_for(b.mid, now) for b in backends]
+            view = self._fault_view = (
+                edge,
+                {b.mid: injector.capacity_scale_for(b.mid, b.machine, now) for b in backends},
+                [injector.crashed_at(b.mid, now) for b in backends],
+                np.array([ids.setdefault(key, len(ids)) for key in keys]),
+            )
+        return view[1:]
 
     def _tick_incremental(
-        self, batch, scales, now, health, placements, pending, inflight, inc
+        self, batch, scales, now, health, placements, pending, inflight, counts
     ) -> None:
-        """One tick of the memo+prune+shard decision procedure.
+        """One tick of the cross-tick memo+prune decision procedure.
 
         Replays the exhaustive greedy exactly: apps are processed in
-        arrival order, and each app's first-max ``_rank_key`` scan sees
-        the same candidate set with the same float scores — replayed
-        from the version-keyed memo, freshly solved, or absent only when
-        the rate bound proves the candidate loses to the incumbent.
-        Machines claimed by earlier admissions this tick are skipped at
-        gather time (the exhaustive path skips them at scan time), and
-        unclaimed machines' occupancy never mutates mid-tick, so worker
-        sets and free-node counts match too.
+        arrival order, and each app takes the first-max ``_rank_key``
+        candidate over the unclaimed machines, with the same float
+        scores. Unclaimed machines' occupancy never mutates mid-tick, and
+        a claim removes the whole machine, so ranking each machine by its
+        best slot alone is exact.
         """
-        cfg = self.config
         injector = self.injector
-        trace = self.trace
-        times = trace.times
-        kind_idx = trace.kind_idx
-        need_score = cfg.discipline != "first-fit"
-        rank_key = self._rank_key
-        empty_memo = self._empty_memo
-        eligible: List[MachineBackend] = []
-        for b in self.backends:
-            if injector is not None and (
-                injector.crashed_at(b.mid, now) or not health.allows(b.mid, now)
-            ):
-                continue
-            eligible.append(b)
-        resident_cache: Dict[int, list] = {}
-        workers_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        claimed: set = set()
-        memo_hits = 0
-
-        def pick_workers(b: MachineBackend, k: int) -> Tuple[int, ...]:
-            ck = (b.mid, k)
-            workers = workers_cache.get(ck)
-            if workers is None:
-                wk = (id(b.machine), b.occupied_nodes(), k)
-                workers = self._worker_cache.get(wk)
-                if workers is None:
-                    workers = pick_worker_nodes(b.machine, k, exclude=wk[1])
-                    self._worker_cache[wk] = workers
-                workers_cache[ck] = workers
-            return workers
-
-        def admit(r, best_b: MachineBackend, best_workers: Tuple[int, ...]) -> None:
-            p = r.idx
-            r.attempts += 1
-            if best_b.accepts_admit_template:
-                best_b.admit(
-                    trace.app_id(p),
-                    trace.workload(p),
-                    best_workers,
-                    float(times[p]),
-                    resume_frac=r.resume_frac,
-                    attempts=r.attempts,
-                    template=self._cand_template(
-                        best_b, best_workers, int(kind_idx[p]), p
-                    ),
-                )
-            else:
-                best_b.admit(
-                    trace.app_id(p),
-                    trace.workload(p),
-                    best_workers,
-                    float(times[p]),
-                    resume_frac=r.resume_frac,
-                    attempts=r.attempts,
-                )
-            claimed.add(best_b.mid)
-            placements.append((trace.app_id(p), best_b.mid, best_workers))
-            pending.retire(r)
-            if injector is not None:
-                inflight[trace.app_id(p)] = r
-
-        if not need_score:
-            # first-fit ranks on (-mid, -k) alone: the winner is the
-            # lowest-mid feasible machine at its smallest feasible worker
-            # count, found by an early-exit scan — zero solver work.
-            for r in batch:
-                best = None
-                for b in eligible:
-                    if b.mid in claimed:
-                        continue
-                    free_len = len(b.free_nodes())
-                    ks = [k for k in cfg.worker_counts if k <= free_len]
-                    if ks:
-                        best = (b, pick_workers(b, min(ks)))
-                        break
-                if best is None:
-                    continue
-                if injector is not None and injector.admission_rejected():
-                    inc["admission_rejections"] += 1
-                    continue
-                admit(r, best[0], best[1])
-            return
-
-        # --- Phase A: per-kind prefetch (memo replay + prune + ONE solve)
-        # Candidate scores depend on the arrival only through its kind,
-        # and no machine state changes until phase B admits — so one
-        # scan per *distinct kind* covers every app in the batch, and
-        # all cold survivors across kinds share a single (possibly
-        # sharded) batch solve. Each kind ends up with its full
-        # candidate list sorted by descending rank key.
+        kind_idx = self.trace.kind_idx
+        backends = self.backends
+        m = len(backends)
+        # --- Hoisted per-tick machine state ------------------------------
+        ver = np.fromiter((b.state_version for b in backends), np.int64, m)
+        if injector is None:
+            elig = np.ones(m, dtype=bool)
+            sid = np.zeros(m, dtype=np.int64)
+        else:
+            _scales, crashed, sid = self._fault_state(now)
+            elig = np.array(
+                [not down and health.allows(mid, now) for mid, down in enumerate(crashed)]
+            )
+        self._refresh_machines(elig & (ver != self._mver), ver)
+        # Scores depend on an arrival only through its kind, so one row
+        # per (distinct kind, machine) covers every app in the batch.
+        first_p: Dict[int, int] = {}
         last_at: Dict[int, int] = {}
         for j, r in enumerate(batch):
-            last_at[int(kind_idx[r.idx])] = j
-        kind_cands: Dict[int, List[tuple]] = {}
-        rows: List[tuple] = []
-        meta: List[tuple] = []
-        for r in batch:
-            p = r.idx
-            kind = int(kind_idx[p])
-            if kind in kind_cands:
-                continue
-            cands: List[tuple] = []
-            kind_cands[kind] = cands
-            per_mid_best: Dict[int, tuple] = {}
-            cold: List[tuple] = []
-            for b in eligible:
-                mid = b.mid
-                free_len = len(b.free_nodes())
-                scale_key = (
-                    injector.scale_key_for(mid, now) if injector is not None else None
-                )
-                if b.num_live:
-                    memo = self._score_memo.get(mid)
-                    if memo is None or memo[0] != b.state_version:
-                        memo = (b.state_version, {})
-                        self._score_memo[mid] = memo
-                    bucket = memo[1]
-                    empty = False
-                else:
-                    bucket = empty_memo
-                    empty = True
-                for k in cfg.worker_counts:
-                    if k > free_len:
-                        continue
-                    workers = pick_workers(b, k)
-                    mkey = (
-                        (id(b.machine), workers, kind, scale_key)
-                        if empty
-                        else (scale_key, workers, kind)
-                    )
-                    score = bucket.get(mkey)
-                    if score is None:
-                        cold.append((b, workers, k, scale_key, bucket, mkey))
-                    else:
-                        memo_hits += 1
-                        key = rank_key(b, score, k)
-                        cands.append((key, b, workers))
-                        pb = per_mid_best.get(mid)
-                        if pb is None or key > pb:
-                            per_mid_best[mid] = key
-            if cold:
-                # Prune threshold: by the time the *last* app of this
-                # kind (batch index j_max) scans, at most j_max machines
-                # are claimed. A cold candidate whose bound key loses to
-                # the per-machine best hit of j_max + 1 DISTINCT machines
-                # therefore always has an unclaimed, listed candidate
-                # above it — dropping it can never change any app's
-                # first-max. (Bound keys upper-bound true keys, and the
-                # unique (mid, k) tail rules out ties.)
-                need = last_at[kind] + 1
-                if len(per_mid_best) > need:
-                    thresh = sorted(per_mid_best.values(), reverse=True)[need]
-                else:
-                    thresh = None
-                for b, workers, k, scale_key, bucket, mkey in cold:
-                    bkey = (id(b.machine), workers, kind, scale_key)
-                    bound = self._bound_memo.get(bkey)
-                    if bound is None:
-                        bound = candidate_rate_bound(
-                            b.machine,
-                            self._cand_consumers(b, workers, kind, p),
-                            capacity_scale=(
-                                scales.get(b.mid) if injector is not None else None
-                            ),
-                        )
-                        self._bound_memo[bkey] = bound
-                    if thresh is not None and rank_key(b, bound, k) < thresh:
-                        inc["bound_pruned"] += 1
-                        continue
-                    res = resident_cache.get(b.mid)
-                    if res is None:
-                        res = b.resident_consumers() if b.num_live else []
-                        resident_cache[b.mid] = res
-                    rows.append(
-                        (
-                            b.mid,
-                            res + self._cand_consumers(b, workers, kind, p),
-                            scales.get(b.mid) if injector is not None else None,
-                        )
-                    )
-                    meta.append((kind, b, workers, k, bucket, mkey))
-        if rows:
-            inc["entries_scored"] += len(rows)
-            for (kind, b, workers, k, bucket, mkey), score in zip(
-                meta, self._solve_rows(rows, injector is not None, inc)
-            ):
-                bucket[mkey] = score
-                kind_cands[kind].append((rank_key(b, score, k), b, workers))
-        for cands in kind_cands.values():
-            # Rank keys are unique, so the sort never compares backends.
-            cands.sort(key=lambda c: c[0], reverse=True)
-        # --- Phase B: sequential admission over the sorted lists --------
-        # The first unclaimed entry IS the exhaustive scan's first-max:
-        # unclaimed machines' state is frozen within the tick, claimed
-        # machines are skipped by both paths, and every unpruned
-        # candidate is listed.
+            kind = int(kind_idx[r.idx])
+            first_p.setdefault(kind, r.idx)
+            last_at[kind] = j
+        nk = len(first_p)
+        if self.config.discipline == "first-fit":
+            # first-fit ranks on (-mid, -k) alone: every machine that fits
+            # the smallest worker count ties on score — zero solver work.
+            s_min = self._by_k[0]
+            best = np.zeros((nk, m))
+            slot = np.full((nk, m), s_min)
+            hits = np.broadcast_to(self._fit[s_min], (nk, m))
+        else:
+            best, slot, hits = self._score_kinds(
+                first_p, last_at, ver, elig, sid, scales, counts
+            )
+
+        # --- Sequential admission over each kind's ranking ---------------
+        # The first unclaimed machine in a kind's order carries the
+        # exhaustive scan's first-max. Claims only grow within a tick, so
+        # each kind's cursor only moves forward.
+        kk, mm = self._ranked(best, hits, elig)
+        bounds = np.searchsorted(kk, np.arange(nk + 1)).tolist()
+        orders = [mm[bounds[j] : bounds[j + 1]].tolist() for j in range(nk)]
+        pos = {kind: j for j, kind in enumerate(first_p)}
+        cursor = [0] * nk
+        claimed = [False] * m
         for r in batch:
             kind = int(kind_idx[r.idx])
+            j = pos[kind]
+            order = orders[j]
+            c = cursor[j]
+            while c < len(order) and claimed[order[c]]:
+                c += 1
+            cursor[j] = c
+            if c == len(order):
+                continue  # no feasible machine this tick
+            if injector is not None and injector.admission_rejected():
+                counts["admission_rejections"] += 1
+                continue  # stays pending; retried next tick
+            mid = order[c]
+            b = backends[mid]
+            workers = self._slots[mid][slot[j, mid]]
+            template = None
+            if b.accepts_admit_template:
+                template = self._cand_template(b, workers, kind, r.idx)
+            self._admit(r, b, workers, placements, pending, inflight, template)
+            claimed[mid] = True
+
+    def _score_kinds(self, first_p, last_at, ver, elig, sid, scales, counts):
+        """Refresh the table rows of the batch's kinds, prune, and solve
+        every surviving cold slot in ONE batch; return the summary of
+        :meth:`_summary` over ``(kind position, machine)``."""
+        backends = self.backends
+        slots = self._slots
+        set_id = self._set_id
+        fit = self._fit
+        empty = self._empty
+        tab = self._table
+        tab.reserve(len(self._set_ids), len(self._scale_ids))
+        kinds = np.array(list(first_p))
+        # Rows whose stamp moved start over. An empty machine replays its
+        # per-worker-set scores — re-read on every visit while it holds a
+        # cold slot, which a same-class machine may have solved since. A
+        # machine with residents keeps nothing across a version move: its
+        # bucket only holds scores solved at the current version, which a
+        # moved row never saw — unless only the scale key moved.
+        same_ver = tab.ver[kinds] == ver
+        cold_empty = empty & (np.isnan(tab.score[:, kinds]) & fit[:, None]).any(axis=0)
+        moved = elig & (~(same_ver & (tab.sid[kinds] == sid)) | cold_empty)
+        kk, mm = np.nonzero(moved)
+        if kk.size:
+            kr = kinds[kk]
+            tab.score[:, kr, mm] = np.nan
+            tab.ver[kr, mm] = ver[mm]
+            tab.sid[kr, mm] = sid[mm]
+            e = empty[mm]
+            if e.any():
+                kr, mm = kr[e], mm[e]
+                tab.score[:, kr, mm] = np.where(
+                    fit[:, mm], tab.set_score[kr, set_id[:, mm], sid[mm]], np.nan
+                )
+            for j, mid in zip(*np.nonzero(moved & same_ver & ~empty)):
+                bucket = self._bucket[mid]
+                for s in np.flatnonzero(fit[:, mid]).tolist():
+                    key = (sid[mid], kinds[j], s)
+                    tab.score[s, kinds[j], mid] = bucket.get(key, np.nan)
+        score = tab.score[:, kinds]
+        cold = np.isnan(score) & fit[:, None] & elig
+        best, slot, hits = self._summary(score)
+        counts["memo_hits"] += int((hits * elig).sum())
+        if not cold.any():
+            return best, slot, hits
+
+        # Cold slots in (kind, machine, slot) order — the solve-row order —
+        # with their (memoised) rate bounds.
+        a, b_, s_ = np.nonzero(cold.transpose(1, 2, 0))
+        at_set = (kinds[a], set_id[s_, b_], sid[b_])
+        bound = tab.set_bound[at_set]
+        for i in np.flatnonzero(np.isnan(bound)).tolist():
+            kind = int(at_set[0][i])
+            key = (kind, at_set[1][i], at_set[2][i])
+            if np.isnan(tab.set_bound[key]):  # not filled by an earlier entry
+                b = backends[b_[i]]
+                cons = self._cand_template(b, slots[b.mid][s_[i]], kind, first_p[kind])[0]
+                tab.set_bound[key] = candidate_rate_bound(
+                    b.machine, cons, capacity_scale=scales.get(b.mid)
+                )
+            bound[i] = tab.set_bound[key]
+        # Prune threshold: by the time the *last* app of a kind (batch index
+        # need - 1) ranks, at most need - 1 machines are claimed. A cold
+        # slot whose bound key loses to the best slot of the machine ranked
+        # need-th (0-based) always has an unclaimed, listed candidate above
+        # it, so dropping it never changes any app's first-max. (Bound keys
+        # upper-bound true keys; the (mid, k) tail rules out ties.)
+        need = np.array([last_at[k] + 1 for k in first_p])
+        kk, mm = self._ranked(best, hits, elig)
+        has = np.bincount(kk, minlength=len(kinds)) > need
+        if has.any():
+            ar = np.arange(len(kinds))
+            t = mm[np.where(has, np.searchsorted(kk, ar) + need, 0)]
+            below = has[a] & self._below(
+                bound, b_, self._ks[s_], best[ar, t][a], t[a], self._ks[slot[ar, t]][a]
+            )
+            counts["bound_pruned"] += int(below.sum())
+            a, b_, s_ = a[~below], b_[~below], s_[~below]
+        if not a.size:
+            return best, slot, hits
+        entries = []
+        resident: Dict[int, list] = {}
+        for j, mid, s in zip(a.tolist(), b_.tolist(), s_.tolist()):
+            b = backends[mid]
+            if mid not in resident:
+                resident[mid] = b.resident_consumers() if b.num_live else []
+            kind = int(kinds[j])
+            cons = self._cand_template(b, slots[mid][s], kind, first_p[kind])[0]
+            entries.append((b.machine, resident[mid] + cons))
+        counts["entries_scored"] += len(entries)
+        counts["solver_calls"] += 1
+        fb = solve_batch_fleet_lazy(
+            entries,
+            capacity_scales=(
+                [scales.get(mid) for mid in b_.tolist()] if self.injector is not None else None
+            ),
+        )
+        for i, (j, mid, s) in enumerate(zip(a.tolist(), b_.tolist(), s_.tolist())):
+            kind = int(kinds[j])
+            v = fb.app_total_rate(i, _CAND_APP)
+            score[s, j, mid] = tab.score[s, kind, mid] = v
+            if empty[mid]:
+                tab.set_score[kind, set_id[s, mid], sid[mid]] = v
+            else:
+                self._bucket[mid][(sid[mid], kind, s)] = v
+        return self._summary(score)
+
+    def _tick_exhaustive(
+        self, batch, scales, now, health, placements, pending, inflight, counts
+    ) -> Dict[int, Allocation]:
+        """One tick of the exhaustive decision procedure (``"batched"`` /
+        ``"scalar"`` scoring): every candidate re-solved from scratch.
+        Returns the allocation of every fluid machine's new resident set,
+        so its backend never re-solves at the tick boundary."""
+        injector = self.injector
+        state_allocs: Dict[int, Allocation] = {}
+        # --- Build the tick's entry list ---------------------------------
+        entries: List[tuple] = []  # (machine, consumers)
+        entry_scales: List[Optional[np.ndarray]] = []
+        state_rows: List[Tuple[int, int]] = []  # (mid, row)
+        resident = {b.mid: b.resident_consumers() for b in self.backends if b.num_live}
+        for b in self.backends:
+            if b.wants_state_alloc and b.num_live:
+                state_rows.append((b.mid, len(entries)))
+                entries.append((b.machine, resident[b.mid]))
+                entry_scales.append(scales.get(b.mid))
+        # Same-class machines with the same worker set produce identical
+        # candidate consumers (weights, mixes, demands depend only on
+        # machine/workers/workload), so construct each distinct set once
+        # per tick and share the objects.
+        cons_cache: Dict[Tuple[int, Tuple[int, ...], int], list] = {}
+        cands: List[Tuple[_Pend, int, Tuple[int, ...], int]] = []
+        for r in batch:
+            p = r.idx
+            app_id = self.trace.app_id(p)
+            workload = self.trace.workload(p)
+            for b in self.backends:
+                if injector is not None and (
+                    injector.crashed_at(b.mid, now) or not health.allows(b.mid, now)
+                ):
+                    continue
+                for workers in self._slot_row(b)[0]:
+                    if workers is None:
+                        continue
+                    key = (id(b.machine), workers, p)
+                    consumers = cons_cache.get(key)
+                    if consumers is None:
+                        consumers = b.candidate_consumers(app_id, workload, workers)[0]
+                        cons_cache[key] = consumers
+                    cands.append((r, b.mid, workers, len(entries)))
+                    entries.append((b.machine, resident.get(b.mid, []) + consumers))
+                    entry_scales.append(scales.get(b.mid))
+
+        # --- ONE vectorised solve for the whole tick ---------------------
+        counts["entries_scored"] += len(entries)
+        if self.config.scoring == "batched":
+            # Lazy batch: scores come straight off the rate tensor; full
+            # Allocations are built only for state rows and winning
+            # candidates (a handful per tick).
+            fb = solve_batch_fleet_lazy(
+                entries, capacity_scales=entry_scales if injector is not None else None
+            )
+            counts["solver_calls"] += 1
+            get_alloc = fb.allocation
+            get_score = fb.app_total_rate
+        else:
+            allocs = [
+                solve(m, cs, capacity_scale=sc) for (m, cs), sc in zip(entries, entry_scales)
+            ]
+            counts["solver_calls"] += len(entries)
+            get_alloc = allocs.__getitem__
+
+            def get_score(row: int, aid: str) -> float:
+                return allocs[row].app_total_rate(aid)
+
+        for mid, row in state_rows:
+            state_allocs[mid] = get_alloc(row)
+
+        # --- Greedy admissions in arrival order --------------------------
+        claimed: set = set()
+        for r in batch:
+            p = r.idx
+            app_id = self.trace.app_id(p)
             best = None
-            for key, b, workers in kind_cands[kind]:
-                if b.mid not in claimed:
-                    best = (b, workers)
-                    break
+            for rr, mid, workers, row in cands:
+                if rr is not r or mid in claimed:
+                    continue
+                score = get_score(row, app_id)
+                key = self._rank_key(self.backends[mid], score, len(workers))
+                if best is None or key > best[0]:
+                    best = (key, mid, workers, row)
             if best is None:
                 continue  # no feasible machine this tick
             if injector is not None and injector.admission_rejected():
-                inc["admission_rejections"] += 1
+                counts["admission_rejections"] += 1
                 continue  # stays pending; retried next tick
-            admit(r, best[0], best[1])
-        inc["memo_hits"] += memo_hits
+            _key, mid, workers, row = best
+            self._admit(
+                r, self.backends[mid], workers, placements, pending, inflight
+            )
+            claimed.add(mid)
+            # The winning candidate allocation already includes the
+            # admitted app, so it is the machine's new state.
+            state_allocs[mid] = get_alloc(row)
+        return state_allocs
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -733,11 +870,8 @@ class FleetScheduler:
         pending = _PendQueue()
         placements: List[Tuple[str, int, Tuple[int, ...]]] = []
         ticks = 0
-        solver_calls = 0
-        entries_scored = 0
         requeues = 0
         stranded = 0
-        admission_rejections = 0
         completions_lost = 0
         lost_work_bytes = 0.0
         #: Pending records of the currently running attempts (injector
@@ -746,22 +880,12 @@ class FleetScheduler:
         seen_completions = [0] * len(self.backends)
         last_fault_t = -math.inf
         hb = Heartbeat(n, label="fleet")
-        shards = cfg.shards
-        if shards == 0:
-            try:
-                shards = max(1, int(os.environ.get("BWAP_FLEET_SHARDS", "1") or 1))
-            except ValueError:
-                shards = 1
-        self._shard_count = shards
-        #: Incremental-mode counters (stay zero on exhaustive runs).
-        inc = {
-            "solver_calls": 0,
-            "entries_scored": 0,
-            "memo_hits": 0,
-            "bound_pruned": 0,
-            "admission_rejections": 0,
-            "sharded": False,
-        }
+        #: Tick counters (memo hits and pruning stay zero on exhaustive runs).
+        counts = dict.fromkeys(
+            ("solver_calls", "entries_scored", "memo_hits", "bound_pruned",
+             "admission_rejections"),
+            0,
+        )
 
         def requeue_or_strand(rec: _Pend, total_frac: float) -> None:
             """Decide the fate of interrupted work under the recovery
@@ -812,153 +936,24 @@ class FleetScheduler:
 
             # Capacity multipliers for this instant; the advance below is
             # clamped at window edges, so they hold for its whole span.
-            scales: Dict[int, Optional[np.ndarray]] = {}
-            if injector is not None:
-                for b in self.backends:
-                    scales[b.mid] = injector.capacity_scale_for(
-                        b.mid, b.machine, now
-                    )
+            scales = {} if injector is None else self._fault_state(now)[0]
 
-            state_allocs: Dict[int, Optional[Allocation]] = {}
-            if injector is None:
-                batch = pending.batch(cfg.max_pending_per_tick)
-            else:
-                batch = pending.batch(cfg.max_pending_per_tick, now)
-            if batch and cfg.scoring == "incremental":
+            state_allocs: Dict[int, Allocation] = {}
+            # Requeued apps wait out their backoff (fault runs only).
+            batch = pending.batch(cfg.max_pending_per_tick, None if injector is None else now)
+            if batch:
                 ticks += 1
-                # Delta path: memo-replay clean machines, bound-prune
-                # hopeless candidates, solve only the survivors. Leaves
-                # ``state_allocs`` empty — the fluid backend replays the
-                # identical allocation from its version-keyed solve slot.
-                self._tick_incremental(
-                    batch, scales, now, health, placements, pending, inflight, inc
-                )
-            elif batch:
-                ticks += 1
-                # --- Build the tick's entry list -------------------------
-                entries: List[tuple] = []  # (machine, consumers)
-                entry_scales: List[Optional[np.ndarray]] = []
-                state_rows: List[Tuple[int, int]] = []  # (mid, row)
-                resident = {
-                    b.mid: b.resident_consumers()
-                    for b in self.backends
-                    if b.num_live
-                }
-                for b in self.backends:
-                    if b.wants_state_alloc and b.num_live:
-                        state_rows.append((b.mid, len(entries)))
-                        entries.append((b.machine, resident[b.mid]))
-                        entry_scales.append(scales.get(b.mid))
-                workers_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-                # Same-class machines with the same worker set produce
-                # identical candidate consumers (weights, mixes, demands
-                # depend only on machine/workers/workload), so construct
-                # each distinct set once per tick and share the objects.
-                cons_cache: Dict[Tuple[int, Tuple[int, ...], int], list] = {}
-                cands: List[Tuple[_Pend, int, Tuple[int, ...], int]] = []
-                for r in batch:
-                    p = r.idx
-                    app_id = self.trace.app_id(p)
-                    workload = self.trace.workload(p)
-                    for b in self.backends:
-                        if injector is not None and (
-                            injector.crashed_at(b.mid, now)
-                            or not health.allows(b.mid, now)
-                        ):
-                            continue
-                        free = b.free_nodes()
-                        for k in cfg.worker_counts:
-                            if k > len(free):
-                                continue
-                            ck = (b.mid, k)
-                            workers = workers_cache.get(ck)
-                            if workers is None:
-                                wk = (id(b.machine), b.occupied_nodes(), k)
-                                workers = self._worker_cache.get(wk)
-                                if workers is None:
-                                    workers = pick_worker_nodes(
-                                        b.machine, k, exclude=wk[1]
-                                    )
-                                    self._worker_cache[wk] = workers
-                                workers_cache[ck] = workers
-                            key = (id(b.machine), workers, p)
-                            consumers = cons_cache.get(key)
-                            if consumers is None:
-                                consumers, _t, _tpn = b.candidate_consumers(
-                                    app_id, workload, workers
-                                )
-                                cons_cache[key] = consumers
-                            cands.append((r, b.mid, workers, len(entries)))
-                            entries.append(
-                                (b.machine, resident.get(b.mid, []) + consumers)
-                            )
-                            entry_scales.append(scales.get(b.mid))
-
-                # --- ONE vectorised solve for the whole tick -------------
-                entries_scored += len(entries)
-                if cfg.scoring == "batched":
-                    # Lazy batch: scores come straight off the rate
-                    # tensor; full Allocations are built only for state
-                    # rows and winning candidates (a handful per tick).
-                    fb = solve_batch_fleet_lazy(
-                        entries,
-                        capacity_scales=(
-                            entry_scales if injector is not None else None
-                        ),
+                if cfg.scoring == "incremental":
+                    # Leaves ``state_allocs`` empty: the fluid backend
+                    # replays the identical allocation from its
+                    # version-keyed solve slot.
+                    self._tick_incremental(
+                        batch, scales, now, health, placements, pending, inflight, counts
                     )
-                    solver_calls += 1
-                    get_alloc = fb.allocation
-                    get_score = fb.app_total_rate
                 else:
-                    allocs = [
-                        solve(m, cs, capacity_scale=sc)
-                        for (m, cs), sc in zip(entries, entry_scales)
-                    ]
-                    solver_calls += len(entries)
-                    get_alloc = allocs.__getitem__
-                    get_score = lambda row, aid: allocs[row].app_total_rate(aid)
-                for mid, row in state_rows:
-                    state_allocs[mid] = get_alloc(row)
-
-                # --- Greedy admissions in arrival order ------------------
-                claimed: set = set()
-                for r in batch:
-                    p = r.idx
-                    app_id = self.trace.app_id(p)
-                    best = None
-                    for rr, mid, workers, row in cands:
-                        if rr is not r or mid in claimed:
-                            continue
-                        score = get_score(row, app_id)
-                        key = self._rank_key(
-                            self.backends[mid], score, len(workers)
-                        )
-                        if best is None or key > best[0]:
-                            best = (key, mid, workers, row)
-                    if best is None:
-                        continue  # no feasible machine this tick
-                    if injector is not None and injector.admission_rejected():
-                        admission_rejections += 1
-                        continue  # stays pending; retried next tick
-                    _key, mid, workers, row = best
-                    backend = self.backends[mid]
-                    r.attempts += 1
-                    backend.admit(
-                        app_id,
-                        self.trace.workload(p),
-                        workers,
-                        float(times[p]),
-                        resume_frac=r.resume_frac,
-                        attempts=r.attempts,
+                    state_allocs = self._tick_exhaustive(
+                        batch, scales, now, health, placements, pending, inflight, counts
                     )
-                    claimed.add(mid)
-                    # The winning candidate allocation already includes the
-                    # admitted app, so it is the machine's new state.
-                    state_allocs[mid] = get_alloc(row)
-                    placements.append((app_id, mid, workers))
-                    pending.retire(r)
-                    if injector is not None:
-                        inflight[app_id] = r
 
             # --- Advance the fleet clock ---------------------------------
             live = any(b.num_live for b in self.backends)
@@ -994,21 +989,20 @@ class FleetScheduler:
             if injector is not None:
                 for b in self.backends:
                     start = seen_completions[b.mid]
-                    tail = b.completions[start:]
-                    if tail:
-                        kept = []
-                        for comp in tail:
-                            rec = inflight.pop(comp.app_id)
-                            if injector.completion_lost():
-                                completions_lost += 1
-                                b.forget_app(comp.app_id)
-                                # The attempt ran to the end; only the
-                                # report was lost.
-                                requeue_or_strand(rec, 1.0)
-                            else:
-                                kept.append(comp)
-                        if len(kept) != len(tail):
-                            b.completions[start:] = kept
+                    if len(b.completions) == start:
+                        continue
+                    kept = []
+                    for comp in b.completions[start:]:
+                        rec = inflight.pop(comp.app_id)
+                        if injector.completion_lost():
+                            completions_lost += 1
+                            b.forget_app(comp.app_id)
+                            # The attempt ran to the end; only the report
+                            # was lost.
+                            requeue_or_strand(rec, 1.0)
+                        else:
+                            kept.append(comp)
+                    b.completions[start:] = kept
                     seen_completions[b.mid] = len(b.completions)
 
             if hb.enabled:
@@ -1016,10 +1010,6 @@ class FleetScheduler:
                     sum(len(b.completions) for b in self.backends), force=False
                 )
 
-        self._close_pool()
-        solver_calls += inc["solver_calls"]
-        entries_scored += inc["entries_scored"]
-        admission_rejections += inc["admission_rejections"]
         completions: List[FleetCompletion] = []
         for b in self.backends:
             completions.extend(b.completions)
@@ -1048,14 +1038,14 @@ class FleetScheduler:
             placed=len(placements),
             pending_left=len(pending),
             ticks=ticks,
-            solver_calls=solver_calls,
-            entries_scored=entries_scored,
+            solver_calls=counts["solver_calls"],
+            entries_scored=counts["entries_scored"],
             end_time=end_time,
             utilization={b.mid: b.utilization(end_time) for b in self.backends},
             machine_class={node.mid: node.class_name for node in self.fleet},
             requeues=requeues,
             stranded=stranded,
-            admission_rejections=admission_rejections,
+            admission_rejections=counts["admission_rejections"],
             completions_lost=completions_lost,
             lost_work_bytes=lost_work_bytes,
             slo_violations=sum(1 for c in completions if not c.slo_ok),
@@ -1063,7 +1053,6 @@ class FleetScheduler:
             completed_work_bytes=sum(c.work_bytes for c in completions),
             availability=availability,
             machine_downtime=machine_downtime,
-            memo_hits=inc["memo_hits"],
-            bound_pruned=inc["bound_pruned"],
-            shards_used=self._shard_count if inc["sharded"] else 1,
+            memo_hits=counts["memo_hits"],
+            bound_pruned=counts["bound_pruned"],
         )

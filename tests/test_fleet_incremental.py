@@ -1,21 +1,23 @@
-"""Incremental fleet scheduling: memo replay, bound pruning, sharding.
+"""Incremental fleet scheduling: cross-tick memo replay, bound pruning.
 
 The load-bearing property: ``scoring="incremental"`` is a pure
 execution-strategy change. Placements, completions, SLO accounting, and
 utilisation are bitwise-identical to the exhaustive batched and scalar
 modes — across disciplines, under full-intensity chaos (including
-capacity-scaling brown-outs), and with sharded solve dispatch — because
-the memo replays the very floats the solver produced, the rate bound
-only ever discards candidates that provably lose the rank-key scan, and
-shard merges preserve entry order.
+capacity-scaling brown-outs), and on tie-heavy fleets of same-class
+machines — because the candidate table replays the very floats the
+solver produced and the rate bound only ever discards candidates that
+provably lose the rank-key scan.
 """
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     FleetScheduler,
@@ -24,7 +26,7 @@ from repro.fleet import (
     chaos_plan,
 )
 from repro.fleet.backend import FlowBackend, make_backend
-from repro.fleet.scheduler import SCORINGS
+from repro.fleet.scheduler import DISCIPLINES, SCORINGS, _Pend, _PendQueue
 from repro.memsim import (
     DEFAULT_MC_MODEL,
     candidate_rate_bound,
@@ -36,7 +38,7 @@ from repro.workloads import TraceSpec, build_trace, trace_catalog
 _MIX = (("A", 2), ("B", 2), ("dual", 1), ("sym4", 1))
 
 
-def _run(scoring, *, discipline="best-rate", faults=None, shards=1,
+def _run(scoring, *, discipline="best-rate", faults=None,
          arrivals=40, rate=2.0, backend="flow", seed=11):
     fleet = build_fleet(_MIX)
     trace = build_trace(
@@ -44,7 +46,7 @@ def _run(scoring, *, discipline="best-rate", faults=None, shards=1,
     )
     cfg = SchedulerConfig(
         backend=backend, scoring=scoring, discipline=discipline,
-        tick_s=2.0, shards=shards,
+        tick_s=2.0,
     )
     return FleetScheduler(fleet, trace, cfg, seed=seed, faults=faults).run(
         1_000_000.0
@@ -101,14 +103,6 @@ class TestIncrementalIdentity:
             _run("incremental", backend="sim", arrivals=8, rate=0.1),
         )
 
-    def test_sharded_identical_and_reported(self):
-        base = _run("batched")
-        sharded = _run("incremental", shards=2)
-        _assert_identical(base, sharded)
-        if os.name == "posix":
-            assert sharded.shards_used == 2
-        assert _run("incremental").shards_used == 1
-
     def test_replay_is_deterministic(self):
         """Two independent schedulers (cold memo vs cold memo) and the
         counters they report agree exactly."""
@@ -118,6 +112,115 @@ class TestIncrementalIdentity:
         assert (a.memo_hits, a.bound_pruned, a.entries_scored) == (
             b.memo_hits, b.bound_pruned, b.entries_scored
         )
+
+
+# --------------------------------------------------------------------- #
+# Tie-heavy differential: same-class machines, several arrivals per kind
+# --------------------------------------------------------------------- #
+
+#: Eight identical machines per class: equal scores abound, so the
+#: ``-mid``/``-k`` tail of the rank key decides most placements.
+_TIE_MIX = (("sym4", 8), ("dual", 8))
+
+
+def _tie_trace():
+    # Two kinds at 6 arrivals/s: every full 8-app tick repeats a kind, so
+    # the prune threshold sits deeper than the best candidate (need > 1).
+    return build_trace(
+        TraceSpec(
+            kind="poisson", rate_per_s=6.0, arrivals=120, seed=5,
+            catalog="synthetic", catalog_size=2,
+        )
+    )
+
+
+def _tie_run(scoring, discipline, faults):
+    cfg = SchedulerConfig(scoring=scoring, discipline=discipline, tick_s=2.0)
+    return FleetScheduler(
+        build_fleet(_TIE_MIX), _tie_trace(), cfg, seed=3, faults=faults
+    ).run(1_000_000.0)
+
+
+#: ``(memo_hits, bound_pruned, entries_scored)`` of the per-candidate
+#: incremental tick the dense table replaced, on the tie-heavy runs: the
+#: table must replay, prune, and solve exactly the same candidates.
+_TIE_COUNTS = {
+    ("best-rate", False): (164, 19, 417),
+    ("best-rate", True): (218, 18, 414),
+    ("least-loaded", False): (168, 50, 434),
+    ("least-loaded", True): (247, 33, 436),
+    ("first-fit", False): (0, 0, 0),
+    ("first-fit", True): (0, 0, 0),
+}
+
+
+class TestTieHeavy:
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
+    def test_matches_batched(self, discipline, chaos):
+        plan = chaos_plan(16, horizon_s=40.0, seed=5) if chaos else None
+        ref = _tie_run("batched", discipline, plan)
+        inc = _tie_run("incremental", discipline, plan)
+        _assert_identical(ref, inc)
+        # Some tick admitted two apps of one kind.
+        kinds = _tie_trace().kind_idx
+        per_tick = Counter(
+            (c.placed_s, int(kinds[int(c.app_id[3:])])) for c in inc.completions
+        )
+        assert max(per_tick.values()) > 1
+        assert (inc.memo_hits, inc.bound_pruned, inc.entries_scored) == (
+            _TIE_COUNTS[discipline, chaos]
+        )
+
+
+class TestRankKeyHelpers:
+    """The table's vectorised key helpers agree with ``_rank_key``'s tuple
+    comparison, exact ties included."""
+
+    @pytest.mark.parametrize("counts", [(1, 2), (2, 1), (1, 2, 4)])
+    @pytest.mark.parametrize("discipline", ["best-rate", "least-loaded"])
+    def test_summary_and_below(self, discipline, counts):
+        cfg = SchedulerConfig(
+            scoring="incremental", discipline=discipline, worker_counts=counts
+        )
+        sched = FleetScheduler(build_fleet(_TIE_MIX), _tie_trace(), cfg)
+        backends = sched.backends
+        wl = trace_catalog(TraceSpec())[0]
+        for b in backends[::3]:  # vary the free-node counts
+            b.admit(f"busy{b.mid}", wl, (0,), 0.0)
+        m = len(backends)
+        sched._refresh_machines(
+            np.ones(m, dtype=bool), np.array([b.state_version for b in backends])
+        )
+        rng = np.random.default_rng(1)
+
+        def key(mid, score, s):
+            return sched._rank_key(backends[mid], float(score), counts[s])
+
+        # Few distinct values, so equal scores across slots are common.
+        score = rng.choice([np.nan, 1.0, 2.0], size=(len(counts), 2, m))
+        best, slot, hits = sched._summary(score)
+        for j in range(2):
+            for mid in range(m):
+                known = [s for s in range(len(counts)) if not np.isnan(score[s, j, mid])]
+                assert hits[j, mid] == len(known)
+                if known:
+                    top = max(known, key=lambda s: key(mid, score[s, j, mid], s))
+                    assert (best[j, mid], slot[j, mid]) == (score[top, j, mid], top)
+
+        mids = np.repeat(np.arange(m), len(counts))
+        slots = np.tile(np.arange(len(counts)), m)
+        bound = rng.choice([1.0, 2.0, 3.0], size=mids.size)
+        for t in range(m):
+            for ts, t_slot in ((2.0, 0), (2.0, len(counts) - 1), (1.0, 0)):
+                below = sched._below(
+                    bound, mids, sched._ks[slots], ts, np.full(mids.size, t), counts[t_slot]
+                )
+                expect = [
+                    key(a, x, s) < key(t, ts, t_slot)
+                    for a, x, s in zip(mids.tolist(), bound.tolist(), slots.tolist())
+                ]
+                assert below.tolist() == expect
 
 
 # --------------------------------------------------------------------- #
@@ -144,24 +247,22 @@ class TestIncrementalCounters:
         batched = _run("batched")
         assert batched.memo_hits == 0
         assert batched.bound_pruned == 0
-        assert batched.shards_used == 1
 
     def test_scoring_validation(self):
         assert "incremental" in SCORINGS
         with pytest.raises(ValueError, match="scoring"):
             SchedulerConfig(scoring="bogus")
 
-    def test_shards_validation_and_env(self, monkeypatch):
-        with pytest.raises(ValueError, match="shards"):
-            SchedulerConfig(shards=-1)
-        monkeypatch.setenv("BWAP_FLEET_SHARDS", "2")
-        sharded = _run("incremental", shards=0)
-        _assert_identical(_run("batched"), sharded)
-        if os.name == "posix":
-            assert sharded.shards_used == 2
-        monkeypatch.setenv("BWAP_FLEET_SHARDS", "not-a-number")
-        fallback = _run("incremental", shards=0)
-        assert fallback.shards_used == 1
+    @pytest.mark.parametrize(
+        "counts",
+        [(), (1.5,), ("2",), (1, 1), (0,), (-1,), (True,), [1, 2], None],
+    )
+    def test_worker_counts_validation(self, counts):
+        with pytest.raises(ValueError, match="worker_counts"):
+            SchedulerConfig(worker_counts=counts)
+
+    def test_worker_counts_accepts_unique_positive_ints(self):
+        assert SchedulerConfig(worker_counts=(2, 1, 4)).worker_counts == (2, 1, 4)
 
 
 # --------------------------------------------------------------------- #
@@ -255,3 +356,100 @@ class TestStateVersion:
         b.admit("a", trace_catalog(TraceSpec())[0], (0,), 0.0)
         assert b.free_nodes() != free0
         assert 0 in b.occupied_nodes()
+
+
+# --------------------------------------------------------------------- #
+# Pending queue: lazy retirement and O(1) requeue
+# --------------------------------------------------------------------- #
+
+
+class _QueueModel:
+    """The plain list the pending queue replaces, driven side by side."""
+
+    def __init__(self):
+        self.queue = _PendQueue()
+        self.model = []  # (idx, eligible_s, attempts, resume_frac)
+        self.retired = []  # admitted records, requeueable once
+        self.next_idx = 0
+
+    @staticmethod
+    def view(recs):
+        return [(r.idx, r.eligible_s, r.attempts, r.resume_frac) for r in recs]
+
+    def arrive(self, eligible_s):
+        self.queue.append(_Pend(self.next_idx, eligible_s))
+        self.model.append((self.next_idx, eligible_s, 0, 0.0))
+        self.next_idx += 1
+
+    def retire(self, pick, keep_head=False):
+        live = self.queue.batch(len(self.model) + 1)
+        assert self.view(live) == self.model
+        lo = 1 if keep_head else 0
+        if len(live) > lo:
+            at = lo + pick % (len(live) - lo)
+            rec = live[at]
+            rec.attempts += 1
+            self.queue.retire(rec)
+            del self.model[at]
+            self.retired.append(rec)
+
+    def requeue(self, pick, eligible_s, resume_frac):
+        if self.retired:
+            rec = self.retired.pop(pick % len(self.retired))
+            rec.eligible_s = eligible_s
+            rec.resume_frac = resume_frac
+            self.queue.append(rec)
+            self.model.append((rec.idx, eligible_s, rec.attempts, resume_frac))
+
+    def batch(self, limit, now):
+        expect = [
+            t for t in self.model if now is None or t[1] <= now
+        ][:limit]
+        assert self.view(self.queue.batch(limit, now)) == expect
+        assert len(self.queue) == len(self.model)
+
+
+_times = st.floats(0.0, 100.0, allow_nan=False)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("arrive"), _times),
+        st.tuples(st.just("retire"), st.integers(0, 10**6)),
+        st.tuples(
+            st.just("requeue"), st.integers(0, 10**6), _times, st.floats(0.0, 0.75)
+        ),
+        st.tuples(
+            st.just("batch"), st.integers(1, 12), st.one_of(st.none(), _times)
+        ),
+    ),
+    max_size=120,
+)
+
+
+class TestPendQueue:
+    @settings(max_examples=200, deadline=None)
+    @given(_ops)
+    def test_matches_plain_list(self, ops):
+        q = _QueueModel()
+        for op, *args in ops:
+            getattr(q, op)(*args)
+        q.batch(10**6, None)
+
+    def test_long_run_crosses_compaction_thresholds(self):
+        """Thousands of retirements trip the lazy compaction, both behind
+        a dead prefix and (while a long-lived record pins the head) with
+        retired records in the middle; the view never changes."""
+        rng = np.random.default_rng(0)
+        q = _QueueModel()
+        for step in range(12_000):
+            u = rng.random()
+            if u < 0.4:
+                q.arrive(float(rng.uniform(0, 100)))
+            elif u < 0.75:
+                # Mostly from the front, like tick batches.
+                q.retire(int(rng.integers(0, 3)), keep_head=step < 6_000)
+            elif u < 0.85:
+                q.requeue(int(rng.integers(0, 10**6)), float(rng.uniform(0, 100)), 0.25)
+            else:
+                q.batch(8, None if rng.random() < 0.5 else float(rng.uniform(0, 100)))
+        q.batch(10**6, None)
+
