@@ -87,6 +87,11 @@ class Application:
                     SegmentKind.PRIVATE,
                     owner_thread=t,
                 )
+        self._shared_segments = self.space.segments_of_kind(SegmentKind.SHARED)
+        self._private_by_node: Dict[int, List[Segment]] = {}
+        for seg in self.space.segments_of_kind(SegmentKind.PRIVATE):
+            owner = self.ctx.node_of_thread(seg.owner_thread)
+            self._private_by_node.setdefault(owner, []).append(seg)
         if policy is not None:
             if hasattr(policy, "validate_workload"):
                 policy.validate_workload(workload.write_fraction)
@@ -129,16 +134,11 @@ class Application:
 
     def shared_distribution(self) -> np.ndarray:
         """Placement distribution of the shared segments."""
-        segs = self.space.segments_of_kind(SegmentKind.SHARED)
-        return self.space.placement_distribution(segs)
+        return self.space.placement_distribution(self._shared_segments)
 
     def private_distribution(self, node: int) -> np.ndarray:
         """Placement distribution of private pages owned by threads on ``node``."""
-        segs = [
-            s
-            for s in self.space.segments_of_kind(SegmentKind.PRIVATE)
-            if self.ctx.node_of_thread(s.owner_thread) == node
-        ]
+        segs = self._private_by_node.get(node)
         if not segs:
             return np.zeros(self.machine.num_nodes)
         return self.space.placement_distribution(segs)

@@ -29,8 +29,11 @@ def uniform_assignment(
     nodes = _validated_nodes(nodes)
     if num_pages < 0:
         raise ValueError(f"num_pages must be non-negative, got {num_pages}")
-    idx = (np.arange(num_pages) + phase) % len(nodes)
-    return nodes[idx]
+    m = len(nodes)
+    s = phase % m
+    # Page i lands on nodes[(i + phase) % m]: tile the node set rotated by
+    # the phase. (``np.resize`` would do the same but is far slower.)
+    return np.tile(np.concatenate((nodes[s:], nodes[:s])), -(-num_pages // m))[:num_pages]
 
 
 def weighted_counts(num_pages: int, weights: Sequence[float]) -> np.ndarray:
@@ -95,8 +98,8 @@ def _validated_nodes(nodes: Sequence[int]) -> np.ndarray:
     arr = np.asarray(list(nodes), dtype=np.int16)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("node set must be a non-empty 1-D sequence")
-    if len(np.unique(arr)) != len(arr):
+    if len(set(arr.tolist())) != len(arr):
         raise ValueError(f"node set contains duplicates: {list(arr)}")
-    if (arr < 0).any():
+    if arr.min() < 0:
         raise ValueError("node ids must be non-negative")
     return arr

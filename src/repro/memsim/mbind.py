@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.memsim.interleave import uniform_assignment, weighted_assignment
-from repro.memsim.pages import UNALLOCATED, AddressSpace
+from repro.memsim.pages import AddressSpace
 
 
 class MPol(enum.Enum):
@@ -108,29 +108,13 @@ def mbind(
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unsupported policy {policy}")
 
-    view = space.page_nodes()[start_page : start_page + num_pages]
-    if len(view) != num_pages:
-        raise ValueError(
-            f"page range [{start_page}, {start_page + num_pages}) outside mapped space"
-        )
-
-    unbacked = view == UNALLOCATED
-    nonconforming = (~unbacked) & (view != assignment)
-
-    if MbindFlag.MOVE in flags:
-        final = assignment
-        moved = int(nonconforming.sum())
-    else:
-        if MbindFlag.STRICT in flags and nonconforming.any():
-            raise PermissionError(
-                f"mbind(STRICT) without MOVE: {int(nonconforming.sum())} pages already "
-                "placed on non-conforming nodes"
-            )
-        final = np.where(unbacked, assignment, view)
-        moved = 0
-
-    space.set_pages(start_page, final)
-    return MbindResult(pages_touched=int(unbacked.sum()), pages_moved=moved)
+    touched, moved = space.rebind(
+        start_page,
+        assignment,
+        move=MbindFlag.MOVE in flags,
+        strict=MbindFlag.STRICT in flags,
+    )
+    return MbindResult(pages_touched=touched, pages_moved=moved)
 
 
 def mbind_segment(

@@ -86,7 +86,7 @@ class MigrationEngine:
         self, app_id: str, pages_moved: int, page_size: int = PAGE_SIZE
     ) -> float:
         """Record a migration batch; returns the time cost in seconds."""
-        if not isinstance(pages_moved, (int, np.integer)):
+        if isinstance(pages_moved, bool) or not isinstance(pages_moved, (int, np.integer)):
             raise TypeError(
                 f"pages_moved must be an integer, got {type(pages_moved).__name__}"
             )
@@ -103,7 +103,7 @@ class MigrationEngine:
     def record_failed(self, app_id: str, pages_failed: int) -> None:
         """Account pages that a faulty migration batch left on their old
         nodes (no time cost: the kernel gives up on them cheaply)."""
-        if not isinstance(pages_failed, (int, np.integer)):
+        if isinstance(pages_failed, bool) or not isinstance(pages_failed, (int, np.integer)):
             raise TypeError(
                 f"pages_failed must be an integer, got {type(pages_failed).__name__}"
             )

@@ -11,6 +11,7 @@ allocates lazily on first touch).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -117,16 +118,25 @@ class AddressSpace:
         self.num_nodes = num_nodes
         self.page_size = page_size
         self._segments: List[Segment] = []
+        #: Segment start pages in mapping order (ascending), for bisecting
+        #: a page index to its segment.
+        self._starts: List[int] = []
         self._segments_by_name: Dict[str, Segment] = {}
-        self._page_nodes = np.empty(0, dtype=np.int16)
+        #: The page table lives in the first ``_next_page`` entries of a
+        #: capacity-doubling buffer; the tail is kept ``UNALLOCATED`` so
+        #: mapping a segment only advances ``_next_page``.
+        self._buf = np.empty(0, dtype=np.int16)
         self._next_page = 0
+        #: Per-segment node histograms (``None`` until computed; never handed
+        #: out). A write drops only the entries of the segments it overlaps,
+        #: and a selection's histogram is a fresh, exact integer sum of its
+        #: segments'.
+        self._hists: List[Optional[np.ndarray]] = []
         #: Monotonic placement version: bumped by every mutation that backs,
         #: moves, or maps pages. Lets per-epoch consumers of the placement
-        #: statistics (the simulator asks every epoch) reuse memoised
-        #: histograms between placement changes.
+        #: statistics (the simulator asks every epoch) reuse derived values
+        #: between placement changes.
         self._version = 0
-        self._hist_cache: Dict[Optional[Tuple[Tuple[int, int], ...]], np.ndarray] = {}
-        self._dist_cache: Dict[Optional[Tuple[Tuple[int, int], ...]], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -156,12 +166,17 @@ class AddressSpace:
             owner_thread=owner_thread,
             page_size=self.page_size,
         )
+        end = seg.end_page
+        if end > len(self._buf):
+            buf = np.full(max(end, 2 * len(self._buf)), UNALLOCATED, dtype=np.int16)
+            buf[: self._next_page] = self._buf[: self._next_page]
+            self._buf = buf
         self._segments.append(seg)
+        self._starts.append(seg.start_page)
+        self._hists.append(None)
         self._segments_by_name[name] = seg
-        self._next_page += num_pages
-        grown = np.full(num_pages, UNALLOCATED, dtype=np.int16)
-        self._page_nodes = np.concatenate([self._page_nodes, grown])
-        self._bump_version()
+        self._next_page = end
+        self._version += 1
         return seg
 
     @property
@@ -185,6 +200,14 @@ class AddressSpace:
         """All segments of the given kind."""
         return tuple(s for s in self._segments if s.kind is kind)
 
+    def _index(self, segment: Segment) -> int:
+        """Position of ``segment`` in this space; ValueError if not mapped here."""
+        i = bisect_right(self._starts, segment.start_page) - 1
+        mapped = self._segments[i] if i >= 0 else None
+        if mapped is not segment and mapped != segment:
+            raise ValueError(f"segment {segment.name!r} is not mapped in this address space")
+        return i
+
     # ------------------------------------------------------------------ #
     # Page-table access
     # ------------------------------------------------------------------ #
@@ -192,8 +215,9 @@ class AddressSpace:
     def page_nodes(self, segment: Optional[Segment] = None) -> np.ndarray:
         """Per-page node ids (a *view*; ``UNALLOCATED`` where untouched)."""
         if segment is None:
-            return self._page_nodes
-        return self._page_nodes[segment.start_page : segment.end_page]
+            return self._buf[: self._next_page]
+        self._index(segment)
+        return self._buf[segment.start_page : segment.end_page]
 
     def _check_range(self, start_page: int, num_pages: int) -> None:
         if start_page < 0 or num_pages < 0 or start_page + num_pages > self._next_page:
@@ -211,10 +235,13 @@ class AddressSpace:
         """Placement version, bumped on every mutation of the page table."""
         return self._version
 
-    def _bump_version(self) -> None:
+    def _written(self, lo: int, hi: int) -> None:
+        """Record a write to pages ``[lo, hi)``: drop the histograms of the
+        segments it overlaps and bump the version."""
+        first = bisect_right(self._starts, lo) - 1
+        last = bisect_left(self._starts, hi)
+        self._hists[first:last] = [None] * (last - first)
         self._version += 1
-        self._hist_cache.clear()
-        self._dist_cache.clear()
 
     def touch(self, segment: Segment, node: int) -> int:
         """First-touch all still-unallocated pages of a segment onto ``node``.
@@ -225,11 +252,54 @@ class AddressSpace:
         self._check_node(node)
         view = self.page_nodes(segment)
         mask = view == UNALLOCATED
-        allocated = int(mask.sum())
+        allocated = int(np.count_nonzero(mask))
         if allocated:
             view[mask] = node
-            self._bump_version()
+            self._written(segment.start_page, segment.end_page)
         return allocated
+
+    def rebind(
+        self,
+        start_page: int,
+        assignment: np.ndarray,
+        *,
+        move: bool = True,
+        strict: bool = False,
+    ) -> Tuple[int, int]:
+        """Bind a page range to ``assignment``; returns ``(touched, moved)``.
+
+        Unbacked pages are always backed (``touched`` counts them). Pages
+        already backed on another node are migrated only when ``move`` is
+        set (``moved`` counts them); otherwise they stay put, and ``strict``
+        refuses the call with ``PermissionError`` if there are any. The
+        range and node ids are checked before anything is written.
+        """
+        assignment = np.asarray(assignment, dtype=np.int16)
+        n = len(assignment)
+        self._check_range(start_page, n)
+        if n and (assignment.min() < 0 or assignment.max() >= self.num_nodes):
+            raise ValueError("assignment contains invalid node ids")
+        view = self._buf[start_page : start_page + n]
+        changed = int(np.count_nonzero(view != assignment))
+        if not changed:
+            return 0, 0
+        # ``assignment`` holds no UNALLOCATED, so every unbacked page is a
+        # changed one and the rest of the changed pages are nonconforming.
+        touched = int(np.count_nonzero(view == UNALLOCATED))
+        moved = changed - touched
+        if moved and not move:
+            if strict:
+                raise PermissionError(
+                    f"strict bind without move: {moved} pages already "
+                    "placed on non-conforming nodes"
+                )
+            moved = 0
+            np.copyto(view, assignment, where=view == UNALLOCATED)
+        else:
+            view[:] = assignment
+        if touched or moved:
+            self._written(start_page, start_page + n)
+        return touched, moved
 
     def set_pages(self, start_page: int, assignment: np.ndarray) -> int:
         """Directly assign nodes to a page range; returns pages *moved*.
@@ -237,17 +307,7 @@ class AddressSpace:
         A page counts as moved when it was already backed on a different
         node. Newly backed pages are not migrations.
         """
-        assignment = np.asarray(assignment, dtype=np.int16)
-        self._check_range(start_page, len(assignment))
-        if len(assignment) and (assignment.min() < 0 or assignment.max() >= self.num_nodes):
-            raise ValueError("assignment contains invalid node ids")
-        view = self._page_nodes[start_page : start_page + len(assignment)]
-        changed = view != assignment
-        moved = int(((view != UNALLOCATED) & changed).sum())
-        if changed.any():
-            view[:] = assignment
-            self._bump_version()
-        return moved
+        return self.rebind(start_page, assignment)[1]
 
     def assign_pages(self, indices: np.ndarray, nodes: np.ndarray) -> int:
         """Scatter-assign nodes to individual pages; returns pages *moved*.
@@ -263,51 +323,50 @@ class AddressSpace:
             )
         if len(indices) == 0:
             return 0
-        if indices.min() < 0 or indices.max() >= len(self._page_nodes):
+        lo, hi = int(indices.min()), int(indices.max())
+        if lo < 0 or hi >= self._next_page:
             raise IndexError("page index out of range")
         if nodes.min() < 0 or nodes.max() >= self.num_nodes:
             raise ValueError("assignment contains invalid node ids")
-        current = self._page_nodes[indices]
+        current = self._buf[indices]
         changed = current != nodes
-        moved = int(((current != UNALLOCATED) & changed).sum())
+        moved = int(np.count_nonzero(current[changed] != UNALLOCATED))
         if changed.any():
-            self._page_nodes[indices] = nodes
-            self._bump_version()
+            self._buf[indices] = nodes
+            self._written(lo, hi + 1)
         return moved
 
     # ------------------------------------------------------------------ #
     # Placement statistics
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _segments_key(
-        segments: Optional[Iterable[Segment]],
-    ) -> Tuple[Optional[Tuple[Tuple[int, int], ...]], Optional[List[Segment]]]:
-        """Hashable cache key for a segment selection (None = whole space)."""
-        if segments is None:
-            return None, None
-        segs = list(segments)
-        return tuple(s.page_range() for s in segs), segs
+    def _segment_histogram(self, i: int) -> np.ndarray:
+        hist = self._hists[i]
+        if hist is None:
+            seg = self._segments[i]
+            data = self._buf[seg.start_page : seg.end_page]
+            hist = np.array(
+                [np.count_nonzero(data == k) for k in range(self.num_nodes)],
+                dtype=np.int64,
+            )
+            self._hists[i] = hist
+        return hist
 
     def node_histogram(self, segments: Optional[Iterable[Segment]] = None) -> np.ndarray:
         """Allocated-page counts per node over the given segments (or all).
 
-        Memoised until the next placement mutation; the returned array is
-        read-only (copy before modifying).
+        Built from per-segment histograms memoised until a write touches
+        their segment; the returned array is read-only (copy before
+        modifying).
         """
-        key, segs = self._segments_key(segments)
-        cached = self._hist_cache.get(key)
-        if cached is not None:
-            return cached
-        if segs is None:
-            data = self._page_nodes
+        if segments is None:
+            indices: Iterable[int] = range(len(self._segments))
         else:
-            parts = [self.page_nodes(s) for s in segs]
-            data = np.concatenate(parts) if parts else np.empty(0, dtype=np.int16)
-        allocated = data[data != UNALLOCATED]
-        hist = np.bincount(allocated, minlength=self.num_nodes).astype(np.int64)
+            indices = [self._index(s) for s in segments]
+        hist = np.zeros(self.num_nodes, dtype=np.int64)
+        for i in indices:
+            hist += self._segment_histogram(i)
         hist.setflags(write=False)
-        self._hist_cache[key] = hist
         return hist
 
     def placement_distribution(
@@ -315,23 +374,17 @@ class AddressSpace:
     ) -> np.ndarray:
         """Fraction of allocated pages on each node (zeros if none allocated).
 
-        Memoised until the next placement mutation; the returned array is
-        read-only (copy before modifying).
+        The returned array is read-only (copy before modifying).
         """
-        key, segs = self._segments_key(segments)
-        cached = self._dist_cache.get(key)
-        if cached is not None:
-            return cached
-        hist = self.node_histogram(segs if segs is not None else None)
+        hist = self.node_histogram(segments)
         total = hist.sum()
         dist = np.zeros(self.num_nodes) if total == 0 else hist / total
         dist.setflags(write=False)
-        self._dist_cache[key] = dist
         return dist
 
     def allocated_pages(self) -> int:
         """Number of pages with physical backing."""
-        return int((self._page_nodes != UNALLOCATED).sum())
+        return int(self.node_histogram().sum())
 
     def resident_bytes_per_node(self) -> np.ndarray:
         """Bytes resident on each node."""

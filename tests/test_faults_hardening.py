@@ -26,7 +26,7 @@ from repro.faults import (
     as_injector,
 )
 from repro.memsim import FirstTouch
-from repro.memsim.migration import MigrationEngine
+from repro.memsim.migration import MigrationEngine, MigrationStats
 from repro.memsim.pages import UNALLOCATED, AddressSpace
 from repro.perf.counters import MeasurementConfig
 from repro.units import MiB
@@ -195,6 +195,15 @@ class TestMigrationEngineRecords:
             eng.record("a", 1.5)
         with pytest.raises(TypeError):
             eng.record_failed("a", 2.0)
+
+    def test_record_rejects_bools(self):
+        eng = MigrationEngine()
+        for flag in (True, False, np.bool_(True)):
+            with pytest.raises(TypeError):
+                eng.record("a", flag)
+            with pytest.raises(TypeError):
+                eng.record_failed("a", flag)
+        assert eng.stats("a") == MigrationStats()
 
     def test_record_rejects_negative(self):
         eng = MigrationEngine()

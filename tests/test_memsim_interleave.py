@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.interleave import (
     uniform_assignment,
@@ -38,6 +40,39 @@ class TestUniformAssignment:
     def test_rejects_negative_pages(self):
         with pytest.raises(ValueError):
             uniform_assignment(-1, [0])
+
+
+def _uniform_reference(num_pages, nodes, phase):
+    """Round-robin by page index: page i lands on nodes[(i + phase) % m]."""
+    nodes = np.asarray(nodes, dtype=np.int16)
+    return nodes[(np.arange(num_pages) + phase) % len(nodes)]
+
+
+class TestUniformAssignmentDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_pages=st.integers(min_value=0, max_value=200),
+        nodes=st.lists(
+            st.integers(min_value=0, max_value=63), min_size=1, max_size=8, unique=True
+        ),
+        phase=st.integers(min_value=-(10**9), max_value=10**9),
+    )
+    def test_matches_reference(self, num_pages, nodes, phase):
+        got = uniform_assignment(num_pages, nodes, phase=phase)
+        want = _uniform_reference(num_pages, nodes, phase)
+        assert got.dtype == np.int16
+        assert got.shape == (num_pages,)
+        np.testing.assert_array_equal(got, want)
+
+    def test_every_node_count_and_sign_of_phase(self):
+        for m in range(1, 9):
+            nodes = list(range(m))[::-1]
+            for phase in (-17, -8, -1, 0, 3, 8, 2**40 + 5):
+                for num_pages in (0, 1, m - 1, m, m + 1, 5 * m + 3):
+                    got = uniform_assignment(num_pages, nodes, phase=phase)
+                    assert got.dtype == np.int16 and got.shape == (num_pages,)
+                    want = _uniform_reference(num_pages, nodes, phase)
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestWeightedCounts:

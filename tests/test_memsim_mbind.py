@@ -123,3 +123,60 @@ class TestRangeHandling:
         mbind_segment(sp, b, MPol.INTERLEAVE, [0, 1])
         combined = np.concatenate([sp.page_nodes(a), sp.page_nodes(b)])
         assert list(combined) == [0, 1, 0, 1, 0, 1]
+
+
+class TestRejectsBeforeMutating:
+    """Bad ranges and node ids fail before the page table or version move."""
+
+    FLAGS = (MbindFlag.NONE, MbindFlag.MOVE, MbindFlag.MOVE | MbindFlag.STRICT)
+
+    @pytest.fixture
+    def placed(self, space):
+        mbind(space, 0, 60, MPol.INTERLEAVE, [0, 1])
+        return space, space.page_nodes().copy(), space.version
+
+    def _assert_unchanged(self, placed):
+        space, before, version = placed
+        np.testing.assert_array_equal(space.page_nodes(), before)
+        assert space.version == version
+
+    @pytest.mark.parametrize(
+        "start,num_pages",
+        [(-1, 5), (-5, 3), (-100, 100), (96, 5), (100, 1), (0, 101), (2**40, 1)],
+    )
+    def test_bad_range(self, placed, start, num_pages):
+        space = placed[0]
+        for flags in self.FLAGS:
+            for policy, nodes in ((MPol.INTERLEAVE, [2, 3]), (MPol.BIND, [3])):
+                with pytest.raises(ValueError):
+                    mbind(space, start, num_pages, policy, nodes, flags=flags)
+            with pytest.raises(ValueError):
+                mbind(
+                    space, start, num_pages, MPol.WEIGHTED_INTERLEAVE, [2, 3],
+                    weights=[0.5, 0.5], flags=flags,
+                )
+        self._assert_unchanged(placed)
+
+    @pytest.mark.parametrize(
+        "policy,nodes",
+        [
+            (MPol.BIND, [4]),
+            (MPol.BIND, [-1]),
+            (MPol.PREFERRED, [9]),
+            (MPol.INTERLEAVE, [0, 4]),
+            (MPol.INTERLEAVE, [-1, 2]),
+            (MPol.WEIGHTED_INTERLEAVE, [1, 7]),
+        ],
+    )
+    def test_invalid_nodes(self, placed, policy, nodes):
+        space = placed[0]
+        weights = [0.5] * len(nodes) if policy is MPol.WEIGHTED_INTERLEAVE else None
+        for flags in self.FLAGS:
+            with pytest.raises(ValueError):
+                mbind(space, 10, 80, policy, nodes, weights=weights, flags=flags)
+        self._assert_unchanged(placed)
+
+    def test_strict_refusal(self, placed):
+        with pytest.raises(PermissionError):
+            mbind(placed[0], 0, 100, MPol.BIND, [3], flags=MbindFlag.STRICT)
+        self._assert_unchanged(placed)

@@ -1,8 +1,14 @@
 """Address spaces, segments, page tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.interleave import apply_weighted_placement
+from repro.memsim.mbind import MbindFlag, MPol, mbind
 from repro.memsim.pages import UNALLOCATED, AddressSpace, Segment, SegmentKind
 from repro.units import PAGE_SIZE
 
@@ -144,3 +150,160 @@ class TestSegmentNameUniqueness:
         assert sp.total_pages == pages_before
         assert sp.version == version_before
         assert len(sp.segments) == 1
+
+
+class TestForeignSegments:
+    def _spaces(self):
+        a = AddressSpace(2)
+        a.map_segment("x", 10 * PAGE_SIZE)
+        b = AddressSpace(2)
+        b.map_segment("first", 4 * PAGE_SIZE)
+        seg_b = b.map_segment("y", 20 * PAGE_SIZE)
+        b.touch(seg_b, 1)
+        return a, seg_b
+
+    def test_segment_of_another_space_rejected(self):
+        a, seg_b = self._spaces()
+        before, version = a.page_nodes().copy(), a.version
+        calls = (
+            lambda: a.page_nodes(seg_b),
+            lambda: a.touch(seg_b, 0),
+            lambda: a.node_histogram([seg_b]),
+            lambda: a.placement_distribution([seg_b]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="not mapped"):
+                call()
+        np.testing.assert_array_equal(a.page_nodes(), before)
+        assert a.version == version
+
+    def test_same_start_different_extent_rejected(self):
+        a = AddressSpace(2)
+        seg = a.map_segment("x", 10 * PAGE_SIZE)
+        other = dataclasses.replace(seg, num_pages=20)
+        with pytest.raises(ValueError, match="not mapped"):
+            a.node_histogram([seg, other])
+
+    def test_equal_segment_value_accepted(self):
+        a = AddressSpace(2)
+        seg = a.map_segment("x", 10 * PAGE_SIZE)
+        a.touch(seg, 1)
+        assert list(a.node_histogram([dataclasses.replace(seg)])) == [0, 10]
+
+
+def _fresh_histogram(space, segments):
+    """Reference: bincount over the selection's pages, read off page_nodes()."""
+    table = space.page_nodes()
+    if segments is None:
+        data = table
+    elif segments:
+        data = np.concatenate([table[s.start_page : s.end_page] for s in segments])
+    else:
+        data = np.empty(0, dtype=np.int16)
+    return np.bincount(data[data != UNALLOCATED], minlength=space.num_nodes)
+
+
+def _selections(space):
+    segs = list(space.segments)
+    return [
+        None,
+        [],
+        segs,
+        segs[::-1],
+        segs[::2],
+        list(space.segments_of_kind(SegmentKind.SHARED)),
+        list(space.segments_of_kind(SegmentKind.PRIVATE)),
+    ] + [[s] for s in segs]
+
+
+def _check_statistics(space):
+    for sel in _selections(space):
+        want = _fresh_histogram(space, sel)
+        hist = space.node_histogram(sel)
+        assert hist.dtype == np.int64
+        np.testing.assert_array_equal(hist, want)
+        total = want.sum()
+        want_dist = np.zeros(space.num_nodes) if total == 0 else want / total
+        dist = space.placement_distribution(sel)
+        # Bit-identical, not approximately equal.
+        assert dist.tobytes() == want_dist.tobytes()
+
+
+class TestHistogramMemo:
+    """Random page-table op sequences against a fresh bincount reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_op_sequences(self, data):
+        num_nodes = data.draw(st.integers(min_value=1, max_value=5), label="num_nodes")
+        space = AddressSpace(num_nodes)
+        node = st.integers(min_value=0, max_value=num_nodes - 1)
+        ops = ("map", "touch", "set_pages", "assign_pages", "mbind", "bind", "weighted")
+        for step in range(data.draw(st.integers(min_value=1, max_value=20), label="steps")):
+            op = data.draw(st.sampled_from(ops if space.segments else ("map",)), label="op")
+            before = space.page_nodes().copy()
+            version, mapped = space.version, len(space.segments)
+            total = space.total_pages
+            page = st.integers(min_value=0, max_value=max(total - 1, 0))
+            if op == "map":
+                private = data.draw(st.booleans(), label="private")
+                space.map_segment(
+                    f"s{step}",
+                    data.draw(st.integers(min_value=1, max_value=40)) * PAGE_SIZE,
+                    SegmentKind.PRIVATE if private else SegmentKind.SHARED,
+                    owner_thread=step if private else None,
+                )
+            elif op == "touch":
+                seg = data.draw(st.sampled_from(space.segments))
+                space.touch(seg, data.draw(node))
+            elif op == "set_pages":
+                start = data.draw(page)
+                n = data.draw(st.integers(min_value=0, max_value=total - start))
+                values = data.draw(st.lists(node, min_size=n, max_size=n))
+                space.set_pages(start, np.array(values, dtype=np.int16))
+            elif op == "assign_pages":
+                idx = data.draw(st.lists(page, max_size=12, unique=True))
+                values = data.draw(st.lists(node, min_size=len(idx), max_size=len(idx)))
+                space.assign_pages(np.array(idx, dtype=int), np.array(values, dtype=int))
+            elif op in ("mbind", "bind"):
+                start = data.draw(page)
+                n = data.draw(st.integers(min_value=0, max_value=total - start))
+                flags = data.draw(
+                    st.sampled_from(
+                        [
+                            MbindFlag.NONE,
+                            MbindFlag.MOVE,
+                            MbindFlag.MOVE | MbindFlag.STRICT,
+                            MbindFlag.STRICT,
+                        ]
+                    )
+                )
+                if op == "bind":
+                    policy, nodes, phase = MPol.BIND, [data.draw(node)], 0
+                else:
+                    policy = MPol.INTERLEAVE
+                    nodes = data.draw(st.lists(node, min_size=1, unique=True))
+                    phase = data.draw(st.integers(min_value=-50, max_value=50))
+                try:
+                    mbind(space, start, n, policy, nodes, flags=flags, phase=phase)
+                except PermissionError:
+                    assert flags is MbindFlag.STRICT
+                    np.testing.assert_array_equal(space.page_nodes(), before)
+                    assert space.version == version
+            else:
+                weights = data.draw(
+                    st.lists(
+                        st.floats(min_value=0.0, max_value=1.0),
+                        min_size=num_nodes,
+                        max_size=num_nodes,
+                    ).filter(lambda w: sum(w) > 0.1)
+                )
+                mode = data.draw(st.sampled_from(["user", "kernel"]))
+                move = data.draw(st.booleans())
+                apply_weighted_placement(space, weights, mode=mode, move=move)
+            after = space.page_nodes()
+            mutated = len(space.segments) != mapped or not np.array_equal(
+                after[: len(before)], before
+            )
+            assert (space.version > version) == mutated, op
+            _check_statistics(space)
