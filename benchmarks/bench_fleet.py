@@ -3,7 +3,7 @@
 Each scheduling tick the fleet scheduler scores every (pending app x
 machine x worker-set) candidate placement. The batched mode packs all of
 them — across *heterogeneous* machine classes — into a single
-:func:`repro.memsim.solve_batch_fleet` call; the scalar baseline runs
+:func:`repro.memsim.solve_batch_fleet_lazy` call; the scalar baseline runs
 the identical decision procedure with one :func:`repro.memsim.solve`
 per candidate. This benchmark pins down the two claims:
 

@@ -267,7 +267,7 @@ class EpochKernel:
         )
         rates_row = arrays.rates[0]
         util_row = arrays.util[0]
-        # Rebuild the Allocation exactly as _allocation_from_batch does —
+        # Rebuild the Allocation exactly as _allocation_from_rows does —
         # dead slots keep their 0.0 rate / None bottleneck, dict insertion
         # order is the full pair order.
         res_keys = tables.res_keys

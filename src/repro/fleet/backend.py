@@ -46,9 +46,10 @@ from repro.experiments.common import (
 )
 from repro.memsim.contention import (
     DEFAULT_MC_MODEL,
-    Allocation,
     Consumer,
+    ConsumerRows,
     SolverCache,
+    consumer_rows,
     solve,
 )
 from repro.topology import Machine
@@ -81,61 +82,42 @@ def machine_seed(base_seed: int, mid: int) -> int:
 
 def _canon_solve(
     machine: Machine,
-    consumers: List[Consumer],
+    rows: ConsumerRows,
+    tpl: List[int],
+    owners: List[str],
     capacity_scale: Optional[np.ndarray],
-) -> Allocation:
-    """Fluid-state solve through a rename-canonical cache shared by every
-    backend on ``machine`` (same-class fleet machines share the object).
+) -> Tuple[float, ...]:
+    """Rates of a fluid resident set — template rows ``tpl`` owned by apps
+    ``owners``, in resident order — through a rename-canonical cache
+    shared by every backend on ``machine`` (same-class machines share it).
 
-    The solver's rates are positional — app ids are labels, never
-    numbers — so two resident sets that differ only in app names produce
-    the same floats. Canonicalising ids to first-occurrence indices
-    before keying makes the cache hit across apps, machines, and time:
-    in steady state almost every completion/depletion re-solve replays a
-    configuration some machine has already been in. Results are remapped
-    to the real ids on the way out, bitwise-identical to a fresh solve.
+    The solver's rates are positional — app ids are labels, never numbers
+    — so keying each row's value key behind its app's first-occurrence
+    index hits across apps, machines and time: almost every re-solve
+    replays a configuration some machine was already in. A miss solves the
+    rows as ``Consumer`` objects of their real apps.
     """
     cache = getattr(machine, "_fleet_canon_solver", None)
     if cache is None:
         cache = SolverCache(maxsize=4096)
         machine._fleet_canon_solver = cache  # type: ignore[attr-defined]
     order: Dict[str, int] = {}
-    for c in consumers:
-        if c.app_id not in order:
-            order[c.app_id] = len(order)
+    for app_id in owners:
+        if app_id not in order:
+            order[app_id] = len(order)
+    keys = rows.key
     key = (
         None if capacity_scale is None else capacity_scale.tobytes(),
-        tuple(
-            (
-                order[c.app_id],
-                c.node,
-                c.demand,
-                c.write_fraction,
-                np.ascontiguousarray(c.mix, dtype=float).tobytes(),
-            )
-            for c in consumers
-        ),
+        tuple([(order[a],) + keys[t] for t, a in zip(tpl, owners)]),
     )
     hit = cache.lookup(key)
     if hit is not None:
-        names = list(order)
-        return Allocation(
-            rates={(names[i], n): v for (i, n), v in hit.rates.items()},
-            utilization=hit.utilization,
-            bottleneck={(names[i], n): v for (i, n), v in hit.bottleneck.items()},
-            capacities=hit.capacities,
-        )
+        return hit
+    consumers = [rows.consumer(t, a) for t, a in zip(tpl, owners)]
     alloc = solve(machine, consumers, DEFAULT_MC_MODEL, capacity_scale=capacity_scale)
-    cache.store(
-        key,
-        Allocation(
-            rates={(order[a], n): v for (a, n), v in alloc.rates.items()},
-            utilization=alloc.utilization,
-            bottleneck={(order[a], n): v for (a, n), v in alloc.bottleneck.items()},
-            capacities=alloc.capacities,
-        ),
-    )
-    return alloc
+    rates = tuple(alloc.rates[c.key()] for c in consumers)
+    cache.store(key, rates)
+    return rates
 
 
 @dataclass(frozen=True)
@@ -186,18 +168,6 @@ class _Placed:
 
 class MachineBackend(abc.ABC):
     """One fleet machine: occupancy bookkeeping plus an execution model."""
-
-    #: Whether :meth:`advance` consumes the scheduler's per-tick state
-    #: allocation (the fluid backend does; the simulator solves its own).
-    wants_state_alloc = False
-
-    #: Whether :meth:`admit` accepts a pre-built ``template`` of
-    #: ``(consumers, threads)`` from :meth:`candidate_consumers` (under
-    #: any app id) so the admit path can skip rebuilding it. Candidate
-    #: consumers are exact across arrivals of a workload kind — the
-    #: per-arrival work scaling touches only ``work_bytes``, which the
-    #: construction never reads.
-    accepts_admit_template = False
 
     def __init__(
         self,
@@ -438,6 +408,24 @@ class MachineBackend(abc.ABC):
             )
         return consumers, total, tpn
 
+    def candidate_rows(
+        self, workload: WorkloadSpec, workers: Sequence[int]
+    ) -> Tuple[List[int], List[int], int]:
+        """:meth:`candidate_consumers` as rows of the machine's shared
+        :func:`~repro.memsim.consumer_rows`: ``(rows, live rows, threads)``
+        with one row per worker in worker order, the non-idle ones a solve
+        reads, and the total thread count. This is the template the
+        scheduler scores with and the fluid backend admits from."""
+        consumers, threads, _tpn = self.candidate_consumers("", workload, workers)
+        store = consumer_rows(self.machine)
+        rows = [store.add(c) for c in consumers]
+        return rows, [r for r, c in zip(rows, consumers) if not c.is_idle], threads
+
+    def resident_rows(self) -> List[int]:
+        """Rows of :meth:`resident_consumers` that a solve reads (non-idle
+        ones, validated), in resident order."""
+        return consumer_rows(self.machine).add_live(self.resident_consumers())
+
     # ------------------------------------------------------------------ #
     # Execution model
     # ------------------------------------------------------------------ #
@@ -452,14 +440,19 @@ class MachineBackend(abc.ABC):
         *,
         resume_frac: float = 0.0,
         attempts: int = 1,
+        template: Optional[Tuple[List[int], List[int], int]] = None,
     ) -> None:
         """Start one app on ``workers`` at the current backend clock.
 
         ``resume_frac`` is the checkpointed fraction of the *original*
-        work already done by earlier attempts: the execution model runs
-        only the remaining ``1 - resume_frac``, while SLO/goodput
-        accounting stays against the full workload. ``0.0`` (the
-        fault-free value) must leave the admit path bitwise-untouched.
+        work already done by earlier attempts, in ``[0, 1)``: the
+        execution model runs only the remaining ``1 - resume_frac``, while
+        SLO/goodput accounting stays against the full workload. ``0.0``
+        (the fault-free value) must leave the admit path bitwise-untouched.
+        ``template`` is this placement's :meth:`candidate_rows`, which are
+        exact across arrivals of a workload kind (work scaling touches only
+        ``work_bytes``, which the construction never reads); the fluid
+        backend admits from it, the simulator deploys its own consumers.
         """
 
     @abc.abstractmethod
@@ -467,33 +460,13 @@ class MachineBackend(abc.ABC):
         """Consumer set of the currently running apps (for scoring)."""
 
     @abc.abstractmethod
-    def advance(self, to: float, alloc: Optional[Allocation] = None) -> None:
-        """Advance the backend clock to ``to``, recording completions.
-
-        ``alloc`` is the allocation the scheduler already solved for the
-        current resident set (fleet-batched or scalar — bitwise equal),
-        so a backend that wants it never re-solves at tick boundaries.
-        """
+    def advance(self, to: float) -> None:
+        """Advance the backend clock to ``to``, recording completions."""
 
 
-class _FlowApp:
-    """Fluid-model state of one running app."""
-
-    __slots__ = ("rec", "consumers", "remaining", "useful", "total_bytes")
-
-    def __init__(
-        self,
-        rec: _Placed,
-        consumers: List[Consumer],
-        remaining: Dict[int, float],
-        useful: float,
-        total_bytes: float,
-    ):
-        self.rec = rec
-        self.consumers = consumers
-        self.remaining = remaining
-        self.useful = useful
-        self.total_bytes = total_bytes
+def _check_resume(resume_frac: float) -> None:
+    if not 0.0 <= resume_frac < 1.0:
+        raise ValueError(f"resume_frac must be in [0, 1), got {resume_frac}")
 
 
 class FlowBackend(MachineBackend):
@@ -504,21 +477,32 @@ class FlowBackend(MachineBackend):
     changes rates are constant, so the next completion time is closed
     form. Per-machine BWAP placement enters through the candidate mixes
     (canonical weights blended at the configured DWP).
-    """
 
-    wants_state_alloc = True
-    accepts_admit_template = True
+    State is one *resident row* per running worker, struct-of-lists:
+    template row (into :func:`~repro.memsim.consumer_rows`), owning app,
+    remaining bytes, useful factor (work bytes per GB of traffic) and
+    rate. Depleted and evicted workers retire their rows into a free list
+    that admissions reuse, so capacity tracks peak residency, not arrivals.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._cache = SolverCache(maxsize=64)
-        self._flow: Dict[str, _FlowApp] = {}
-        #: Single-slot resident-allocation cache keyed by
-        #: ``(state_version, capacity-scale bytes)``: the incremental
-        #: scheduler never hands the backend a pre-solved state
-        #: allocation, so repeated ticks over an unchanged resident set
-        #: would otherwise pay a consumer fingerprint per tick.
-        self._solve_slot: Optional[Tuple[Tuple[int, Optional[bytes]], Allocation]] = None
+        self._store = consumer_rows(self.machine)
+        self._tpl: List[int] = []
+        self._owner: List[str] = []
+        self._rem: List[float] = []
+        self._factor: List[float] = []
+        self._rate: List[float] = []
+        self._free: List[int] = []
+        #: Live rows of each running app in worker order; apps in
+        #: admission order, so the values concatenate to resident order.
+        self._app_rows: Dict[str, List[int]] = {}
+        #: Bytes each running app executes in this attempt.
+        self._exec_bytes: Dict[str, float] = {}
+        #: ``(state_version, capacity-scale bytes)`` at which ``_rate``
+        #: was last solved: repeated ticks over an unchanged resident set
+        #: replay it instead of re-keying the canonical cache.
+        self._solve_slot: Optional[Tuple[int, Optional[bytes]]] = None
 
     def admit(
         self,
@@ -531,18 +515,17 @@ class FlowBackend(MachineBackend):
         attempts=1,
         template=None,
     ):
-        if template is not None:
-            # Re-label the cached kind-level consumers with the real app
-            # id; every numeric field is the float the full construction
-            # would produce (mix arrays are shared, never mutated).
-            t_cons, threads = template
-            consumers = [dataclasses.replace(c, app_id=app_id) for c in t_cons]
-        else:
-            consumers, threads, _tpn = self.candidate_consumers(
-                app_id, workload, workers
-            )
-        rec = self._register(app_id, workload, workers, arrival_s, threads, attempts)
-        total_demand = sum(c.demand for c in consumers)
+        _check_resume(resume_frac)
+        t_rows, _live, threads = (
+            self.candidate_rows(workload, workers) if template is None else template
+        )
+        store = self._store
+        nodes = [store.node[r] for r in t_rows]
+        if nodes != list(workers):
+            raise ValueError(f"template nodes {nodes} do not match workers {list(workers)}")
+        self._register(app_id, workload, workers, arrival_s, threads, attempts)
+        demands = [store.demand[r] for r in t_rows]
+        total_demand = sum(demands)
         # The fault-free path keeps the original arithmetic untouched
         # (bitwise identity with pre-fault fleets).
         exec_bytes = (
@@ -550,91 +533,112 @@ class FlowBackend(MachineBackend):
             if resume_frac == 0.0
             else workload.work_bytes * (1.0 - resume_frac)
         )
-        remaining = {
-            c.node: exec_bytes * (c.demand / total_demand) for c in consumers
-        }
-        self._flow[app_id] = _FlowApp(
-            rec,
-            consumers,
-            remaining,
-            workload.node_efficiency(len(workers)),
-            exec_bytes,
-        )
+        factor = workload.node_efficiency(len(workers)) * 1e9
+        rows = []
+        for t, demand in zip(t_rows, demands):
+            rem = exec_bytes * (demand / total_demand)
+            if rem > 0.0:
+                if self._free:
+                    r = self._free.pop()
+                    self._tpl[r], self._owner[r] = t, app_id
+                    self._rem[r], self._factor[r] = rem, factor
+                else:
+                    r = len(self._tpl)
+                    self._tpl.append(t)
+                    self._owner.append(app_id)
+                    self._rem.append(rem)
+                    self._factor.append(factor)
+                    self._rate.append(0.0)
+                rows.append(r)
+        self._app_rows[app_id] = rows
+        self._exec_bytes[app_id] = exec_bytes
+
+    def resident_rows(self) -> List[int]:
+        tpl = self._tpl
+        return [tpl[r] for rows in self._app_rows.values() for r in rows]
 
     def resident_consumers(self) -> List[Consumer]:
-        out: List[Consumer] = []
-        for app in self._flow.values():
-            for c in app.consumers:
-                if app.remaining[c.node] > 0.0:
-                    out.append(c)
-        return out
+        return [
+            self._store.consumer(self._tpl[r], app_id)
+            for app_id, rows in self._app_rows.items()
+            for r in rows
+        ]
 
     def _evict_one(self, app_id: str) -> float:
-        app = self._flow.pop(app_id)
-        if app.total_bytes <= 0.0:
+        rows = self._app_rows.pop(app_id)
+        exec_bytes = self._exec_bytes.pop(app_id)
+        left = sum(self._rem[r] for r in rows)
+        self._free.extend(rows)
+        if exec_bytes <= 0.0:
             return 1.0
-        left = sum(app.remaining.values())
-        return min(1.0, max(0.0, 1.0 - left / app.total_bytes))
+        return min(1.0, max(0.0, 1.0 - left / exec_bytes))
 
-    def _solve(self) -> Allocation:
+    def _solve(self, live: List[int]) -> None:
         key = (
             self.state_version,
             None if self.capacity_scale is None else self.capacity_scale.tobytes(),
         )
-        if self._solve_slot is not None and self._solve_slot[0] == key:
-            return self._solve_slot[1]
-        alloc = _canon_solve(
-            self.machine, self.resident_consumers(), self.capacity_scale
+        if self._solve_slot == key:
+            return
+        rates = _canon_solve(
+            self.machine,
+            self._store,
+            [self._tpl[r] for r in live],
+            [self._owner[r] for r in live],
+            self.capacity_scale,
         )
-        self._solve_slot = (key, alloc)
-        return alloc
+        for r, rate in zip(live, rates):
+            self._rate[r] = rate
+        self._solve_slot = key
 
-    def advance(self, to, alloc=None):
-        while True:
-            if not self._flow:
-                self.now = to
+    def advance(self, to):
+        rem, rate, factor = self._rem, self._rate, self._factor
+        # Rates are re-solved on entry and after a completion; a worker
+        # depleting mid-advance leaves its co-runners' rates as they were.
+        resolve = True
+        while self._app_rows:
+            now = self.now
+            if now >= to:
                 return
-            if self.now >= to:
-                return
-            if alloc is None:
-                alloc = self._solve()
+            live = [r for rows in self._app_rows.values() for r in rows]
+            if resolve:
+                self._solve(live)
+                resolve = False
             # Earliest per-worker depletion under the current rates.
-            dt = to - self.now
-            speeds: Dict[Tuple[str, int], float] = {}
-            for app in self._flow.values():
-                factor = app.useful * 1e9  # GB/s of traffic -> bytes/s of work
-                for c in app.consumers:
-                    rem = app.remaining[c.node]
-                    if rem <= 0.0:
-                        continue
-                    speed = alloc.rate(c.app_id, c.node) * factor
-                    speeds[(c.app_id, c.node)] = speed
-                    if speed > 0.0:
-                        need = rem / speed
-                        if need < dt:
-                            dt = need
-            self.now += dt
-            finished_any = False
-            for app_id in list(self._flow):
-                app = self._flow[app_id]
-                for c in app.consumers:
-                    rem = app.remaining[c.node]
-                    if rem <= 0.0:
-                        continue
-                    speed = speeds[(c.app_id, c.node)]
-                    if speed > 0.0 and rem / speed <= dt:
-                        app.remaining[c.node] = 0.0
-                        # A depleted node drops out of resident_consumers()
-                        # even while the app keeps running elsewhere.
-                        self.state_version += 1
-                    else:
-                        app.remaining[c.node] = max(rem - speed * dt, 0.0)
-                if all(v <= 0.0 for v in app.remaining.values()):
-                    self._finish(app.rec, self.now)
-                    del self._flow[app_id]
-                    finished_any = True
-            if finished_any:
-                alloc = None  # resident set changed; re-solve lazily
+            dt = to - now
+            speeds = [rate[r] * factor[r] for r in live]
+            for r, speed in zip(live, speeds):
+                if speed > 0.0:
+                    need = rem[r] / speed
+                    if need < dt:
+                        dt = need
+            self.now = now + dt
+            depleted = False
+            for r, speed in zip(live, speeds):
+                left = rem[r]
+                if speed > 0.0 and left / speed <= dt:
+                    left = 0.0
+                    # A depleted worker drops out of the resident set
+                    # even while its app keeps running elsewhere.
+                    self.state_version += 1
+                else:
+                    left -= speed * dt
+                    if left < 0.0:  # max(left, 0.0), keeping a -0.0
+                        left = 0.0
+                rem[r] = left
+                if left <= 0.0:
+                    depleted = True
+            if depleted:
+                for rows in self._app_rows.values():
+                    gone = [r for r in rows if rem[r] <= 0.0]
+                    for r in gone:
+                        rows.remove(r)
+                    self._free.extend(gone)
+            for app_id in [a for a, rows in self._app_rows.items() if not rows]:
+                del self._app_rows[app_id], self._exec_bytes[app_id]
+                self._finish(self._placed[app_id], self.now)
+                resolve = True
+        self.now = to
 
 
 class SimBackend(MachineBackend):
@@ -654,7 +658,11 @@ class SimBackend(MachineBackend):
         self.sim.start()
         self._tuners: Dict[str, object] = {}
 
-    def admit(self, app_id, workload, workers, arrival_s, *, resume_frac=0.0, attempts=1):
+    def admit(
+        self, app_id, workload, workers, arrival_s, *, resume_frac=0.0, attempts=1,
+        template=None,
+    ):
+        _check_resume(resume_frac)
         threads = len(pin_threads(self.machine, workers))
         self._register(app_id, workload, workers, arrival_s, threads, attempts)
         # Checkpoint resume: deploy a shrunken copy of the workload so the
@@ -696,8 +704,7 @@ class SimBackend(MachineBackend):
                 out.extend(app.consumers())
         return out
 
-    def advance(self, to, alloc=None):
-        del alloc  # the simulator drives its own epoch allocations
+    def advance(self, to):
         if self._placed:
             # Live tuners migrate pages every epoch, so the resident
             # consumer mixes drift on every advance — never reuse scores.

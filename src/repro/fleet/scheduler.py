@@ -7,11 +7,10 @@ are skipped. Three scoring modes run this same decision procedure and
 produce byte-for-byte the same placements, completions, and metrics:
 
 ``"batched"``
-    Scores every candidate — plus one state entry per fluid machine with
-    residents — in a **single** :func:`repro.memsim.solve_batch_fleet`
-    call per tick.
+    Scores every candidate in a **single**
+    :func:`repro.memsim.solve_batch_fleet_lazy` call per tick.
 ``"scalar"``
-    One :func:`repro.memsim.solve` per entry (the batched solver is
+    One :func:`repro.memsim.solve` per candidate (the batched solver is
     bitwise-identical to it).
 ``"incremental"``
     Keeps a dense candidate table across ticks, stamped with each
@@ -19,7 +18,13 @@ produce byte-for-byte the same placements, completions, and metrics:
     :attr:`~repro.fleet.backend.MachineBackend.state_version` and
     capacity-scale key, and re-scores only what changed; candidates that
     provably lose are pruned by a residual-capacity bound
-    (:func:`repro.memsim.candidate_rate_bound`).
+    (:func:`repro.memsim.candidate_rate_bound`). Candidates are shared
+    rows of :func:`repro.memsim.consumer_rows`, solved after the
+    machine's resident rows without building a ``Consumer``.
+
+No mode hands allocations to the backends: the fluid backend solves its
+own resident set at each advance, through a version-keyed slot and a
+rename-canonical cache that replay the floats a scoring solve produced.
 
 Between ticks the fleet skips idle spans in one jump, so sparse traces
 cost time proportional to events, not to simulated seconds.
@@ -43,7 +48,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fleet.backend import (
-    Allocation,
     FleetCompletion,
     MachineBackend,
     machine_seed,
@@ -65,13 +69,6 @@ DISCIPLINES = ("best-rate", "first-fit", "least-loaded")
 #: memo+prune delta scoring ("incremental") — all three byte-for-byte
 #: identical.
 SCORINGS = ("batched", "scalar", "incremental")
-
-#: Reserved app id of memoised candidate consumers. Trace app ids are
-#: ``"job<N>"`` and can never collide with it, so one cached consumer
-#: list scores every arrival of a kind: the solver's rates are positional
-#: and :meth:`FleetBatch.app_total_rate` matches by id, so reading the
-#: placeholder's total is bitwise the score the real app would get.
-_CAND_APP = "\x00cand"
 
 #: Recovery policies for work interrupted by a machine crash (or a lost
 #: completion report): strand it, requeue it from scratch, or requeue it
@@ -357,13 +354,14 @@ class FleetScheduler:
         self.config = config
         self.injector = as_fleet_injector(faults, num_machines=len(self.fleet))
         # ---- scoring caches (mostly incremental-mode state) ------------ #
-        #: Candidate (consumers, threads) templates keyed by (machine
-        #: identity, workers, arrival kind), built once under the
-        #: reserved ``_CAND_APP`` id. Consumers depend on the workload
-        #: only through fields ``work_scale`` never touches, so one
-        #: template serves every arrival of a kind across ticks and
-        #: same-class machines — for scoring, bounds, and (re-labelled
-        #: with the real app id) the fluid admit path.
+        #: Candidate ``(rows, live rows, threads)`` templates keyed by
+        #: (machine identity, workers, arrival kind): rows of the machine
+        #: class's shared :func:`~repro.memsim.consumer_rows`, one per
+        #: worker, and the non-idle subset a solve reads. Consumers depend
+        #: on the workload only through fields ``work_scale`` never
+        #: touches, so one template serves every arrival of a kind across
+        #: ticks and same-class machines — for scoring, bounds, and the
+        #: fluid admit path.
         self._cand_cache: Dict[Tuple[int, Tuple[int, ...], int], tuple] = {}
         #: Per-machine score bucket of its current state version,
         #: ``{(scale id, kind, slot): score}``, for a machine with
@@ -438,17 +436,16 @@ class FleetScheduler:
     # ------------------------------------------------------------------ #
 
     def _cand_template(self, backend: MachineBackend, workers, kind: int, p: int):
-        """Memoised candidate ``(consumers, threads)`` of (machine,
-        workers, kind) under the reserved ``_CAND_APP`` id. Exact across
-        arrivals of a kind: per-arrival work scaling touches only
-        ``work_bytes``, which the construction never reads."""
+        """Memoised candidate ``(rows, live rows, threads)`` of (machine,
+        workers, kind). Exact across arrivals of a kind: per-arrival work
+        scaling touches only ``work_bytes``, which the construction never
+        reads."""
         key = (id(backend.machine), workers, kind)
         tpl = self._cand_cache.get(key)
         if tpl is None:
-            cons, threads, _tpn = backend.candidate_consumers(
-                _CAND_APP, self.trace.workload(p), workers
+            tpl = self._cand_cache[key] = backend.candidate_rows(
+                self.trace.workload(p), workers
             )
-            tpl = self._cand_cache[key] = (cons, threads)
         return tpl
 
     def _slot_row(self, b: MachineBackend) -> tuple:
@@ -501,7 +498,7 @@ class FleetScheduler:
             float(self.trace.times[p]),
             resume_frac=r.resume_frac,
             attempts=r.attempts,
-            **({} if template is None else {"template": template}),
+            template=template,
         )
         placements.append((app_id, b.mid, workers))
         pending.retire(r)
@@ -640,9 +637,7 @@ class FleetScheduler:
             mid = order[c]
             b = backends[mid]
             workers = self._slots[mid][slot[j, mid]]
-            template = None
-            if b.accepts_admit_template:
-                template = self._cand_template(b, workers, kind, r.idx)
+            template = self._cand_template(b, workers, kind, r.idx)
             self._admit(r, b, workers, placements, pending, inflight, template)
             claimed[mid] = True
 
@@ -701,9 +696,9 @@ class FleetScheduler:
             key = (kind, at_set[1][i], at_set[2][i])
             if np.isnan(tab.set_bound[key]):  # not filled by an earlier entry
                 b = backends[b_[i]]
-                cons = self._cand_template(b, slots[b.mid][s_[i]], kind, first_p[kind])[0]
+                rows = self._cand_template(b, slots[b.mid][s_[i]], kind, first_p[kind])[0]
                 tab.set_bound[key] = candidate_rate_bound(
-                    b.machine, cons, capacity_scale=scales.get(b.mid)
+                    b.machine, rows, capacity_scale=scales.get(b.mid)
                 )
             bound[i] = tab.set_bound[key]
         # Prune threshold: by the time the *last* app of a kind (batch index
@@ -725,15 +720,19 @@ class FleetScheduler:
             a, b_, s_ = a[~below], b_[~below], s_[~below]
         if not a.size:
             return best, slot, hits
+        # Each entry gathers the machine's resident rows, then the
+        # candidate's; its score is the sum of those trailing slots.
         entries = []
+        tails = []
         resident: Dict[int, list] = {}
         for j, mid, s in zip(a.tolist(), b_.tolist(), s_.tolist()):
             b = backends[mid]
             if mid not in resident:
-                resident[mid] = b.resident_consumers() if b.num_live else []
+                resident[mid] = b.resident_rows() if b.num_live else []
             kind = int(kinds[j])
-            cons = self._cand_template(b, slots[mid][s], kind, first_p[kind])[0]
-            entries.append((b.machine, resident[mid] + cons))
+            live = self._cand_template(b, slots[mid][s], kind, first_p[kind])[1]
+            entries.append((b.machine, resident[mid] + live))
+            tails.append(len(live))
         counts["entries_scored"] += len(entries)
         counts["solver_calls"] += 1
         fb = solve_batch_fleet_lazy(
@@ -742,35 +741,28 @@ class FleetScheduler:
                 [scales.get(mid) for mid in b_.tolist()] if self.injector is not None else None
             ),
         )
-        for i, (j, mid, s) in enumerate(zip(a.tolist(), b_.tolist(), s_.tolist())):
-            kind = int(kinds[j])
-            v = fb.app_total_rate(i, _CAND_APP)
-            score[s, j, mid] = tab.score[s, kind, mid] = v
-            if empty[mid]:
-                tab.set_score[kind, set_id[s, mid], sid[mid]] = v
-            else:
-                self._bucket[mid][(sid[mid], kind, s)] = v
+        rates = np.array(fb.tail_rates(tails))
+        score[s_, a, b_] = tab.score[s_, kinds[a], b_] = rates
+        # Same-class empty machines may share a set_score cell; they
+        # solved identical inputs, so every write carries the same float.
+        e = empty[b_]
+        tab.set_score[kinds[a[e]], set_id[s_[e], b_[e]], sid[b_[e]]] = rates[e]
+        for v, j, mid, s in zip(
+            rates[~e].tolist(), a[~e].tolist(), b_[~e].tolist(), s_[~e].tolist()
+        ):
+            self._bucket[mid][(sid[mid], int(kinds[j]), s)] = v
         return self._summary(score)
 
     def _tick_exhaustive(
         self, batch, scales, now, health, placements, pending, inflight, counts
-    ) -> Dict[int, Allocation]:
+    ) -> None:
         """One tick of the exhaustive decision procedure (``"batched"`` /
-        ``"scalar"`` scoring): every candidate re-solved from scratch.
-        Returns the allocation of every fluid machine's new resident set,
-        so its backend never re-solves at the tick boundary."""
+        ``"scalar"`` scoring): every candidate re-solved from scratch."""
         injector = self.injector
-        state_allocs: Dict[int, Allocation] = {}
         # --- Build the tick's entry list ---------------------------------
         entries: List[tuple] = []  # (machine, consumers)
         entry_scales: List[Optional[np.ndarray]] = []
-        state_rows: List[Tuple[int, int]] = []  # (mid, row)
         resident = {b.mid: b.resident_consumers() for b in self.backends if b.num_live}
-        for b in self.backends:
-            if b.wants_state_alloc and b.num_live:
-                state_rows.append((b.mid, len(entries)))
-                entries.append((b.machine, resident[b.mid]))
-                entry_scales.append(scales.get(b.mid))
         # Same-class machines with the same worker set produce identical
         # candidate consumers (weights, mixes, demands depend only on
         # machine/workers/workload), so construct each distinct set once
@@ -801,27 +793,20 @@ class FleetScheduler:
         # --- ONE vectorised solve for the whole tick ---------------------
         counts["entries_scored"] += len(entries)
         if self.config.scoring == "batched":
-            # Lazy batch: scores come straight off the rate tensor; full
-            # Allocations are built only for state rows and winning
-            # candidates (a handful per tick).
+            # Lazy batch: scores come straight off the rate tensor.
             fb = solve_batch_fleet_lazy(
                 entries, capacity_scales=entry_scales if injector is not None else None
             )
             counts["solver_calls"] += 1
-            get_alloc = fb.allocation
             get_score = fb.app_total_rate
         else:
             allocs = [
                 solve(m, cs, capacity_scale=sc) for (m, cs), sc in zip(entries, entry_scales)
             ]
             counts["solver_calls"] += len(entries)
-            get_alloc = allocs.__getitem__
 
             def get_score(row: int, aid: str) -> float:
                 return allocs[row].app_total_rate(aid)
-
-        for mid, row in state_rows:
-            state_allocs[mid] = get_alloc(row)
 
         # --- Greedy admissions in arrival order --------------------------
         claimed: set = set()
@@ -841,15 +826,11 @@ class FleetScheduler:
             if injector is not None and injector.admission_rejected():
                 counts["admission_rejections"] += 1
                 continue  # stays pending; retried next tick
-            _key, mid, workers, row = best
+            _key, mid, workers, _row = best
             self._admit(
                 r, self.backends[mid], workers, placements, pending, inflight
             )
             claimed.add(mid)
-            # The winning candidate allocation already includes the
-            # admitted app, so it is the machine's new state.
-            state_allocs[mid] = get_alloc(row)
-        return state_allocs
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -938,22 +919,16 @@ class FleetScheduler:
             # clamped at window edges, so they hold for its whole span.
             scales = {} if injector is None else self._fault_state(now)[0]
 
-            state_allocs: Dict[int, Allocation] = {}
             # Requeued apps wait out their backoff (fault runs only).
             batch = pending.batch(cfg.max_pending_per_tick, None if injector is None else now)
             if batch:
                 ticks += 1
-                if cfg.scoring == "incremental":
-                    # Leaves ``state_allocs`` empty: the fluid backend
-                    # replays the identical allocation from its
-                    # version-keyed solve slot.
-                    self._tick_incremental(
-                        batch, scales, now, health, placements, pending, inflight, counts
-                    )
-                else:
-                    state_allocs = self._tick_exhaustive(
-                        batch, scales, now, health, placements, pending, inflight, counts
-                    )
+                tick = (
+                    self._tick_incremental
+                    if cfg.scoring == "incremental"
+                    else self._tick_exhaustive
+                )
+                tick(batch, scales, now, health, placements, pending, inflight, counts)
 
             # --- Advance the fleet clock ---------------------------------
             live = any(b.num_live for b in self.backends)
@@ -979,10 +954,7 @@ class FleetScheduler:
             for b in self.backends:
                 if injector is not None:
                     b.set_capacity_scale(scales.get(b.mid))
-                b.advance(
-                    next_time,
-                    state_allocs.get(b.mid) if b.wants_state_alloc else None,
-                )
+                b.advance(next_time)
             now = next_time
 
             # --- Lost completion reports ---------------------------------

@@ -17,14 +17,15 @@ from repro.memsim.controller import DEFAULT_MC_MODEL, MCModel
 from repro.memsim.flows import Consumer, consumer_from_placement
 from repro.memsim.contention import (
     Allocation,
+    ConsumerRows,
     SolverCache,
     candidate_rate_bound,
+    consumer_rows,
     consumers_fingerprint,
     isolated_bandwidth_matrix,
     proportional_profile,
     solve,
     solve_batch,
-    solve_batch_fleet,
     solve_batch_fleet_lazy,
     FleetBatch,
 )
@@ -65,14 +66,15 @@ __all__ = [
     "Consumer",
     "consumer_from_placement",
     "Allocation",
+    "ConsumerRows",
     "SolverCache",
     "candidate_rate_bound",
+    "consumer_rows",
     "consumers_fingerprint",
     "isolated_bandwidth_matrix",
     "proportional_profile",
     "solve",
     "solve_batch",
-    "solve_batch_fleet",
     "solve_batch_fleet_lazy",
     "FleetBatch",
     "AutoNUMA",

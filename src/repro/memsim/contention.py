@@ -298,11 +298,6 @@ class MachineTables:
         consumer resident on node ``w`` pulling from source ``s`` —
         everything except the MC share: route links (with multi-hop
         overhead folded in) and the ingress indicator.
-    link_touch:
-        Boolean version of the link part of ``G_rest`` (ingress excluded:
-        an ingress port counts as touched whenever a live consumer resides
-        on the node, independent of its mix, matching the dict-era
-        capacity table).
     Q / lat0:
         Latency incidence used by the batched analytic evaluator:
         ``Q[w, s, r]`` counts how often resource ``r``'s queueing delay is
@@ -319,7 +314,6 @@ class MachineTables:
         "ingress_rows",
         "static_caps",
         "G_rest",
-        "link_touch",
         "Q",
         "lat0",
         "local_bw",
@@ -376,11 +370,6 @@ class MachineTables:
                     G[w, self.ingress_rows[w], s] += 1.0
                     Q[w, s, self.ingress_rows[w]] += 1.0
         self.G_rest = G
-        link_touch = G > 0.0
-        for w in range(num_nodes):
-            if has_ingress[w]:
-                link_touch[w, self.ingress_rows[w], :] = False
-        self.link_touch = link_touch
 
         self.Q = Q
         self.lat0 = np.array(
@@ -542,9 +531,121 @@ def batch_coefficients(
     return A
 
 
+class ConsumerRows:
+    """Validated consumer rows of one machine, shared by every fleet solve.
+
+    A row holds what the solver reads of one consumer (node, demand, write
+    fraction, mix) and, computed once at creation, what a solve derives
+    from it: ``coef``, its :func:`batch_coefficients` column; ``touch``,
+    the resources it marks touched; ``reads``, its flattened ``(node,
+    source)`` presence, from which MC reader counts follow; and ``key``,
+    the value identity the fleet's canonical solve cache keys on. Rows are
+    deduplicated by value, so the store grows with the distinct consumers
+    seen, not with solves. Row 0 is all zeros: the padding of dead slots.
+    """
+
+    def __init__(self, machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL):
+        self.machine = machine
+        self.mc_model = mc_model
+        self.tables = t = machine_tables(machine)
+        n = t.num_nodes
+        self.eff = t.eff_table(mc_model)
+        self.sources = np.arange(n)[None, :]
+        self.node: List[int] = [0]
+        self.demand: List[float] = [0.0]
+        self.write_fraction: List[float] = [0.0]
+        self.threads: List[int] = [0]
+        self.key: List[tuple] = [()]
+        self._index: Dict[tuple, int] = {}
+        self.mix = np.zeros((16, n))
+        self.coef = np.zeros((16, t.num_res))
+        self.touch = np.zeros((16, t.num_res), dtype=bool)
+        self.reads = np.zeros((16, n * n), dtype=bool)
+        self.demand_arr = np.zeros(16)
+
+    def add(self, c: Consumer) -> int:
+        """Row index of consumer ``c`` (created and validated on first use)."""
+        t = self.tables
+        n = t.num_nodes
+        if not 0 <= c.node < n:
+            raise ValueError(f"consumer node {c.node} outside machine")
+        if len(c.mix) > n:
+            raise ValueError(f"mix has {len(c.mix)} entries for a {n}-node machine")
+        mix = np.zeros(n)
+        mix[: len(c.mix)] = c.mix
+        key = (c.node, float(c.demand), float(c.write_fraction), mix.tobytes())
+        row = self._index.get((key, c.threads))
+        if row is not None:
+            return row
+        row = len(self.node)
+        if row == len(self.mix):
+            for name in ("mix", "coef", "touch", "reads", "demand_arr"):
+                old = getattr(self, name)
+                grown = np.zeros((2 * len(old),) + old.shape[1:], dtype=old.dtype)
+                grown[: len(old)] = old
+                setattr(self, name, grown)
+        coef = batch_coefficients(
+            self.machine,
+            np.array([[c.node]], dtype=np.intp),
+            mix[None, None, :],
+            np.array([[key[2]]]),
+            self.mc_model,
+        )[0, :, 0]
+        touch = coef > 0.0
+        touch[t.ingress_rows[t.ingress_rows >= 0]] = False
+        if t.ingress_rows[c.node] >= 0:
+            touch[t.ingress_rows[c.node]] = True
+        self.mix[row] = mix
+        self.coef[row] = coef
+        self.touch[row] = touch
+        self.reads[row, c.node * n : (c.node + 1) * n] = mix > 0.0
+        self.demand_arr[row] = key[1]
+        self.node.append(c.node)
+        self.demand.append(key[1])
+        self.write_fraction.append(key[2])
+        self.threads.append(c.threads)
+        self.key.append(key)
+        self._index[(key, c.threads)] = row
+        return row
+
+    def add_live(self, consumers: Sequence[Consumer]) -> List[int]:
+        """Rows of the non-idle consumers of one solve input, after the
+        same validation :func:`solve` applies (duplicate keys, nodes and
+        mix lengths) — the adapter from ``Consumer`` lists to rows."""
+        return [self.add(c) for c in _live_consumers(self.machine, consumers)]
+
+    def consumer(self, row: int, app_id: str) -> Consumer:
+        """Row ``row`` as a :class:`Consumer` of ``app_id``."""
+        return Consumer(
+            app_id,
+            self.node[row],
+            self.threads[row],
+            self.mix[row].copy(),
+            self.demand[row],
+            self.write_fraction[row],
+        )
+
+
+def consumer_rows(machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL) -> ConsumerRows:
+    """The shared :class:`ConsumerRows` of an (immutable) machine."""
+    by_model = getattr(machine, "_consumer_rows", None)
+    if by_model is None:
+        by_model = machine._consumer_rows = {}  # type: ignore[attr-defined]
+    key = (mc_model.efficiency_floor, mc_model.contention_decay, mc_model.write_cost_factor)
+    rows = by_model.get(key)
+    if rows is None:
+        rows = by_model[key] = ConsumerRows(machine, mc_model)
+    return rows
+
+
+def _is_rows(payload: Sequence) -> bool:
+    """Whether a solve payload holds row indices (else ``Consumer`` objects)."""
+    return len(payload) > 0 and not isinstance(payload[0], Consumer)
+
+
 def candidate_rate_bound(
     machine: Machine,
-    consumers: Sequence[Consumer],
+    consumers: Sequence,
     mc_model: MCModel = DEFAULT_MC_MODEL,
     *,
     capacity_scale: Optional[np.ndarray] = None,
@@ -568,7 +669,21 @@ def candidate_rate_bound(
     the bound holds for every resident set — which is what lets the
     incremental fleet scheduler prune a candidate against an incumbent
     score without knowing the machine's residents.
+
+    ``consumers`` is a ``Consumer`` list or row indices into
+    :func:`consumer_rows` of ``machine``; both read the same floats.
     """
+    if _is_rows(consumers):
+        rows = consumer_rows(machine, mc_model)
+        items = [
+            (rows.node[r], rows.mix[r].copy(), rows.write_fraction[r], rows.demand[r])
+            for r in consumers
+        ]
+    else:
+        items = [
+            (c.node, np.asarray(c.mix, dtype=float), c.write_fraction, c.demand)
+            for c in consumers
+        ]
     t = machine_tables(machine)
     caps_ub = t.static_caps.copy()
     caps_ub[t.mc_rows] = t.eff_table(mc_model).max(axis=1)
@@ -583,17 +698,16 @@ def candidate_rate_bound(
     # can never push a true score above the bound.
     slacked = caps_ub + _EPS * np.maximum(caps_ub, 1.0)
     total = 0.0
-    for c in consumers:
-        mix = np.asarray(c.mix, dtype=float)
-        write_scale = 1.0 + float(c.write_fraction) * (
+    for node, mix, write_fraction, demand in items:
+        write_scale = 1.0 + float(write_fraction) * (
             mc_model.write_cost_factor - 1.0
         )
         coef = np.zeros(t.num_res)
         coef[t.mc_rows] += mix * write_scale
-        coef += t.G_rest[c.node] @ mix
+        coef += t.G_rest[node] @ mix
         pos = coef > 0.0
         cap_j = float(np.min(slacked[pos] / coef[pos])) if pos.any() else float("inf")
-        total += min(float(c.demand), cap_j)
+        total += min(float(demand), cap_j)
     return total * (1.0 + 1e-9) + 1e-12
 
 
@@ -611,10 +725,7 @@ def _batch_setup(
     """Per-machine setup phase of a batched solve.
 
     Returns ``(tables, A, caps, touched, demand, live)`` — everything the
-    machine-independent :func:`_progressive_fill` loop needs. Kept separate
-    from the fill so :func:`solve_batch_fleet` can run this once per
-    machine group, pad the outputs onto a fleet-wide axis, and fill the
-    whole fleet in one pass.
+    machine-independent :func:`_progressive_fill` loop needs.
     """
     t = machine_tables(machine)
     mix = np.asarray(mix, dtype=float)
@@ -846,24 +957,6 @@ def _allocation_from_rows(
     )
 
 
-def _allocation_from_batch(
-    consumers: Sequence[Consumer],
-    live: Sequence[Consumer],
-    arrays: BatchArrays,
-    b: int,
-) -> Allocation:
-    return _allocation_from_rows(
-        consumers,
-        live,
-        arrays.tables.res_keys,
-        arrays.rates[b],
-        arrays.bottleneck_row[b],
-        arrays.touched[b],
-        arrays.util[b],
-        arrays.caps[b],
-    )
-
-
 def _live_consumers(machine: Machine, consumers: Sequence[Consumer]) -> List[Consumer]:
     """Validated non-idle consumers of one solve input."""
     num_nodes = machine.num_nodes
@@ -940,7 +1033,16 @@ def solve_batch(
         capacity_scale=capacity_scale,
     )
     return [
-        _allocation_from_batch(batches[b], lives[b], arrays, b)
+        _allocation_from_rows(
+            batches[b],
+            lives[b],
+            arrays.tables.res_keys,
+            arrays.rates[b],
+            arrays.bottleneck_row[b],
+            arrays.touched[b],
+            arrays.util[b],
+            arrays.caps[b],
+        )
         for b in range(num_batch)
     ]
 
@@ -948,18 +1050,16 @@ def solve_batch(
 class FleetBatch:
     """Lazy view over one fleet-batched solve.
 
-    :meth:`allocation` materialises one entry into a full
-    :class:`Allocation` (memoised); :meth:`app_total_rate` reads an
-    application's aggregate rate straight off the dense rate tensor.
-    Both are bitwise-identical to ``solve(machine, consumers)`` run on
-    that entry alone, so a caller that only needs scores for most
-    entries (the fleet scheduler: thousands of candidates, a handful of
-    winners) skips the per-entry dict construction entirely.
+    :meth:`tail_rates` reads candidate scores straight off the dense rate
+    tensor; for ``Consumer`` entries, :meth:`allocation` materialises a
+    full :class:`Allocation` (memoised) and :meth:`app_total_rate` sums one
+    application's rates. All are bitwise what ``solve(machine, consumers)``
+    gives for that entry alone.
     """
 
     __slots__ = (
-        "_pairs",
-        "_lives",
+        "_consumers",
+        "_lens",
         "_tables",
         "_rates",
         "_util",
@@ -969,30 +1069,37 @@ class FleetBatch:
         "_allocs",
     )
 
-    def __init__(self, pairs, lives, tables, rates, util, bottleneck, touched, caps):
-        self._pairs = pairs
-        self._lives = lives
+    def __init__(self, consumers, lens, tables, rates, util, bottleneck, touched, caps):
+        self._consumers = consumers
+        self._lens = lens
         self._tables = tables
         self._rates = rates
         self._util = util
         self._bottleneck = bottleneck
         self._touched = touched
         self._caps = caps
-        self._allocs: List[Optional[Allocation]] = [None] * len(pairs)
+        self._allocs: List[Optional[Allocation]] = [None] * len(lens)
 
     def __len__(self) -> int:
         return len(self._allocs)
 
+    def _entry_consumers(self, i: int):
+        if self._consumers[i] is None:
+            raise ValueError(f"entry {i} was given as rows, not Consumers")
+        return self._consumers[i]
+
     def allocation(self, i: int) -> Allocation:
-        """Full :class:`Allocation` of entry ``i`` (built on first use)."""
+        """Full :class:`Allocation` of ``Consumer`` entry ``i`` (built on
+        first use)."""
         alloc = self._allocs[i]
         if alloc is None:
+            consumers, live = self._entry_consumers(i)
             if self._rates is None:  # every entry in the batch was idle
-                alloc = _empty_allocation(self._pairs[i][1])
+                alloc = _empty_allocation(consumers)
             else:
                 alloc = _allocation_from_rows(
-                    self._pairs[i][1],
-                    self._lives[i],
+                    consumers,
+                    live,
                     self._tables[i].res_keys,
                     self._rates[i],
                     self._bottleneck[i],
@@ -1004,7 +1111,7 @@ class FleetBatch:
         return alloc
 
     def app_total_rate(self, i: int, app_id: str) -> float:
-        """Aggregate rate of ``app_id`` in entry ``i``.
+        """Aggregate rate of ``app_id`` in ``Consumer`` entry ``i``.
 
         Sums the app's live-consumer rates in consumer order — the same
         floats in the same order as
@@ -1012,37 +1119,49 @@ class FleetBatch:
         ever contribute an exact ``+ 0.0``), so scores taken here and
         scores taken from materialised allocations are interchangeable.
         """
+        _consumers, live = self._entry_consumers(i)
         if self._rates is None:
             return 0.0
         total = 0.0
         row = self._rates[i]
-        for j, c in enumerate(self._lives[i]):
+        for j, c in enumerate(live):
             if c.app_id == app_id:
                 total += float(row[j])
         return total
 
+    def tail_rates(self, tails: Sequence[int]) -> List[float]:
+        """Per entry ``i``, the sum of its last ``tails[i]`` slot rates in
+        slot order — for a candidate whose rows trail its machine's
+        residents, the floats :meth:`app_total_rate` adds, in its order."""
+        if self._rates is None:
+            return [0.0] * len(tails)
+        return [
+            sum(self._rates[i, n - k : n].tolist(), 0.0)
+            for i, (n, k) in enumerate(zip(self._lens, tails))
+        ]
+
 
 def solve_batch_fleet_lazy(
-    entries: Iterable[Tuple[Machine, Sequence[Consumer]]],
+    entries: Iterable[Tuple[Machine, Sequence]],
     mc_model: MCModel = DEFAULT_MC_MODEL,
     *,
     capacity_scales: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> FleetBatch:
     """Solve consumer sets on *heterogeneous* machines in one filling pass.
 
-    The fleet scheduler scores every (app x machine x worker-set) candidate
-    placement per tick; this entry point takes ``(machine, consumers)``
-    pairs spanning different topologies and returns a lazy
-    :class:`FleetBatch`, each of whose entries is bitwise-identical to
-    ``solve(machine, consumers)`` run alone. Entries are grouped by machine
-    (the memoised :class:`MachineTables` identity — fleet machines of the
-    same class should share one :class:`~repro.topology.machine.Machine`
-    object), the per-group setup runs exactly as in :func:`solve_batch`,
-    and the groups are padded onto a fleet-wide
-    ``(entries, resources, consumers)`` tensor: padded resource rows are
-    untouched with infinite capacity and zero incidence and padded
-    consumer slots are dead, so both are exact no-ops in
-    :func:`_progressive_fill` and the stacking never perturbs a result.
+    Each entry is ``(machine, rows)``: non-idle row indices into the
+    machine's shared :func:`consumer_rows`, in slot order — the fleet
+    scheduler gathers a machine's resident rows, then a candidate's. A
+    ``Consumer`` list instead goes through :meth:`ConsumerRows.add_live`
+    (:func:`solve`'s checks; idle consumers dropped), and only such entries
+    support :meth:`FleetBatch.allocation` and :meth:`~FleetBatch.app_total_rate`.
+
+    Each entry's result is bitwise-identical to ``solve(machine,
+    consumers)`` run alone: the gathered coefficient columns, touched
+    flags, MC reader counts and demands are what :func:`solve`'s setup
+    derives, and on the fleet-wide ``(entries, resources, consumers)``
+    tensor padded resource rows (untouched, infinite capacity, zero
+    incidence) and dead slots are exact no-ops in :func:`_progressive_fill`.
 
     ``capacity_scales`` is an optional per-*entry* counterpart of
     :func:`solve`'s ``capacity_scale``: one ``(num_res,)`` multiplier
@@ -1054,43 +1173,61 @@ def solve_batch_fleet_lazy(
     untouched rows are ``inf`` and stay ``inf`` under a positive scale),
     and unscaled entries are never multiplied at all.
     """
-    pairs = [(m, list(cs)) for m, cs in entries]
-    lives = [_live_consumers(m, cs) for m, cs in pairs]
-    if capacity_scales is not None and len(capacity_scales) != len(pairs):
+    rows: List[Sequence[int]] = []
+    tables: List[MachineTables] = []
+    consumers: List[Optional[Tuple[List[Consumer], List[Consumer]]]] = []
+    # Entries grouped by machine: one shared row store per group.
+    groups: Dict[int, Tuple[ConsumerRows, List[int]]] = {}
+    for i, (machine, payload) in enumerate(entries):
+        group = groups.get(id(machine))
+        if group is None:
+            group = groups[id(machine)] = (consumer_rows(machine, mc_model), [])
+        store, members = group
+        members.append(i)
+        tables.append(store.tables)
+        if _is_rows(payload):
+            rows.append(payload)
+            consumers.append(None)
+        else:
+            payload = list(payload)
+            live = _live_consumers(machine, payload)
+            rows.append([store.add(c) for c in live])
+            consumers.append((payload, live))
+    num_batch = len(rows)
+    if capacity_scales is not None and len(capacity_scales) != num_batch:
         raise ValueError(
             f"capacity_scales has {len(capacity_scales)} entries "
-            f"for {len(pairs)} solve entries"
+            f"for {num_batch} solve entries"
         )
-    if not pairs or max(len(lv) for lv in lives) == 0:
-        return FleetBatch(pairs, lives, None, None, None, None, None, None)
-    max_live = max(len(lv) for lv in lives)
+    lens = [len(r) for r in rows]
+    max_live = max(lens, default=0)
+    if max_live == 0:
+        return FleetBatch(consumers, lens, None, None, None, None, None, None)
 
-    tables = [machine_tables(m) for m, _ in pairs]
-    groups: "OrderedDict[int, List[int]]" = OrderedDict()
-    for i, t in enumerate(tables):
-        groups.setdefault(id(t), []).append(i)
+    # Slot-major row matrix, padded with row 0 (all zeros: a dead slot).
+    live_all = np.arange(max_live) < np.array(lens)[:, None]
+    idx = np.zeros((num_batch, max_live), dtype=np.intp)
+    idx[live_all] = [r for entry in rows for r in entry]
 
-    num_batch = len(pairs)
-    max_res = max(t.num_res for t in tables)
+    max_res = max(store.tables.num_res for store, _members in groups.values())
     A_all = np.zeros((num_batch, max_res, max_live))
     caps_all = np.full((num_batch, max_res), np.inf)
     touched_all = np.zeros((num_batch, max_res), dtype=bool)
     demand_all = np.zeros((num_batch, max_live))
-    live_all = np.zeros((num_batch, max_live), dtype=bool)
-    for idxs in groups.values():
-        machine = pairs[idxs[0]][0]
-        node_idx, mix, demand, write_frac, live_mask = _pack_consumers(
-            [lives[i] for i in idxs], machine.num_nodes, max_live
-        )
-        t, A, caps, touched, demand, live_mask = _batch_setup(
-            machine, node_idx, mix, demand, write_frac, live_mask, mc_model
-        )
-        rows = np.asarray(idxs, dtype=np.intp)
-        A_all[rows, : t.num_res, :] = A
-        caps_all[rows, : t.num_res] = caps
-        touched_all[rows, : t.num_res] = touched
-        demand_all[rows] = demand
-        live_all[rows] = live_mask
+    for store, members in groups.values():
+        t = store.tables
+        n = t.num_nodes
+        sel = members if len(members) < num_batch else slice(None)
+        at = idx[sel]
+        touched = store.touch[at].any(axis=1)
+        # Distinct consumer nodes reading each source's MC.
+        readers = store.reads[at].any(axis=1).reshape(-1, n, n).sum(axis=1)
+        caps = np.tile(t.static_caps, (len(at), 1))
+        caps[:, t.mc_rows] = store.eff[store.sources, readers]
+        A_all[sel, : t.num_res, :] = store.coef[at].transpose(0, 2, 1)
+        caps_all[sel, : t.num_res] = np.where(touched, caps, np.inf)
+        touched_all[sel, : t.num_res] = touched
+        demand_all[sel] = store.demand_arr[at]
 
     if capacity_scales is not None:
         for i, scale in enumerate(capacity_scales):
@@ -1111,20 +1248,8 @@ def solve_batch_fleet_lazy(
         A_all, caps_all, touched_all, demand_all, live_all
     )
     return FleetBatch(
-        pairs, lives, tables, rates, util, bottleneck_row, touched_all, caps_all
+        consumers, lens, tables, rates, util, bottleneck_row, touched_all, caps_all
     )
-
-
-def solve_batch_fleet(
-    entries: Iterable[Tuple[Machine, Sequence[Consumer]]],
-    mc_model: MCModel = DEFAULT_MC_MODEL,
-    *,
-    capacity_scales: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> List[Allocation]:
-    """Eager form of :func:`solve_batch_fleet_lazy`: one
-    :class:`Allocation` per ``(machine, consumers)`` pair."""
-    batch = solve_batch_fleet_lazy(entries, mc_model, capacity_scales=capacity_scales)
-    return [batch.allocation(i) for i in range(len(batch))]
 
 
 def solve(

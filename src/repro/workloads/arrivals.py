@@ -18,7 +18,7 @@ requested ``arrivals`` and no rejection loop perturbs determinism.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -144,9 +144,15 @@ class ArrivalTrace:
     def workload(self, i: int) -> WorkloadSpec:
         """The (work-scaled) workload of arrival ``i``."""
         base = self.catalog[int(self.kind_idx[i])]
-        return dataclasses.replace(
-            base, work_bytes=base.work_bytes * float(self.work_scale[i])
-        )
+        work_bytes = base.work_bytes * float(self.work_scale[i])
+        if not work_bytes > 0:
+            raise ValueError(f"work_bytes must be positive, got {work_bytes}")
+        # The fleet builds one per admission: copy the validated catalog
+        # entry and set the one field that differs, rather than re-running
+        # every field through ``__init__`` as ``dataclasses.replace`` does.
+        spec = copy.copy(base)
+        object.__setattr__(spec, "work_bytes", work_bytes)
+        return spec
 
 
 def _poisson_times(rng: np.random.Generator, rate: float, n: int) -> np.ndarray:

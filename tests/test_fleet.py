@@ -87,7 +87,11 @@ class TestTraces:
             wl = trace.workload(i)
             base = trace.catalog[int(trace.kind_idx[i])]
             assert wl.work_bytes == base.work_bytes * float(trace.work_scale[i])
+            assert wl == dataclasses.replace(base, work_bytes=wl.work_bytes)
         assert trace.app_id(3) == "job3"
+        trace.work_scale[0] = 0.0
+        with pytest.raises(ValueError, match="work_bytes must be positive"):
+            trace.workload(0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="unknown trace kind"):

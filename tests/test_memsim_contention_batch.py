@@ -15,7 +15,6 @@ from repro.memsim.contention import (
     Allocation,
     solve,
     solve_batch,
-    solve_batch_fleet,
     solve_batch_fleet_lazy,
 )
 from repro.memsim.controller import DEFAULT_MC_MODEL
@@ -161,10 +160,12 @@ class TestFleetBatchMatchesScalar:
 
     def test_heterogeneous_entries_bitwise(self):
         entries = self._fleet_entries()
-        fleet = solve_batch_fleet(entries, DEFAULT_MC_MODEL)
+        fleet = solve_batch_fleet_lazy(entries, DEFAULT_MC_MODEL)
         assert len(fleet) == len(entries)
-        for (m, cs), batched in zip(entries, fleet):
-            _assert_allocations_equal(batched, solve(m, cs, DEFAULT_MC_MODEL))
+        for i, (m, cs) in enumerate(entries):
+            _assert_allocations_equal(
+                fleet.allocation(i), solve(m, cs, DEFAULT_MC_MODEL)
+            )
 
     def test_lazy_batch_scores_match_allocations(self):
         entries = self._fleet_entries(seed=7)
@@ -180,7 +181,7 @@ class TestFleetBatchMatchesScalar:
             assert batch.allocation(i) is batch.allocation(i)
 
     def test_empty_and_all_idle_fleet(self):
-        assert solve_batch_fleet([], DEFAULT_MC_MODEL) == []
+        assert len(solve_batch_fleet_lazy([], DEFAULT_MC_MODEL)) == 0
         m = fully_connected(4)
         idle = [Consumer("app:0", 0, 4, np.zeros(4), 0.0)]
         batch = solve_batch_fleet_lazy([(m, idle), (m, [])], DEFAULT_MC_MODEL)
