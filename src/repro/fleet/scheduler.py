@@ -20,7 +20,10 @@ produce byte-for-byte the same placements, completions, and metrics:
     provably lose are pruned by a residual-capacity bound
     (:func:`repro.memsim.candidate_rate_bound`). Candidates are shared
     rows of :func:`repro.memsim.consumer_rows`, solved after the
-    machine's resident rows without building a ``Consumer``.
+    machine's resident rows without building a ``Consumer``. A
+    value-keyed score memo — (machine, resident rows, candidate rows,
+    capacity scale) -> the solver's float, LRU-bounded — replays inputs
+    solved before, so almost only inputs new to the run reach the solver.
 
 No mode hands allocations to the backends: the fluid backend solves its
 own resident set at each advance, through a version-keyed slot and a
@@ -55,7 +58,7 @@ from repro.fleet.backend import (
 )
 from repro.fleet.cluster import FleetNode
 from repro.fleet.faults import HealthTracker, as_fleet_injector
-from repro.memsim.contention import candidate_rate_bound, solve
+from repro.memsim.contention import SolverCache, candidate_rate_bound, solve
 from repro.memsim import solve_batch_fleet_lazy
 from repro.engine.threads import pick_worker_nodes
 from repro.experiments.common import Heartbeat
@@ -74,6 +77,11 @@ SCORINGS = ("batched", "scalar", "incremental")
 #: completion report): strand it, requeue it from scratch, or requeue it
 #: from its last completed checkpoint quantum.
 RECOVERIES = ("none", "requeue", "requeue+checkpoint")
+
+#: Entries of the incremental tick's value-keyed score memo. A fault-free
+#: run settles near a hundred distinct solve inputs; the headroom is for
+#: brown-out capacity scales, each of which keys its own scores.
+_SCORE_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,9 @@ class SchedulerConfig:
     breaker_cooldown_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.tick_s <= 0:
-            raise ValueError(f"tick_s must be positive, got {self.tick_s}")
+        # Comparisons are written so that NaN fails them.
+        if not 0 < self.tick_s < math.inf:
+            raise ValueError(f"tick_s must be positive and finite, got {self.tick_s}")
         wc = self.worker_counts
         if (
             not isinstance(wc, tuple)
@@ -119,9 +128,10 @@ class SchedulerConfig:
                 "worker_counts must be a non-empty tuple of unique positive "
                 f"ints, got {wc!r}"
             )
-        if self.max_pending_per_tick <= 0:
+        if type(self.max_pending_per_tick) is not int or self.max_pending_per_tick <= 0:
             raise ValueError(
-                f"max_pending_per_tick must be positive, got {self.max_pending_per_tick}"
+                "max_pending_per_tick must be a positive int, "
+                f"got {self.max_pending_per_tick!r}"
             )
         if self.discipline not in DISCIPLINES:
             raise ValueError(
@@ -133,9 +143,11 @@ class SchedulerConfig:
             raise ValueError(f"dwp must be in [0, 1], got {self.dwp}")
         if self.recovery not in RECOVERIES:
             raise ValueError(f"unknown recovery {self.recovery!r}; use {RECOVERIES}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.retry_backoff_s < 0:
+        if type(self.max_retries) is not int or self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be a non-negative int, got {self.max_retries!r}"
+            )
+        if not self.retry_backoff_s >= 0:
             raise ValueError(
                 f"retry_backoff_s must be non-negative, got {self.retry_backoff_s}"
             )
@@ -143,9 +155,9 @@ class SchedulerConfig:
             raise ValueError(
                 f"checkpoint_quantum must be in (0, 1], got {self.checkpoint_quantum}"
             )
-        if self.slo_slowdown < 1:
+        if not self.slo_slowdown >= 1:
             raise ValueError(f"slo_slowdown must be >= 1, got {self.slo_slowdown}")
-        if self.breaker_cooldown_s < 0:
+        if not self.breaker_cooldown_s >= 0:
             raise ValueError(
                 f"breaker_cooldown_s must be non-negative, got {self.breaker_cooldown_s}"
             )
@@ -164,8 +176,11 @@ class FleetResult:
     placed: int
     pending_left: int
     ticks: int
-    #: Solver invocations: ticks in batched mode, entries in scalar mode.
+    #: Solver invocations: ticks in batched mode, entries in scalar mode,
+    #: ticks with at least one score-memo miss in incremental mode.
     solver_calls: int
+    #: Candidate entries actually solved (incremental mode: score-memo
+    #: misses, each distinct input once per tick).
     entries_scored: int
     end_time: float
     utilization: Dict[int, float]
@@ -196,7 +211,10 @@ class FleetResult:
     machine_downtime: Dict[int, float] = field(default_factory=dict)
     # ---- incremental-scheduling observability (defaults on exhaustive
     # ---- runs, where every candidate is re-scored from scratch) ------- #
-    #: Candidate scores replayed from the version-keyed memo.
+    #: Candidate scores replayed instead of solved: from the candidate
+    #: table, or from the value-keyed score memo.
+    #: ``memo_hits + entries_scored`` counts every slot the table knew
+    #: or that survived pruning, however the memo split it.
     memo_hits: int = 0
     #: Candidates eliminated by the residual-capacity rate bound.
     bound_pruned: int = 0
@@ -363,12 +381,13 @@ class FleetScheduler:
         #: ticks and same-class machines — for scoring, bounds, and the
         #: fluid admit path.
         self._cand_cache: Dict[Tuple[int, Tuple[int, ...], int], tuple] = {}
-        #: Per-machine score bucket of its current state version,
-        #: ``{(scale id, kind, slot): score}``, for a machine with
-        #: residents (empty machines score through the candidate table's
-        #: per-worker-set arrays). Replaced whenever the machine's version
-        #: moves (versions are monotonic, never reused).
-        self._bucket: List[Dict[tuple, float]] = [{} for _ in self.fleet]
+        #: Candidate scores by solve input: ``(machine identity, resident
+        #: rows, candidate live rows, capacity-scale bytes)`` -> the float
+        #: the solver produced for that entry. Rows are value-deduplicated
+        #: and batch entries are independent, so a key fixes its score
+        #: across ticks, versions and same-class machines. LRU-bounded:
+        #: brown-out scales keep adding keys on long chaos runs.
+        self._score_memo = SolverCache(_SCORE_MEMO_SIZE)
         #: Machine-level slot state, refreshed when a machine's version
         #: moves: the version it was derived at, the free-node count,
         #: whether it is empty, and per ``worker_counts`` slot (leading
@@ -476,7 +495,6 @@ class FleetScheduler:
         rows = [self._slot_row(self.backends[mid]) for mid in mids.tolist()]
         for mid, row in zip(mids.tolist(), rows):
             self._slots[mid] = row[0]
-            self._bucket[mid] = {}
         self._free_len[mids] = [row[2] for row in rows]
         self._fit[:, mids] = self._ks[:, None] <= self._free_len[mids]
         self._empty[mids] = [not self.backends[mid].num_live for mid in mids.tolist()]
@@ -642,9 +660,10 @@ class FleetScheduler:
             claimed[mid] = True
 
     def _score_kinds(self, first_p, last_at, ver, elig, sid, scales, counts):
-        """Refresh the table rows of the batch's kinds, prune, and solve
-        every surviving cold slot in ONE batch; return the summary of
-        :meth:`_summary` over ``(kind position, machine)``."""
+        """Refresh the table rows of the batch's kinds, prune, replay the
+        surviving cold slots from the score memo and solve its misses in
+        ONE batch; return the summary of :meth:`_summary` over ``(kind
+        position, machine)``."""
         backends = self.backends
         slots = self._slots
         set_id = self._set_id
@@ -656,12 +675,12 @@ class FleetScheduler:
         # Rows whose stamp moved start over. An empty machine replays its
         # per-worker-set scores — re-read on every visit while it holds a
         # cold slot, which a same-class machine may have solved since. A
-        # machine with residents keeps nothing across a version move: its
-        # bucket only holds scores solved at the current version, which a
-        # moved row never saw — unless only the scale key moved.
-        same_ver = tab.ver[kinds] == ver
+        # machine with residents starts cold; its slots that survive
+        # pruning replay from the score memo when their input recurs.
         cold_empty = empty & (np.isnan(tab.score[:, kinds]) & fit[:, None]).any(axis=0)
-        moved = elig & (~(same_ver & (tab.sid[kinds] == sid)) | cold_empty)
+        moved = elig & (
+            (tab.ver[kinds] != ver) | (tab.sid[kinds] != sid) | cold_empty
+        )
         kk, mm = np.nonzero(moved)
         if kk.size:
             kr = kinds[kk]
@@ -674,11 +693,6 @@ class FleetScheduler:
                 tab.score[:, kr, mm] = np.where(
                     fit[:, mm], tab.set_score[kr, set_id[:, mm], sid[mm]], np.nan
                 )
-            for j, mid in zip(*np.nonzero(moved & same_ver & ~empty)):
-                bucket = self._bucket[mid]
-                for s in np.flatnonzero(fit[:, mid]).tolist():
-                    key = (sid[mid], kinds[j], s)
-                    tab.score[s, kinds[j], mid] = bucket.get(key, np.nan)
         score = tab.score[:, kinds]
         cold = np.isnan(score) & fit[:, None] & elig
         best, slot, hits = self._summary(score)
@@ -720,37 +734,60 @@ class FleetScheduler:
             a, b_, s_ = a[~below], b_[~below], s_[~below]
         if not a.size:
             return best, slot, hits
-        # Each entry gathers the machine's resident rows, then the
-        # candidate's; its score is the sum of those trailing slots.
+        # A solve entry is the machine's resident rows, then the
+        # candidate's; its score is the sum of those trailing slots. The
+        # entry's rates depend on nothing else (batch entries are
+        # independent), so a slot whose input was solved before replays
+        # that float, and each distinct missing input is solved once.
+        memo = self._score_memo
+        rates = np.empty(a.size)
         entries = []
         tails = []
-        resident: Dict[int, list] = {}
-        for j, mid, s in zip(a.tolist(), b_.tolist(), s_.tolist()):
+        entry_scales = []
+        fresh: Dict[tuple, int] = {}  # missing key -> entry index
+        fill = []  # (slot position, entry index) of the misses
+        resident: Dict[int, tuple] = {}
+        for i, (j, mid, s) in enumerate(zip(a.tolist(), b_.tolist(), s_.tolist())):
             b = backends[mid]
-            if mid not in resident:
-                resident[mid] = b.resident_rows() if b.num_live else []
+            res = resident.get(mid)
+            if res is None:
+                scale = scales.get(mid)
+                res = resident[mid] = (
+                    tuple(b.resident_rows()) if b.num_live else (),
+                    scale,
+                    None if scale is None else scale.tobytes(),
+                )
             kind = int(kinds[j])
-            live = self._cand_template(b, slots[mid][s], kind, first_p[kind])[1]
-            entries.append((b.machine, resident[mid] + live))
-            tails.append(len(live))
-        counts["entries_scored"] += len(entries)
-        counts["solver_calls"] += 1
-        fb = solve_batch_fleet_lazy(
-            entries,
-            capacity_scales=(
-                [scales.get(mid) for mid in b_.tolist()] if self.injector is not None else None
-            ),
-        )
-        rates = np.array(fb.tail_rates(tails))
+            live = tuple(self._cand_template(b, slots[mid][s], kind, first_p[kind])[1])
+            key = (id(b.machine), res[0], live, res[2])
+            at = fresh.get(key)
+            if at is None:
+                v = memo.lookup(key)
+                if v is not None:
+                    rates[i] = v
+                    continue
+                at = fresh[key] = len(entries)
+                entries.append((b.machine, res[0] + live))
+                tails.append(len(live))
+                entry_scales.append(res[1])
+            fill.append((i, at))
+        counts["memo_hits"] += a.size - len(entries)
+        if entries:
+            counts["entries_scored"] += len(entries)
+            counts["solver_calls"] += 1
+            solved = solve_batch_fleet_lazy(
+                entries,
+                capacity_scales=entry_scales if self.injector is not None else None,
+            ).tail_rates(tails)
+            for key, at in fresh.items():
+                memo.store(key, solved[at])
+            for i, at in fill:
+                rates[i] = solved[at]
         score[s_, a, b_] = tab.score[s_, kinds[a], b_] = rates
         # Same-class empty machines may share a set_score cell; they
         # solved identical inputs, so every write carries the same float.
         e = empty[b_]
         tab.set_score[kinds[a[e]], set_id[s_[e], b_[e]], sid[b_[e]]] = rates[e]
-        for v, j, mid, s in zip(
-            rates[~e].tolist(), a[~e].tolist(), b_[~e].tolist(), s_[~e].tolist()
-        ):
-            self._bucket[mid][(sid[mid], int(kinds[j]), s)] = v
         return self._summary(score)
 
     def _tick_exhaustive(
@@ -837,7 +874,7 @@ class FleetScheduler:
     # ------------------------------------------------------------------ #
 
     def run(self, max_time: float = 1_000_000.0) -> FleetResult:
-        if max_time <= 0:
+        if not max_time > 0:  # NaN included; inf drains every arrival
             raise ValueError(f"max_time must be positive, got {max_time}")
         cfg = self.config
         injector = self.injector

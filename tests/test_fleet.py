@@ -232,6 +232,47 @@ class TestBatchedScalarEquivalence:
 
 
 # --------------------------------------------------------------------- #
+# Scheduler input validation
+# --------------------------------------------------------------------- #
+
+
+def _five_arrival_scheduler(**config):
+    trace = build_trace(TraceSpec(kind="poisson", rate_per_s=1.0, arrivals=5, seed=1))
+    return FleetScheduler(build_fleet((("A", 1),)), trace, SchedulerConfig(**config))
+
+
+class TestSchedulerValidation:
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("tick_s", float("nan")),
+            ("tick_s", float("inf")),
+            ("retry_backoff_s", float("nan")),
+            ("slo_slowdown", float("nan")),
+            ("breaker_cooldown_s", float("nan")),
+            ("max_retries", 2.0),
+            ("max_retries", True),
+            ("max_pending_per_tick", 8.0),
+            ("max_pending_per_tick", True),
+            ("max_time", float("nan")),
+        ],
+    )
+    def test_rejects_non_finite_and_non_int_knobs(self, knob, value):
+        """Each bad knob raises a ValueError naming it, up front — never a
+        deep traceback mid-run or a run that silently places nothing."""
+        with pytest.raises(ValueError, match=knob):
+            if knob == "max_time":
+                _five_arrival_scheduler().run(value)
+            else:
+                SchedulerConfig(**{knob: value})
+
+    def test_infinite_horizon_drains(self):
+        result = _five_arrival_scheduler().run(float("inf"))
+        assert result.placed == 5 and result.pending_left == 0
+        assert len(result.completions) == 5
+
+
+# --------------------------------------------------------------------- #
 # Single-machine reduction
 # --------------------------------------------------------------------- #
 

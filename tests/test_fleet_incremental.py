@@ -25,6 +25,7 @@ from repro.fleet import (
     build_fleet,
     chaos_plan,
 )
+import repro.fleet.scheduler as scheduler_mod
 from repro.fleet.backend import FlowBackend, make_backend
 from repro.fleet.scheduler import DISCIPLINES, SCORINGS, _Pend, _PendQueue
 from repro.memsim import (
@@ -38,8 +39,8 @@ from repro.workloads import TraceSpec, build_trace, trace_catalog
 _MIX = (("A", 2), ("B", 2), ("dual", 1), ("sym4", 1))
 
 
-def _run(scoring, *, discipline="best-rate", faults=None,
-         arrivals=40, rate=2.0, backend="flow", seed=11):
+def _scheduler(scoring, *, discipline="best-rate", faults=None,
+               arrivals=40, rate=2.0, backend="flow", seed=11):
     fleet = build_fleet(_MIX)
     trace = build_trace(
         TraceSpec(kind="poisson", rate_per_s=rate, arrivals=arrivals, seed=7)
@@ -48,9 +49,11 @@ def _run(scoring, *, discipline="best-rate", faults=None,
         backend=backend, scoring=scoring, discipline=discipline,
         tick_s=2.0,
     )
-    return FleetScheduler(fleet, trace, cfg, seed=seed, faults=faults).run(
-        1_000_000.0
-    )
+    return FleetScheduler(fleet, trace, cfg, seed=seed, faults=faults)
+
+
+def _run(scoring, **kwargs):
+    return _scheduler(scoring, **kwargs).run(1_000_000.0)
 
 
 def _assert_identical(a, b):
@@ -141,16 +144,29 @@ def _tie_run(scoring, discipline, faults):
     ).run(1_000_000.0)
 
 
-#: ``(memo_hits, bound_pruned, entries_scored)`` of the per-candidate
-#: incremental tick the dense table replaced, on the tie-heavy runs: the
-#: table must replay, prune, and solve exactly the same candidates.
+#: ``(memo_hits, bound_pruned, entries_scored)`` on the tie-heavy runs.
+#: The value-keyed score memo replays what the per-candidate tick
+#: re-solved, so ``entries_scored`` is far below its count; the table
+#: still prunes exactly the same candidates.
 _TIE_COUNTS = {
-    ("best-rate", False): (164, 19, 417),
-    ("best-rate", True): (218, 18, 414),
-    ("least-loaded", False): (168, 50, 434),
-    ("least-loaded", True): (247, 33, 436),
+    ("best-rate", False): (549, 19, 32),
+    ("best-rate", True): (576, 18, 56),
+    ("least-loaded", False): (574, 50, 28),
+    ("least-loaded", True): (635, 33, 48),
     ("first-fit", False): (0, 0, 0),
     ("first-fit", True): (0, 0, 0),
+}
+#: ``memo_hits + entries_scored`` of the per-candidate tick (whose triples
+#: were (164, 19, 417), (218, 18, 414), (168, 50, 434), (247, 33, 436)):
+#: every slot the table knows or that survives pruning is replayed or
+#: solved, so the sum is conserved however the memo splits it.
+_TIE_SURVIVORS = {
+    ("best-rate", False): 581,
+    ("best-rate", True): 632,
+    ("least-loaded", False): 602,
+    ("least-loaded", True): 683,
+    ("first-fit", False): 0,
+    ("first-fit", True): 0,
 }
 
 
@@ -171,6 +187,102 @@ class TestTieHeavy:
         assert (inc.memo_hits, inc.bound_pruned, inc.entries_scored) == (
             _TIE_COUNTS[discipline, chaos]
         )
+        assert inc.memo_hits + inc.entries_scored == _TIE_SURVIVORS[discipline, chaos]
+
+
+# --------------------------------------------------------------------- #
+# Value-keyed score memo: every replayed float is the solver's own
+# --------------------------------------------------------------------- #
+
+
+def _solve_input(machine, rows, scale):
+    """What one solve entry reads: machine, rows, capacity-scale bytes."""
+    return (id(machine), tuple(rows), None if scale is None else scale.tobytes())
+
+
+def _recording_solver(monkeypatch):
+    """Route the scheduler's batch solver through a recorder; returns the
+    real solver and the list of every entry input it was asked to solve."""
+    real = scheduler_mod.solve_batch_fleet_lazy
+    solved = []
+
+    def recording(entries, capacity_scales=None):
+        scales = capacity_scales or [None] * len(entries)
+        solved.extend(
+            _solve_input(machine, rows, scale)
+            for (machine, rows), scale in zip(entries, scales)
+        )
+        return real(entries, capacity_scales=capacity_scales)
+
+    monkeypatch.setattr(scheduler_mod, "solve_batch_fleet_lazy", recording)
+    return real, solved
+
+
+def _chaos():
+    return chaos_plan(6, horizon_s=40.0, seed=3)
+
+
+class TestScoreMemo:
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    def test_every_score_is_a_fresh_solve(self, monkeypatch, chaos):
+        """After each tick's scoring, every score the table holds for an
+        eligible machine — memo replays included — equals a fresh solve of
+        that slot's *current* input (resident rows, candidate rows,
+        capacity scale) bitwise, and that input was solved before."""
+        real, solved = _recording_solver(monkeypatch)
+        sched = _scheduler("incremental", faults=_chaos() if chaos else None)
+        score_kinds = sched._score_kinds
+        fresh = {}
+
+        def audited(first_p, last_at, ver, elig, sid, scales, counts):
+            out = score_kinds(first_p, last_at, ver, elig, sid, scales, counts)
+            seen = set(solved)
+            for kind, p in first_p.items():
+                for mid in np.flatnonzero(elig).tolist():
+                    b = sched.backends[mid]
+                    for s, workers in enumerate(sched._slots[mid]):
+                        got = sched._table.score[s, kind, mid]
+                        if np.isnan(got):
+                            continue
+                        live = sched._cand_template(b, workers, kind, p)[1]
+                        rows = (b.resident_rows() if b.num_live else []) + live
+                        scale = scales.get(mid)
+                        key = _solve_input(b.machine, rows, scale)
+                        assert key in seen
+                        if key not in fresh:
+                            fresh[key] = real(
+                                [(b.machine, rows)], capacity_scales=[scale]
+                            ).tail_rates([len(live)])[0]
+                        assert float(got).hex() == fresh[key].hex()
+            return out
+
+        sched._score_kinds = audited
+        sched.run(1_000_000.0)
+        assert sched._score_memo.hits > 0
+        assert len(fresh) > 0
+
+    def test_bounded_memo_evicts_and_resolves(self, monkeypatch):
+        """A memo far smaller than the run's distinct inputs evicts and
+        re-solves, never holds more than its bound, and still reproduces
+        the exhaustive batched run bitwise under chaos."""
+        bound = 3
+        monkeypatch.setattr(scheduler_mod, "_SCORE_MEMO_SIZE", bound)
+        _real, solved = _recording_solver(monkeypatch)
+        sched = _scheduler("incremental", faults=_chaos())
+        memo = sched._score_memo
+        store = memo.store
+        sizes = []
+
+        def bounded_store(key, value):
+            store(key, value)
+            sizes.append(len(memo))
+
+        memo.store = bounded_store
+        inc = sched.run(1_000_000.0)
+        assert sizes and max(sizes) == bound
+        # Some input was solved again after its entry was evicted.
+        assert max(Counter(solved).values()) > 1
+        _assert_identical(_run("batched", faults=_chaos()), inc)
 
 
 class TestRankKeyHelpers:
