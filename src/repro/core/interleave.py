@@ -20,15 +20,19 @@ that no longer conform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.memsim.mbind import MbindFlag, MbindResult, MPol, mbind
+from repro.memsim.interleave import uniform_assignment
+from repro.memsim.mbind import MbindFlag, MPol, mbind
 from repro.memsim.pages import AddressSpace, Segment
 
 #: Weights below this value are treated as zero (the node receives no pages).
 _WEIGHT_EPS = 1e-9
+
+#: An Algorithm 1 plan: ``(start_offset, length, node_set)`` sub-ranges.
+_Plan = List[Tuple[int, int, Tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -40,9 +44,14 @@ class PlacementOutcome:
     mbind_calls: int
 
 
-def algorithm1_subranges(
-    num_pages: int, weights: Sequence[float]
-) -> List[Tuple[int, int, Tuple[int, ...]]]:
+def _checked_weights(weights: Sequence[float]) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+        raise ValueError(f"weights must be finite, non-negative, with positive sum: {w.tolist()}")
+    return w
+
+
+def algorithm1_subranges(num_pages: int, weights: Sequence[float]) -> _Plan:
     """Paper Algorithm 1: sub-range plan for user-level weighted interleave.
 
     Returns ``(start_offset, length, node_set)`` triples covering
@@ -52,9 +61,7 @@ def algorithm1_subranges(
     uniformly interleaved over the remaining nodes — which hands every
     remaining node ``dw * num_pages`` pages, so totals meet the weights.
     """
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    w = _checked_weights(weights)
     w = w / w.sum()
     if num_pages < 0:
         raise ValueError(f"num_pages must be non-negative, got {num_pages}")
@@ -64,7 +71,7 @@ def algorithm1_subranges(
     # getNodeWithMinWeight loop.
     active.sort(key=lambda i: (w[i], i))
 
-    plan: List[Tuple[int, int, Tuple[int, ...]]] = []
+    plan: _Plan = []
     address = 0
     weight_prev = 0.0
     while active:
@@ -100,23 +107,31 @@ def apply_weighted_user(
     move: bool = True,
 ) -> PlacementOutcome:
     """Weighted-interleave one segment with Algorithm 1 (user level)."""
-    plan = algorithm1_subranges(segment.num_pages, weights)
-    flags = MbindFlag.MOVE | MbindFlag.STRICT if move else MbindFlag.NONE
-    touched = moved = calls = 0
+    return _write_subranges(space, segment, algorithm1_subranges(segment.num_pages, weights), move)
+
+
+def _write_subranges(
+    space: AddressSpace, segment: Segment, plan: _Plan, move: bool
+) -> PlacementOutcome:
+    """Write the plan's N ``mbind(MPOL_INTERLEAVE)`` tiles as one rebind: they
+    partition the segment, so the page table and touched/moved sums are the
+    N calls'. Each tile gives its ``k`` nodes ``length // k`` pages each, plus
+    one to the first ``length % k`` of the phase-rotated set."""
+    start = segment.start_page
+    counts = [0] * space.num_nodes
+    tiles = []
     for offset, length, nodes in plan:
-        res = mbind(
-            space,
-            segment.start_page + offset,
-            length,
-            MPol.INTERLEAVE,
-            nodes,
-            flags=flags,
-            phase=segment.start_page + offset,
-        )
-        touched += res.pages_touched
-        moved += res.pages_moved
-        calls += 1
-    return PlacementOutcome(pages_touched=touched, pages_moved=moved, mbind_calls=calls)
+        tiles.append(uniform_assignment(length, nodes, phase=start + offset))
+        s = (start + offset) % len(nodes)
+        q, r = divmod(length, len(nodes))
+        for node in nodes:
+            counts[node] += q
+        for node in (nodes[s:] + nodes[:s])[:r]:
+            counts[node] += 1
+    touched, moved = space.rebind(
+        start, np.concatenate(tiles), move=move, counts=counts if move else None
+    )
+    return PlacementOutcome(pages_touched=touched, pages_moved=moved, mbind_calls=len(plan))
 
 
 def apply_weighted_kernel(
@@ -127,9 +142,7 @@ def apply_weighted_kernel(
     move: bool = True,
 ) -> PlacementOutcome:
     """Weighted-interleave one segment with the kernel-level exact policy."""
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    w = _checked_weights(weights)
     nodes = [i for i in range(len(w)) if w[i] > _WEIGHT_EPS]
     flags = MbindFlag.MOVE | MbindFlag.STRICT if move else MbindFlag.NONE
     res = mbind(
@@ -158,17 +171,22 @@ def apply_weighted_placement(
     BWAP's user-level path walks all address ranges likely to hold shared
     data — the data/BSS segments and dynamic mappings — which in our model
     is every mapped segment. ``mode`` selects the back end: ``"user"``
-    (Algorithm 1) or ``"kernel"`` (exact).
+    (Algorithm 1, planned once per distinct segment size) or ``"kernel"``
+    (exact).
     """
-    if mode == "user":
-        apply = apply_weighted_user
-    elif mode == "kernel":
-        apply = apply_weighted_kernel
-    else:
+    if mode not in ("user", "kernel"):
         raise ValueError(f"mode must be 'user' or 'kernel', got {mode!r}")
+    w = _checked_weights(weights)
+    plans: Dict[int, _Plan] = {}
     touched = moved = calls = 0
     for seg in space.segments:
-        out = apply(space, seg, weights, move=move)
+        if mode == "kernel":
+            out = apply_weighted_kernel(space, seg, w, move=move)
+        else:
+            plan = plans.get(seg.num_pages)
+            if plan is None:
+                plan = plans[seg.num_pages] = algorithm1_subranges(seg.num_pages, w)
+            out = _write_subranges(space, seg, plan, move)
         touched += out.pages_touched
         moved += out.pages_moved
         calls += out.mbind_calls
@@ -178,9 +196,7 @@ def apply_weighted_placement(
 def placement_error(space: AddressSpace, weights: Sequence[float]) -> float:
     """Total-variation distance between target weights and the achieved
     placement — the accuracy metric for the user-vs-kernel ablation."""
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    w = _checked_weights(weights)
     w = w / w.sum()
     actual = space.placement_distribution()
     return float(0.5 * np.abs(actual - w).sum())

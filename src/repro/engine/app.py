@@ -108,6 +108,7 @@ class Application:
         self._remaining: Dict[int, float] = dict(self._share)
         self.finished = False
         self._consumers_memo: Optional[Tuple[tuple, List[Consumer]]] = None
+        self._mixes_memo: Optional[Tuple[tuple, List[np.ndarray]]] = None
         self.finish_time: Optional[float] = None
         self.start_time: float = 0.0
         self.completions: int = 0
@@ -188,25 +189,27 @@ class Application:
     def consumers(self) -> List[Consumer]:
         """Current consumer set for the contention solver.
 
-        Memoised between placement changes: the mixes depend only on the
-        address-space placement (tracked by ``space.version``) and the
-        demands/workload parameters captured in the key, so epochs where
-        nothing moved reuse the previous (immutable) consumer objects.
+        Memoised: the mixes (read-only) depend only on the placement
+        (``space.version``), private fraction and replication, so a
+        demand-only change rebuilds the consumers around the same mixes,
+        and epochs where nothing changed reuse the previous consumers.
         """
         wl = self.workload
-        key = (
+        mix_key = (
             self.space.version,
-            tuple(self.node_demand(w) for w in self.worker_nodes),
             wl.private_fraction,
-            wl.write_fraction,
             bool(getattr(self.policy, "replicates_shared", False)),
         )
+        demands = tuple(self.node_demand(w) for w in self.worker_nodes)
+        key = (mix_key, demands, wl.write_fraction)
         if self._consumers_memo is not None and self._consumers_memo[0] == key:
             return self._consumers_memo[1]
+        if self._mixes_memo is None or self._mixes_memo[0] != mix_key:
+            self._mixes_memo = (mix_key, [self.traffic_mix(w) for w in self.worker_nodes])
+            for mix in self._mixes_memo[1]:
+                mix.setflags(write=False)
         out: List[Consumer] = []
-        for w in self.worker_nodes:
-            demand = self.node_demand(w)
-            mix = self.traffic_mix(w)
+        for w, demand, mix in zip(self.worker_nodes, demands, self._mixes_memo[1]):
             out.append(
                 Consumer(
                     app_id=self.app_id,

@@ -45,8 +45,8 @@ def weighted_counts(num_pages: int, weights: Sequence[float]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or len(w) == 0:
         raise ValueError("weights must be a non-empty 1-D sequence")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise ValueError(f"weights must be finite and non-negative: {w.tolist()}")
     total = w.sum()
     if total <= 0:
         raise ValueError("weights must not all be zero")

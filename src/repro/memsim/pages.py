@@ -265,6 +265,7 @@ class AddressSpace:
         *,
         move: bool = True,
         strict: bool = False,
+        counts: Optional[Sequence[int]] = None,
     ) -> Tuple[int, int]:
         """Bind a page range to ``assignment``; returns ``(touched, moved)``.
 
@@ -273,12 +274,22 @@ class AddressSpace:
         set (``moved`` counts them); otherwise they stay put, and ``strict``
         refuses the call with ``PermissionError`` if there are any. The
         range and node ids are checked before anything is written.
+
+        ``counts``, the assignment's per-node page counts, replaces the
+        histogram recount; only a ``move`` write of one whole segment (which
+        leaves the segment equal to ``assignment``) may pass it.
         """
         assignment = np.asarray(assignment, dtype=np.int16)
         n = len(assignment)
         self._check_range(start_page, n)
         if n and (assignment.min() < 0 or assignment.max() >= self.num_nodes):
             raise ValueError("assignment contains invalid node ids")
+        if counts is not None:
+            i = bisect_right(self._starts, start_page) - 1
+            counts = np.array(counts, dtype=np.int64)
+            whole = i >= 0 and self._segments[i].page_range() == (start_page, start_page + n)
+            if not (move and whole and counts.shape == (self.num_nodes,) and counts.sum() == n):
+                raise ValueError("counts must come with a move write of one whole segment")
         view = self._buf[start_page : start_page + n]
         changed = int(np.count_nonzero(view != assignment))
         if not changed:
@@ -299,6 +310,8 @@ class AddressSpace:
             view[:] = assignment
         if touched or moved:
             self._written(start_page, start_page + n)
+        if counts is not None:
+            self._hists[i] = counts
         return touched, moved
 
     def set_pages(self, start_page: int, assignment: np.ndarray) -> int:

@@ -131,14 +131,19 @@ def _encode(obj: Any, parts) -> None:
 
 def _encode_machine(machine: Machine, parts) -> None:
     """Structural encoding: two machines with equal topology fingerprint
-    equally, however they were constructed."""
-    parts.append(b"M(")
-    _encode(machine.name, parts)
-    _encode(machine.hop_efficiency, parts)
-    _encode(machine.remote_ingress_factor, parts)
-    _encode(tuple(machine.node(i) for i in machine.node_ids), parts)
-    _encode(tuple(sorted(machine.links, key=lambda li: li.endpoints)), parts)
-    parts.append(b")")
+    equally, however they were constructed. Machines are immutable, so the
+    encoding is built once per instance and kept on it."""
+    encoded = getattr(machine, "_store_encoding", None)
+    if encoded is None:
+        sub = [b"M("]
+        _encode(machine.name, sub)
+        _encode(machine.hop_efficiency, sub)
+        _encode(machine.remote_ingress_factor, sub)
+        _encode(tuple(machine.node(i) for i in machine.node_ids), sub)
+        _encode(tuple(sorted(machine.links, key=lambda li: li.endpoints)), sub)
+        sub.append(b")")
+        encoded = machine._store_encoding = b"".join(sub)  # type: ignore[attr-defined]
+    parts.append(encoded)
 
 
 def fingerprint(*components: Any) -> str:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.interleave import (
     algorithm1_subranges,
@@ -10,8 +12,13 @@ from repro.core.interleave import (
     apply_weighted_user,
     placement_error,
 )
-from repro.memsim.pages import AddressSpace, SegmentKind
+from repro.memsim.interleave import weighted_counts
+from repro.memsim.pages import UNALLOCATED, AddressSpace, SegmentKind
 from repro.units import PAGE_SIZE
+from tests.oracle.algorithm1 import (
+    apply_weighted_placement_reference,
+    apply_weighted_user_reference,
+)
 
 
 def make_space(num_nodes=4, pages=10_000):
@@ -208,3 +215,128 @@ class TestPlacementErrorValidation:
         apply_weighted_user(sp, seg, [0.4, 0.3, 0.2, 0.1])
         err = placement_error(sp, [0.4, 0.3, 0.2, 0.1])
         assert 0.0 <= err < 0.05
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteWeights:
+    """Every weight entry point rejects NaN/±inf with a clear ValueError
+    (a NaN once made Algorithm 1 place nothing and report success)."""
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_algorithm1_subranges(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            algorithm1_subranges(100, [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("apply", [apply_weighted_user, apply_weighted_kernel])
+    def test_segment_back_ends(self, apply, bad):
+        sp, seg = make_space(num_nodes=2, pages=100)
+        with pytest.raises(ValueError, match="finite"):
+            apply(sp, seg, [bad, 1.0])
+        assert sp.allocated_pages() == 0
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("mode", ["user", "kernel"])
+    def test_apply_weighted_placement(self, mode, bad):
+        sp, _seg = make_space(num_nodes=2, pages=100)
+        with pytest.raises(ValueError, match="finite"):
+            apply_weighted_placement(sp, [bad, 1.0], mode=mode)
+        assert sp.allocated_pages() == 0
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_weighted_counts(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_counts(100, [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    def test_placement_error(self, bad):
+        sp, seg = make_space(num_nodes=2, pages=100)
+        apply_weighted_user(sp, seg, [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            placement_error(sp, [bad, 1.0])
+
+
+#: Weight draws rich in zeros and ties (ties exercise the tail fold).
+_weight = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _weights(num_nodes):
+    return st.lists(_weight, min_size=num_nodes, max_size=num_nodes).filter(
+        lambda w: sum(w) > 0
+    )
+
+
+def _twin_spaces(data, num_nodes):
+    """Two identical address spaces with 1..40-page segments, part backed."""
+    spaces = (AddressSpace(num_nodes), AddressSpace(num_nodes))
+    for i in range(data.draw(st.integers(1, 4), label="segments")):
+        pages = data.draw(st.sampled_from([1, 2, 3, 7, 40]), label="pages")
+        for sp in spaces:
+            sp.map_segment(f"s{i}", pages * PAGE_SIZE)
+    total = spaces[0].total_pages
+    backed = data.draw(st.lists(st.integers(0, total - 1), unique=True), label="backed")
+    nodes = data.draw(
+        st.lists(st.integers(0, num_nodes - 1), min_size=len(backed), max_size=len(backed))
+    )
+    for sp in spaces:
+        sp.assign_pages(np.array(backed, dtype=int), np.array(nodes, dtype=int))
+    return spaces
+
+
+def _memo_matches_recount(space):
+    table = space.page_nodes()
+    for i, seg in enumerate(space.segments):
+        memo = space._hists[i]
+        if memo is not None:
+            data = table[seg.start_page : seg.end_page]
+            want = np.bincount(data[data != UNALLOCATED], minlength=space.num_nodes)
+            np.testing.assert_array_equal(memo, want)
+
+
+class TestAlgorithm1Oracle:
+    """The one-write-per-segment writer against the per-sub-range mbinds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_subrange_mbind(self, data):
+        num_nodes = data.draw(st.integers(1, 6), label="num_nodes")
+        fast, ref = _twin_spaces(data, num_nodes)
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            weights = data.draw(_weights(num_nodes), label="weights")
+            move = data.draw(st.booleans(), label="move")
+            if data.draw(st.booleans(), label="whole space"):
+                got = apply_weighted_placement(fast, weights, move=move)
+                want = apply_weighted_placement_reference(ref, weights, move=move)
+            else:
+                i = data.draw(st.integers(0, len(fast.segments) - 1), label="segment")
+                got = apply_weighted_user(fast, fast.segments[i], weights, move=move)
+                want = apply_weighted_user_reference(ref, ref.segments[i], weights, move=move)
+            assert got == want
+            assert fast.page_nodes().tobytes() == ref.page_nodes().tobytes()
+            _memo_matches_recount(fast)
+            for seg_f, seg_r in zip(fast.segments, ref.segments):
+                assert (
+                    fast.node_histogram([seg_f]).tobytes()
+                    == ref.node_histogram([seg_r]).tobytes()
+                )
+
+    def test_one_page_segments_and_tail_fold(self):
+        # Tied weights fold the rounding tail into the last sub-range; a
+        # one-page segment gets a one-page plan.
+        for pages, weights in [(1, [0.5, 0.5]), (1, [0.7, 0.0, 0.3]), (1001, [0.25] * 4)]:
+            fast, ref = AddressSpace(len(weights)), AddressSpace(len(weights))
+            for sp in (fast, ref):
+                sp.map_segment("s", pages * PAGE_SIZE)
+            got = apply_weighted_user(fast, fast.segments[0], weights)
+            want = apply_weighted_user_reference(ref, ref.segments[0], weights)
+            assert got == want and got.pages_touched == pages
+            assert fast.page_nodes().tobytes() == ref.page_nodes().tobytes()
+            _memo_matches_recount(fast)
+
+    def test_zero_page_plan_is_empty(self):
+        assert algorithm1_subranges(0, [0.25, 0.75]) == []

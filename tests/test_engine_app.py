@@ -132,3 +132,57 @@ class TestDemandAndProgress:
         assert len(consumers) == 2
         assert {c.node for c in consumers} == {0, 1}
         assert all(c.write_fraction == pytest.approx(0.2) for c in consumers)
+
+
+class TestConsumerMemo:
+    """``consumers()`` keeps the mixes per placement, not per demand."""
+
+    def _counting(self, app, monkeypatch):
+        calls = []
+        original = app.traffic_mix
+
+        def traffic_mix(node):
+            calls.append(node)
+            return original(node)
+
+        monkeypatch.setattr(app, "traffic_mix", traffic_mix)
+        return calls
+
+    def test_demand_only_change_reuses_mixes(self, mach_b, monkeypatch):
+        app = Application("x", small_workload(), mach_b, (0, 1), policy=UniformAll())
+        before = app.consumers()
+        calls = self._counting(app, monkeypatch)
+        app.advance(1, app.remaining(1))  # worker 1 finishes: demand only
+        after = app.consumers()
+        assert calls == []
+        assert after is not before
+        assert after[0].demand == before[0].demand and after[1].demand == 0.0
+        assert after[0].mix is before[0].mix
+        assert not after[1].mix.any()
+        # Each kept mix is bitwise a fresh traffic_mix, and read-only.
+        fresh = Application.traffic_mix(app, 0)
+        assert after[0].mix.tobytes() == fresh.tobytes()
+        assert not after[0].mix.flags.writeable
+        # Unchanged inputs return the memoised consumers themselves.
+        assert app.consumers() is after
+        assert calls == []
+
+    def test_placement_change_recomputes_mixes(self, mach_b, monkeypatch):
+        from repro.core.interleave import apply_weighted_placement
+
+        app = Application("x", small_workload(), mach_b, (0, 1), policy=UniformAll())
+        app.consumers()
+        calls = self._counting(app, monkeypatch)
+        apply_weighted_placement(app.space, [0.7, 0.1, 0.1, 0.1])
+        consumers = app.consumers()
+        assert sorted(calls) == [0, 1]
+        for c in consumers:
+            assert c.mix.tobytes() == Application.traffic_mix(app, c.node).tobytes()
+
+    def test_private_fraction_change_recomputes_mixes(self, mach_b, monkeypatch):
+        app = Application("x", small_workload(), mach_b, (0,), policy=FirstTouch())
+        app.consumers()
+        calls = self._counting(app, monkeypatch)
+        monkeypatch.setattr(app, "_workload", small_workload(private_fraction=0.9))
+        app.consumers()
+        assert calls == [0]

@@ -191,6 +191,45 @@ class TestForeignSegments:
         assert list(a.node_histogram([dataclasses.replace(seg)])) == [0, 10]
 
 
+class TestRebindCounts:
+    """``rebind(counts=...)`` hands over a histogram only for a ``move``
+    write of exactly one whole mapped segment."""
+
+    def _space(self):
+        sp = AddressSpace(3)
+        sp.map_segment("a", 4 * PAGE_SIZE)
+        sp.map_segment("b", 2 * PAGE_SIZE)
+        return sp
+
+    def test_whole_segment_move_write_keeps_counts(self):
+        sp = self._space()
+        assert sp.rebind(4, np.array([2, 0]), counts=[1, 0, 1]) == (2, 0)
+        assert list(sp._hists[1]) == [1, 0, 1]  # handed over, not recounted
+        assert list(sp.node_histogram([sp.segment("b")])) == [1, 0, 1]
+        # An unchanged write still leaves an exact memo.
+        assert sp.rebind(4, np.array([2, 0]), counts=np.array([1, 0, 1])) == (0, 0)
+        assert list(sp.node_histogram([sp.segment("b")])) == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "start, assignment, move, counts",
+        [
+            (0, [0, 1, 2], True, [1, 1, 1]),  # part of a segment
+            (1, [0, 1, 2, 0], True, [2, 1, 1]),  # straddles two segments
+            (0, [0, 1, 2, 0, 1, 2], True, [2, 2, 2]),  # two whole segments
+            (4, [2, 0], False, [1, 0, 1]),  # not a move write
+            (4, [2, 0], True, [2, 0, 1]),  # counts do not sum to the range
+            (4, [2, 0], True, [1, 1]),  # wrong number of nodes
+        ],
+    )
+    def test_rejected_before_any_write(self, start, assignment, move, counts):
+        sp = self._space()
+        version = sp.version
+        with pytest.raises(ValueError, match="counts"):
+            sp.rebind(start, np.array(assignment), move=move, counts=counts)
+        assert sp.version == version
+        assert (sp.page_nodes() == UNALLOCATED).all()
+
+
 def _fresh_histogram(space, segments):
     """Reference: bincount over the selection's pages, read off page_nodes()."""
     table = space.page_nodes()
@@ -214,6 +253,14 @@ def _selections(space):
         list(space.segments_of_kind(SegmentKind.SHARED)),
         list(space.segments_of_kind(SegmentKind.PRIVATE)),
     ] + [[s] for s in segs]
+
+
+def _check_memo(space):
+    """Every memoised segment histogram (recounted or handed over by a
+    writer) equals a fresh recount of the segment's pages."""
+    for i, seg in enumerate(space.segments):
+        if space._hists[i] is not None:
+            np.testing.assert_array_equal(space._hists[i], _fresh_histogram(space, [seg]))
 
 
 def _check_statistics(space):
@@ -306,4 +353,5 @@ class TestHistogramMemo:
                 after[: len(before)], before
             )
             assert (space.version > version) == mutated, op
+            _check_memo(space)
             _check_statistics(space)

@@ -84,6 +84,26 @@ class TestCanonicalBytes:
             fully_connected(2, cores_per_node=4, local_bw=20.0, remote_bw=10.0)
         )
 
+    def test_machine_encoding_cached_per_instance(self, monkeypatch):
+        mach = machine_a()
+        uncached = canonical_bytes(mach)
+        assert canonical_bytes(machine_a()) == uncached
+        pair = canonical_bytes((machine_a(), machine_a()))
+        # Later encodings of the same instance must not re-walk the
+        # topology, and must equal the first bitwise.
+        monkeypatch.setattr(type(mach), "node", lambda *_: pytest.fail("re-walked"))
+        assert canonical_bytes(mach) == uncached
+        assert canonical_bytes((mach, mach)) == pair
+        monkeypatch.undo()
+        # Structurally equal machines built separately fingerprint equal
+        # whether or not either encoding is cached.
+        other = machine_a()
+        assert fingerprint("x", other) == fingerprint("x", mach)
+        assert fingerprint("x", other) == fingerprint("x", machine_a())
+        assert fingerprint("x", mach) != fingerprint(
+            "x", fully_connected(2, cores_per_node=4, local_bw=20.0, remote_bw=10.0)
+        )
+
     def test_unsupported_types_raise(self):
         with pytest.raises(TypeError):
             canonical_bytes(object())
