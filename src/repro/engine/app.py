@@ -24,6 +24,45 @@ from repro.topology.machine import Machine
 from repro.workloads.base import WorkloadSpec
 
 
+class AppBlock:
+    """One application's consumer rows as read-only arrays.
+
+    One row per worker node in ``worker_nodes`` order: pair key, node id,
+    thread count, demand, write fraction and traffic mix (all zero for a
+    row without demand), plus the solver's live mask. Built and validated
+    once per distinct input (the checks ``Consumer`` applies per object);
+    the epoch kernel concatenates the blocks of the running apps.
+    """
+
+    __slots__ = ("keys", "node_idx", "threads", "demand", "write_frac", "mix", "live")
+
+    def __init__(self, app_id, nodes, threads, demands, write_fraction, mixes, num_nodes):
+        self.keys = tuple((app_id, w) for w in nodes)
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"duplicate consumer keys: {sorted(self.keys)}")
+        if min(nodes) < 0 or max(nodes) >= num_nodes:
+            raise ValueError(f"consumer nodes {nodes} outside machine")
+        if any(d < 0 for d in demands) or min(threads) < 0:
+            raise ValueError(f"demands {demands} and threads {threads} must be non-negative")
+        if not 0 <= write_fraction <= 1:
+            raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
+        if mixes.shape != (len(nodes), num_nodes) or mixes.min() < -1e-12:
+            raise ValueError(f"mixes must be non-negative, one per node of {num_nodes}")
+        self.node_idx = np.array(nodes, dtype=np.intp)
+        self.threads = np.array(threads, dtype=float)
+        self.demand = np.array(demands, dtype=float)
+        self.write_frac = np.array([write_fraction] * len(nodes), dtype=float)
+        self.mix = mixes if all(d > 0 for d in demands) else np.where(
+            (self.demand > 0)[:, None], mixes, 0.0
+        )
+        totals = self.mix.sum(axis=1).tolist()
+        if any(t > 0 and abs(t - 1.0) > 1e-6 for t in totals):
+            raise ValueError(f"mix must sum to 1 (or 0 for idle), got {totals}")
+        self.live = np.array([d != 0 and t != 0.0 for d, t in zip(demands, totals)])
+        for arr in (self.node_idx, self.threads, self.demand, self.write_frac, self.mix, self.live):
+            arr.setflags(write=False)
+
+
 class Application:
     """One deployed application in the simulator.
 
@@ -107,8 +146,9 @@ class Application:
         }
         self._remaining: Dict[int, float] = dict(self._share)
         self.finished = False
-        self._consumers_memo: Optional[Tuple[tuple, List[Consumer]]] = None
-        self._mixes_memo: Optional[Tuple[tuple, List[np.ndarray]]] = None
+        self._block_memo: Optional[Tuple[tuple, AppBlock]] = None
+        self._mixes_memo: Optional[Tuple[tuple, np.ndarray, tuple]] = None
+        self._consumers_memo: Optional[Tuple[AppBlock, List[Consumer]]] = None
         self.finish_time: Optional[float] = None
         self.start_time: float = 0.0
         self.completions: int = 0
@@ -186,13 +226,13 @@ class Application:
             self.threads_on(node), self.num_threads, len(self.worker_nodes)
         )
 
-    def consumers(self) -> List[Consumer]:
-        """Current consumer set for the contention solver.
+    def block(self) -> AppBlock:
+        """The app's consumer rows as one read-only :class:`AppBlock`.
 
-        Memoised: the mixes (read-only) depend only on the placement
+        Memoised per distinct input: the mixes depend only on the placement
         (``space.version``), private fraction and replication, so a
-        demand-only change rebuilds the consumers around the same mixes,
-        and epochs where nothing changed reuse the previous consumers.
+        demand-only change rebuilds the block around the same mixes, and
+        epochs where nothing changed return the same block object.
         """
         wl = self.workload
         mix_key = (
@@ -202,25 +242,40 @@ class Application:
         )
         demands = tuple(self.node_demand(w) for w in self.worker_nodes)
         key = (mix_key, demands, wl.write_fraction)
-        if self._consumers_memo is not None and self._consumers_memo[0] == key:
-            return self._consumers_memo[1]
+        if self._block_memo is not None and self._block_memo[0] == key:
+            return self._block_memo[1]
         if self._mixes_memo is None or self._mixes_memo[0] != mix_key:
-            self._mixes_memo = (mix_key, [self.traffic_mix(w) for w in self.worker_nodes])
-            for mix in self._mixes_memo[1]:
-                mix.setflags(write=False)
-        out: List[Consumer] = []
-        for w, demand, mix in zip(self.worker_nodes, demands, self._mixes_memo[1]):
-            out.append(
-                Consumer(
-                    app_id=self.app_id,
-                    node=w,
-                    threads=self.threads_on(w),
-                    mix=mix if demand > 0 else np.zeros(self.machine.num_nodes),
-                    demand=demand,
-                    write_fraction=wl.write_fraction,
-                )
+            mixes = np.array([self.traffic_mix(w) for w in self.worker_nodes])
+            mixes.setflags(write=False)
+            self._mixes_memo = (mix_key, mixes, tuple(mixes))
+        threads = [self.threads_on(w) for w in self.worker_nodes]
+        block = AppBlock(
+            self.app_id, self.worker_nodes, threads, demands, wl.write_fraction,
+            self._mixes_memo[1], self.machine.num_nodes,
+        )
+        self._block_memo = (key, block)
+        return block
+
+    def consumers(self) -> List[Consumer]:
+        """Current consumer set for the contention solver: a view of
+        :meth:`block`, memoised per block (demand-bearing rows share the
+        placement's read-only mix rows)."""
+        b = self.block()
+        if self._consumers_memo is not None and self._consumers_memo[0] is b:
+            return self._consumers_memo[1]
+        rows = self._mixes_memo[2]
+        out = [
+            Consumer(
+                app_id=self.app_id,
+                node=int(b.node_idx[j]),
+                threads=int(b.threads[j]),
+                mix=rows[j] if b.demand[j] > 0 else b.mix[j],
+                demand=float(b.demand[j]),
+                write_fraction=float(b.write_frac[j]),
             )
-        self._consumers_memo = (key, out)
+            for j in range(len(b.keys))
+        ]
+        self._consumers_memo = (b, out)
         return out
 
     def remaining(self, node: int) -> float:

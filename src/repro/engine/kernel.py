@@ -39,18 +39,18 @@ calls that are guaranteed pure no-ops.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.app import Application
+from repro.engine.app import Application, AppBlock
 from repro.memsim.contention import (
     Allocation,
+    allocation_from_rows,
     latency_path_rows,
     machine_tables,
     solve_batch_arrays,
 )
-from repro.memsim.flows import Consumer
 from repro.memsim.policies import PlacementPolicy
 from repro.perf.latency import _MAX_UTILIZATION
 
@@ -63,18 +63,20 @@ class EpochWorkspace:
 
     One slot per ``(app, worker)`` pair, flattened in the reference loop's
     order (apps in registration order, workers in each app's
-    ``worker_nodes`` order). Rebuilt only when an app's memoised
-    ``consumers()`` list changes identity — i.e. exactly when a placement,
+    ``worker_nodes`` order): the concatenation of the apps'
+    :class:`~repro.engine.app.AppBlock` arrays. Rebuilt only when an app's
+    memoised block changes identity — i.e. exactly when a placement,
     demand or workload parameter changed.
     """
 
     __slots__ = (
         "apps",
-        "lists",
+        "blocks",
         "num_pairs",
         "keys",
         "node_idx",
         "threads",
+        "threads_key",
         "demand",
         "write_frac",
         "mix",
@@ -85,41 +87,14 @@ class EpochWorkspace:
         "_digest",
     )
 
-    def __init__(
-        self,
-        apps: List[Application],
-        lists: List[List[Consumer]],
-        num_nodes: int,
-    ):
+    def __init__(self, apps: List[Application], blocks: List[AppBlock]):
         self.apps = apps
-        self.lists = lists
-        consumers = [c for lst in lists for c in lst]
-        num_pairs = len(consumers)
-        self.num_pairs = num_pairs
-        self.keys: List[Tuple[str, int]] = []
-        self.node_idx = np.empty(num_pairs, dtype=np.intp)
-        self.threads = np.empty(num_pairs, dtype=float)
-        self.demand = np.empty(num_pairs, dtype=float)
-        self.write_frac = np.empty(num_pairs, dtype=float)
-        self.mix = np.zeros((num_pairs, num_nodes))
-        self.live = np.empty(num_pairs, dtype=bool)
-        for j, c in enumerate(consumers):
-            if not 0 <= c.node < num_nodes:
-                raise ValueError(f"consumer node {c.node} outside machine")
-            m = np.asarray(c.mix, dtype=float)
-            if len(m) > num_nodes:
-                raise ValueError(
-                    f"mix has {len(m)} entries for a {num_nodes}-node machine"
-                )
-            self.keys.append(c.key())
-            self.node_idx[j] = c.node
-            self.threads[j] = c.threads
-            self.demand[j] = c.demand
-            self.write_frac[j] = c.write_fraction
-            self.mix[j, : len(m)] = m
-            self.live[j] = not c.is_idle
-        if len(set(self.keys)) != num_pairs:
-            raise ValueError(f"duplicate consumer keys: {sorted(self.keys)}")
+        self.blocks = blocks
+        self.keys = tuple(k for b in blocks for k in b.keys)
+        self.num_pairs = len(self.keys)
+        for name in ("node_idx", "threads", "demand", "write_frac", "mix", "live"):
+            setattr(self, name, np.concatenate([getattr(b, name) for b in blocks]))
+        self.threads_key = self.threads.tobytes()
         #: Pairs the reference loop computes slowdowns for (demand > 0);
         #: a superset of ``live`` (a demand-bearing pair whose mix is all
         #: zero is solver-dead but still gets the degenerate slowdown).
@@ -129,34 +104,31 @@ class EpochWorkspace:
         self.mix_nonzero = self.mix.any(axis=1)
         self.slices: List[slice] = []
         start = 0
-        for lst in lists:
-            self.slices.append(slice(start, start + len(lst)))
-            start += len(lst)
+        for b in blocks:
+            self.slices.append(slice(start, start + len(b.keys)))
+            start += len(b.keys)
         self._digest: Optional[Tuple] = None
 
-    def matches(self, apps: List[Application], lists: List[List[Consumer]]) -> bool:
+    def matches(self, apps: List[Application], blocks: List[AppBlock]) -> bool:
         """True when this workspace still describes ``apps``' consumers.
 
-        Identity-based: ``Application.consumers`` memoises its list and
+        Identity-based: ``Application.block`` memoises its block and
         returns the same object until a placement/demand/workload change,
         so ``is`` is exactly "nothing that feeds the solver changed".
         """
         return (
             len(apps) == len(self.apps)
             and all(a is b for a, b in zip(apps, self.apps))
-            and all(l is p for l, p in zip(lists, self.lists))
+            and all(l is p for l, p in zip(blocks, self.blocks))
         )
 
     def digest(self, mc_model) -> Tuple:
         """Bytes-based exact solve-input identity.
 
         Same contract as :func:`repro.memsim.contention.consumers_fingerprint`
-        — equal digests imply bitwise-identical solver *and* derived-epoch
-        results — but hashed as one flat buffer of the workspace arrays
-        plus a pair-key tuple instead of a nested per-consumer tuple.
-        (Mix rows are zero-padded to the machine width here; padding is
-        dead weight to the solver, so it cannot split otherwise-equal
-        inputs into different results.)
+        — equal digests imply bitwise-identical solver results — but hashed
+        as one flat buffer of the workspace arrays plus the pair-key tuple
+        instead of a nested per-consumer tuple.
         """
         d = self._digest
         if d is None:
@@ -165,41 +137,60 @@ class EpochWorkspace:
                 mc_model.efficiency_floor,
                 mc_model.contention_decay,
                 mc_model.write_cost_factor,
-                tuple(self.keys),
+                self.keys,
                 payload.tobytes(),
             )
             self._digest = d
         return d
 
 
-class _AppEpoch:
-    """One app's derived per-epoch quantities (constant between digests)."""
+class _AppEpoch(NamedTuple):
+    """One app's derived per-epoch quantities (constant between digests).
 
-    __slots__ = (
-        "app",
-        "frac",
-        "throughput",
-        "stall_rate",
-        "per_node_stall",
-        "active_pairs",
-    )
+    Holds no reference to the app: :meth:`EpochKernel.step` pairs the
+    records with the current apps, which a cache hit matches by app id.
+    """
 
-    def __init__(
-        self,
-        app: Application,
-        frac: float,
-        throughput: float,
-        stall_rate: float,
-        per_node_stall: Dict[int, float],
-        active_pairs: List[Tuple[int, float]],
-    ):
-        self.app = app
-        self.frac = frac
-        self.throughput = throughput
-        self.stall_rate = stall_rate
-        self.per_node_stall = per_node_stall
-        #: ``(worker, progress bytes/s)`` for every demand-bearing pair.
-        self.active_pairs = active_pairs
+    frac: float
+    throughput: float
+    stall_rate: float
+    per_node_stall: Dict[int, float]
+    #: ``(worker, progress bytes/s)`` for every demand-bearing pair.
+    active_pairs: List[Tuple[int, float]]
+
+
+class _Solve:
+    """One workspace solve, as the solver cache keeps it: the dense result
+    rows over the pair and resource axes, plus ``derived`` — the per-app
+    records last derived from them, keyed by the per-app workload scalars
+    and thread counts that :meth:`EpochKernel._compute_derived` reads
+    beyond the solve key."""
+
+    __slots__ = ("keys", "live", "rates", "util", "bottleneck", "touched", "caps", "derived")
+
+    def __init__(self, ws: EpochWorkspace, rates, util, bottleneck, touched, caps):
+        self.keys = ws.keys
+        self.live = ws.live
+        self.rates = rates
+        self.util = util
+        self.bottleneck = bottleneck
+        self.touched = touched
+        self.caps = caps
+        self.derived: Optional[Tuple[Tuple, List[_AppEpoch]]] = None
+
+    def allocation(self, res_keys) -> Allocation:
+        """The :class:`Allocation` of this solve (what ``solve`` returns)."""
+        live = self.live
+        return allocation_from_rows(
+            self.keys,
+            [k for k, on in zip(self.keys, live) if on],
+            res_keys,
+            self.rates[live],
+            self.bottleneck[live],
+            self.touched,
+            self.util,
+            self.caps,
+        )
 
 
 class EpochKernel:
@@ -208,20 +199,25 @@ class EpochKernel:
     def __init__(self, sim):
         self.sim = sim
         self._ws: Optional[EpochWorkspace] = None
-        #: Single-slot solve memo for the cache-disabled configuration
-        #: (mirrors the reference path's behaviour of re-solving each
-        #: epoch: no memo at all when ``solver_cache`` is None).
-        self._derived: Optional[Tuple[Tuple, List[_AppEpoch]]] = None
+        #: The latest epoch's solve, for :meth:`final_allocation`.
+        self._last: Optional[_Solve] = None
+
+    def final_allocation(self) -> Optional[Allocation]:
+        """The :class:`Allocation` of the latest epoch (None before one)."""
+        last = self._last
+        if last is None:
+            return None
+        return last.allocation(machine_tables(self.sim.machine).res_keys)
 
     # ------------------------------------------------------------------ #
     # Workspace / solve
     # ------------------------------------------------------------------ #
 
     def _refresh(self, apps: List[Application]) -> EpochWorkspace:
-        lists = [a.consumers() for a in apps]
+        blocks = [a.block() for a in apps]
         ws = self._ws
-        if ws is None or not ws.matches(apps, lists):
-            ws = EpochWorkspace(apps, lists, self.sim.machine.num_nodes)
+        if ws is None or not ws.matches(apps, blocks):
+            ws = EpochWorkspace(apps, blocks)
             self._ws = ws
         return ws
 
@@ -230,7 +226,7 @@ class EpochKernel:
         ws: EpochWorkspace,
         key: Optional[Tuple],
         cap_scale: Optional[np.ndarray],
-    ) -> Tuple[Allocation, np.ndarray, np.ndarray]:
+    ) -> _Solve:
         cache = self.sim.solver_cache
         if cache is not None:
             entry = cache.lookup(key)
@@ -241,20 +237,13 @@ class EpochKernel:
             cache.store(key, entry)
         return entry
 
-    def _solve_fresh(
-        self, ws: EpochWorkspace, cap_scale: Optional[np.ndarray]
-    ) -> Tuple[Allocation, np.ndarray, np.ndarray]:
+    def _solve_fresh(self, ws: EpochWorkspace, cap_scale: Optional[np.ndarray]) -> _Solve:
         sim = self.sim
-        tables = machine_tables(sim.machine)
         if not ws.live.any():
-            # Mirrors contention._empty_allocation for an all-idle set.
-            alloc = Allocation(
-                rates={k: 0.0 for k in ws.keys},
-                utilization={},
-                bottleneck={k: None for k in ws.keys},
-                capacities={},
-            )
-            return (alloc, np.zeros(ws.num_pairs), np.zeros(tables.num_res))
+            # An all-idle set: zero rates, nothing live (so no bottleneck
+            # is read) and no resource touched.
+            pairs, res = np.zeros(ws.num_pairs), np.zeros(machine_tables(sim.machine).num_res)
+            return _Solve(ws, pairs, res, pairs, res, res)
         arrays = solve_batch_arrays(
             sim.machine,
             ws.node_idx[None, :],
@@ -265,69 +254,36 @@ class EpochKernel:
             sim.mc_model,
             capacity_scale=cap_scale,
         )
-        rates_row = arrays.rates[0]
-        util_row = arrays.util[0]
-        # Rebuild the Allocation exactly as _allocation_from_rows does —
-        # dead slots keep their 0.0 rate / None bottleneck, dict insertion
-        # order is the full pair order.
-        res_keys = tables.res_keys
-        rates: Dict[Tuple[str, int], float] = {}
-        bottleneck: Dict[Tuple[str, int], Optional[Tuple]] = {}
-        for j, k in enumerate(ws.keys):
-            if ws.live[j]:
-                rates[k] = float(rates_row[j])
-                row = int(arrays.bottleneck_row[0, j])
-                bottleneck[k] = res_keys[row] if row >= 0 else None
-            else:
-                rates[k] = 0.0
-                bottleneck[k] = None
-        touched_rows = np.nonzero(arrays.touched[0])[0]
-        alloc = Allocation(
-            rates=rates,
-            utilization={res_keys[i]: float(util_row[i]) for i in touched_rows},
-            bottleneck=bottleneck,
-            capacities={res_keys[i]: float(arrays.caps[0, i]) for i in touched_rows},
+        return _Solve(
+            ws, arrays.rates[0], arrays.util[0], arrays.bottleneck_row[0],
+            arrays.touched[0], arrays.caps[0],
         )
-        return (alloc, rates_row, util_row)
 
     # ------------------------------------------------------------------ #
     # Derived per-epoch quantities
     # ------------------------------------------------------------------ #
 
     def _derive(
-        self,
-        ws: EpochWorkspace,
-        key: Optional[Tuple],
-        apps: List[Application],
-        rates_row: np.ndarray,
-        util_row: np.ndarray,
+        self, ws: EpochWorkspace, entry: _Solve, apps: List[Application]
     ) -> List[_AppEpoch]:
-        dkey = None
-        if key is not None:
-            # Everything in an _AppEpoch is a pure function of the solve
-            # digest plus these per-app workload scalars (the reference
-            # path's derived_key). The traffic split is deliberately NOT
-            # in the records: the reference reads it from the workload
-            # *after* progress, so phase boundaries can change it within
-            # an epoch — step() evaluates it at telemetry time.
-            dkey = (
-                key,
-                tuple(
-                    (
-                        app.app_id,
-                        app.workload.latency_weight,
-                        app.workload.node_efficiency(len(app.worker_nodes)),
-                    )
-                    for app in apps
-                ),
-            )
-            cached = self._derived
-            if cached is not None and cached[0] == dkey:
-                return cached[1]
-        records = self._compute_derived(ws, apps, rates_row, util_row)
-        if dkey is not None:
-            self._derived = (dkey, records)
-        return records
+        # Everything in an _AppEpoch is a pure function of the solve key
+        # plus these per-app workload scalars and the pair thread counts.
+        # The traffic split is deliberately NOT in the records: the
+        # reference reads it from the workload *after* progress, so phase
+        # boundaries can change it within an epoch — step() evaluates it at
+        # telemetry time.
+        dkey = (
+            tuple(
+                (app.workload.latency_weight, app.workload.node_efficiency(len(app.worker_nodes)))
+                for app in apps
+            ),
+            ws.threads_key,
+        )
+        derived = entry.derived
+        if derived is None or derived[0] != dkey:
+            records = self._compute_derived(ws, apps, entry.rates, entry.util)
+            derived = entry.derived = (dkey, records)
+        return derived[1]
 
     def _compute_derived(
         self,
@@ -399,7 +355,6 @@ class EpochKernel:
                     active_pairs.append((w, float(prog[j])))
             records.append(
                 _AppEpoch(
-                    app=app,
                     frac=frac,
                     throughput=throughput,
                     stall_rate=frac * freq * 1e9,
@@ -445,19 +400,17 @@ class EpochKernel:
             key = ws.digest(sim.mc_model)
             if scale_key is not None:
                 key = (key, scale_key)
-        alloc, rates_row, util_row = self._solve(ws, key, cap_scale)
-        sim._last_allocation = alloc
-
-        records = self._derive(ws, key, apps, rates_row, util_row)
+        entry = self._last = self._solve(ws, key, cap_scale)
+        records = self._derive(ws, entry, apps)
 
         # Time step: identical candidate set and comparison order as the
         # reference (active pairs are exactly the rate-dict entries).
         static = policy_moved == 0 and all(t.is_settled() for t in sim._tuners)
         dt = float("inf") if static else sim.epoch_s
-        for rec in records:
-            horizon_shift = rec.app.pending_penalty_s
+        for app, rec in zip(apps, records):
+            horizon_shift = app.pending_penalty_s
             for w, rate in rec.active_pairs:
-                rem = rec.app.remaining(w)
+                rem = app.remaining(w)
                 if rate > 0 and rem > 0:
                     dt = min(dt, rem / rate + horizon_shift)
         if faults is not None:
@@ -468,8 +421,7 @@ class EpochKernel:
         if not np.isfinite(dt) or dt <= 0:
             dt = min(sim.epoch_s, max(deadline - sim.now, 1e-6))
 
-        for rec in records:
-            app = rec.app
+        for app, rec in zip(apps, records):
             pay = min(app.pending_penalty_s, dt)
             app.pending_penalty_s -= pay
             effective = dt - pay
@@ -481,24 +433,24 @@ class EpochKernel:
         sim.now += dt
 
         sim.counters.update_many(
-            (rec.app.app_id, rec.stall_rate, rec.throughput, rec.per_node_stall)
-            for rec in records
+            (app.app_id, rec.stall_rate, rec.throughput, rec.per_node_stall)
+            for app, rec in zip(apps, records)
         )
         coalesce = sim.coalesce_traffic
-        for rec in records:
-            tele = sim._telemetry[rec.app.app_id]
+        for app, rec in zip(apps, records):
+            tele = sim._telemetry[app.app_id]
             tele.stall_time_product += rec.frac * dt
             tele.throughput_time_product += rec.throughput * dt
             tele.active_time += dt
             # The traffic split must be read from the workload *after*
             # progress (as the reference does): a phased application that
             # crossed a boundary this epoch reports the new phase's split.
-            wl = rec.app.workload
+            wl = app.workload
             reads, writes = wl.read_write_split(rec.throughput)
             tele.record_traffic(
                 dt, reads, writes, wl.private_fraction, coalesce=coalesce
             )
-            rec.app.check_finished(sim.now)
+            app.check_finished(sim.now)
 
         for tuner in sim._tuners:
             tuner.on_epoch(sim)
@@ -507,7 +459,7 @@ class EpochKernel:
         if not static and dt == sim.epoch_s:
             k = self._stride_budget(deadline, ws, records)
             if k > 0:
-                self._execute_stride(k, records)
+                self._execute_stride(k, apps, records)
 
     # ------------------------------------------------------------------ #
     # Multi-epoch stride
@@ -555,21 +507,16 @@ class EpochKernel:
                 return 0
 
         # 3. This epoch left the consumer set untouched: same unfinished
-        # apps, and each one's memoised consumers list is the same object
-        # the workspace was built from.
+        # apps, and each one's memoised block is the same object the
+        # workspace was built from.
         current = [a for a in sim._apps.values() if not a.finished]
-        if len(current) != len(ws.apps) or any(
-            a is not b for a, b in zip(current, ws.apps)
-        ):
+        if not ws.matches(current, [a.block() for a in current]):
             return 0
-        for app, lst in zip(ws.apps, ws.lists):
-            if app.consumers() is not lst:
-                return 0
 
         # 4. No worker completes its share, no phase boundary is crossed.
-        for rec in records:
+        for app, rec in zip(ws.apps, records):
             node_rates = dict(rec.active_pairs)
-            k = min(k, rec.app.max_dormant_epochs(node_rates, dt, k))
+            k = min(k, app.max_dormant_epochs(node_rates, dt, k))
             if k <= 0:
                 return 0
 
@@ -587,7 +534,9 @@ class EpochKernel:
             count += 1
         return count
 
-    def _execute_stride(self, k: int, records: List[_AppEpoch]) -> None:
+    def _execute_stride(
+        self, k: int, apps: List[Application], records: List[_AppEpoch]
+    ) -> None:
         """Run k guaranteed-identical epochs as one jump.
 
         Accumulates per epoch — ``now += dt`` and the telemetry ``+=`` run
@@ -600,11 +549,11 @@ class EpochKernel:
         sim = self.sim
         dt = sim.epoch_s
         plan = []
-        for rec in records:
+        for app, rec in zip(apps, records):
             plan.append(
                 (
-                    rec.app,
-                    sim._telemetry[rec.app.app_id],
+                    app,
+                    sim._telemetry[app.app_id],
                     rec.frac * dt,
                     rec.throughput * dt,
                     # rate > 0 mirrors the reference's advance guard: a
@@ -623,8 +572,8 @@ class EpochKernel:
                 tele.throughput_time_product += d_thr
                 tele.active_time += dt
         coalesce = sim.coalesce_traffic
-        for rec in records:
-            tele = sim._telemetry[rec.app.app_id]
+        for app, rec in zip(apps, records):
+            tele = sim._telemetry[app.app_id]
             if coalesce:
                 # The anchor epoch just recorded these exact rates, so the
                 # k strided epochs all extend the current run. Duration
@@ -636,9 +585,13 @@ class EpochKernel:
                     duration = duration + dt
                 tele.traffic[-1] = replace(last, duration_s=duration)
             else:
+                # No phase boundary lies inside the stride, so every
+                # strided epoch reads the anchor's workload split.
+                wl = app.workload
+                reads, writes = wl.read_write_split(rec.throughput)
                 for _ in range(k):
                     tele.record_traffic(
-                        dt, rec.reads, rec.writes, rec.private_fraction, coalesce=False
+                        dt, reads, writes, wl.private_fraction, coalesce=False
                     )
-            rec.app.epoch_index += k
+            app.epoch_index += k
         sim.epoch += k

@@ -450,7 +450,9 @@ class Simulator:
             },
             telemetry=dict(self._telemetry),
             migration={aid: self.migration.stats(aid) for aid in self._apps},
-            final_allocation=self._last_allocation,
+            final_allocation=(
+                self._last_allocation if self._kernel is None else self._kernel.final_allocation()
+            ),
         )
 
     def run(self, max_time: float = 36000.0) -> SimResult:

@@ -8,6 +8,7 @@ aggregate inter-worker bandwidth, and pin each thread to its own core.
 from __future__ import annotations
 
 from itertools import combinations
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.machine import Machine
@@ -34,9 +35,19 @@ def pick_worker_nodes(
     Among all ``num_workers``-sized node subsets (excluding ``exclude``,
     e.g. nodes already running a co-scheduled application), pick the one
     with the highest aggregate inter-worker bandwidth. Ties break toward
-    lower node ids for determinism.
+    lower node ids for determinism. The result is memoised on the
+    (immutable) machine per ``(num_workers, excluded ids)``.
     """
+    if isinstance(num_workers, bool) or not isinstance(num_workers, Integral):
+        raise ValueError(f"num_workers must be an integer, got {num_workers!r}")
     excluded = set(exclude)
+    unknown = excluded.difference(machine.node_ids)
+    if unknown:
+        raise ValueError(f"cannot exclude nodes {sorted(unknown, key=repr)}: not on the machine")
+    key = (int(num_workers), tuple(sorted(excluded)))
+    memo = machine.__dict__.setdefault("_worker_picks", {})
+    if key in memo:
+        return memo[key]
     candidates = [n for n in machine.node_ids if n not in excluded]
     if num_workers < 1 or num_workers > len(candidates):
         raise ValueError(
@@ -49,6 +60,7 @@ def pick_worker_nodes(
         if score > best_score + 1e-12:
             best, best_score = combo, score
     assert best is not None
+    memo[key] = best
     return best
 
 

@@ -921,9 +921,9 @@ def _empty_allocation(consumers: Sequence[Consumer]) -> Allocation:
     )
 
 
-def _allocation_from_rows(
-    consumers: Sequence[Consumer],
-    live: Sequence[Consumer],
+def allocation_from_rows(
+    keys: Sequence[Tuple[str, int]],
+    live_keys: Sequence[Tuple[str, int]],
     res_keys: Sequence[ResourceKey],
     rates_row: np.ndarray,
     bottleneck_row: np.ndarray,
@@ -933,19 +933,19 @@ def _allocation_from_rows(
 ) -> Allocation:
     """Unpack one batch element's dense rows into an :class:`Allocation`.
 
-    ``touched_row`` may be longer than ``res_keys`` (fleet tensors pad the
-    resource axis); padded rows are never touched, so the scan stays within
-    the machine's own canonical axis.
+    ``keys`` are every consumer's keys in order (dead ones keep a 0.0 rate
+    and a None bottleneck); ``rates_row``/``bottleneck_row`` are indexed
+    like ``live_keys``. ``touched_row`` may be longer than ``res_keys``
+    (fleet tensors pad the resource axis); padded rows are never touched,
+    so the scan stays within the machine's own canonical axis.
     """
-    rates: Dict[Tuple[str, int], float] = {c.key(): 0.0 for c in consumers}
-    bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]] = {
-        c.key(): None for c in consumers
-    }
-    for j, c in enumerate(live):
-        rates[c.key()] = float(rates_row[j])
+    rates: Dict[Tuple[str, int], float] = {k: 0.0 for k in keys}
+    bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]] = {k: None for k in keys}
+    for j, k in enumerate(live_keys):
+        rates[k] = float(rates_row[j])
         row = int(bottleneck_row[j])
         if row >= 0:
-            bottleneck[c.key()] = res_keys[row]
+            bottleneck[k] = res_keys[row]
     touched_rows = np.nonzero(touched_row)[0]
     utilization = {res_keys[i]: float(util_row[i]) for i in touched_rows}
     capacities = {res_keys[i]: float(caps_row[i]) for i in touched_rows}
@@ -1033,9 +1033,9 @@ def solve_batch(
         capacity_scale=capacity_scale,
     )
     return [
-        _allocation_from_rows(
-            batches[b],
-            lives[b],
+        allocation_from_rows(
+            [c.key() for c in batches[b]],
+            [c.key() for c in lives[b]],
             arrays.tables.res_keys,
             arrays.rates[b],
             arrays.bottleneck_row[b],
@@ -1097,9 +1097,9 @@ class FleetBatch:
             if self._rates is None:  # every entry in the batch was idle
                 alloc = _empty_allocation(consumers)
             else:
-                alloc = _allocation_from_rows(
-                    consumers,
-                    live,
+                alloc = allocation_from_rows(
+                    [c.key() for c in consumers],
+                    [c.key() for c in live],
                     self._tables[i].res_keys,
                     self._rates[i],
                     self._bottleneck[i],

@@ -247,15 +247,22 @@ class AddressSpace:
         """First-touch all still-unallocated pages of a segment onto ``node``.
 
         Returns the number of pages that were allocated. Already-backed
-        pages are left where they are, exactly like Linux first-touch.
+        pages are left where they are, exactly like Linux first-touch; the
+        segment's histogram is updated rather than recounted.
         """
         self._check_node(node)
-        view = self.page_nodes(segment)
+        i = self._index(segment)
+        view = self._buf[segment.start_page : segment.end_page]
         mask = view == UNALLOCATED
         allocated = int(np.count_nonzero(mask))
         if allocated:
             view[mask] = node
+            old = self._hists[i]
             self._written(segment.start_page, segment.end_page)
+            if old is not None or allocated == segment.num_pages:
+                hist = np.zeros(self.num_nodes, dtype=np.int64) if old is None else old.copy()
+                hist[node] += allocated
+                self._hists[i] = hist
         return allocated
 
     def rebind(

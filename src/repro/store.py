@@ -50,8 +50,9 @@ from repro.topology import Machine
 #: Version of both the fingerprint recipe and the entry payload layout.
 #: Bump whenever the simulator's observable behaviour, the fingerprint
 #: encoding, or the ``RunOutcome`` payload changes: old entries then simply
-#: stop matching and are recomputed (never misread).
-SCHEMA_VERSION = 1
+#: stop matching and are recomputed (never misread). ``tests/test_result_store.py``
+#: pins every stored payload's fields to this version.
+SCHEMA_VERSION = 2
 
 
 # --------------------------------------------------------------------- #

@@ -1,5 +1,6 @@
 """Thread placement (the AsymSched rule of thumb)."""
 
+import numpy as np
 import pytest
 
 from repro.engine.threads import (
@@ -38,6 +39,38 @@ class TestPickWorkerNodes:
             pick_worker_nodes(mach_b, 5)
         with pytest.raises(ValueError):
             pick_worker_nodes(mach_b, 3, exclude=[0, 1])
+
+
+    @pytest.mark.parametrize("num_workers", [True, False, 2.0, "2", None])
+    def test_rejects_non_int_count(self, mach_a, num_workers):
+        with pytest.raises(ValueError, match="num_workers must be an integer"):
+            pick_worker_nodes(mach_a, num_workers)
+
+    @pytest.mark.parametrize("exclude", [[99], [8], [-1], [0, 99], ["0"]])
+    def test_rejects_unknown_excluded_nodes(self, mach_a, exclude):
+        with pytest.raises(ValueError, match="not on the machine"):
+            pick_worker_nodes(mach_a, 1, exclude=exclude)
+
+    def test_numpy_int_count_accepted(self, mach_b):
+        assert pick_worker_nodes(mach_b, np.int64(2)) == pick_worker_nodes(mach_b, 2)
+
+    @pytest.mark.parametrize("exclude", [(), (3,), (2, 0), (0, 2, 2)])
+    def test_memoised_per_machine(self, mach_a, monkeypatch, exclude):
+        import repro.engine.threads as threads_mod
+
+        first = pick_worker_nodes(mach_a, 2, exclude=exclude)
+        calls = []
+        monkeypatch.setattr(
+            threads_mod, "worker_set_score", lambda *a: calls.append(a) or 0.0
+        )
+        # Same count and excluded set, in any order: no search at all.
+        again = pick_worker_nodes(mach_a, 2, exclude=tuple(reversed(exclude)))
+        assert again == first and calls == []
+        # The memo lives on the machine instance, not on equal machines.
+        from repro.topology import machine_a
+
+        pick_worker_nodes(machine_a(), 2, exclude=exclude)
+        assert calls
 
 
 class TestPinThreads:

@@ -1,0 +1,225 @@
+"""Epoch inputs computed once: per-app blocks, derived records kept with
+their solve, and the ``Allocation`` built at snapshot time.
+
+* Each app's :class:`~repro.engine.app.AppBlock` is bitwise what a
+  per-worker ``Consumer`` build straight from the placement gives, and
+  ``Application.consumers()`` is a view of it.
+* The derived per-app records cached with a solve never carry an app
+  object: a forgotten and re-admitted app id replays them exactly.
+* ``SimResult.final_allocation`` built from the last solve's arrays is the
+  ``Allocation`` that ``solve`` returns, insertion order included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.interleave import apply_weighted_placement
+from repro.engine import Application, PhasedApplication, Simulator
+from repro.fleet.backend import make_backend
+from repro.memsim import FirstTouch, ReplicatedShared, UniformAll, solve
+from repro.memsim.flows import Consumer
+from repro.workloads import ocean_cp, paper_benchmarks, streamcluster, two_phase
+
+SUITE = paper_benchmarks()
+POLICIES = {
+    "none": lambda: None,
+    "uniform": UniformAll,
+    "first-touch": FirstTouch,
+    "replicated": lambda: ReplicatedShared(max_write_fraction=0.99),
+}
+
+
+def _reference_consumers(app):
+    """Consumers built per worker straight from the placement: a traffic
+    mix per demand-bearing worker, an all-zero mix otherwise."""
+    out = []
+    for w in app.worker_nodes:
+        demand = app.node_demand(w)
+        out.append(
+            Consumer(
+                app_id=app.app_id,
+                node=w,
+                threads=app.threads_on(w),
+                mix=Application.traffic_mix(app, w)
+                if demand > 0
+                else np.zeros(app.machine.num_nodes),
+                demand=demand,
+                write_fraction=app.workload.write_fraction,
+            )
+        )
+    return out
+
+
+def _assert_block_is_reference(app):
+    ref = _reference_consumers(app)
+    block = app.block()
+    assert block.keys == tuple(c.key() for c in ref)
+    assert block.node_idx.tolist() == [c.node for c in ref]
+    assert block.threads.tolist() == [c.threads for c in ref]
+    assert block.demand.tobytes() == np.array([c.demand for c in ref]).tobytes()
+    assert block.write_frac.tobytes() == np.array([c.write_fraction for c in ref]).tobytes()
+    assert block.mix.tobytes() == np.array([c.mix for c in ref]).tobytes()
+    assert block.live.tolist() == [not c.is_idle for c in ref]
+    for arr in (block.node_idx, block.threads, block.demand, block.mix, block.live):
+        assert not arr.flags.writeable
+    # consumers() is a view of the same rows.
+    view = app.consumers()
+    assert [c.key() for c in view] == [c.key() for c in ref]
+    for got, want in zip(view, ref):
+        assert (got.node, got.threads) == (want.node, want.threads)
+        assert got.demand == want.demand and got.write_fraction == want.write_fraction
+        assert got.mix.tobytes() == want.mix.tobytes()
+    assert app.block() is block and app.consumers() is view
+
+
+class TestAppBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_block_matches_per_worker_consumers(self, mach_b, data):
+        workers = tuple(
+            sorted(data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4), label="workers"))
+        )
+        policy = POLICIES[data.draw(st.sampled_from(sorted(POLICIES)), label="policy")]()
+        if data.draw(st.booleans(), label="phased"):
+            first, second = data.draw(
+                st.permutations([streamcluster(), ocean_cp()]), label="phases"
+            )
+            app = PhasedApplication(
+                "p", two_phase("x", first, second, split=0.5), mach_b, workers, policy=policy
+            )
+        else:
+            wl = data.draw(st.sampled_from(SUITE), label="workload")
+            app = Application("a", wl, mach_b, workers, policy=policy)
+        _assert_block_is_reference(app)
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            op = data.draw(st.sampled_from(("place", "progress", "finish", "shock")), label="op")
+            if op == "place":
+                weights = data.draw(
+                    st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any),
+                    label="weights",
+                )
+                apply_weighted_placement(app.space, [w / sum(weights) for w in weights])
+            elif op == "progress":
+                # Crosses a phase boundary once enough work is done.
+                frac = data.draw(st.floats(0.05, 0.6), label="frac")
+                for w in app.worker_nodes:
+                    app.advance(w, frac * app.remaining(w))
+            elif op == "finish":
+                w = data.draw(st.sampled_from(app.worker_nodes), label="worker")
+                app.advance(w, app.remaining(w))
+            else:
+                app.demand_scale = data.draw(st.sampled_from((0.0, 0.5, 1.0, 1.7)))
+            _assert_block_is_reference(app)
+
+    def test_rejects_bad_rows(self, mach_b):
+        from repro.engine.app import AppBlock
+
+        mixes = np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        ok = ("a", (0, 1), [4, 4], (1.0, 2.0), 0.2, mixes, 4)
+        AppBlock(*ok)
+        for i, bad, match in [
+            (1, (0, 0), "duplicate consumer keys"),
+            (1, (0, 4), "outside machine"),
+            (3, (1.0, -2.0), "non-negative"),
+            (2, [4, -1], "non-negative"),
+            (4, 1.5, "write_fraction"),
+            (5, mixes[:, :3], "mixes"),
+            (5, mixes - 0.25, "mixes"),
+            (5, mixes * 0.9, "sum to 1"),
+        ]:
+            args = list(ok)
+            args[i] = bad
+            with pytest.raises(ValueError, match=match):
+                AppBlock(*args)
+
+
+class TestDerivedWithSolve:
+    @pytest.mark.parametrize("with_neighbour", [False, True])
+    def test_readmitted_app_replays_exactly(self, with_neighbour):
+        """forget_app + a re-admission with identical inputs: the kernel's
+        cached solves (and the records derived from them) must drive the
+        new app object, bitwise as the scalar reference does."""
+        from repro.experiments.common import get_machine
+
+        machine = get_machine("A")
+        wl = SUITE[0]
+        runs = []
+        for kernel in (True, False):
+            b = make_backend("sim", 0, "A", machine, policy="bwap", dwp=0.8, seed=3)
+            b.sim = Simulator(machine, seed=b.seed, faults=b.sim_faults, epoch_kernel=kernel)
+            b.sim.start()
+            if with_neighbour:
+                b.admit("n", SUITE[1], (4, 5), 0.0)
+            b.admit("a", wl, (0, 1), 0.0)
+            b.advance(1e9)
+            b.forget_app("a")
+            b.admit("a", wl, (0, 1), b.now)
+            b.advance(2e9)
+            runs.append(b)
+        on, off = runs
+        assert [
+            (c.app_id, c.placed_s, c.finish_s, c.outcome) for c in on.completions
+        ] == [(c.app_id, c.placed_s, c.finish_s, c.outcome) for c in off.completions]
+        assert len(on.completions) == (3 if with_neighbour else 2)
+        res_on, res_off = on.sim.snapshot(), off.sim.snapshot()
+        assert res_on.telemetry == res_off.telemetry
+        assert res_on.final_allocation == res_off.final_allocation
+        assert on.sim.counters._apps == off.sim.counters._apps
+        assert on.sim.solver_cache.hits > 0
+
+    def test_stride_without_coalescing(self, mach_a, canonical_a):
+        """Strided epochs record one plain traffic sample each."""
+        from repro.core import DWPTuner
+        from repro.perf.counters import MeasurementConfig
+
+        out = []
+        for kernel in (True, False):
+            sim = Simulator(mach_a, epoch_kernel=kernel, coalesce_traffic=False)
+            app = sim.add_app(Application("a", streamcluster(), mach_a, (0, 1), policy=None))
+            sim.add_tuner(
+                DWPTuner(
+                    app,
+                    canonical_a.weights((0, 1)),
+                    config=MeasurementConfig(n=6, c=1, t=0.1),
+                    warmup_s=0.2,
+                )
+            )
+            out.append((sim, sim.run(max_time=400.0)))
+        (sim_on, on), (sim_off, off) = out
+        assert on.telemetry == off.telemetry and on.sim_time == off.sim_time
+        assert sim_on.solver_cache.hits + sim_on.solver_cache.misses < (
+            sim_off.solver_cache.hits + sim_off.solver_cache.misses
+        )
+
+
+def _items(alloc):
+    return [
+        list(alloc.rates.items()),
+        list(alloc.bottleneck.items()),
+        list(alloc.utilization.items()),
+        list(alloc.capacities.items()),
+    ]
+
+
+class TestFinalAllocation:
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_snapshot_allocation_is_the_solve(self, mach_a, idle):
+        sim = Simulator(mach_a)
+        bg = sim.add_app(
+            Application("bg", SUITE[1], mach_a, (4, 5, 6, 7), policy=FirstTouch(), looping=True)
+        )
+        fg = sim.add_app(Application("fg", SUITE[0], mach_a, (0, 1), policy=UniformAll()))
+        if idle:
+            bg.demand_scale = fg.demand_scale = 0.0
+        sim.start()
+        assert sim.snapshot().final_allocation is None
+        sim.step_to(0.75)
+        consumers = bg.consumers() + fg.consumers()
+        eager = solve(mach_a, consumers, sim.mc_model)
+        final = sim.snapshot().final_allocation
+        assert final == eager
+        assert _items(final) == _items(eager)
+        if idle:
+            assert final.utilization == {} and set(final.rates.values()) == {0.0}

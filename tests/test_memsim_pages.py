@@ -279,6 +279,27 @@ def _check_statistics(space):
 class TestHistogramMemo:
     """Random page-table op sequences against a fresh bincount reference."""
 
+    def test_touch_updates_histogram_without_recount(self):
+        sp = AddressSpace(3)
+        a = sp.map_segment("a", 5 * PAGE_SIZE)
+        b = sp.map_segment("b", 4 * PAGE_SIZE)
+        version = sp.version
+        # Wholly unbacked and never counted: the histogram is one-hot.
+        assert sp.touch(a, 1) == 5
+        assert list(sp._hists[0]) == [0, 5, 0] and sp._hists[1] is None
+        assert sp.version == version + 1
+        # Partly backed and not counted: left for a recount.
+        sp.set_pages(b.start_page, np.array([2], dtype=np.int16))
+        assert sp.touch(b, 0) == 3 and sp._hists[1] is None
+        # Known histogram: the allocated pages are added to ``node``.
+        c = sp.map_segment("c", 4 * PAGE_SIZE)
+        sp.set_pages(c.start_page + 1, np.array([2, 2], dtype=np.int16))
+        sp.node_histogram([c])
+        assert sp.touch(c, 1) == 2
+        assert list(sp._hists[2]) == [0, 2, 2]
+        _check_memo(sp)
+        _check_statistics(sp)
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_random_op_sequences(self, data):

@@ -210,8 +210,9 @@ class TestResultStore:
         old_fp = scenario_fingerprint(spec)
         store.put(old_fp, {"stale": True})
 
-        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", 2)
-        monkeypatch.setattr(common, "SCHEMA_VERSION", 2)
+        bumped = store_mod.SCHEMA_VERSION + 1
+        monkeypatch.setattr(store_mod, "SCHEMA_VERSION", bumped)
+        monkeypatch.setattr(common, "SCHEMA_VERSION", bumped)
         # The fingerprint moves, so the old entry is simply never keyed...
         new_fp = scenario_fingerprint(spec)
         assert new_fp != old_fp
@@ -219,6 +220,74 @@ class TestResultStore:
         # ...and even a direct read of the old key rejects the old layout.
         assert store.get(old_fp) is None
         assert store.stats.corrupt == 1
+
+
+#: What every stored payload holds at the current ``SCHEMA_VERSION``. A
+#: change to any stored field's name, type or meaning must bump the
+#: version and re-pin it here, so stale entries are never replayed.
+PINNED_SCHEMA_VERSION = 2
+PINNED_FIELDS = {
+    "RunOutcome": [
+        ("exec_time_s", "float"),
+        ("mean_stall", "float"),
+        ("throughput_gbps", "float"),
+        ("pages_moved", "int"),
+        ("final_dwp", "Optional[float]"),
+        ("tuner_iterations", "Optional[int]"),
+        ("pages_failed", "int"),
+        ("migration_rejections", "int"),
+        ("migration_retries", "int"),
+        ("rollbacks", "int"),
+        ("degraded", "bool"),
+    ],
+    "FleetOutcome": [
+        ("arrivals", "int"),
+        ("placed", "int"),
+        ("completed", "int"),
+        ("pending_left", "int"),
+        ("ticks", "int"),
+        ("solver_calls", "int"),
+        ("entries_scored", "int"),
+        ("end_time", "float"),
+        ("p50_slowdown", "float"),
+        ("p99_slowdown", "float"),
+        ("mean_slowdown", "float"),
+        ("p50_wait_s", "float"),
+        ("p99_wait_s", "float"),
+        ("mean_util", "float"),
+        ("min_util", "float"),
+        ("max_util", "float"),
+        ("util_by_class", "Tuple[Tuple[str, float], ...]"),
+        ("requeues", "int"),
+        ("stranded", "int"),
+        ("admission_rejections", "int"),
+        ("completions_lost", "int"),
+        ("lost_work_frac", "float"),
+        ("slo_violation_rate", "float"),
+        ("availability", "float"),
+        ("goodput", "float"),
+        ("memo_hits", "int"),
+        ("bound_pruned", "int"),
+    ],
+    "learn_row": ["features", "label", "row"],
+}
+
+
+def test_schema_pins_stored_fields():
+    from repro.experiments.fleet import FleetOutcome
+    from repro.learn.dataset import _compute_row, random_row_specs
+
+    assert store_mod.SCHEMA_VERSION == PINNED_SCHEMA_VERSION, (
+        "re-pin PINNED_FIELDS for the new schema version"
+    )
+    stored = {"RunOutcome": RunOutcome, "FleetOutcome": FleetOutcome}
+    for name, cls in stored.items():
+        fields = [(f.name, str(f.type)) for f in dataclasses.fields(cls)]
+        assert fields == PINNED_FIELDS[name], (
+            f"{name} changed: bump store.SCHEMA_VERSION and re-pin"
+        )
+    row = _compute_row(random_row_specs(1, seed=123)[0])
+    assert sorted(row) == PINNED_FIELDS["learn_row"]
 
 
 # --------------------------------------------------------------------- #
