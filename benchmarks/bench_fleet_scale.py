@@ -1,14 +1,13 @@
-"""Incremental fleet scheduling — a cross-tick candidate table.
+"""Incremental fleet scheduling — state-keyed score rows.
 
-The incremental scoring mode keeps, per arrival kind, a dense
-per-machine candidate table across ticks stamped with each machine's
-state version and capacity-scale key: only machines whose stamp moved
-(or that still hold an unscored slot) are refreshed, candidates that
-provably lose are pruned against an exact rate bound, surviving slots
-whose solve input recurs replay the value-keyed score memo, every
-remaining solve of a tick goes into one vectorised call, and one
-``np.lexsort`` per kind ranks the result. This benchmark pins down its
-two claims on the 64-machine heterogeneous fleet:
+The incremental scoring mode interns each machine's state — machine
+class, resident rows, occupied nodes and capacity-scale key — whenever
+its version or scale moves, and keeps one score per ``(state, arrival
+kind, worker-count slot)`` cell for the whole run. A tick reads its
+kinds' scores from each machine's state row, solves the cells the run
+has never met (each once) in one vectorised call, and ranks the result
+with one ``np.lexsort``. This benchmark pins down its two claims on the
+64-machine heterogeneous fleet:
 
 1. **Speed** — incremental scoring admits arrivals at >= 10x the
    exhaustive batched mode's rate on a saturated trace (the committed
@@ -17,8 +16,8 @@ two claims on the 64-machine heterogeneous fleet:
 2. **Exactness** — placements, completions, SLO accounting, and
    utilisation are bitwise-identical to the exhaustive batched and
    scalar modes, fault-free and under the full-intensity chaos plan:
-   the table replays the very floats the solver produced and the bound
-   only discards provably-losing candidates.
+   each state cell holds the very float the solver produced for its
+   input.
 
 Set ``BWAP_BENCH_QUICK=1`` to shrink the trace and skip the timing
 floors and the million-arrival run (CI smoke mode); the exactness
@@ -37,7 +36,7 @@ _QUICK = bool(os.environ.get("BWAP_BENCH_QUICK"))
 _MIX = (("A", 16), ("B", 16), ("dual", 16), ("sym4", 16))
 #: Saturated trace: arrivals outpace drain, so every tick scores a full
 #: pending batch — the regime where exhaustive scoring cost explodes.
-#: The quick trace stays long enough (240 arrivals) for the memo to
+#: The quick trace stays long enough (240 arrivals) for the state table to
 #: reach steady state, so the quick speedup is scale-comparable to the
 #: committed full-mode baseline that bench-compare guards against.
 _ARRIVALS = 240 if _QUICK else 2400
@@ -139,8 +138,8 @@ class BenchFleetScale:
         batched_aps = r["arrivals"] / r["batched_wall"]
         speedup = r["batched_wall"] / r["inc_wall"]
         # Deterministic across machines: how many candidate solves the
-        # memo + bound eliminated relative to exhaustive scoring, and
-        # the fraction of candidate scores replayed from the memo.
+        # state table eliminated relative to exhaustive scoring, and the
+        # fraction of candidate scores read from it.
         reduction = batched.entries_scored / max(inc.entries_scored, 1)
         hit_rate = inc.memo_hits / max(inc.memo_hits + inc.entries_scored, 1)
         metrics = {
@@ -150,7 +149,6 @@ class BenchFleetScale:
             "speedup_vs_batched": speedup,
             "entries_scored": inc.entries_scored,
             "memo_hits": inc.memo_hits,
-            "bound_pruned": inc.bound_pruned,
             "candidate_reduction": reduction,
             "memo_hit_rate": hit_rate,
         }
@@ -177,8 +175,7 @@ class BenchFleetScale:
             )
             print(
                 f"  incremental: {inc_aps:8.1f} arrivals/s "
-                f"({inc.entries_scored} scored, {inc.memo_hits} memo hits, "
-                f"{inc.bound_pruned} pruned)"
+                f"({inc.entries_scored} scored, {inc.memo_hits} memo hits)"
             )
             print(f"  speedup    : {speedup:.2f}x  "
                   f"(candidate reduction {reduction:.1f}x)")

@@ -117,7 +117,6 @@ class FleetOutcome:
     goodput: float = 1.0
     # ---- incremental-scoring observability (zeros elsewhere) ---------- #
     memo_hits: int = 0
-    bound_pruned: int = 0
 
     def to_payload(self) -> Dict[str, object]:
         payload: Dict[str, object] = {}
@@ -217,7 +216,6 @@ def outcome_from_result(result: FleetResult) -> FleetOutcome:
             else 1.0
         ),
         memo_hits=result.memo_hits,
-        bound_pruned=result.bound_pruned,
     )
 
 
@@ -378,7 +376,7 @@ def run_fleet(jobs: Optional[int] = None) -> FleetReport:
         solves_per_arrival = out.solver_calls / out.arrivals if out.arrivals else 0.0
         print(
             f"fleet[{label}]: {out.entries_scored} candidates scored, "
-            f"{out.memo_hits} memo hits, {out.bound_pruned} pruned, "
+            f"{out.memo_hits} memo hits, "
             f"{solves_per_arrival:.2f} solves/arrival",
             file=sys.stderr,
         )

@@ -228,12 +228,10 @@ def run_fleet_chaos(
     )
     scored = sum(out.entries_scored for out in outcomes)
     hits = sum(out.memo_hits for out in outcomes)
-    pruned = sum(out.bound_pruned for out in outcomes)
     solves = sum(out.solver_calls for out in outcomes)
     total_arrivals = sum(out.arrivals for out in outcomes)
     print(
         f"fleet-chaos: {scored} candidates scored, {hits} memo hits, "
-        f"{pruned} pruned, "
         f"{solves / max(total_arrivals, 1):.2f} solves/arrival",
         file=sys.stderr,
     )

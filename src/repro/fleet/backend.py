@@ -202,9 +202,9 @@ class MachineBackend(abc.ABC):
         #: Monotonic state version: bumped whenever the resident consumer
         #: set (as seen by :meth:`resident_consumers`) may have changed —
         #: admissions, completions, evictions, per-node flow depletion,
-        #: simulator epochs. The incremental scheduler keys its score memo
-        #: on it, so correctness of score reuse rests on every mutation
-        #: path bumping it.
+        #: simulator epochs. The incremental scheduler re-reads a
+        #: machine's state only when it moves, so correctness of score
+        #: reuse rests on every mutation path bumping it.
         self.state_version = 0
         #: Version-keyed caches of the free/occupied node tuples (every
         #: occupancy change bumps the version, so staleness is impossible;

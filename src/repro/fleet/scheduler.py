@@ -13,17 +13,16 @@ produce byte-for-byte the same placements, completions, and metrics:
     One :func:`repro.memsim.solve` per candidate (the batched solver is
     bitwise-identical to it).
 ``"incremental"``
-    Keeps a dense candidate table across ticks, stamped with each
-    machine's monotonic
-    :attr:`~repro.fleet.backend.MachineBackend.state_version` and
-    capacity-scale key, and re-scores only what changed; candidates that
-    provably lose are pruned by a residual-capacity bound
-    (:func:`repro.memsim.candidate_rate_bound`). Candidates are shared
-    rows of :func:`repro.memsim.consumer_rows`, solved after the
-    machine's resident rows without building a ``Consumer``. A
-    value-keyed score memo — (machine, resident rows, candidate rows,
-    capacity scale) -> the solver's float, LRU-bounded — replays inputs
-    solved before, so almost only inputs new to the run reach the solver.
+    Scores by machine *state*. Each machine is interned, whenever its
+    version or capacity scale moves, as the state ``(machine identity,
+    resident rows, occupied nodes, capacity-scale key)`` — everything a
+    candidate solve on it reads — and a growing table holds one float per
+    ``(state, arrival kind, worker-count slot)`` cell. A tick gathers its
+    kinds' scores from each machine's current state and solves the cells
+    the run has never seen, each once, in one
+    :func:`repro.memsim.solve_batch_fleet_lazy` call. Candidates are
+    shared rows of :func:`repro.memsim.consumer_rows`, solved after the
+    state's resident rows without building a ``Consumer``.
 
 No mode hands allocations to the backends: the fluid backend solves its
 own resident set at each advance, through a version-keyed slot and a
@@ -58,7 +57,7 @@ from repro.fleet.backend import (
 )
 from repro.fleet.cluster import FleetNode
 from repro.fleet.faults import HealthTracker, as_fleet_injector
-from repro.memsim.contention import SolverCache, candidate_rate_bound, solve
+from repro.memsim.contention import solve
 from repro.memsim import solve_batch_fleet_lazy
 from repro.engine.threads import pick_worker_nodes
 from repro.experiments.common import Heartbeat
@@ -68,8 +67,8 @@ from repro.workloads.arrivals import ArrivalTrace
 DISCIPLINES = ("best-rate", "first-fit", "least-loaded")
 
 #: Scoring modes: one fleet-batched solve per tick, one scalar solve per
-#: candidate (the baseline the benchmark beats), or cross-tick
-#: memo+prune delta scoring ("incremental") — all three byte-for-byte
+#: candidate (the baseline the benchmark beats), or state-keyed score
+#: rows solved once per run ("incremental") — all three byte-for-byte
 #: identical.
 SCORINGS = ("batched", "scalar", "incremental")
 
@@ -77,11 +76,6 @@ SCORINGS = ("batched", "scalar", "incremental")
 #: completion report): strand it, requeue it from scratch, or requeue it
 #: from its last completed checkpoint quantum.
 RECOVERIES = ("none", "requeue", "requeue+checkpoint")
-
-#: Entries of the incremental tick's value-keyed score memo. A fault-free
-#: run settles near a hundred distinct solve inputs; the headroom is for
-#: brown-out capacity scales, each of which keys its own scores.
-_SCORE_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -177,10 +171,10 @@ class FleetResult:
     pending_left: int
     ticks: int
     #: Solver invocations: ticks in batched mode, entries in scalar mode,
-    #: ticks with at least one score-memo miss in incremental mode.
+    #: ticks that met a never-solved state cell in incremental mode.
     solver_calls: int
-    #: Candidate entries actually solved (incremental mode: score-memo
-    #: misses, each distinct input once per tick).
+    #: Candidate entries actually solved (incremental mode: distinct
+    #: ``(state, kind, slot)`` cells, each once per run).
     entries_scored: int
     end_time: float
     utilization: Dict[int, float]
@@ -211,12 +205,12 @@ class FleetResult:
     machine_downtime: Dict[int, float] = field(default_factory=dict)
     # ---- incremental-scheduling observability (defaults on exhaustive
     # ---- runs, where every candidate is re-scored from scratch) ------- #
-    #: Candidate scores replayed instead of solved: from the candidate
-    #: table, or from the value-keyed score memo.
-    #: ``memo_hits + entries_scored`` counts every slot the table knew
-    #: or that survived pruning, however the memo split it.
+    #: Candidate scores read from the state table instead of solved.
+    #: ``memo_hits + entries_scored`` counts every fitting slot of every
+    #: eligible machine visited, per kind of each tick's batch.
     memo_hits: int = 0
-    #: Candidates eliminated by the residual-capacity rate bound.
+    #: Always 0: the incremental tick no longer prunes candidates. Kept
+    #: because the repo benchmark's fleet case reads the field.
     bound_pruned: int = 0
 
 
@@ -317,41 +311,6 @@ def _trace_work_bytes(trace: ArrivalTrace, count: int) -> float:
     )
 
 
-class _CandidateTable:
-    """Cross-tick candidate table: dense ``(slot, kind, machine)`` arrays.
-
-    Row ``(kind, mid)`` is valid while its ``(state_version, scale id)``
-    stamp matches the machine's — versions are monotonic, so equal stamps
-    mean an identical resident set and capacity scale. ``score`` holds the
-    slot scores known at that stamp; NaN marks a slot that does not fit
-    or is *cold* (never solved, or pruned by the rate bound).
-
-    Empty-machine scores and all rate bounds depend only on the kind, the
-    machine class with its worker set, and the scale key, so they live in
-    ``set_score``/``set_bound`` indexed by ``(kind, worker-set id, scale
-    id)``: shared across same-class machines and valid forever.
-    """
-
-    __slots__ = ("ver", "sid", "score", "set_score", "set_bound")
-
-    def __init__(self, kinds: int, machines: int, slots: int):
-        self.ver = np.full((kinds, machines), -1, dtype=np.int64)
-        self.sid = np.full((kinds, machines), -1, dtype=np.int64)
-        self.score = np.full((slots, kinds, machines), np.nan)
-        self.set_score = np.full((kinds, 16, 4), np.nan)
-        self.set_bound = np.full((kinds, 16, 4), np.nan)
-
-    def reserve(self, sets: int, scales: int) -> None:
-        """Grow the per-worker-set arrays to cover every assigned id."""
-        kinds, w, z = self.set_score.shape
-        if sets <= w and scales <= z:
-            return
-        for name in ("set_score", "set_bound"):
-            grown = np.full((kinds, max(sets, 2 * w), max(scales, 2 * z)), np.nan)
-            grown[:, :w, :z] = getattr(self, name)
-            setattr(self, name, grown)
-
-
 class FleetScheduler:
     """Admits a trace onto a fleet of machine backends."""
 
@@ -378,40 +337,41 @@ class FleetScheduler:
         #: worker, and the non-idle subset a solve reads. Consumers depend
         #: on the workload only through fields ``work_scale`` never
         #: touches, so one template serves every arrival of a kind across
-        #: ticks and same-class machines — for scoring, bounds, and the
+        #: ticks and same-class machines — for scoring and the
         #: fluid admit path.
         self._cand_cache: Dict[Tuple[int, Tuple[int, ...], int], tuple] = {}
-        #: Candidate scores by solve input: ``(machine identity, resident
-        #: rows, candidate live rows, capacity-scale bytes)`` -> the float
-        #: the solver produced for that entry. Rows are value-deduplicated
-        #: and batch entries are independent, so a key fixes its score
-        #: across ticks, versions and same-class machines. LRU-bounded:
-        #: brown-out scales keep adding keys on long chaos runs.
-        self._score_memo = SolverCache(_SCORE_MEMO_SIZE)
-        #: Machine-level slot state, refreshed when a machine's version
-        #: moves: the version it was derived at, the free-node count,
-        #: whether it is empty, and per ``worker_counts`` slot (leading
-        #: axis) whether it fits, its worker set, and that set's id.
+        #: Machine-level slot state, refreshed when a machine's version or
+        #: capacity-scale key moves: the version and scale-key id it was
+        #: derived at, its state id, the free-node count, and per
+        #: ``worker_counts`` slot (leading axis) whether it fits and its
+        #: worker set.
         m = len(self.fleet)
         ks = config.worker_counts
         self._mver = np.full(m, -1, dtype=np.int64)
+        self._msid = np.full(m, -1, dtype=np.int64)
+        self._mstate = np.zeros(m, dtype=np.int64)
         self._free_len = np.zeros(m, dtype=np.int64)
-        self._empty = np.zeros(m, dtype=bool)
         self._fit = np.zeros((len(ks), m), dtype=bool)
-        self._set_id = np.zeros((len(ks), m), dtype=np.int64)
         self._slots: List[Tuple[Optional[Tuple[int, ...]], ...]] = [() for _ in self.fleet]
         #: :meth:`_slot_row` per (machine identity, occupied nodes) —
         #: pure, shared across ticks and same-class machines.
         self._slot_cache: Dict[tuple, tuple] = {}
-        #: Small-int ids of (machine identity, worker set) pairs and of
-        #: capacity-scale keys: the index space of the table's
-        #: per-worker-set arrays and of the stamps.
-        self._set_ids: Dict[tuple, int] = {}
+        #: Small-int ids of capacity-scale keys.
         self._scale_ids: Dict[Optional[tuple], int] = {None: 0}
+        #: State ids of ``(machine identity, resident rows, occupied
+        #: nodes, scale-key id)``, and per id what a candidate solve on it
+        #: reads: ``(backend, resident rows, _slot_row, capacity scale)``
+        #: — the backend is the first that reached the state; same-class
+        #: machines build identical candidate templates.
+        self._state_ids: Dict[tuple, int] = {}
+        self._states: List[tuple] = []
+        #: Candidate scores per ``(slot, kind, state)``: the solver's float
+        #: for that input, NaN while never solved or where the slot does
+        #: not fit. Grows along the state axis.
+        self._rows = np.full((len(ks), len(trace.catalog), 64), np.nan)
         #: Slot worker counts, and the slots in ascending-count order.
         self._ks = np.array(ks, dtype=np.int64)
         self._by_k = np.argsort(self._ks, kind="stable").tolist()
-        self._table = _CandidateTable(len(trace.catalog), m, len(ks))
         #: :meth:`_fault_state` of the current fault-window edge interval.
         self._fault_view: Optional[tuple] = None
         self.backends: List[MachineBackend] = [
@@ -468,38 +428,47 @@ class FleetScheduler:
         return tpl
 
     def _slot_row(self, b: MachineBackend) -> tuple:
-        """``(worker set per slot, set ids, free-node count)`` of machine
-        ``b`` in its current state; a slot that does not fit has worker
-        set ``None``."""
+        """``(worker set per slot, free-node count)`` of machine ``b`` in
+        its current state; a slot that does not fit has worker set
+        ``None``."""
         key = (id(b.machine), b.occupied_nodes())
         hit = self._slot_cache.get(key)
         if hit is None:
             free_len = len(b.free_nodes())
-            row = tuple(
-                pick_worker_nodes(b.machine, k, exclude=key[1]) if k <= free_len else None
-                for k in self.config.worker_counts
-            )
-            ids = self._set_ids
             hit = self._slot_cache[key] = (
-                row,
-                [0 if w is None else ids.setdefault((key[0], w), len(ids)) for w in row],
+                tuple(
+                    pick_worker_nodes(b.machine, k, exclude=key[1]) if k <= free_len else None
+                    for k in self.config.worker_counts
+                ),
                 free_len,
             )
         return hit
 
-    def _refresh_machines(self, stale: np.ndarray, ver: np.ndarray) -> None:
-        """Re-derive the slot state of every machine in ``stale``."""
-        mids = np.flatnonzero(stale)
-        if not mids.size:
+    def _refresh_machines(self, stale, ver, sid, scales) -> None:
+        """Intern the current state of every machine in ``stale`` and
+        re-derive its slot state from it."""
+        mids = np.flatnonzero(stale).tolist()
+        if not mids:
             return
-        rows = [self._slot_row(self.backends[mid]) for mid in mids.tolist()]
-        for mid, row in zip(mids.tolist(), rows):
-            self._slots[mid] = row[0]
-        self._free_len[mids] = [row[2] for row in rows]
+        ids = self._state_ids
+        states = self._states
+        for mid in mids:
+            b = self.backends[mid]
+            res = tuple(b.resident_rows())
+            key = (id(b.machine), res, b.occupied_nodes(), int(sid[mid]))
+            st = ids.get(key)
+            if st is None:
+                st = ids[key] = len(states)
+                states.append((b, res, self._slot_row(b), scales.get(mid)))
+                if st == self._rows.shape[2]:
+                    grown = np.full(self._rows.shape[:2] + (2 * st,), np.nan)
+                    grown[:, :, :st] = self._rows
+                    self._rows = grown
+            self._mstate[mid] = st
+            self._slots[mid], self._free_len[mid] = states[st][2]
         self._fit[:, mids] = self._ks[:, None] <= self._free_len[mids]
-        self._empty[mids] = [not self.backends[mid].num_live for mid in mids.tolist()]
-        self._set_id[:, mids] = np.array([row[1] for row in rows]).T
         self._mver[mids] = ver[mids]
+        self._msid[mids] = sid[mids]
 
     def _admit(
         self, r: _Pend, b: MachineBackend, workers, placements, pending, inflight,
@@ -551,17 +520,6 @@ class FleetScheduler:
         order = np.lexsort(cols + (kk,))
         return kk[order], mm[order]
 
-    def _below(self, bound, mid, k, ts, t, kt) -> np.ndarray:
-        """Whether each candidate's bound key ``_rank_key(mid, bound, k)``
-        sorts strictly below its threshold key ``_rank_key(t, ts, kt)`` —
-        the same tuple comparison, column by column."""
-        below = (bound < ts) | ((bound == ts) & ((mid > t) | ((mid == t) & (k > kt))))
-        if self.config.discipline == "least-loaded":
-            fl = self._free_len[mid]
-            tfl = self._free_len[t]
-            below = (fl < tfl) | ((fl == tfl) & below)
-        return below
-
     def _fault_state(self, now: float):
         """``(capacity scales, crashed flags, scale-key ids)`` per machine
         at ``now``. Crash and brown-out windows only change at window
@@ -584,7 +542,7 @@ class FleetScheduler:
     def _tick_incremental(
         self, batch, scales, now, health, placements, pending, inflight, counts
     ) -> None:
-        """One tick of the cross-tick memo+prune decision procedure.
+        """One tick of the state-keyed decision procedure.
 
         Replays the exhaustive greedy exactly: apps are processed in
         arrival order, and each app takes the first-max ``_rank_key``
@@ -607,15 +565,14 @@ class FleetScheduler:
             elig = np.array(
                 [not down and health.allows(mid, now) for mid, down in enumerate(crashed)]
             )
-        self._refresh_machines(elig & (ver != self._mver), ver)
+        self._refresh_machines(
+            elig & ((ver != self._mver) | (sid != self._msid)), ver, sid, scales
+        )
         # Scores depend on an arrival only through its kind, so one row
         # per (distinct kind, machine) covers every app in the batch.
         first_p: Dict[int, int] = {}
-        last_at: Dict[int, int] = {}
-        for j, r in enumerate(batch):
-            kind = int(kind_idx[r.idx])
-            first_p.setdefault(kind, r.idx)
-            last_at[kind] = j
+        for r in batch:
+            first_p.setdefault(int(kind_idx[r.idx]), r.idx)
         nk = len(first_p)
         if self.config.discipline == "first-fit":
             # first-fit ranks on (-mid, -k) alone: every machine that fits
@@ -625,9 +582,7 @@ class FleetScheduler:
             slot = np.full((nk, m), s_min)
             hits = np.broadcast_to(self._fit[s_min], (nk, m))
         else:
-            best, slot, hits = self._score_kinds(
-                first_p, last_at, ver, elig, sid, scales, counts
-            )
+            best, slot, hits = self._score_kinds(first_p, elig, counts)
 
         # --- Sequential admission over each kind's ranking ---------------
         # The first unclaimed machine in a kind's order carries the
@@ -659,135 +614,47 @@ class FleetScheduler:
             self._admit(r, b, workers, placements, pending, inflight, template)
             claimed[mid] = True
 
-    def _score_kinds(self, first_p, last_at, ver, elig, sid, scales, counts):
-        """Refresh the table rows of the batch's kinds, prune, replay the
-        surviving cold slots from the score memo and solve its misses in
-        ONE batch; return the summary of :meth:`_summary` over ``(kind
-        position, machine)``."""
-        backends = self.backends
-        slots = self._slots
-        set_id = self._set_id
-        fit = self._fit
-        empty = self._empty
-        tab = self._table
-        tab.reserve(len(self._set_ids), len(self._scale_ids))
+    def _score_kinds(self, first_p, elig, counts):
+        """Gather the batch kinds' scores from each machine's state row,
+        solve the never-seen cells in ONE batch, and return the summary of
+        :meth:`_summary` over ``(kind position, machine)``."""
         kinds = np.array(list(first_p))
-        # Rows whose stamp moved start over. An empty machine replays its
-        # per-worker-set scores — re-read on every visit while it holds a
-        # cold slot, which a same-class machine may have solved since. A
-        # machine with residents starts cold; its slots that survive
-        # pruning replay from the score memo when their input recurs.
-        cold_empty = empty & (np.isnan(tab.score[:, kinds]) & fit[:, None]).any(axis=0)
-        moved = elig & (
-            (tab.ver[kinds] != ver) | (tab.sid[kinds] != sid) | cold_empty
-        )
-        kk, mm = np.nonzero(moved)
-        if kk.size:
-            kr = kinds[kk]
-            tab.score[:, kr, mm] = np.nan
-            tab.ver[kr, mm] = ver[mm]
-            tab.sid[kr, mm] = sid[mm]
-            e = empty[mm]
-            if e.any():
-                kr, mm = kr[e], mm[e]
-                tab.score[:, kr, mm] = np.where(
-                    fit[:, mm], tab.set_score[kr, set_id[:, mm], sid[mm]], np.nan
-                )
-        score = tab.score[:, kinds]
-        cold = np.isnan(score) & fit[:, None] & elig
-        best, slot, hits = self._summary(score)
-        counts["memo_hits"] += int((hits * elig).sum())
-        if not cold.any():
-            return best, slot, hits
-
-        # Cold slots in (kind, machine, slot) order — the solve-row order —
-        # with their (memoised) rate bounds.
-        a, b_, s_ = np.nonzero(cold.transpose(1, 2, 0))
-        at_set = (kinds[a], set_id[s_, b_], sid[b_])
-        bound = tab.set_bound[at_set]
-        for i in np.flatnonzero(np.isnan(bound)).tolist():
-            kind = int(at_set[0][i])
-            key = (kind, at_set[1][i], at_set[2][i])
-            if np.isnan(tab.set_bound[key]):  # not filled by an earlier entry
-                b = backends[b_[i]]
-                rows = self._cand_template(b, slots[b.mid][s_[i]], kind, first_p[kind])[0]
-                tab.set_bound[key] = candidate_rate_bound(
-                    b.machine, rows, capacity_scale=scales.get(b.mid)
-                )
-            bound[i] = tab.set_bound[key]
-        # Prune threshold: by the time the *last* app of a kind (batch index
-        # need - 1) ranks, at most need - 1 machines are claimed. A cold
-        # slot whose bound key loses to the best slot of the machine ranked
-        # need-th (0-based) always has an unclaimed, listed candidate above
-        # it, so dropping it never changes any app's first-max. (Bound keys
-        # upper-bound true keys; the (mid, k) tail rules out ties.)
-        need = np.array([last_at[k] + 1 for k in first_p])
-        kk, mm = self._ranked(best, hits, elig)
-        has = np.bincount(kk, minlength=len(kinds)) > need
-        if has.any():
-            ar = np.arange(len(kinds))
-            t = mm[np.where(has, np.searchsorted(kk, ar) + need, 0)]
-            below = has[a] & self._below(
-                bound, b_, self._ks[s_], best[ar, t][a], t[a], self._ks[slot[ar, t]][a]
+        score = self._rows[:, kinds[:, None], self._mstate]
+        fits = self._fit & elig
+        cold = np.isnan(score) & fits[:, None]
+        # Every fitting slot of an eligible machine is read or solved.
+        visits = len(kinds) * int(fits.sum())
+        if cold.any():
+            # Cells in (slot, kind, state) order; machines in one state
+            # share a cell, so each is solved once. A solve entry is the
+            # state's resident rows, then the candidate's; its score is
+            # the sum of those trailing slots, which depends on nothing
+            # else (batch entries are independent).
+            s_, a, b_ = np.nonzero(cold)
+            cells = np.ravel_multi_index(
+                (s_, kinds[a], self._mstate[b_]), self._rows.shape
             )
-            counts["bound_pruned"] += int(below.sum())
-            a, b_, s_ = a[~below], b_[~below], s_[~below]
-        if not a.size:
-            return best, slot, hits
-        # A solve entry is the machine's resident rows, then the
-        # candidate's; its score is the sum of those trailing slots. The
-        # entry's rates depend on nothing else (batch entries are
-        # independent), so a slot whose input was solved before replays
-        # that float, and each distinct missing input is solved once.
-        memo = self._score_memo
-        rates = np.empty(a.size)
-        entries = []
-        tails = []
-        entry_scales = []
-        fresh: Dict[tuple, int] = {}  # missing key -> entry index
-        fill = []  # (slot position, entry index) of the misses
-        resident: Dict[int, tuple] = {}
-        for i, (j, mid, s) in enumerate(zip(a.tolist(), b_.tolist(), s_.tolist())):
-            b = backends[mid]
-            res = resident.get(mid)
-            if res is None:
-                scale = scales.get(mid)
-                res = resident[mid] = (
-                    tuple(b.resident_rows()) if b.num_live else (),
-                    scale,
-                    None if scale is None else scale.tobytes(),
-                )
-            kind = int(kinds[j])
-            live = tuple(self._cand_template(b, slots[mid][s], kind, first_p[kind])[1])
-            key = (id(b.machine), res[0], live, res[2])
-            at = fresh.get(key)
-            if at is None:
-                v = memo.lookup(key)
-                if v is not None:
-                    rates[i] = v
-                    continue
-                at = fresh[key] = len(entries)
-                entries.append((b.machine, res[0] + live))
+            cells, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+            entries, tails, entry_scales = [], [], []
+            for i in first.tolist():
+                kind = int(kinds[a[i]])
+                b, res, (workers, _free), scale = self._states[self._mstate[b_[i]]]
+                live = self._cand_template(b, workers[s_[i]], kind, first_p[kind])[1]
+                entries.append((b.machine, res + tuple(live)))
                 tails.append(len(live))
-                entry_scales.append(res[1])
-            fill.append((i, at))
-        counts["memo_hits"] += a.size - len(entries)
-        if entries:
+                entry_scales.append(scale)
+            solved = np.array(
+                solve_batch_fleet_lazy(
+                    entries,
+                    capacity_scales=entry_scales if self.injector is not None else None,
+                ).tail_rates(tails)
+            )
+            self._rows.flat[cells] = solved
+            score[cold] = solved[inverse.ravel()]
             counts["entries_scored"] += len(entries)
             counts["solver_calls"] += 1
-            solved = solve_batch_fleet_lazy(
-                entries,
-                capacity_scales=entry_scales if self.injector is not None else None,
-            ).tail_rates(tails)
-            for key, at in fresh.items():
-                memo.store(key, solved[at])
-            for i, at in fill:
-                rates[i] = solved[at]
-        score[s_, a, b_] = tab.score[s_, kinds[a], b_] = rates
-        # Same-class empty machines may share a set_score cell; they
-        # solved identical inputs, so every write carries the same float.
-        e = empty[b_]
-        tab.set_score[kinds[a[e]], set_id[s_[e], b_[e]], sid[b_[e]]] = rates[e]
+            visits -= len(entries)
+        counts["memo_hits"] += visits
         return self._summary(score)
 
     def _tick_exhaustive(
@@ -898,11 +765,9 @@ class FleetScheduler:
         seen_completions = [0] * len(self.backends)
         last_fault_t = -math.inf
         hb = Heartbeat(n, label="fleet")
-        #: Tick counters (memo hits and pruning stay zero on exhaustive runs).
+        #: Tick counters (memo hits stay zero on exhaustive runs).
         counts = dict.fromkeys(
-            ("solver_calls", "entries_scored", "memo_hits", "bound_pruned",
-             "admission_rejections"),
-            0,
+            ("solver_calls", "entries_scored", "memo_hits", "admission_rejections"), 0
         )
 
         def requeue_or_strand(rec: _Pend, total_frac: float) -> None:
@@ -1063,5 +928,4 @@ class FleetScheduler:
             availability=availability,
             machine_downtime=machine_downtime,
             memo_hits=counts["memo_hits"],
-            bound_pruned=counts["bound_pruned"],
         )

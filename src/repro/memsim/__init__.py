@@ -19,7 +19,6 @@ from repro.memsim.contention import (
     Allocation,
     ConsumerRows,
     SolverCache,
-    candidate_rate_bound,
     consumer_rows,
     consumers_fingerprint,
     isolated_bandwidth_matrix,
@@ -68,7 +67,6 @@ __all__ = [
     "Allocation",
     "ConsumerRows",
     "SolverCache",
-    "candidate_rate_bound",
     "consumer_rows",
     "consumers_fingerprint",
     "isolated_bandwidth_matrix",

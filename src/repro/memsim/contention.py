@@ -459,11 +459,12 @@ def _axis_n_dot(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     zero padding: the operands are non-negative, so adding a zero term is a
     bitwise no-op. The scalar/batch equivalence guarantee rests on this —
     BLAS-style blocked reductions change results with the operand shape.
+    ``np.add.accumulate`` is sequential by definition, so its last
+    partial sum is that left-to-right sum.
     """
-    out = np.zeros(A.shape[:-1])
-    for j in range(A.shape[-1]):
-        out += A[..., j] * x[..., j, None]
-    return out
+    if not A.shape[-1]:
+        return np.zeros(A.shape[:-1])
+    return np.add.accumulate(A * x[..., None, :], axis=-1)[..., -1]
 
 
 class BatchArrays:
@@ -643,74 +644,6 @@ def _is_rows(payload: Sequence) -> bool:
     return len(payload) > 0 and not isinstance(payload[0], Consumer)
 
 
-def candidate_rate_bound(
-    machine: Machine,
-    consumers: Sequence,
-    mc_model: MCModel = DEFAULT_MC_MODEL,
-    *,
-    capacity_scale: Optional[np.ndarray] = None,
-) -> float:
-    """Upper bound on ``sum(rates)`` of ``consumers`` under *any* co-runners.
-
-    Soundness: progressive filling never lets a resource's load exceed its
-    capacity by more than the saturation slack (``_EPS * max(cap, 1)``),
-    and a consumer's rate never exceeds its demand. So for each consumer
-    ``j`` with per-unit-rate coefficient ``coef[r]`` at resource ``r``
-    (the same write-amplified MC share + route/ingress incidence
-    :func:`batch_coefficients` builds),
-
-        ``rate_j <= min(demand_j, min_{coef[r] > 0} slacked_cap[r] / coef[r])``
-
-    where the capacities are the *unloaded* optimistic ones: static
-    link/ingress capacities, and each MC at its best de-rating
-    (``eff_table(...).max(axis=1)`` — fewest readers), scaled by
-    ``capacity_scale`` when the machine is degraded. Co-runners only ever
-    *shrink* the feasible region (they add load and extra MC readers), so
-    the bound holds for every resident set — which is what lets the
-    incremental fleet scheduler prune a candidate against an incumbent
-    score without knowing the machine's residents.
-
-    ``consumers`` is a ``Consumer`` list or row indices into
-    :func:`consumer_rows` of ``machine``; both read the same floats.
-    """
-    if _is_rows(consumers):
-        rows = consumer_rows(machine, mc_model)
-        items = [
-            (rows.node[r], rows.mix[r].copy(), rows.write_fraction[r], rows.demand[r])
-            for r in consumers
-        ]
-    else:
-        items = [
-            (c.node, np.asarray(c.mix, dtype=float), c.write_fraction, c.demand)
-            for c in consumers
-        ]
-    t = machine_tables(machine)
-    caps_ub = t.static_caps.copy()
-    caps_ub[t.mc_rows] = t.eff_table(mc_model).max(axis=1)
-    if capacity_scale is not None:
-        scale = np.asarray(capacity_scale, dtype=float)
-        if scale.shape != (t.num_res,):
-            raise ValueError(
-                f"capacity_scale must have shape ({t.num_res},), got {scale.shape}"
-            )
-        caps_ub = caps_ub * scale
-    # Mirror the fill loop's saturation slack so float-rounding overshoot
-    # can never push a true score above the bound.
-    slacked = caps_ub + _EPS * np.maximum(caps_ub, 1.0)
-    total = 0.0
-    for node, mix, write_fraction, demand in items:
-        write_scale = 1.0 + float(write_fraction) * (
-            mc_model.write_cost_factor - 1.0
-        )
-        coef = np.zeros(t.num_res)
-        coef[t.mc_rows] += mix * write_scale
-        coef += t.G_rest[node] @ mix
-        pos = coef > 0.0
-        cap_j = float(np.min(slacked[pos] / coef[pos])) if pos.any() else float("inf")
-        total += min(float(demand), cap_j)
-    return total * (1.0 + 1e-9) + 1e-12
-
-
 def _batch_setup(
     machine: Machine,
     node_idx: np.ndarray,
@@ -733,7 +666,7 @@ def _batch_setup(
         raise ValueError(
             f"mix must be (batch, consumers, {t.num_nodes}), got {mix.shape}"
         )
-    num_batch, num_slots, num_nodes = mix.shape
+    num_batch, _, num_nodes = mix.shape
     num_res = t.num_res
     live = np.asarray(live, dtype=bool)
     node_idx = np.asarray(node_idx, dtype=np.intp)
@@ -750,24 +683,20 @@ def _batch_setup(
     # A > 0 is equivalent to a positive mix entry on the row's paths); an
     # ingress port by any live consumer *resident* on its node,
     # mix-independent.
-    present = mix > 0.0
     touched = ((A > 0.0) & live[:, None, :]).any(axis=2)
-    batch_range = np.arange(num_batch)
     ingress_of_slot = t.ingress_rows[node_idx]
     valid_ingress = t.ingress_rows[t.ingress_rows >= 0]
     if valid_ingress.size:
         touched[:, valid_ingress] = False
-        for j in range(num_slots):
-            ok = live[:, j] & (ingress_of_slot[:, j] >= 0)
-            rows = np.where(ok, ingress_of_slot[:, j], 0)
-            touched[batch_range, rows] |= ok
+        b, j = np.nonzero(live & (ingress_of_slot >= 0))
+        touched[b, ingress_of_slot[b, j]] = True
 
     # Effective capacities: links/ingress are static; MCs de-rate with the
     # number of distinct consumer nodes reading them; untouched rows are
     # unconstrained.
     node_present = np.zeros((num_batch, num_nodes, num_nodes), dtype=bool)
-    for j in range(num_slots):
-        node_present[batch_range, node_idx[:, j], :] |= present[:, j, :]
+    b, j, n = np.nonzero(mix > 0.0)
+    node_present[b, node_idx[b, j], n] = True
     reader_counts = node_present.sum(axis=1)
     caps = np.broadcast_to(t.static_caps, (num_batch, num_res)).copy()
     caps[:, t.mc_rows] = t.eff_table(mc_model)[

@@ -1,17 +1,17 @@
-"""Incremental fleet scheduling: cross-tick memo replay, bound pruning.
+"""Incremental fleet scheduling: state-keyed score rows.
 
 The load-bearing property: ``scoring="incremental"`` is a pure
 execution-strategy change. Placements, completions, SLO accounting, and
 utilisation are bitwise-identical to the exhaustive batched and scalar
 modes — across disciplines, under full-intensity chaos (including
 capacity-scaling brown-outs), and on tie-heavy fleets of same-class
-machines — because the candidate table replays the very floats the
-solver produced and the rate bound only ever discards candidates that
-provably lose the rank-key scan.
+machines — because each ``(machine state, kind, slot)`` cell holds the
+very float the solver produced for that cell's input.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.fleet import (
     FleetScheduler,
+    MachineDegradation,
     SchedulerConfig,
     build_fleet,
     chaos_plan,
@@ -28,12 +29,7 @@ from repro.fleet import (
 import repro.fleet.scheduler as scheduler_mod
 from repro.fleet.backend import FlowBackend, make_backend
 from repro.fleet.scheduler import DISCIPLINES, SCORINGS, _Pend, _PendQueue
-from repro.memsim import (
-    DEFAULT_MC_MODEL,
-    candidate_rate_bound,
-    solve,
-)
-from repro.topology import machine_a, machine_b
+from repro.topology import machine_a
 from repro.workloads import TraceSpec, build_trace, trace_catalog
 
 _MIX = (("A", 2), ("B", 2), ("dual", 1), ("sym4", 1))
@@ -112,9 +108,7 @@ class TestIncrementalIdentity:
         a = _run("incremental")
         b = _run("incremental")
         _assert_identical(a, b)
-        assert (a.memo_hits, a.bound_pruned, a.entries_scored) == (
-            b.memo_hits, b.bound_pruned, b.entries_scored
-        )
+        assert (a.memo_hits, a.entries_scored) == (b.memo_hits, b.entries_scored)
 
 
 # --------------------------------------------------------------------- #
@@ -128,7 +122,7 @@ _TIE_MIX = (("sym4", 8), ("dual", 8))
 
 def _tie_trace():
     # Two kinds at 6 arrivals/s: every full 8-app tick repeats a kind, so
-    # the prune threshold sits deeper than the best candidate (need > 1).
+    # a kind's later apps take machines below its best.
     return build_trace(
         TraceSpec(
             kind="poisson", rate_per_s=6.0, arrivals=120, seed=5,
@@ -144,27 +138,25 @@ def _tie_run(scoring, discipline, faults):
     ).run(1_000_000.0)
 
 
-#: ``(memo_hits, bound_pruned, entries_scored)`` on the tie-heavy runs.
-#: The value-keyed score memo replays what the per-candidate tick
-#: re-solved, so ``entries_scored`` is far below its count; the table
-#: still prunes exactly the same candidates.
+#: ``(memo_hits, entries_scored)`` on the tie-heavy runs. Each distinct
+#: ``(state, kind, slot)`` cell is solved once per run; every other visit
+#: reads the state table.
 _TIE_COUNTS = {
-    ("best-rate", False): (549, 19, 32),
-    ("best-rate", True): (576, 18, 56),
-    ("least-loaded", False): (574, 50, 28),
-    ("least-loaded", True): (635, 33, 48),
-    ("first-fit", False): (0, 0, 0),
-    ("first-fit", True): (0, 0, 0),
+    ("best-rate", False): (568, 32),
+    ("best-rate", True): (594, 56),
+    ("least-loaded", False): (624, 28),
+    ("least-loaded", True): (668, 48),
+    ("first-fit", False): (0, 0),
+    ("first-fit", True): (0, 0),
 }
-#: ``memo_hits + entries_scored`` of the per-candidate tick (whose triples
-#: were (164, 19, 417), (218, 18, 414), (168, 50, 434), (247, 33, 436)):
-#: every slot the table knows or that survives pruning is replayed or
-#: solved, so the sum is conserved however the memo splits it.
+#: ``memo_hits + entries_scored``: every fitting slot of every eligible
+#: machine, per kind of each tick's batch — conserved however the table
+#: splits it.
 _TIE_SURVIVORS = {
-    ("best-rate", False): 581,
-    ("best-rate", True): 632,
-    ("least-loaded", False): 602,
-    ("least-loaded", True): 683,
+    ("best-rate", False): 600,
+    ("best-rate", True): 650,
+    ("least-loaded", False): 652,
+    ("least-loaded", True): 716,
     ("first-fit", False): 0,
     ("first-fit", True): 0,
 }
@@ -184,14 +176,12 @@ class TestTieHeavy:
             (c.placed_s, int(kinds[int(c.app_id[3:])])) for c in inc.completions
         )
         assert max(per_tick.values()) > 1
-        assert (inc.memo_hits, inc.bound_pruned, inc.entries_scored) == (
-            _TIE_COUNTS[discipline, chaos]
-        )
+        assert (inc.memo_hits, inc.entries_scored) == _TIE_COUNTS[discipline, chaos]
         assert inc.memo_hits + inc.entries_scored == _TIE_SURVIVORS[discipline, chaos]
 
 
 # --------------------------------------------------------------------- #
-# Value-keyed score memo: every replayed float is the solver's own
+# State-keyed score rows: every held float is the solver's own
 # --------------------------------------------------------------------- #
 
 
@@ -225,27 +215,42 @@ def _chaos():
 class TestScoreMemo:
     @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
     def test_every_score_is_a_fresh_solve(self, monkeypatch, chaos):
-        """After each tick's scoring, every score the table holds for an
-        eligible machine — memo replays included — equals a fresh solve of
-        that slot's *current* input (resident rows, candidate rows,
-        capacity scale) bitwise, and that input was solved before."""
+        """After each tick's scoring, every score an eligible machine's
+        state row holds for the batch's kinds equals a fresh single-entry
+        solve of that cell's *current* input (resident rows, candidate
+        rows, capacity scale) bitwise, and that input was solved before."""
         real, solved = _recording_solver(monkeypatch)
-        sched = _scheduler("incremental", faults=_chaos() if chaos else None)
+        # Under chaos the trace is sparse and extra brown-outs open and
+        # close on machines with free slots between their version bumps,
+        # so a state must follow its machine's capacity scale alone.
+        plan = None
+        if chaos:
+            plan = _chaos()
+            extra = tuple(
+                MachineDegradation(mid, 0.5, start_s=3.0 + 4 * mid, end_s=9.0 + 4 * mid)
+                for mid in range(6)
+            )
+            plan = dataclasses.replace(plan, degradations=plan.degradations + extra)
+        sched = _scheduler("incremental", faults=plan, rate=0.25 if chaos else 2.0)
         score_kinds = sched._score_kinds
         fresh = {}
+        replays = 0
 
-        def audited(first_p, last_at, ver, elig, sid, scales, counts):
-            out = score_kinds(first_p, last_at, ver, elig, sid, scales, counts)
+        def audited(first_p, elig, counts):
+            nonlocal replays
+            out = score_kinds(first_p, elig, counts)
             seen = set(solved)
+            scales = sched._fault_view[1] if chaos else {}
             for kind, p in first_p.items():
                 for mid in np.flatnonzero(elig).tolist():
                     b = sched.backends[mid]
                     for s, workers in enumerate(sched._slots[mid]):
-                        got = sched._table.score[s, kind, mid]
+                        got = sched._rows[s, kind, sched._mstate[mid]]
                         if np.isnan(got):
+                            assert workers is None
                             continue
                         live = sched._cand_template(b, workers, kind, p)[1]
-                        rows = (b.resident_rows() if b.num_live else []) + live
+                        rows = b.resident_rows() + live
                         scale = scales.get(mid)
                         key = _solve_input(b.machine, rows, scale)
                         assert key in seen
@@ -253,41 +258,34 @@ class TestScoreMemo:
                             fresh[key] = real(
                                 [(b.machine, rows)], capacity_scales=[scale]
                             ).tail_rates([len(live)])[0]
+                        else:
+                            replays += 1
                         assert float(got).hex() == fresh[key].hex()
             return out
 
         sched._score_kinds = audited
         sched.run(1_000_000.0)
-        assert sched._score_memo.hits > 0
+        assert replays > 0
         assert len(fresh) > 0
 
-    def test_bounded_memo_evicts_and_resolves(self, monkeypatch):
-        """A memo far smaller than the run's distinct inputs evicts and
-        re-solves, never holds more than its bound, and still reproduces
-        the exhaustive batched run bitwise under chaos."""
-        bound = 3
-        monkeypatch.setattr(scheduler_mod, "_SCORE_MEMO_SIZE", bound)
+    def test_no_input_is_solved_twice(self, monkeypatch):
+        """Under chaos (crashes, brown-out scales, requeues), every solve
+        input the run hands the solver is new to the run, and one cell
+        per input is solved — while the run still reproduces the
+        exhaustive batched run bitwise."""
         _real, solved = _recording_solver(monkeypatch)
         sched = _scheduler("incremental", faults=_chaos())
-        memo = sched._score_memo
-        store = memo.store
-        sizes = []
-
-        def bounded_store(key, value):
-            store(key, value)
-            sizes.append(len(memo))
-
-        memo.store = bounded_store
         inc = sched.run(1_000_000.0)
-        assert sizes and max(sizes) == bound
-        # Some input was solved again after its entry was evicted.
-        assert max(Counter(solved).values()) > 1
+        assert solved and max(Counter(solved).values()) == 1
+        assert inc.entries_scored == len(solved)
+        assert inc.memo_hits > 0
         _assert_identical(_run("batched", faults=_chaos()), inc)
 
 
 class TestRankKeyHelpers:
-    """The table's vectorised key helpers agree with ``_rank_key``'s tuple
-    comparison, exact ties included."""
+    """The tick's vectorised key helpers agree with ``_rank_key``'s tuple
+    comparison, exact ties included: ``_summary`` picks each machine's
+    best slot, and ``_ranked`` orders the machines below each kind."""
 
     @pytest.mark.parametrize("counts", [(1, 2), (2, 1), (1, 2, 4)])
     @pytest.mark.parametrize("discipline", ["best-rate", "least-loaded"])
@@ -302,7 +300,10 @@ class TestRankKeyHelpers:
             b.admit(f"busy{b.mid}", wl, (0,), 0.0)
         m = len(backends)
         sched._refresh_machines(
-            np.ones(m, dtype=bool), np.array([b.state_version for b in backends])
+            np.ones(m, dtype=bool),
+            np.array([b.state_version for b in backends]),
+            np.zeros(m, dtype=np.int64),
+            {},
         )
         rng = np.random.default_rng(1)
 
@@ -320,19 +321,14 @@ class TestRankKeyHelpers:
                     top = max(known, key=lambda s: key(mid, score[s, j, mid], s))
                     assert (best[j, mid], slot[j, mid]) == (score[top, j, mid], top)
 
-        mids = np.repeat(np.arange(m), len(counts))
-        slots = np.tile(np.arange(len(counts)), m)
-        bound = rng.choice([1.0, 2.0, 3.0], size=mids.size)
-        for t in range(m):
-            for ts, t_slot in ((2.0, 0), (2.0, len(counts) - 1), (1.0, 0)):
-                below = sched._below(
-                    bound, mids, sched._ks[slots], ts, np.full(mids.size, t), counts[t_slot]
-                )
-                expect = [
-                    key(a, x, s) < key(t, ts, t_slot)
-                    for a, x, s in zip(mids.tolist(), bound.tolist(), slots.tolist())
-                ]
-                assert below.tolist() == expect
+        elig = rng.random(m) < 0.8
+        kk, mm = sched._ranked(best, hits, elig)
+        for j in range(2):
+            listed = [mid for mid in range(m) if elig[mid] and hits[j, mid]]
+            expect = sorted(
+                listed, key=lambda mid: key(mid, best[j, mid], slot[j, mid]), reverse=True
+            )
+            assert mm[kk == j].tolist() == expect
 
 
 # --------------------------------------------------------------------- #
@@ -375,65 +371,6 @@ class TestIncrementalCounters:
 
     def test_worker_counts_accepts_unique_positive_ints(self):
         assert SchedulerConfig(worker_counts=(2, 1, 4)).worker_counts == (2, 1, 4)
-
-
-# --------------------------------------------------------------------- #
-# The rate bound is a true upper bound (pruning soundness)
-# --------------------------------------------------------------------- #
-
-
-class TestCandidateRateBound:
-    @pytest.mark.parametrize("machine_fn", [machine_a, machine_b])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_bound_dominates_any_resident_context(self, machine_fn, k):
-        """For every workload kind and worker set, the bound computed
-        from the empty machine upper-bounds the candidate's achieved
-        total rate in arbitrary resident company — the exact property
-        pruning relies on."""
-        machine = machine_fn()
-        backend = make_backend(
-            "flow", 0, "t", machine, policy="bwap", dwp=0.8, seed=1
-        )
-        catalog = trace_catalog(TraceSpec())
-        rng = np.random.default_rng(0)
-        workers = tuple(range(k))
-        for wl in catalog[:4]:
-            cons, _t, _tpn = backend.candidate_consumers("cand", wl, workers)
-            bound = candidate_rate_bound(machine, cons)
-            # Alone on the machine.
-            alone = solve(machine, cons, DEFAULT_MC_MODEL)
-            assert bound >= sum(
-                alone.rates[(c.app_id, c.node)] for c in cons
-            )
-            # Against two random residents.
-            residents = []
-            for i, other in enumerate(rng.choice(catalog, size=2)):
-                rcons, _t2, _tpn2 = backend.candidate_consumers(
-                    f"res{i}", other, workers
-                )
-                residents.extend(rcons)
-            crowded = solve(machine, residents + cons, DEFAULT_MC_MODEL)
-            assert bound >= sum(
-                crowded.rates[(c.app_id, c.node)] for c in cons
-            )
-
-    def test_bound_respects_capacity_scale(self):
-        machine = machine_a()
-        backend = make_backend(
-            "flow", 0, "t", machine, policy="bwap", dwp=0.8, seed=1
-        )
-        wl = trace_catalog(TraceSpec())[0]
-        cons, _t, _tpn = backend.candidate_consumers("cand", wl, (0,))
-        from repro.memsim.contention import machine_tables
-
-        num_res = len(machine_tables(machine).res_keys)
-        scale = np.full(num_res, 0.5)
-        scaled_bound = candidate_rate_bound(machine, cons, capacity_scale=scale)
-        scaled = solve(machine, cons, DEFAULT_MC_MODEL, capacity_scale=scale)
-        assert scaled_bound >= sum(
-            scaled.rates[(c.app_id, c.node)] for c in cons
-        )
-        assert scaled_bound <= candidate_rate_bound(machine, cons)
 
 
 # --------------------------------------------------------------------- #

@@ -10,16 +10,22 @@ per-app groupings).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.memsim.contention as contention
 from repro.memsim.contention import (
     Allocation,
+    machine_tables,
     solve,
     solve_batch,
+    solve_batch_arrays,
     solve_batch_fleet_lazy,
 )
 from repro.memsim.controller import DEFAULT_MC_MODEL
 from repro.memsim.flows import Consumer
 from repro.topology import fully_connected, machine_a, machine_b, ring
+from tests.oracle import batch_setup as loops
 
 
 def _assert_allocations_equal(batched: Allocation, scalar: Allocation) -> None:
@@ -188,3 +194,84 @@ class TestFleetBatchMatchesScalar:
         assert batch.app_total_rate(0, "app:0") == 0.0
         _assert_allocations_equal(batch.allocation(0), solve(m, idle))
         _assert_allocations_equal(batch.allocation(1), solve(m, []))
+
+
+# --------------------------------------------------------------------- #
+# Loop-free contractions match the per-slot loops they replaced
+# --------------------------------------------------------------------- #
+
+_MACHINES = {"A": machine_a(), "B": machine_b(), "ring4": ring(4), "fc3": fully_connected(3)}
+
+
+@st.composite
+def _padded_batches(draw):
+    """A machine and a dense ``(batch, slot)`` consumer batch whose dead
+    slots (idle or trailing padding) carry arbitrary nodes and mixes."""
+    machine = _MACHINES[draw(st.sampled_from(sorted(_MACHINES)))]
+    n = machine.num_nodes
+    num_batch = draw(st.integers(1, 3))
+    num_slots = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    node_idx = rng.integers(0, n, size=(num_batch, num_slots))
+    mix = rng.dirichlet(np.ones(n), size=(num_batch, num_slots))
+    mix[rng.random(mix.shape) < 0.3] = 0.0  # sparse mixes, some all-zero
+    live = rng.random((num_batch, num_slots)) < 0.7
+    demand = rng.uniform(0.5, 30.0, size=(num_batch, num_slots))
+    write_fraction = rng.uniform(0.0, 1.0, size=(num_batch, num_slots))
+    return machine, node_idx, mix, demand, write_fraction, live
+
+
+class TestLoopFreeContractions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Past 8 slots numpy's pairwise ``sum`` would reorder the adds.
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(0, 24)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_axis_n_dot_is_the_sequential_sum(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.0, 3.0, size=shape)
+        A[rng.random(shape) < 0.4] = 0.0
+        x = rng.uniform(0.0, 50.0, size=(shape[0], shape[2]))
+        got = contention._axis_n_dot(A, x)
+        want = loops.axis_n_dot(A, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_padded_batches())
+    def test_batch_setup_scatters_match_slot_loops(self, batch):
+        machine, node_idx, mix, demand, write_fraction, live = batch
+        t, A, caps, touched, _demand, _live = contention._batch_setup(
+            machine, node_idx, mix, demand, write_fraction, live, DEFAULT_MC_MODEL
+        )
+        masked = np.where(live[:, :, None], mix, 0.0)
+        want_touched = loops.ingress_touched(
+            ((A > 0.0) & live[:, None, :]).any(axis=2), t.ingress_rows, node_idx, live
+        )
+        assert np.array_equal(touched, want_touched)
+        readers = loops.node_present(node_idx, masked).sum(axis=1)
+        want_caps = np.broadcast_to(t.static_caps, caps.shape).copy()
+        want_caps[:, t.mc_rows] = t.eff_table(DEFAULT_MC_MODEL)[
+            np.arange(machine.num_nodes)[None, :], readers
+        ]
+        want_caps = np.where(want_touched, want_caps, np.inf)
+        assert caps.tobytes() == want_caps.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=_padded_batches())
+    def test_solve_matches_loop_contraction(self, batch):
+        """The whole fill, run once with each contraction: every output
+        array is bitwise the same."""
+        got = solve_batch_arrays(*batch)
+        real = contention._axis_n_dot
+        contention._axis_n_dot = loops.axis_n_dot
+        try:
+            want = solve_batch_arrays(*batch)
+        finally:
+            contention._axis_n_dot = real
+        for name in ("rates", "load", "caps", "util", "touched", "bottleneck_row"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_ingress_rows_are_exercised(self):
+        assert all((machine_tables(m).ingress_rows >= 0).any() for m in _MACHINES.values())
