@@ -92,23 +92,21 @@ def _canon_solve(
     shared by every backend on ``machine`` (same-class machines share it).
 
     The solver's rates are positional — app ids are labels, never numbers
-    — so keying each row's value key behind its app's first-occurrence
-    index hits across apps, machines and time: almost every re-solve
-    replays a configuration some machine was already in. A miss solves the
-    rows as ``Consumer`` objects of their real apps.
+    — so keying the template row ids with each row's app replaced by its
+    first-occurrence index hits across apps, machines and time: almost
+    every re-solve replays a configuration some machine was already in.
+    ``rows`` deduplicates by value, so a row id stands for its values. A
+    miss solves the rows as ``Consumer`` objects of their real apps.
     """
     cache = getattr(machine, "_fleet_canon_solver", None)
     if cache is None:
         cache = SolverCache(maxsize=4096)
         machine._fleet_canon_solver = cache  # type: ignore[attr-defined]
     order: Dict[str, int] = {}
-    for app_id in owners:
-        if app_id not in order:
-            order[app_id] = len(order)
-    keys = rows.key
     key = (
         None if capacity_scale is None else capacity_scale.tobytes(),
-        tuple([(order[a],) + keys[t] for t, a in zip(tpl, owners)]),
+        tuple(tpl),
+        tuple([order.setdefault(a, len(order)) for a in owners]),
     )
     hit = cache.lookup(key)
     if hit is not None:
@@ -157,7 +155,8 @@ class _Placed:
     """Occupancy record of one running app."""
 
     app_id: str
-    workload: WorkloadSpec
+    #: Full (original) work of the app, for goodput accounting.
+    work_bytes: float
     workers: Tuple[int, ...]
     threads: int
     arrival_s: float
@@ -257,10 +256,11 @@ class MachineBackend(abc.ABC):
     def _register(
         self,
         app_id: str,
-        workload: WorkloadSpec,
+        work_bytes: float,
         workers: Sequence[int],
         arrival_s: float,
         threads: int,
+        ideal_s: float,
         attempts: int = 1,
     ) -> _Placed:
         workers = tuple(workers)
@@ -271,14 +271,7 @@ class MachineBackend(abc.ABC):
                     f"{self._occupied[w]!r}"
                 )
         rec = _Placed(
-            app_id,
-            workload,
-            workers,
-            threads,
-            arrival_s,
-            self.now,
-            workload.ideal_time_s(threads, len(workers)),
-            attempts,
+            app_id, work_bytes, workers, threads, arrival_s, self.now, ideal_s, attempts
         )
         for w in workers:
             self._occupied[w] = app_id
@@ -311,7 +304,7 @@ class MachineBackend(abc.ABC):
                 attempts=rec.attempts,
                 deadline_s=deadline_s,
                 slo_ok=finish_s <= deadline_s,
-                work_bytes=rec.workload.work_bytes,
+                work_bytes=rec.work_bytes,
                 outcome=outcome,
             )
         )
@@ -408,18 +401,27 @@ class MachineBackend(abc.ABC):
             )
         return consumers, total, tpn
 
-    def candidate_rows(
-        self, workload: WorkloadSpec, workers: Sequence[int]
-    ) -> Tuple[List[int], List[int], int]:
+    def candidate_rows(self, workload: WorkloadSpec, workers: Sequence[int]) -> tuple:
         """:meth:`candidate_consumers` as rows of the machine's shared
-        :func:`~repro.memsim.consumer_rows`: ``(rows, live rows, threads)``
-        with one row per worker in worker order, the non-idle ones a solve
-        reads, and the total thread count. This is the template the
-        scheduler scores with and the fluid backend admits from."""
+        :func:`~repro.memsim.consumer_rows`: ``(rows, live rows, threads,
+        demand fractions, efficiency factor, useful rate)`` — one row per
+        worker in worker order, the non-idle ones a solve reads, and what
+        an admission derives from them. Nothing here reads ``work_bytes``,
+        so one template serves every arrival of a workload kind: the
+        scheduler scores with it and the fluid backend admits from it."""
         consumers, threads, _tpn = self.candidate_consumers("", workload, workers)
         store = consumer_rows(self.machine)
         rows = [store.add(c) for c in consumers]
-        return rows, [r for r, c in zip(rows, consumers) if not c.is_idle], threads
+        total_demand = sum([store.demand[r] for r in rows])
+        efficiency = workload.node_efficiency(len(workers))
+        return (
+            rows,
+            [r for r, c in zip(rows, consumers) if not c.is_idle],
+            threads,
+            [store.demand[r] / total_demand for r in rows],
+            efficiency * 1e9,
+            workload.demand_gbps(threads, len(workers)) * efficiency,
+        )
 
     def resident_rows(self) -> List[int]:
         """Rows of :meth:`resident_consumers` that a solve reads (non-idle
@@ -438,20 +440,24 @@ class MachineBackend(abc.ABC):
         workers: Sequence[int],
         arrival_s: float,
         *,
+        work_bytes: Optional[float] = None,
         resume_frac: float = 0.0,
         attempts: int = 1,
-        template: Optional[Tuple[List[int], List[int], int]] = None,
+        template: Optional[tuple] = None,
     ) -> None:
         """Start one app on ``workers`` at the current backend clock.
 
-        ``resume_frac`` is the checkpointed fraction of the *original*
+        The clock is only meaningful while the machine is busy, so the
+        scheduler pins an idle machine's clock with :meth:`advance` first.
+
+        ``work_bytes`` is the app's work (default ``workload.work_bytes``):
+        the fleet admits its catalog workload, not a per-arrival copy.
+        ``resume_frac`` is the checkpointed fraction of that *original*
         work already done by earlier attempts, in ``[0, 1)``: the
         execution model runs only the remaining ``1 - resume_frac``, while
-        SLO/goodput accounting stays against the full workload. ``0.0``
-        (the fault-free value) must leave the admit path bitwise-untouched.
-        ``template`` is this placement's :meth:`candidate_rows`, which are
-        exact across arrivals of a workload kind (work scaling touches only
-        ``work_bytes``, which the construction never reads); the fluid
+        SLO/goodput accounting stays against the full work. ``0.0`` (the
+        fault-free value) must leave the admit path bitwise-untouched.
+        ``template`` is this placement's :meth:`candidate_rows`; the fluid
         backend admits from it, the simulator deploys its own consumers.
         """
 
@@ -461,12 +467,20 @@ class MachineBackend(abc.ABC):
 
     @abc.abstractmethod
     def advance(self, to: float) -> None:
-        """Advance the backend clock to ``to``, recording completions."""
+        """Advance the backend clock to ``to``, recording completions. On
+        an idle machine this only sets the clock."""
 
 
-def _check_resume(resume_frac: float) -> None:
+def _attempt_bytes(workload: WorkloadSpec, work_bytes, resume_frac: float):
+    """``(work_bytes, exec_bytes)`` of an admission: the app's full work
+    and what this attempt executes. ``resume_frac == 0.0`` keeps the
+    fault-free arithmetic untouched (bitwise identity with pre-fault
+    fleets)."""
     if not 0.0 <= resume_frac < 1.0:
         raise ValueError(f"resume_frac must be in [0, 1), got {resume_frac}")
+    if work_bytes is None:
+        work_bytes = workload.work_bytes
+    return work_bytes, work_bytes if resume_frac == 0.0 else work_bytes * (1.0 - resume_frac)
 
 
 class FlowBackend(MachineBackend):
@@ -480,8 +494,8 @@ class FlowBackend(MachineBackend):
 
     State is one *resident row* per running worker, struct-of-lists:
     template row (into :func:`~repro.memsim.consumer_rows`), owning app,
-    remaining bytes, useful factor (work bytes per GB of traffic) and
-    rate. Depleted and evicted workers retire their rows into a free list
+    remaining bytes and useful factor (work bytes per GB of traffic).
+    Depleted and evicted workers retire their rows into a free list
     that admissions reuse, so capacity tracks peak residency, not arrivals.
     """
 
@@ -492,17 +506,15 @@ class FlowBackend(MachineBackend):
         self._owner: List[str] = []
         self._rem: List[float] = []
         self._factor: List[float] = []
-        self._rate: List[float] = []
         self._free: List[int] = []
         #: Live rows of each running app in worker order; apps in
         #: admission order, so the values concatenate to resident order.
         self._app_rows: Dict[str, List[int]] = {}
         #: Bytes each running app executes in this attempt.
         self._exec_bytes: Dict[str, float] = {}
-        #: ``(state_version, capacity-scale bytes)`` at which ``_rate``
-        #: was last solved: repeated ticks over an unchanged resident set
-        #: replay it instead of re-keying the canonical cache.
-        self._solve_slot: Optional[Tuple[int, Optional[bytes]]] = None
+        #: ``(state_version, capacity scale, live rows, speeds)`` of the
+        #: last solve (see :meth:`_solve`).
+        self._solve_slot: Optional[tuple] = None
 
     def admit(
         self,
@@ -511,32 +523,26 @@ class FlowBackend(MachineBackend):
         workers,
         arrival_s,
         *,
+        work_bytes=None,
         resume_frac=0.0,
         attempts=1,
         template=None,
     ):
-        _check_resume(resume_frac)
-        t_rows, _live, threads = (
+        work_bytes, exec_bytes = _attempt_bytes(workload, work_bytes, resume_frac)
+        t_rows, _live, threads, fracs, factor, useful = (
             self.candidate_rows(workload, workers) if template is None else template
         )
         store = self._store
         nodes = [store.node[r] for r in t_rows]
         if nodes != list(workers):
             raise ValueError(f"template nodes {nodes} do not match workers {list(workers)}")
-        self._register(app_id, workload, workers, arrival_s, threads, attempts)
-        demands = [store.demand[r] for r in t_rows]
-        total_demand = sum(demands)
-        # The fault-free path keeps the original arithmetic untouched
-        # (bitwise identity with pre-fault fleets).
-        exec_bytes = (
-            workload.work_bytes
-            if resume_frac == 0.0
-            else workload.work_bytes * (1.0 - resume_frac)
+        self._register(
+            app_id, work_bytes, workers, arrival_s, threads, work_bytes / 1e9 / useful,
+            attempts,
         )
-        factor = workload.node_efficiency(len(workers)) * 1e9
         rows = []
-        for t, demand in zip(t_rows, demands):
-            rem = exec_bytes * (demand / total_demand)
+        for t, frac in zip(t_rows, fracs):
+            rem = exec_bytes * frac
             if rem > 0.0:
                 if self._free:
                     r = self._free.pop()
@@ -548,7 +554,6 @@ class FlowBackend(MachineBackend):
                     self._owner.append(app_id)
                     self._rem.append(rem)
                     self._factor.append(factor)
-                    self._rate.append(0.0)
                 rows.append(r)
         self._app_rows[app_id] = rows
         self._exec_bytes[app_id] = exec_bytes
@@ -573,26 +578,28 @@ class FlowBackend(MachineBackend):
             return 1.0
         return min(1.0, max(0.0, 1.0 - left / exec_bytes))
 
-    def _solve(self, live: List[int]) -> None:
-        key = (
-            self.state_version,
-            None if self.capacity_scale is None else self.capacity_scale.tobytes(),
-        )
-        if self._solve_slot == key:
-            return
+    def _solve(self) -> Tuple[List[int], List[float]]:
+        """Live rows in resident order and their speeds (rate x factor),
+        reused while ``state_version`` and the capacity-scale object hold."""
+        slot = self._solve_slot
+        version, scale = self.state_version, self.capacity_scale
+        if slot is not None and slot[0] == version and slot[1] is scale:
+            return slot[2], slot[3]
+        live = [r for rows in self._app_rows.values() for r in rows]
         rates = _canon_solve(
             self.machine,
             self._store,
             [self._tpl[r] for r in live],
             [self._owner[r] for r in live],
-            self.capacity_scale,
+            scale,
         )
-        for r, rate in zip(live, rates):
-            self._rate[r] = rate
-        self._solve_slot = key
+        factor = self._factor
+        speeds = [rate * factor[r] for r, rate in zip(live, rates)]
+        self._solve_slot = (version, scale, live, speeds)
+        return live, speeds
 
     def advance(self, to):
-        rem, rate, factor = self._rem, self._rate, self._factor
+        rem = self._rem
         # Rates are re-solved on entry and after a completion; a worker
         # depleting mid-advance leaves its co-runners' rates as they were.
         resolve = True
@@ -600,13 +607,11 @@ class FlowBackend(MachineBackend):
             now = self.now
             if now >= to:
                 return
-            live = [r for rows in self._app_rows.values() for r in rows]
             if resolve:
-                self._solve(live)
+                live, speeds = self._solve()
                 resolve = False
             # Earliest per-worker depletion under the current rates.
             dt = to - now
-            speeds = [rate[r] * factor[r] for r in live]
             for r, speed in zip(live, speeds):
                 if speed > 0.0:
                     need = rem[r] / speed
@@ -634,6 +639,9 @@ class FlowBackend(MachineBackend):
                     for r in gone:
                         rows.remove(r)
                     self._free.extend(gone)
+                kept = [i for i, r in enumerate(live) if rem[r] > 0.0]
+                live = [live[i] for i in kept]
+                speeds = [speeds[i] for i in kept]
             for app_id in [a for a, rows in self._app_rows.items() if not rows]:
                 del self._app_rows[app_id], self._exec_bytes[app_id]
                 self._finish(self._placed[app_id], self.now)
@@ -659,23 +667,20 @@ class SimBackend(MachineBackend):
         self._tuners: Dict[str, object] = {}
 
     def admit(
-        self, app_id, workload, workers, arrival_s, *, resume_frac=0.0, attempts=1,
-        template=None,
+        self, app_id, workload, workers, arrival_s, *, work_bytes=None, resume_frac=0.0,
+        attempts=1, template=None,
     ):
-        _check_resume(resume_frac)
+        work_bytes, exec_bytes = _attempt_bytes(workload, work_bytes, resume_frac)
+        nw = len(workers)
         threads = len(pin_threads(self.machine, workers))
-        self._register(app_id, workload, workers, arrival_s, threads, attempts)
-        # Checkpoint resume: deploy a shrunken copy of the workload so the
-        # simulator only executes the remaining work; registration above
-        # keeps the full spec for SLO/goodput accounting. ``0.0`` deploys
-        # the original object (bitwise identity on fault-free fleets).
-        exec_workload = (
-            workload
-            if resume_frac == 0.0
-            else dataclasses.replace(
-                workload, work_bytes=workload.work_bytes * (1.0 - resume_frac)
-            )
+        useful = workload.demand_gbps(threads, nw) * workload.node_efficiency(nw)
+        self._register(
+            app_id, work_bytes, workers, arrival_s, threads, work_bytes / 1e9 / useful,
+            attempts,
         )
+        # The simulator executes this attempt's work; registration above
+        # keeps the full work for SLO/goodput accounting.
+        exec_workload = dataclasses.replace(workload, work_bytes=exec_bytes)
         _app, tuner = deploy_app(
             self.sim,
             app_id,

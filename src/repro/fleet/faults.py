@@ -242,27 +242,28 @@ class HealthTracker:
     2**(crashes - 1)``: a machine that keeps crashing is held out
     exponentially longer after each restart, so the scheduler stops
     feeding work to a flapper. ``cooldown_s = 0`` disables the breaker
-    (crashed machines are still excluded while down).
+    (crashed machines are still excluded while down). :attr:`blocked_until`
+    holds each machine's breaker expiry (``-inf`` while never blocked).
     """
 
-    def __init__(self, cooldown_s: float):
+    def __init__(self, cooldown_s: float, num_machines: int):
         if cooldown_s < 0:
             raise ValueError(f"cooldown_s must be non-negative, got {cooldown_s}")
         self.cooldown_s = cooldown_s
-        self._crashes: Dict[int, int] = {}
-        self._blocked_until: Dict[int, float] = {}
+        self._crashes = np.zeros(num_machines, dtype=np.int64)
+        self.blocked_until = np.full(num_machines, -math.inf)
 
     def record_crash(self, mid: int, restart_s: float) -> None:
-        n = self._crashes.get(mid, 0) + 1
-        self._crashes[mid] = n
+        self._crashes[mid] += 1
         if self.cooldown_s > 0 and math.isfinite(restart_s):
-            self._blocked_until[mid] = restart_s + self.cooldown_s * 2.0 ** (n - 1)
+            n = int(self._crashes[mid])
+            self.blocked_until[mid] = restart_s + self.cooldown_s * 2.0 ** (n - 1)
 
     def crash_count(self, mid: int) -> int:
-        return self._crashes.get(mid, 0)
+        return int(self._crashes[mid])
 
     def allows(self, mid: int, now: float) -> bool:
-        return now >= self._blocked_until.get(mid, -math.inf)
+        return bool(now >= self.blocked_until[mid])
 
 
 class FleetFaultInjector:

@@ -29,7 +29,9 @@ own resident set at each advance, through a version-keyed slot and a
 rename-canonical cache that replay the floats a scoring solve produced.
 
 Between ticks the fleet skips idle spans in one jump, so sparse traces
-cost time proportional to events, not to simulated seconds.
+cost time proportional to events, not to simulated seconds. A step
+advances only the busy machines; an idle one's clock is pinned to the
+fleet clock when it is admitted to.
 
 Fault tolerance (``faults=`` / :mod:`repro.fleet.faults`): the scheduler
 evicts the residents of crashing machines and requeues them with bounded
@@ -374,6 +376,8 @@ class FleetScheduler:
         self._by_k = np.argsort(self._ks, kind="stable").tolist()
         #: :meth:`_fault_state` of the current fault-window edge interval.
         self._fault_view: Optional[tuple] = None
+        #: Set by :meth:`run`: a scheduler runs its trace once.
+        self._ran = False
         self.backends: List[MachineBackend] = [
             make_backend(
                 config.backend,
@@ -395,6 +399,9 @@ class FleetScheduler:
             )
             for node in self.fleet
         ]
+        #: Each backend's ``state_version`` and residency, kept current by the scheduler.
+        self._ver = np.array([b.state_version for b in self.backends], dtype=np.int64)
+        self._busy = np.zeros(m, dtype=bool)
 
     # ------------------------------------------------------------------ #
     # Candidate ranking
@@ -414,16 +421,16 @@ class FleetScheduler:
     # Incremental scoring
     # ------------------------------------------------------------------ #
 
-    def _cand_template(self, backend: MachineBackend, workers, kind: int, p: int):
-        """Memoised candidate ``(rows, live rows, threads)`` of (machine,
-        workers, kind). Exact across arrivals of a kind: per-arrival work
-        scaling touches only ``work_bytes``, which the construction never
-        reads."""
+    def _cand_template(self, backend: MachineBackend, workers, kind: int):
+        """Memoised :meth:`MachineBackend.candidate_rows` template of
+        (machine, workers, kind). Exact across arrivals of a kind:
+        per-arrival work scaling touches only ``work_bytes``, which the
+        construction never reads."""
         key = (id(backend.machine), workers, kind)
         tpl = self._cand_cache.get(key)
         if tpl is None:
             tpl = self._cand_cache[key] = backend.candidate_rows(
-                self.trace.workload(p), workers
+                self.trace.catalog[kind], workers
             )
         return tpl
 
@@ -471,23 +478,31 @@ class FleetScheduler:
         self._msid[mids] = sid[mids]
 
     def _admit(
-        self, r: _Pend, b: MachineBackend, workers, placements, pending, inflight,
+        self, r: _Pend, b: MachineBackend, workers, now, placements, pending, inflight,
         template=None,
     ) -> None:
-        """Start pending record ``r`` on ``workers`` of machine ``b``."""
+        """Start pending record ``r`` on ``workers`` of machine ``b`` at
+        fleet time ``now``."""
+        trace = self.trace
         p = r.idx
-        app_id = self.trace.app_id(p)
+        app_id = trace.app_id(p)
         r.attempts += 1
+        mid = b.mid
+        if not self._busy[mid]:
+            b.advance(now)  # idle: pins the machine's clock to the fleet's
         b.admit(
             app_id,
-            self.trace.workload(p),
+            trace.catalog[int(trace.kind_idx[p])],
             workers,
-            float(self.trace.times[p]),
+            float(trace.times[p]),
+            work_bytes=trace.work_bytes(p),
             resume_frac=r.resume_frac,
             attempts=r.attempts,
             template=template,
         )
-        placements.append((app_id, b.mid, workers))
+        self._ver[mid] = b.state_version
+        self._busy[mid] = True
+        placements.append((app_id, mid, workers))
         pending.retire(r)
         if self.injector is not None:
             inflight[app_id] = r
@@ -521,9 +536,9 @@ class FleetScheduler:
         return kk[order], mm[order]
 
     def _fault_state(self, now: float):
-        """``(capacity scales, crashed flags, scale-key ids)`` per machine
-        at ``now``. Crash and brown-out windows only change at window
-        edges, so the view is rebuilt once per edge interval."""
+        """``(capacity scales, crashed flag array, scale-key ids)`` per
+        machine at ``now``. Crash and brown-out windows only change at
+        window edges, so the view is rebuilt once per edge interval."""
         injector = self.injector
         edge = injector.next_edge_after(now)
         view = self._fault_view
@@ -534,7 +549,7 @@ class FleetScheduler:
             view = self._fault_view = (
                 edge,
                 {b.mid: injector.capacity_scale_for(b.mid, b.machine, now) for b in backends},
-                [injector.crashed_at(b.mid, now) for b in backends],
+                np.array([injector.crashed_at(b.mid, now) for b in backends], dtype=bool),
                 np.array([ids.setdefault(key, len(ids)) for key in keys]),
             )
         return view[1:]
@@ -556,15 +571,13 @@ class FleetScheduler:
         backends = self.backends
         m = len(backends)
         # --- Hoisted per-tick machine state ------------------------------
-        ver = np.fromiter((b.state_version for b in backends), np.int64, m)
+        ver = self._ver
         if injector is None:
             elig = np.ones(m, dtype=bool)
             sid = np.zeros(m, dtype=np.int64)
         else:
             _scales, crashed, sid = self._fault_state(now)
-            elig = np.array(
-                [not down and health.allows(mid, now) for mid, down in enumerate(crashed)]
-            )
+            elig = ~crashed & (now >= health.blocked_until)
         self._refresh_machines(
             elig & ((ver != self._mver) | (sid != self._msid)), ver, sid, scales
         )
@@ -610,8 +623,8 @@ class FleetScheduler:
             mid = order[c]
             b = backends[mid]
             workers = self._slots[mid][slot[j, mid]]
-            template = self._cand_template(b, workers, kind, r.idx)
-            self._admit(r, b, workers, placements, pending, inflight, template)
+            template = self._cand_template(b, workers, kind)
+            self._admit(r, b, workers, now, placements, pending, inflight, template)
             claimed[mid] = True
 
     def _score_kinds(self, first_p, elig, counts):
@@ -639,7 +652,7 @@ class FleetScheduler:
             for i in first.tolist():
                 kind = int(kinds[a[i]])
                 b, res, (workers, _free), scale = self._states[self._mstate[b_[i]]]
-                live = self._cand_template(b, workers[s_[i]], kind, first_p[kind])[1]
+                live = self._cand_template(b, workers[s_[i]], kind)[1]
                 entries.append((b.machine, res + tuple(live)))
                 tails.append(len(live))
                 entry_scales.append(scale)
@@ -676,7 +689,7 @@ class FleetScheduler:
         for r in batch:
             p = r.idx
             app_id = self.trace.app_id(p)
-            workload = self.trace.workload(p)
+            workload = self.trace.catalog[int(self.trace.kind_idx[p])]
             for b in self.backends:
                 if injector is not None and (
                     injector.crashed_at(b.mid, now) or not health.allows(b.mid, now)
@@ -732,7 +745,7 @@ class FleetScheduler:
                 continue  # stays pending; retried next tick
             _key, mid, workers, _row = best
             self._admit(
-                r, self.backends[mid], workers, placements, pending, inflight
+                r, self.backends[mid], workers, now, placements, pending, inflight
             )
             claimed.add(mid)
 
@@ -743,11 +756,14 @@ class FleetScheduler:
     def run(self, max_time: float = 1_000_000.0) -> FleetResult:
         if not max_time > 0:  # NaN included; inf drains every arrival
             raise ValueError(f"max_time must be positive, got {max_time}")
+        if self._ran:
+            raise RuntimeError("FleetScheduler.run() runs once; build a new scheduler")
+        self._ran = True
         cfg = self.config
         injector = self.injector
-        health = (
-            HealthTracker(cfg.breaker_cooldown_s) if injector is not None else None
-        )
+        backends = self.backends
+        ver, busy = self._ver, self._busy
+        health = HealthTracker(cfg.breaker_cooldown_s, len(backends)) if injector else None
         times = self.trace.times
         n = len(self.trace)
         i = 0  # next arrival index
@@ -762,7 +778,7 @@ class FleetScheduler:
         #: Pending records of the currently running attempts (injector
         #: runs only — fault-free runs never need to find them again).
         inflight: Dict[str, _Pend] = {}
-        seen_completions = [0] * len(self.backends)
+        seen_completions = [0] * len(backends)
         last_fault_t = -math.inf
         hb = Heartbeat(n, label="fleet")
         #: Tick counters (memo hits stay zero on exhaustive runs).
@@ -775,7 +791,7 @@ class FleetScheduler:
             policy; ``total_frac`` is the overall progress the app had
             banked when the fault hit."""
             nonlocal requeues, stranded, lost_work_bytes
-            work_bytes = self.trace.workload(rec.idx).work_bytes
+            work_bytes = self.trace.work_bytes(rec.idx)
             if cfg.recovery == "none" or rec.attempts > cfg.max_retries:
                 stranded += 1
                 lost_work_bytes += total_frac * work_bytes
@@ -807,7 +823,7 @@ class FleetScheduler:
             # and the backends' state is the pre-crash state at that time.
             if injector is not None:
                 for _start, mid, end in injector.crash_starts_in(last_fault_t, now):
-                    b = self.backends[mid]
+                    b = backends[mid]
                     health.record_crash(mid, end)
                     for app_id, attempt_frac in b.evict_all():
                         rec = inflight.pop(app_id)
@@ -815,6 +831,8 @@ class FleetScheduler:
                             rec.resume_frac + (1.0 - rec.resume_frac) * attempt_frac
                         )
                         requeue_or_strand(rec, total_frac)
+                    ver[mid] = b.state_version
+                    busy[mid] = False
                 last_fault_t = now
 
             # Capacity multipliers for this instant; the advance below is
@@ -833,7 +851,7 @@ class FleetScheduler:
                 tick(batch, scales, now, health, placements, pending, inflight, counts)
 
             # --- Advance the fleet clock ---------------------------------
-            live = any(b.num_live for b in self.backends)
+            live = busy.any()
             if pending:
                 next_time = now + cfg.tick_s
             elif i < n:
@@ -853,16 +871,22 @@ class FleetScheduler:
                     next_time = edge
             if next_time <= now:
                 break
-            for b in self.backends:
+            advanced = np.flatnonzero(busy).tolist()
+            for mid in advanced:
+                b = backends[mid]
                 if injector is not None:
-                    b.set_capacity_scale(scales.get(b.mid))
+                    b.set_capacity_scale(scales.get(mid))
                 b.advance(next_time)
+                ver[mid] = b.state_version
+                busy[mid] = b.num_live > 0
             now = next_time
 
             # --- Lost completion reports ---------------------------------
+            # Only advanced machines finish apps; ascending mids keep the draw order.
             if injector is not None:
-                for b in self.backends:
-                    start = seen_completions[b.mid]
+                for mid in advanced:
+                    b = backends[mid]
+                    start = seen_completions[mid]
                     if len(b.completions) == start:
                         continue
                     kept = []
@@ -877,21 +901,20 @@ class FleetScheduler:
                         else:
                             kept.append(comp)
                     b.completions[start:] = kept
-                    seen_completions[b.mid] = len(b.completions)
+                    seen_completions[mid] = len(b.completions)
+                    ver[mid] = b.state_version  # forget_app may bump it
 
             if hb.enabled:
-                hb.beat(
-                    sum(len(b.completions) for b in self.backends), force=False
-                )
+                hb.beat(sum(len(b.completions) for b in backends), force=False)
 
         completions: List[FleetCompletion] = []
-        for b in self.backends:
+        for b in backends:
             completions.extend(b.completions)
         completions.sort(key=lambda c: (c.finish_s, c.app_id))
         if hb.enabled:
             hb.beat(len(completions), force=True)
         end_time = now
-        drained = not pending and i >= n and not any(b.num_live for b in self.backends)
+        drained = not pending and i >= n and not busy.any()
         if drained and completions:
             # All work finished before the horizon: measure utilisation
             # over the span that actually saw activity.

@@ -18,8 +18,7 @@ requested ``arrivals`` and no rejection loop perturbs determinism.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -115,7 +114,8 @@ class ArrivalTrace:
     ``times`` is non-decreasing; ``kind_idx[i]`` indexes ``catalog`` and
     ``work_scale[i]`` multiplies that workload's ``work_bytes``. Workload
     objects are built lazily (:meth:`workload`) so a million-arrival trace
-    stays a few dense arrays, not a million dataclasses.
+    stays a few dense arrays; the fleet admits the catalog entry itself
+    with :meth:`work_bytes`. The arrays are validated once, here.
     """
 
     __slots__ = ("spec", "times", "kind_idx", "work_scale", "catalog")
@@ -128,6 +128,19 @@ class ArrivalTrace:
         work_scale: np.ndarray,
         catalog: Tuple[WorkloadSpec, ...],
     ):
+        times, kind_idx, work_scale = (np.asarray(a) for a in (times, kind_idx, work_scale))
+        n = len(times) if times.ndim == 1 else -1
+        if not kind_idx.ndim == work_scale.ndim == 1 or not len(kind_idx) == len(work_scale) == n:
+            raise ValueError("times, kind_idx and work_scale must be 1-D and of equal length")
+        if not np.isfinite(times).all() or (np.diff(times) < 0).any():
+            raise ValueError("arrival times must be finite and non-decreasing")
+        if n and not (
+            np.issubdtype(kind_idx.dtype, np.integer)
+            and 0 <= kind_idx.min() <= kind_idx.max() < len(catalog)
+        ):
+            raise ValueError(f"kind_idx must be integers indexing the {len(catalog)}-entry catalog")
+        if not ((work_scale > 0) & np.isfinite(work_scale)).all():  # NaN fails too
+            raise ValueError("work_scale must be finite and positive")
         self.spec = spec
         self.times = times
         self.kind_idx = kind_idx
@@ -141,18 +154,14 @@ class ArrivalTrace:
         """Fleet-unique application id of arrival ``i``."""
         return f"job{i}"
 
+    def work_bytes(self, i: int) -> float:
+        """Work of arrival ``i``: its catalog entry's, times its scale."""
+        return self.catalog[int(self.kind_idx[i])].work_bytes * float(self.work_scale[i])
+
     def workload(self, i: int) -> WorkloadSpec:
         """The (work-scaled) workload of arrival ``i``."""
         base = self.catalog[int(self.kind_idx[i])]
-        work_bytes = base.work_bytes * float(self.work_scale[i])
-        if not work_bytes > 0:
-            raise ValueError(f"work_bytes must be positive, got {work_bytes}")
-        # The fleet builds one per admission: copy the validated catalog
-        # entry and set the one field that differs, rather than re-running
-        # every field through ``__init__`` as ``dataclasses.replace`` does.
-        spec = copy.copy(base)
-        object.__setattr__(spec, "work_bytes", work_bytes)
-        return spec
+        return replace(base, work_bytes=self.work_bytes(i))
 
 
 def _poisson_times(rng: np.random.Generator, rate: float, n: int) -> np.ndarray:

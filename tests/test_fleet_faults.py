@@ -175,7 +175,7 @@ class TestPlanValidation:
 
 class TestHealthTracker:
     def test_exponential_cooldown(self):
-        ht = HealthTracker(10.0)
+        ht = HealthTracker(10.0, num_machines=2)
         assert ht.allows(0, 0.0)
         ht.record_crash(0, restart_s=100.0)
         assert ht.crash_count(0) == 1
@@ -188,20 +188,20 @@ class TestHealthTracker:
         assert ht.allows(1, 0.0)  # untouched machine never blocked
 
     def test_zero_cooldown_disables_breaker(self):
-        ht = HealthTracker(0.0)
+        ht = HealthTracker(0.0, num_machines=1)
         ht.record_crash(0, restart_s=100.0)
         assert ht.allows(0, 100.0)
 
     def test_permanent_crash_sets_no_cooldown(self):
         # A machine that never restarts is excluded by the crash window
         # itself; the breaker must not hold an inf-valued block.
-        ht = HealthTracker(10.0)
+        ht = HealthTracker(10.0, num_machines=2)
         ht.record_crash(0, restart_s=math.inf)
         assert ht.allows(0, 1e15)
 
     def test_negative_cooldown_raises(self):
         with pytest.raises(ValueError, match="cooldown_s"):
-            HealthTracker(-1.0)
+            HealthTracker(-1.0, num_machines=1)
 
 
 # --------------------------------------------------------------------- #

@@ -241,7 +241,7 @@ class TestScoreMemo:
             out = score_kinds(first_p, elig, counts)
             seen = set(solved)
             scales = sched._fault_view[1] if chaos else {}
-            for kind, p in first_p.items():
+            for kind in first_p:
                 for mid in np.flatnonzero(elig).tolist():
                     b = sched.backends[mid]
                     for s, workers in enumerate(sched._slots[mid]):
@@ -249,7 +249,7 @@ class TestScoreMemo:
                         if np.isnan(got):
                             assert workers is None
                             continue
-                        live = sched._cand_template(b, workers, kind, p)[1]
+                        live = sched._cand_template(b, workers, kind)[1]
                         rows = b.resident_rows() + live
                         scale = scales.get(mid)
                         key = _solve_input(b.machine, rows, scale)
