@@ -1,35 +1,38 @@
-"""Fleet fault tolerance — chaos recovery vs stranding, and fault-layer cost.
+"""Fleet fault tolerance — chaos recovery vs stranding, and throughput.
 
-Pins down the fault layer's three contracts on the 64-machine
-heterogeneous fleet:
+Pins down the fault layer's contracts on the 64-machine heterogeneous
+fleet:
 
 1. **Zero-fault identity** — a ``None`` fault argument and a
    zero-intensity plan produce bitwise-identical placements,
-   completions, and utilisation, in both the batched and scalar scoring
-   modes (the whole fault layer is gated on the injector).
+   completions, and utilisation (the whole fault layer is gated on the
+   injector).
 2. **Recovery** — under the full-intensity chaos plan,
    ``recovery="requeue+checkpoint"`` completes >= 99% of arrivals while
    ``recovery="none"`` strands work on crashed machines.
-3. **Equivalence under faults** — the batched and scalar scoring modes
-   stay bitwise-identical even with crashes, degradations, and lossy
-   admission active (fault draws happen in decision order, which both
-   modes share).
 
-Set ``BWAP_BENCH_QUICK=1`` to shrink the trace and skip the 99%
-completion floor (CI smoke mode); the identity assertions always run.
+It also measures the scheduler's fault-free throughput on this trace, as
+arrivals per perfbench calibration chunk (the median of five runs),
+which ``bwap-repro bench-compare`` guards. Bitwise equality with the
+exhaustive greedy of ``tests/oracle/exhaustive_tick.py`` under faults is
+checked in ``tests/test_fleet_faults.py``.
+
+Set ``BWAP_BENCH_QUICK=1`` to skip the 99% completion floor (CI smoke
+mode); the identity assertions always run.
 """
 
 import os
-import time
 
 from repro.fleet import FleetScheduler, SchedulerConfig, build_fleet, chaos_plan
 from repro.workloads import TraceSpec, build_trace
+
+from conftest import calibrated_rate, timed
 
 _QUICK = bool(os.environ.get("BWAP_BENCH_QUICK"))
 
 #: 64 machines across four classes (two of them custom topologies).
 _MIX = (("A", 16), ("B", 16), ("dual", 16), ("sym4", 16))
-_ARRIVALS = 48 if _QUICK else 240
+_ARRIVALS = 240
 _MAX_TIME = 1_000_000.0
 #: Chaos windows land inside the span the trace keeps the fleet busy.
 _HORIZON_S = 1.5 * _ARRIVALS / 4.0
@@ -45,19 +48,20 @@ def _plan():
     return chaos_plan(sum(c for _n, c in _MIX), horizon_s=_HORIZON_S, seed=23)
 
 
-def _run(scoring: str, faults, recovery: str):
-    sched = FleetScheduler(
+def _scheduler(faults, recovery: str):
+    return FleetScheduler(
         build_fleet(_MIX),
         _trace(),
-        SchedulerConfig(scoring=scoring, tick_s=2.0, recovery=recovery,
-                        retry_backoff_s=5.0),
+        SchedulerConfig(tick_s=2.0, recovery=recovery, retry_backoff_s=5.0),
         seed=42,
         faults=faults,
     )
-    t0 = time.perf_counter()
-    result = sched.run(_MAX_TIME)
-    wall = time.perf_counter() - t0
-    return result, wall
+
+
+def _timed():
+    sched = _scheduler(None, "requeue")
+    result, wall = timed(lambda: sched.run(_MAX_TIME))
+    return result.arrivals, wall
 
 
 def _assert_bitwise_equal(a, b):
@@ -77,35 +81,27 @@ def _assert_bitwise_equal(a, b):
 
 def _run_matrix():
     plan = _plan()
-    # Warm both paths (machine tables, canonical profiles, numpy dispatch).
-    warm_trace = build_trace(
-        TraceSpec(kind="poisson", rate_per_s=4.0, arrivals=8, seed=1)
-    )
-    for scoring in ("batched", "scalar"):
-        FleetScheduler(
-            build_fleet(_MIX), warm_trace, SchedulerConfig(scoring=scoring, tick_s=2.0)
-        ).run(_MAX_TIME)
+    # Warm up (machine tables, canonical profiles, numpy dispatch).
+    FleetScheduler(
+        build_fleet(_MIX),
+        build_trace(TraceSpec(kind="poisson", rate_per_s=4.0, arrivals=8, seed=1)),
+        SchedulerConfig(tick_s=2.0),
+    ).run(_MAX_TIME)
 
-    # Contract 1: fault-free == zero-intensity plan, in both modes.
-    base_b, _w = _run("batched", None, "requeue")
-    base_s, _w = _run("scalar", None, "requeue")
-    _assert_bitwise_equal(base_b, base_s)
-    null_b, _w = _run("batched", plan.scaled(0.0), "requeue")
-    null_s, _w = _run("scalar", plan.scaled(0.0), "requeue")
-    _assert_bitwise_equal(base_b, null_b)
-    _assert_bitwise_equal(base_s, null_s)
+    # Contract 1: fault-free == zero-intensity plan.
+    base = _scheduler(None, "requeue").run(_MAX_TIME)
+    null = _scheduler(plan.scaled(0.0), "requeue").run(_MAX_TIME)
+    _assert_bitwise_equal(base, null)
 
-    # Contracts 2 and 3: full-intensity chaos.
-    none_r, _w = _run("batched", plan, "none")
-    ckpt_b, ckpt_wall = _run("batched", plan, "requeue+checkpoint")
-    ckpt_s, _w = _run("scalar", plan, "requeue+checkpoint")
-    _assert_bitwise_equal(ckpt_b, ckpt_s)
-
+    # Contract 2: full-intensity chaos.
+    ckpt_sched = _scheduler(plan, "requeue+checkpoint")
+    ckpt, ckpt_wall = timed(lambda: ckpt_sched.run(_MAX_TIME))
     return {
-        "arrivals": ckpt_b.arrivals,
-        "none": none_r,
-        "ckpt": ckpt_b,
+        "arrivals": ckpt.arrivals,
+        "none": _scheduler(plan, "none").run(_MAX_TIME),
+        "ckpt": ckpt,
         "ckpt_wall": ckpt_wall,
+        "rate": calibrated_rate(_timed),
     }
 
 
@@ -113,7 +109,7 @@ class BenchFleetChaos:
     def test_chaos_recovery(self, benchmark, once, capsys, ledger):
         r = once(benchmark, _run_matrix)
         arrivals = r["arrivals"]
-        none_r, ckpt = r["none"], r["ckpt"]
+        none_r, ckpt, rate = r["none"], r["ckpt"], r["rate"]
         none_rate = len(none_r.completions) / arrivals
         ckpt_rate = len(ckpt.completions) / arrivals
         ledger(
@@ -130,9 +126,12 @@ class BenchFleetChaos:
                     if ckpt.arrived_work_bytes
                     else 0.0
                 ),
+                "fault_free_arrivals_per_s": rate["per_s"],
+                "fault_free_arrivals_per_chunk": rate["per_chunk"],
+                "calib_chunk_ms": rate["calib_chunk_ms"],
             },
-            guarded=("completion_rate_recovered",),
-            wall_s=r["ckpt_wall"],
+            guarded=("completion_rate_recovered", "fault_free_arrivals_per_chunk"),
+            wall_s=r["ckpt_wall"] + rate["wall_s"],
         )
         with capsys.disabled():
             machines = sum(c for _n, c in _MIX)
@@ -149,6 +148,11 @@ class BenchFleetChaos:
                 f"  requeue+checkpoint: {len(ckpt.completions)}/{arrivals} "
                 f"completed, {ckpt.requeues} requeues, "
                 f"availability {ckpt.availability:.4f}"
+            )
+            print(
+                f"  fault-free        : {rate['per_s']:.0f} arrivals/s = "
+                f"{rate['per_chunk']:.3f} per {rate['calib_chunk_ms']:.3f} ms "
+                "calibration chunk"
             )
         # The headline claims: recovery restores >= 99% completion on a
         # fleet where no-recovery strands work.

@@ -1,0 +1,91 @@
+"""Epoch kernel — host-normalised epochs/sec on a tuner-active run.
+
+The epoch kernel (:mod:`repro.engine.kernel`) runs the simulator's epoch
+loop over dense NumPy arrays laid out once per placement version, and
+fast-forwards across multi-epoch tuner dormancy windows in one exact
+jump. This benchmark measures its throughput on a tuner-active DWP run
+(an adaptive monitor holding a tuned co-schedule that never goes static)
+as epochs per perfbench calibration chunk, the median of five runs.
+``bwap-repro bench-compare`` guards that number. The test suite checks
+its bitwise equality with the scalar reference loop of
+``tests/oracle/epoch_reference.py``, with and without a full-intensity
+fault plan.
+"""
+
+import dataclasses
+
+from repro.core import AdaptiveBWAP, AdaptiveConfig, CanonicalTuner
+from repro.engine import Application, Simulator, pick_worker_nodes
+from repro.memsim import FirstTouch
+from repro.perf.counters import MeasurementConfig
+from repro.topology import machine_a
+from repro.workloads import streamcluster, swaptions
+
+from conftest import calibrated_rate, timed
+
+_MiB = 1 << 20
+
+
+def _tuner_active_sim():
+    """Machine-A co-schedule that never goes static: two effectively
+    endless applications (work far beyond the horizon) and an AdaptiveBWAP
+    whose monitor keeps re-arming after its DWP search settles, so the
+    kernel strides the monitor's dormant windows. The foreground's
+    footprint is kept small so migration cost doesn't drown the epoch
+    loop being measured."""
+    mach = machine_a()
+    sim = Simulator(mach)
+    workers = pick_worker_nodes(mach, 2)
+    others = tuple(n for n in range(mach.num_nodes) if n not in workers)
+    bg = dataclasses.replace(swaptions(), work_bytes=1e15)
+    fg = dataclasses.replace(streamcluster(), work_bytes=1e15, shared_bytes=32 * _MiB)
+    sim.add_app(Application("bg", bg, mach, others, policy=FirstTouch()))
+    app = sim.add_app(Application("fg", fg, mach, workers, policy=None))
+    sim.add_tuner(
+        AdaptiveBWAP(
+            app,
+            CanonicalTuner(mach).weights(workers),
+            config=AdaptiveConfig(check_interval_s=5.0),
+            measurement=MeasurementConfig(n=6, c=1, t=0.1),
+            warmup_s=0.2,
+        )
+    )
+    return sim
+
+
+def _run():
+    sim = _tuner_active_sim()
+    _res, wall = timed(lambda: sim.run(max_time=300.0))
+    return sim.epoch, wall
+
+
+def _measure():
+    # Warm up first (imports, machine tables, numpy dispatch) so the timed
+    # runs measure the epoch loop, not one-time setup.
+    _tuner_active_sim().run(max_time=30.0)
+    epochs, _wall = _run()
+    return epochs, calibrated_rate(_run)
+
+
+class BenchKernelEpochs:
+    def test_epochs_per_second(self, benchmark, once, capsys, ledger):
+        epochs, rate = once(benchmark, _measure)
+        ledger(
+            "kernel_epochs",
+            {
+                "epochs": epochs,
+                "epochs_per_s": rate["per_s"],
+                "epochs_per_chunk": rate["per_chunk"],
+                "calib_chunk_ms": rate["calib_chunk_ms"],
+            },
+            guarded=("epochs_per_chunk",),
+            wall_s=rate["wall_s"],
+        )
+        with capsys.disabled():
+            print()
+            print("Epoch kernel on a tuner-active DWP run (machine A, 300 s sim):")
+            print(
+                f"  {epochs} epochs @ {rate['per_s']:8.0f} eps "
+                f"= {rate['per_chunk']:.2f} epochs per {rate['calib_chunk_ms']:.3f} ms "
+                "calibration chunk"
+            )

@@ -17,15 +17,23 @@ regression long before a hard ``>=Nx`` floor trips. Files land next to
 the committed ledger (the repo root) by default; set ``BWAP_LEDGER_DIR``
 to divert them (CI writes to a scratch dir and diffs against the
 committed copies).
+
+Speed guards are absolute throughputs normalised by the host's speed
+(:func:`calibrated_rate`): units of work done in the time of one
+calibration chunk of the repo benchmark (``perfbench/rep.py``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
+from typing import Callable, Dict, Tuple
 
 import pytest
 
@@ -68,18 +76,72 @@ def ledger_dir() -> Path:
     return Path(env) if env else REPO_ROOT
 
 
-def write_ledger(name: str, metrics, *, guarded=(), wall_s=None) -> Path:
+def _calib_chunk() -> Callable[[], float]:
+    """The repo benchmark's calibration chunk, ``perfbench/rep.py::calib_chunk``."""
+    perfbench = str(REPO_ROOT / "perfbench")
+    sys.path.insert(0, perfbench)  # rep.py imports its sibling ``cases``
+    try:
+        import rep
+    finally:
+        sys.path.remove(perfbench)
+    return rep.calib_chunk
+
+
+#: Calibration chunks timed before and after each timed repeat.
+_CALIB_SAMPLES = 15
+
+
+def calibrated_rate(run: Callable[[], Tuple[float, float]], repeats: int = 5) -> Dict[str, float]:
+    """Host-normalised throughput of ``run``, the median of ``repeats``.
+
+    ``run()`` does the work once and returns ``(units, wall_s)``. Each
+    repeat is bracketed by calibration chunks; its throughput in units per
+    second, times the median chunk's seconds, is the units done in the
+    time of one chunk — a higher-is-better number that a slower host
+    moves far less than raw units per second. Returns ``per_chunk`` (the
+    guardable median), ``per_s`` and ``calib_chunk_ms`` (the medians it
+    came from), and ``wall_s``, the repeats' total.
+    """
+    calib = _calib_chunk()
+    per_chunk, per_s, chunks, walls = [], [], [], []
+    for _ in range(repeats):
+        samples = [calib() for _ in range(_CALIB_SAMPLES)]
+        units, wall = run()
+        samples += [calib() for _ in range(_CALIB_SAMPLES)]
+        chunk = statistics.median(samples)
+        per_s.append(units / wall)
+        per_chunk.append(units / wall * chunk)
+        chunks.append(chunk)
+        walls.append(wall)
+    return {
+        "per_chunk": statistics.median(per_chunk),
+        "per_s": statistics.median(per_s),
+        "calib_chunk_ms": 1e3 * statistics.median(chunks),
+        "wall_s": sum(walls),
+    }
+
+
+def timed(fn: Callable[[], object]) -> Tuple[object, float]:
+    """``(fn(), wall seconds)``."""
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0
+
+
+def write_ledger(name: str, metrics, *, guarded=(), skipped=(), wall_s=None) -> Path:
     """Emit ``BENCH_<name>.json`` atomically and return its path.
 
     ``metrics`` is a flat dict of numbers; ``guarded`` names the
     higher-is-better metrics ``bench-compare`` defends against regression
-    (ratios like speedups and hit rates — stable across machines, unlike
-    absolute epochs/sec, which are recorded for the trajectory but not
-    compared).
+    (hit rates, and throughputs normalised by :func:`calibrated_rate`;
+    raw per-second numbers are recorded for the trajectory but not
+    compared). ``skipped`` names guarded metrics a quick run leaves out
+    because they are too costly for it; ``bench-compare`` reports them
+    instead of failing.
     """
     directory = ledger_dir()
     directory.mkdir(parents=True, exist_ok=True)
-    unknown = [g for g in guarded if g not in metrics]
+    unknown = [g for g in guarded if g not in metrics and g not in skipped]
     if unknown:
         raise KeyError(f"guarded metrics missing from ledger {name!r}: {unknown}")
     entry = {
@@ -90,6 +152,7 @@ def write_ledger(name: str, metrics, *, guarded=(), wall_s=None) -> Path:
         "wall_s": None if wall_s is None else float(wall_s),
         "metrics": {k: float(v) for k, v in metrics.items()},
         "guarded": list(guarded),
+        "skipped": list(skipped),
     }
     path = directory / f"BENCH_{name}.json"
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)

@@ -1,17 +1,19 @@
 """Array-native epoch kernel: the simulator's vectorised hot loop.
 
-:class:`EpochKernel` re-implements :meth:`Simulator._step_reference` over
-dense ``(pair, field)`` NumPy arrays. An :class:`EpochWorkspace` is
+:class:`EpochKernel` runs the simulator's epoch loop over dense ``(pair,
+field)`` NumPy arrays. An :class:`EpochWorkspace` is
 assembled once per placement version — consumer worker nodes, demands,
 write fractions and mix rows laid out over a flat *pair* axis (one slot per
-``(app, worker)`` pair, in the reference loop's iteration order) — so each
+``(app, worker)`` pair, in the scalar loop's iteration order) — so each
 epoch's achieved rates, loaded latencies, slowdowns, stall fractions,
 per-app thread-weighted stall averages and counter updates are a handful of
 vectorised operations instead of Python dict walks.
 
 Exactness is the whole contract: every trajectory, counter sample and
-``SimResult`` the kernel produces is bit-for-bit what the scalar reference
-path produces. The rules that make this work:
+``SimResult`` the kernel produces is bit-for-bit what the scalar
+per-consumer loop (kept as the reference in
+``tests/oracle/epoch_reference.py``) produces. The rules that make this
+work:
 
 * elementwise float64 ufuncs are IEEE-identical to the scalar expressions
   they replace, so per-pair arithmetic vectorises freely;
@@ -222,18 +224,12 @@ class EpochKernel:
         return ws
 
     def _solve(
-        self,
-        ws: EpochWorkspace,
-        key: Optional[Tuple],
-        cap_scale: Optional[np.ndarray],
+        self, ws: EpochWorkspace, key: Tuple, cap_scale: Optional[np.ndarray]
     ) -> _Solve:
         cache = self.sim.solver_cache
-        if cache is not None:
-            entry = cache.lookup(key)
-            if entry is not None:
-                return entry
-        entry = self._solve_fresh(ws, cap_scale)
-        if cache is not None:
+        entry = cache.lookup(key)
+        if entry is None:
+            entry = self._solve_fresh(ws, cap_scale)
             cache.store(key, entry)
         return entry
 
@@ -395,11 +391,9 @@ class EpochKernel:
             app.epoch_index += 1
 
         ws = self._refresh(apps)
-        key = None
-        if sim.solver_cache is not None:
-            key = ws.digest(sim.mc_model)
-            if scale_key is not None:
-                key = (key, scale_key)
+        key = ws.digest(sim.mc_model)
+        if scale_key is not None:
+            key = (key, scale_key)
         entry = self._last = self._solve(ws, key, cap_scale)
         records = self._derive(ws, entry, apps)
 

@@ -10,16 +10,18 @@ charged back to the application as stall time).
 
 Static scenarios fast-forward between events, so policy-comparison
 experiments are cheap; adaptive scenarios (DWP tuner, autonuma) run at the
-configured epoch granularity — through the array-native epoch kernel
-(:mod:`repro.engine.kernel`) by default, which also strides over stretches
-of epochs where every tuner is provably dormant. Both paths, and the
-stride, are bitwise-identical by construction: ``Simulator(...,
-epoch_kernel=False)`` keeps the scalar reference loop for verification.
+configured epoch granularity. Every epoch runs through the array-native
+epoch kernel (:mod:`repro.engine.kernel`), which replays contention
+solves from a :class:`~repro.memsim.contention.SolverCache` and strides
+over stretches of epochs where every tuner is provably dormant. The
+scalar per-consumer loop it must match bitwise is kept as the reference
+in ``tests/oracle/epoch_reference.py``.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,19 +34,14 @@ from repro.faults import (
     MigrationDisposition,
     as_injector,
 )
-from repro.memsim.contention import (
-    Allocation,
-    SolverCache,
-    consumers_fingerprint,
-    solve,
-)
+from repro.engine.kernel import EpochKernel
+from repro.memsim.contention import Allocation, SolverCache
 from repro.memsim.controller import DEFAULT_MC_MODEL, MCModel
 from repro.memsim.migration import MigrationEngine, MigrationStats
 from repro.memsim.pages import UNALLOCATED
 from repro.perf.counters import CounterBank, MeasurementConfig, StallSample
 from repro.perf.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.perf.profiler import TrafficSample
-from repro.perf.stalls import WorkerLoad, slowdown, stall_fraction
 from repro.topology.machine import Machine
 
 #: Guard against infinite loops in pathological configurations.
@@ -199,14 +196,18 @@ class Simulator:
         migration: Optional[MigrationEngine] = None,
         epoch_s: float = 0.25,
         seed: int = 1234,
-        solver_cache: bool = True,
-        solver_cache_size: int = 128,
         faults: Optional["FaultPlan | FaultInjector"] = None,
-        epoch_kernel: bool = True,
         coalesce_traffic: bool = True,
     ):
-        if epoch_s <= 0:
-            raise ValueError(f"epoch length must be positive, got {epoch_s}")
+        # Comparisons are written so that NaN fails them.
+        if not 0 < epoch_s < math.inf:
+            raise ValueError(f"epoch length must be positive and finite, got {epoch_s}")
+        # The epoch kernel vectorises the stock LatencyModel's arithmetic.
+        if type(latency_model) is not LatencyModel:
+            raise TypeError(
+                "latency_model must be a repro.perf.latency.LatencyModel, "
+                f"not a subclass ({type(latency_model).__name__})"
+            )
         self.machine = machine
         self.mc_model = mc_model
         self.latency_model = latency_model
@@ -223,18 +224,10 @@ class Simulator:
         self._apps: Dict[str, Application] = {}
         self._tuners: List[Tuner] = []
         self._telemetry: Dict[str, AppTelemetry] = {}
-        self._last_allocation: Optional[Allocation] = None
         #: Replays previous contention solves when the consumer set is
         #: bit-for-bit unchanged (settled tuners, static phases). The solve
         #: is pure, so cached epochs are exact — not an approximation.
-        self.solver_cache: Optional[SolverCache] = (
-            SolverCache(maxsize=solver_cache_size) if solver_cache else None
-        )
-        #: Single-slot cache of the per-worker rates/stalls derived from an
-        #: allocation. They are pure functions of the solver fingerprint
-        #: plus a few per-app workload scalars, so fingerprint-identical
-        #: epochs skip the latency/slowdown recomputation too.
-        self._derived: Optional[Tuple[object, dict, dict]] = None
+        self.solver_cache = SolverCache(maxsize=128)
         #: Number of epochs executed so far; also the number of the next
         #: epoch to execute. A multi-epoch stride advances it by k at once.
         self.epoch = 0
@@ -244,10 +237,7 @@ class Simulator:
         self.coalesce_traffic = coalesce_traffic
         #: Per-app worker clock frequency, resolved once at attach time.
         self._app_freq: Dict[str, Optional[float]] = {}
-        # The array-native epoch kernel assumes the stock LatencyModel
-        # arithmetic; a subclassed model falls back to the scalar loop.
-        self._use_kernel = bool(epoch_kernel) and type(latency_model) is LatencyModel
-        self._kernel = None
+        self._kernel = EpochKernel(self)
         #: True once :meth:`start` has run; tuners attached afterwards get
         #: their ``on_start`` immediately (fleet machines admit apps and
         #: tuners mid-flight).
@@ -311,7 +301,6 @@ class Simulator:
         )
         self._tuners_started -= removed_started
         self._tuners = keep
-        self._derived = None
         return app
 
     @property
@@ -435,7 +424,7 @@ class Simulator:
                 break
             if self.now >= deadline:
                 break
-            self._step(deadline)
+            self._kernel.step(deadline)
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"simulation exceeded {_MAX_EPOCHS} epochs")
 
@@ -450,14 +439,12 @@ class Simulator:
             },
             telemetry=dict(self._telemetry),
             migration={aid: self.migration.stats(aid) for aid in self._apps},
-            final_allocation=(
-                self._last_allocation if self._kernel is None else self._kernel.final_allocation()
-            ),
+            final_allocation=self._kernel.final_allocation(),
         )
 
     def run(self, max_time: float = 36000.0) -> SimResult:
         """Advance until every non-looping app finishes (or ``max_time``)."""
-        if max_time <= 0:
+        if not max_time > 0:  # NaN included
             raise ValueError(f"max_time must be positive, got {max_time}")
         if not self._apps:
             raise RuntimeError("no applications registered")
@@ -498,189 +485,3 @@ class Simulator:
                 f"workers={app.worker_nodes}"
             )
         return freq
-
-    def _step(self, deadline: float) -> None:
-        """Advance one epoch (or one exact multi-epoch stride)."""
-        if self._use_kernel:
-            kernel = self._kernel
-            if kernel is None:
-                from repro.engine.kernel import EpochKernel
-
-                kernel = self._kernel = EpochKernel(self)
-            kernel.step(deadline)
-        else:
-            self._step_reference(deadline)
-
-    def _step_reference(self, deadline: float) -> None:
-        """Advance one epoch — the scalar reference loop.
-
-        The epoch kernel (:mod:`repro.engine.kernel`) must stay
-        bitwise-equal to this path; the property tests in
-        ``tests/test_epoch_kernel.py`` compare the two directly.
-        """
-        apps = [a for a in self._apps.values() if not a.finished]
-
-        # Fault-plan state for this epoch: phase shocks scale demands,
-        # link-degradation windows scale solver capacities. Both are pure
-        # functions of sim time, so they fold into the cache keys below.
-        faults = self.faults
-        cap_scale = None
-        scale_key = None
-        if faults is not None:
-            if faults.plan.phase_shocks:
-                for app in apps:
-                    app.demand_scale = faults.demand_scale(app.app_id, self.now)
-            if faults.plan.link_faults:
-                cap_scale = faults.capacity_scale(self.machine, self.now)
-                scale_key = faults.capacity_scale_key(self.now)
-
-        # Adaptive policies (e.g. autonuma) act at epoch granularity.
-        policy_moved = 0
-        for app in apps:
-            if app.policy is not None:
-                stats = app.policy.step(app.space, app.ctx, app.epoch_index)
-                if stats.pages_moved:
-                    self.charge_migration(app, stats.pages_moved)
-                    policy_moved += stats.pages_moved
-            app.epoch_index += 1
-
-        consumers = []
-        consumer_by_key = {}
-        for app in apps:
-            for c in app.consumers():
-                consumers.append(c)
-                consumer_by_key[c.key()] = c
-        if self.solver_cache is not None:
-            fp = consumers_fingerprint(consumers, self.mc_model)
-            if scale_key is not None:
-                fp = (fp, scale_key)
-            alloc = self.solver_cache.solve_keyed(
-                fp, self.machine, consumers, self.mc_model, capacity_scale=cap_scale
-            )
-        else:
-            fp = None
-            alloc = solve(self.machine, consumers, self.mc_model, capacity_scale=cap_scale)
-        self._last_allocation = alloc
-
-        # Per-worker slowdowns and progress rates. Everything computed here
-        # is a pure function of the consumer fingerprint plus the per-app
-        # workload scalars below, so fingerprint-identical epochs replay the
-        # previous epoch's values (exactly — no approximation).
-        derived_key = None
-        if fp is not None:
-            derived_key = (
-                fp,
-                tuple(
-                    (
-                        app.app_id,
-                        app.workload.latency_weight,
-                        app.workload.node_efficiency(len(app.worker_nodes)),
-                    )
-                    for app in apps
-                ),
-            )
-        if derived_key is not None and self._derived is not None and (
-            self._derived[0] == derived_key
-        ):
-            _, rates, stalls = self._derived
-        else:
-            rates: Dict[Tuple[str, int], float] = {}
-            stalls: Dict[Tuple[str, int], float] = {}
-            for app in apps:
-                for w in app.worker_nodes:
-                    demand = app.node_demand(w)
-                    if demand <= 0:
-                        continue
-                    achieved = alloc.rate(app.app_id, w)
-                    lat = self.latency_model.consumer_latency_ns(
-                        self.machine, consumer_by_key[(app.app_id, w)], alloc
-                    )
-                    base = self.latency_model.local_baseline_ns(self.machine, w)
-                    load = WorkerLoad(
-                        demand_gbps=demand,
-                        achieved_gbps=max(achieved, 1e-12),
-                        avg_latency_ns=lat,
-                        base_latency_ns=base,
-                        latency_weight=app.workload.latency_weight,
-                    )
-                    s = slowdown(load)
-                    # Useful progress: achieved traffic, discounted by the
-                    # share wasted on cross-node coherence (node_efficiency).
-                    useful = app.workload.node_efficiency(len(app.worker_nodes))
-                    rates[(app.app_id, w)] = demand / s * useful * 1e9  # bytes/s
-                    stalls[(app.app_id, w)] = stall_fraction(load)
-            if derived_key is not None:
-                self._derived = (derived_key, rates, stalls)
-
-        # Choose the time step: hit the next completion exactly; when the
-        # scenario is fully static (no tuners, no policy migrations), jump
-        # straight to it.
-        static = policy_moved == 0 and all(t.is_settled() for t in self._tuners)
-        dt = float("inf") if static else self.epoch_s
-        for app in apps:
-            horizon_shift = app.pending_penalty_s
-            for w in app.worker_nodes:
-                rate = rates.get((app.app_id, w), 0.0)
-                rem = app.remaining(w)
-                if rate > 0 and rem > 0:
-                    dt = min(dt, rem / rate + horizon_shift)
-        if faults is not None:
-            # Never jump past a fault-window edge: the scales computed at
-            # the top of the epoch are only valid up to the next edge.
-            edge = faults.next_event_after(self.now)
-            if edge is not None:
-                dt = min(dt, edge - self.now)
-        dt = min(dt, max(deadline - self.now, 0.0))
-        if not np.isfinite(dt) or dt <= 0:
-            dt = min(self.epoch_s, max(deadline - self.now, 1e-6))
-
-        # Progress, minus any pending stall penalty (migration costs).
-        for app in apps:
-            pay = min(app.pending_penalty_s, dt)
-            app.pending_penalty_s -= pay
-            effective = dt - pay
-            for w in app.worker_nodes:
-                rate = rates.get((app.app_id, w), 0.0)
-                if rate > 0 and effective > 0:
-                    app.advance(w, rate * effective)
-
-        self.now += dt
-
-        # Counters + telemetry.
-        for app in apps:
-            active = [
-                (w, stalls[(app.app_id, w)])
-                for w in app.worker_nodes
-                if (app.app_id, w) in stalls
-            ]
-            if active:
-                weights = np.array([app.threads_on(w) for w, _ in active], dtype=float)
-                vals = np.array([s for _, s in active])
-                frac = float(np.average(vals, weights=weights))
-            else:
-                frac = 0.0
-            freq = self._worker_frequency_ghz(app)
-            throughput = alloc.app_total_rate(app.app_id)
-            self.counters.update(
-                app.app_id,
-                stall_rate=frac * freq * 1e9,
-                throughput_gbps=throughput,
-                per_node_stall={w: s for w, s in active},
-            )
-            tele = self._telemetry[app.app_id]
-            tele.stall_time_product += frac * dt
-            tele.throughput_time_product += throughput * dt
-            tele.active_time += dt
-            reads, writes = app.workload.read_write_split(throughput)
-            tele.record_traffic(
-                dt,
-                reads,
-                writes,
-                app.workload.private_fraction,
-                coalesce=self.coalesce_traffic,
-            )
-            app.check_finished(self.now)
-
-        for tuner in self._tuners:
-            tuner.on_epoch(self)
-        self.epoch += 1

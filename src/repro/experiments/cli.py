@@ -185,8 +185,9 @@ def bench_compare_main(argv) -> int:
     For every ``BENCH_*.json`` in the baseline directory, each *guarded*
     metric (higher-is-better ratios the benchmark nominated) of the
     current run must reach ``baseline * (1 - tolerance)``; a shortfall or
-    a missing current file fails the comparison. Unguarded metrics are
-    trajectory data and only reported.
+    a missing current file fails the comparison, and so does a missing
+    metric, unless a quick run lists it as ``skipped`` (too costly for a
+    quick run). Unguarded metrics are trajectory data and only reported.
     """
     parser = argparse.ArgumentParser(
         prog="bwap-repro bench-compare",
@@ -248,7 +249,10 @@ def bench_compare_main(argv) -> int:
             if ref is None:
                 continue
             if got is None:
-                failures.append(f"{name}: guarded metric {metric!r} missing")
+                if cur.get("quick") and metric in cur.get("skipped", ()):
+                    print(f"  {name:>14s} {metric:<16s} skipped in a quick run")
+                else:
+                    failures.append(f"{name}: guarded metric {metric!r} missing")
                 continue
             floor = ref * (1.0 - args.tolerance)
             verdict = "ok" if got >= floor else "REGRESSION"

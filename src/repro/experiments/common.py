@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import sys
-import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -21,6 +19,7 @@ import numpy as np
 from repro.core import BWAPConfig, CanonicalTuner, bwap_init, combine_weights
 from repro.engine import Application, Simulator, pick_worker_nodes
 from repro.faults import FaultPlan
+from repro.obs import Heartbeat
 from repro.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -433,56 +432,6 @@ def run_spec(
     outcome = _run_spec_cold(spec)
     store.put(fp, outcome.to_payload())
     return outcome
-
-
-class Heartbeat:
-    """Opt-in stderr progress reporting for long sweeps.
-
-    Enabled by setting ``BWAP_HEARTBEAT`` to a positive interval in
-    seconds (the CLI's ``--heartbeat`` flag sets it); otherwise every call
-    is a no-op, so default runs are byte-identical on both streams.
-    Writes only to stderr — stdout and all computed results are untouched,
-    and determinism is unaffected (the heartbeat reads the wall clock but
-    feeds nothing back into the runs). In serial sweeps the line includes
-    the result-store hit rate; parallel workers accumulate store
-    statistics in their own processes, so there the line carries
-    completed/total only.
-    """
-
-    def __init__(self, total: int, label: str = "run_specs"):
-        raw = os.environ.get("BWAP_HEARTBEAT", "")
-        try:
-            interval = float(raw) if raw else 0.0
-        except ValueError:
-            interval = 0.0
-        self.interval = interval
-        self.total = total
-        self.label = label
-        self.enabled = interval > 0 and total > 0
-        self._last = time.monotonic()
-
-    def beat(self, done: int, *, force: Optional[bool] = None) -> None:
-        """Emit a progress line if due (always on the final item).
-
-        ``force`` overrides the final-item bypass: callers whose ``done``
-        counter can sit at ``total`` across many calls (the fleet
-        scheduler's completion count once the trace drains) pass
-        ``force=False`` to stay on the interval, and ``force=True`` for
-        their one terminal line.
-        """
-        if not self.enabled:
-            return
-        now = time.monotonic()
-        if force is None:
-            force = done >= self.total
-        if not force and now - self._last < self.interval:
-            return
-        self._last = now
-        extra = ""
-        store = get_default_store()
-        if store is not None and store.stats.lookups:
-            extra = f", store {store.stats.summary()}"
-        print(f"[{self.label}] {done}/{self.total}{extra}", file=sys.stderr)
 
 
 _T = TypeVar("_T")

@@ -41,7 +41,6 @@ class FleetSpec:
     policy: str = "bwap"
     dwp: float = 0.8
     discipline: str = "best-rate"
-    scoring: str = "batched"
     tick_s: float = 5.0
     worker_counts: Tuple[int, ...] = (1, 2)
     max_pending_per_tick: int = 8
@@ -66,7 +65,6 @@ class FleetSpec:
             worker_counts=tuple(self.worker_counts),
             max_pending_per_tick=self.max_pending_per_tick,
             discipline=self.discipline,
-            scoring=self.scoring,
             recovery=self.recovery,
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_s,
@@ -115,7 +113,7 @@ class FleetOutcome:
     #: Completed original work over submitted work (1.0 when nothing
     #: arrived).
     goodput: float = 1.0
-    # ---- incremental-scoring observability (zeros elsewhere) ---------- #
+    # ---- state-table observability ------------------------------------ #
     memo_hits: int = 0
 
     def to_payload(self) -> Dict[str, object]:
@@ -337,14 +335,6 @@ def run_fleet(jobs: Optional[int] = None) -> FleetReport:
             FleetSpec(
                 mix=mix,
                 trace=TraceSpec(kind="bursty", rate_per_s=1.0, arrivals=arrivals),
-            ),
-        ),
-        (
-            "poisson/inc",
-            FleetSpec(
-                mix=mix,
-                trace=TraceSpec(kind="poisson", rate_per_s=1.0, arrivals=arrivals),
-                scoring="incremental",
             ),
         ),
         (

@@ -11,8 +11,8 @@ Two invariants are asserted on every run:
 
 * **Zero-fault identity** — a null (zero-intensity) plan produces
   placements, completions, and utilisation *byte-identical* to a run
-  with no fault plan at all, in both the batched and scalar scoring
-  modes (the fault layer is gated entirely on the injector).
+  with no fault plan at all (the fault layer is gated entirely on the
+  injector).
 * **Recovery invariance at zero intensity** — with nothing to recover
   from, every recovery policy summarises identically.
 
@@ -33,7 +33,7 @@ from repro.experiments.fleet import FleetOutcome, FleetSpec, run_fleet_specs
 from repro.experiments.report import format_table
 from repro.fleet.cluster import build_fleet
 from repro.fleet.faults import FleetFaultPlan, chaos_plan
-from repro.fleet.scheduler import RECOVERIES, FleetScheduler, SchedulerConfig
+from repro.fleet.scheduler import RECOVERIES, FleetScheduler
 from repro.workloads import TraceSpec, build_trace
 
 
@@ -49,45 +49,40 @@ def assert_zero_fault_identity(
     seed: int = 42,
     max_time: float = 1_000_000.0,
 ) -> None:
-    """Assert a null-scaled ``plan`` changes nothing, in both scoring modes.
+    """Assert a null-scaled ``plan`` changes nothing.
 
     Compares the full :class:`~repro.fleet.scheduler.FleetResult` surface
     that admission decisions flow through — placements, completions
     (every field, exact float equality), utilisation, end time, solver
-    accounting — between ``faults=None`` and ``faults=plan.scaled(0)``,
-    in all three scoring modes (batched, scalar, incremental).
+    accounting — between ``faults=None`` and ``faults=plan.scaled(0)``.
     """
     trace = build_trace(trace_spec)
     scaled = plan.scaled(0.0)
     if not scaled.is_null:
         raise AssertionError("plan.scaled(0) must be a null plan")
-    for scoring in ("batched", "scalar", "incremental"):
-        cfg = SchedulerConfig(scoring=scoring)
-        base = FleetScheduler(
-            build_fleet(mix), trace, cfg, seed=seed, faults=None
-        ).run(max_time)
-        nulled = FleetScheduler(
-            build_fleet(mix), trace, cfg, seed=seed, faults=scaled
-        ).run(max_time)
-        for field_name in (
-            "placements",
-            "completions",
-            "utilization",
-            "end_time",
-            "ticks",
-            "solver_calls",
-            "entries_scored",
-            "requeues",
-            "stranded",
-            "availability",
-        ):
-            a = getattr(base, field_name)
-            b = getattr(nulled, field_name)
-            if a != b:
-                raise AssertionError(
-                    f"zero-fault identity broken ({scoring}): {field_name} "
-                    f"{a!r} != {b!r}"
-                )
+    base, nulled = (
+        FleetScheduler(build_fleet(mix), trace, seed=seed, faults=faults).run(max_time)
+        for faults in (None, scaled)
+    )
+    for field_name in (
+        "placements",
+        "completions",
+        "utilization",
+        "end_time",
+        "ticks",
+        "solver_calls",
+        "entries_scored",
+        "memo_hits",
+        "requeues",
+        "stranded",
+        "availability",
+    ):
+        a = getattr(base, field_name)
+        b = getattr(nulled, field_name)
+        if a != b:
+            raise AssertionError(
+                f"zero-fault identity broken: {field_name} {a!r} != {b!r}"
+            )
 
 
 @dataclass
@@ -190,9 +185,7 @@ def run_fleet_chaos(
     # fleet busy (arrivals at ~1/s plus drain).
     plan = chaos_plan(num_machines, horizon_s=1.5 * arrivals, seed=23)
 
-    # The gating invariant first, on a fleet small enough that the scalar
-    # scoring mode stays cheap (the full-size equivalence is the fleet
-    # benchmark's job).
+    # The gating invariant first, on a small fleet.
     assert_zero_fault_identity(
         (("A", 2), ("B", 2)),
         TraceSpec(kind="poisson", rate_per_s=0.5, arrivals=24, seed=11),
@@ -210,10 +203,6 @@ def run_fleet_chaos(
                     trace=trace,
                     faults=None if scaled.is_null else scaled,
                     recovery=recovery,
-                    # Bitwise-identical to batched scoring (asserted
-                    # above) and an order of magnitude faster on cold
-                    # cells — the matrix dogfoods the incremental path.
-                    scoring="incremental",
                 )
             )
             grid.append((intensity, recovery))

@@ -2,9 +2,10 @@
 
 Scales the single-machine substrate to many heterogeneous machines behind
 a pluggable backend abstraction (:mod:`repro.fleet.backend`), with a
-trace-driven scheduler (:mod:`repro.fleet.scheduler`) that scores every
-(app x machine x worker-set) candidate placement of a scheduling tick in
-one vectorised :func:`repro.memsim.solve_batch_fleet_lazy` call.
+trace-driven scheduler (:mod:`repro.fleet.scheduler`) that reads
+(app x machine x worker-set) candidate scores from a table keyed by
+machine state, solving the cells a tick meets for the first time in one
+vectorised :func:`repro.memsim.solve_batch_fleet_lazy` call.
 """
 
 from repro.fleet.cluster import (

@@ -20,7 +20,8 @@ so execution fidelity is pluggable per run:
 Both backends score candidate placements with the *same* analytic
 consumer construction (:meth:`MachineBackend.candidate_consumers`), so a
 scheduling decision depends only on the solver — which is what makes the
-batched and scalar scoring paths bitwise-comparable.
+state-keyed scores bitwise-comparable with one scalar solve per
+candidate.
 """
 
 from __future__ import annotations

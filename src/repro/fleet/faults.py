@@ -272,9 +272,9 @@ class FleetFaultInjector:
     Window queries (crashes, degradations, edges) are pure functions of
     the plan; only the admission-rejection and lost-completion draws are
     stateful, each on its own RNG stream spawned from the plan seed.
-    Draws happen in scheduler decision order, which is identical in the
-    batched and scalar scoring modes — so fault realisations never
-    diverge between them.
+    Draws happen in scheduler decision order, which any scheduler that
+    takes the same decisions shares — so fault realisations never
+    diverge between the scheduler and its exhaustive reference.
     """
 
     def __init__(self, plan: FleetFaultPlan):

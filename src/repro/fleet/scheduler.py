@@ -3,30 +3,25 @@
 Each scheduling tick admits a batch of pending arrivals. Every app ranks
 its feasible (machine x worker-set) candidates by the discipline's rank
 key and takes the first maximum; machines claimed earlier in the tick
-are skipped. Three scoring modes run this same decision procedure and
-produce byte-for-byte the same placements, completions, and metrics:
+are skipped.
 
-``"batched"``
-    Scores every candidate in a **single**
-    :func:`repro.memsim.solve_batch_fleet_lazy` call per tick.
-``"scalar"``
-    One :func:`repro.memsim.solve` per candidate (the batched solver is
-    bitwise-identical to it).
-``"incremental"``
-    Scores by machine *state*. Each machine is interned, whenever its
-    version or capacity scale moves, as the state ``(machine identity,
-    resident rows, occupied nodes, capacity-scale key)`` — everything a
-    candidate solve on it reads — and a growing table holds one float per
-    ``(state, arrival kind, worker-count slot)`` cell. A tick gathers its
-    kinds' scores from each machine's current state and solves the cells
-    the run has never seen, each once, in one
-    :func:`repro.memsim.solve_batch_fleet_lazy` call. Candidates are
-    shared rows of :func:`repro.memsim.consumer_rows`, solved after the
-    state's resident rows without building a ``Consumer``.
+Candidates are scored by machine *state*. Each machine is interned,
+whenever its version or capacity scale moves, as the state ``(machine
+identity, resident rows, occupied nodes, capacity-scale key)`` —
+everything a candidate solve on it reads — and a growing table holds one
+float per ``(state, arrival kind, worker-count slot)`` cell. A tick
+gathers its kinds' scores from each machine's current state and solves
+the cells the run has never seen, each once, in one
+:func:`repro.memsim.solve_batch_fleet_lazy` call. Candidates are shared
+rows of :func:`repro.memsim.consumer_rows`, solved after the state's
+resident rows without building a ``Consumer``. The exhaustive greedy this
+replays bitwise — one scalar solve per candidate, every tick — is kept as
+the reference in ``tests/oracle/exhaustive_tick.py``.
 
-No mode hands allocations to the backends: the fluid backend solves its
-own resident set at each advance, through a version-keyed slot and a
-rename-canonical cache that replay the floats a scoring solve produced.
+The scheduler hands no allocations to the backends: the fluid backend
+solves its own resident set at each advance, through a version-keyed
+slot and a rename-canonical cache that replay the floats a scoring solve
+produced.
 
 Between ticks the fleet skips idle spans in one jump, so sparse traces
 cost time proportional to events, not to simulated seconds. A step
@@ -38,8 +33,8 @@ evicts the residents of crashing machines and requeues them with bounded
 exponential backoff (``"requeue+checkpoint"`` resumes from the last
 completed progress quantum), skips crashed and circuit-breaker-blocked
 machines, re-scores degraded machines with scaled link capacities, and
-draws admission rejections and lost completions in decision order so
-every scoring mode sees identical faults. ``faults=None`` leaves the
+draws admission rejections and lost completions in decision order, so
+the reference greedy sees identical faults. ``faults=None`` leaves the
 fault-free run byte-for-byte what it was before the fault layer existed.
 """
 
@@ -59,20 +54,17 @@ from repro.fleet.backend import (
 )
 from repro.fleet.cluster import FleetNode
 from repro.fleet.faults import HealthTracker, as_fleet_injector
-from repro.memsim.contention import solve
 from repro.memsim import solve_batch_fleet_lazy
 from repro.engine.threads import pick_worker_nodes
-from repro.experiments.common import Heartbeat
+from repro.obs import Heartbeat
 from repro.workloads.arrivals import ArrivalTrace
 
 #: Scheduling disciplines: how a pending app ranks its feasible candidates.
+#: A larger rank key wins, ties breaking toward lower machine id, then
+#: smaller worker count k: ``(score, -mid, -k)`` for best-rate, ``(-mid,
+#: -k)`` for first-fit, and ``(free nodes, score, -mid, -k)`` for
+#: least-loaded.
 DISCIPLINES = ("best-rate", "first-fit", "least-loaded")
-
-#: Scoring modes: one fleet-batched solve per tick, one scalar solve per
-#: candidate (the baseline the benchmark beats), or state-keyed score
-#: rows solved once per run ("incremental") — all three byte-for-byte
-#: identical.
-SCORINGS = ("batched", "scalar", "incremental")
 
 #: Recovery policies for work interrupted by a machine crash (or a lost
 #: completion report): strand it, requeue it from scratch, or requeue it
@@ -91,7 +83,6 @@ class SchedulerConfig:
     worker_counts: Tuple[int, ...] = (1, 2)
     max_pending_per_tick: int = 8
     discipline: str = "best-rate"
-    scoring: str = "batched"
     #: What happens to work a crash (or lost completion) interrupts.
     recovery: str = "requeue"
     #: Re-placements allowed per app beyond its first attempt.
@@ -133,8 +124,6 @@ class SchedulerConfig:
             raise ValueError(
                 f"unknown discipline {self.discipline!r}; use {DISCIPLINES}"
             )
-        if self.scoring not in SCORINGS:
-            raise ValueError(f"unknown scoring {self.scoring!r}; use {SCORINGS}")
         if not 0 <= self.dwp <= 1:
             raise ValueError(f"dwp must be in [0, 1], got {self.dwp}")
         if self.recovery not in RECOVERIES:
@@ -172,11 +161,10 @@ class FleetResult:
     placed: int
     pending_left: int
     ticks: int
-    #: Solver invocations: ticks in batched mode, entries in scalar mode,
-    #: ticks that met a never-solved state cell in incremental mode.
+    #: Solver invocations: ticks that met a never-solved state cell.
     solver_calls: int
-    #: Candidate entries actually solved (incremental mode: distinct
-    #: ``(state, kind, slot)`` cells, each once per run).
+    #: Candidate entries actually solved: distinct ``(state, kind, slot)``
+    #: cells, each once per run.
     entries_scored: int
     end_time: float
     utilization: Dict[int, float]
@@ -205,13 +193,12 @@ class FleetResult:
     availability: float = 1.0
     #: Seconds each machine spent crashed within ``[0, end_time]``.
     machine_downtime: Dict[int, float] = field(default_factory=dict)
-    # ---- incremental-scheduling observability (defaults on exhaustive
-    # ---- runs, where every candidate is re-scored from scratch) ------- #
+    # ---- state-table observability ------------------------------------ #
     #: Candidate scores read from the state table instead of solved.
     #: ``memo_hits + entries_scored`` counts every fitting slot of every
     #: eligible machine visited, per kind of each tick's batch.
     memo_hits: int = 0
-    #: Always 0: the incremental tick no longer prunes candidates. Kept
+    #: Always 0: the tick no longer prunes candidates. Kept
     #: because the repo benchmark's fleet case reads the field.
     bound_pruned: int = 0
 
@@ -245,7 +232,7 @@ class _PendQueue:
     requeue appends a fresh record and leaves the retired one where it
     is. Visible order — arrivals and requeues append, retired records
     disappear — is exactly that of the plain list this replaces, so
-    every scoring mode sees identical batches.
+    every tick sees the batches the plain list gave.
     """
 
     __slots__ = ("_items", "_head", "_retired")
@@ -332,7 +319,7 @@ class FleetScheduler:
         self.trace = trace
         self.config = config
         self.injector = as_fleet_injector(faults, num_machines=len(self.fleet))
-        # ---- scoring caches (mostly incremental-mode state) ------------ #
+        # ---- scoring state --------------------------------------------- #
         #: Candidate ``(rows, live rows, threads)`` templates keyed by
         #: (machine identity, workers, arrival kind): rows of the machine
         #: class's shared :func:`~repro.memsim.consumer_rows`, one per
@@ -404,21 +391,7 @@ class FleetScheduler:
         self._busy = np.zeros(m, dtype=bool)
 
     # ------------------------------------------------------------------ #
-    # Candidate ranking
-    # ------------------------------------------------------------------ #
-
-    def _rank_key(self, backend: MachineBackend, score: float, k: int) -> tuple:
-        """Larger key wins; ties break toward lower machine id, smaller k."""
-        d = self.config.discipline
-        if d == "best-rate":
-            return (score, -backend.mid, -k)
-        if d == "first-fit":
-            return (-backend.mid, -k)
-        # least-loaded: most free nodes first, then predicted rate.
-        return (len(backend.free_nodes()), score, -backend.mid, -k)
-
-    # ------------------------------------------------------------------ #
-    # Incremental scoring
+    # State-keyed scoring
     # ------------------------------------------------------------------ #
 
     def _cand_template(self, backend: MachineBackend, workers, kind: int):
@@ -526,7 +499,7 @@ class FleetScheduler:
     def _ranked(self, best: np.ndarray, hits: np.ndarray, elig: np.ndarray):
         """``(kind position, mid)`` of every eligible machine with a
         scored slot, grouped by kind, each group in descending
-        ``_rank_key`` of the machine's best slot (keys never tie across
+        rank key of the machine's best slot (keys never tie across
         machines, so ``mid`` alone breaks score ties)."""
         kk, mm = np.nonzero((hits > 0) & elig)
         cols = (mm, -best[kk, mm])
@@ -554,13 +527,13 @@ class FleetScheduler:
             )
         return view[1:]
 
-    def _tick_incremental(
+    def _tick(
         self, batch, scales, now, health, placements, pending, inflight, counts
     ) -> None:
         """One tick of the state-keyed decision procedure.
 
         Replays the exhaustive greedy exactly: apps are processed in
-        arrival order, and each app takes the first-max ``_rank_key``
+        arrival order, and each app takes the first-max rank-key
         candidate over the unclaimed machines, with the same float
         scores. Unclaimed machines' occupancy never mutates mid-tick, and
         a claim removes the whole machine, so ranking each machine by its
@@ -670,85 +643,6 @@ class FleetScheduler:
         counts["memo_hits"] += visits
         return self._summary(score)
 
-    def _tick_exhaustive(
-        self, batch, scales, now, health, placements, pending, inflight, counts
-    ) -> None:
-        """One tick of the exhaustive decision procedure (``"batched"`` /
-        ``"scalar"`` scoring): every candidate re-solved from scratch."""
-        injector = self.injector
-        # --- Build the tick's entry list ---------------------------------
-        entries: List[tuple] = []  # (machine, consumers)
-        entry_scales: List[Optional[np.ndarray]] = []
-        resident = {b.mid: b.resident_consumers() for b in self.backends if b.num_live}
-        # Same-class machines with the same worker set produce identical
-        # candidate consumers (weights, mixes, demands depend only on
-        # machine/workers/workload), so construct each distinct set once
-        # per tick and share the objects.
-        cons_cache: Dict[Tuple[int, Tuple[int, ...], int], list] = {}
-        cands: List[Tuple[_Pend, int, Tuple[int, ...], int]] = []
-        for r in batch:
-            p = r.idx
-            app_id = self.trace.app_id(p)
-            workload = self.trace.catalog[int(self.trace.kind_idx[p])]
-            for b in self.backends:
-                if injector is not None and (
-                    injector.crashed_at(b.mid, now) or not health.allows(b.mid, now)
-                ):
-                    continue
-                for workers in self._slot_row(b)[0]:
-                    if workers is None:
-                        continue
-                    key = (id(b.machine), workers, p)
-                    consumers = cons_cache.get(key)
-                    if consumers is None:
-                        consumers = b.candidate_consumers(app_id, workload, workers)[0]
-                        cons_cache[key] = consumers
-                    cands.append((r, b.mid, workers, len(entries)))
-                    entries.append((b.machine, resident.get(b.mid, []) + consumers))
-                    entry_scales.append(scales.get(b.mid))
-
-        # --- ONE vectorised solve for the whole tick ---------------------
-        counts["entries_scored"] += len(entries)
-        if self.config.scoring == "batched":
-            # Lazy batch: scores come straight off the rate tensor.
-            fb = solve_batch_fleet_lazy(
-                entries, capacity_scales=entry_scales if injector is not None else None
-            )
-            counts["solver_calls"] += 1
-            get_score = fb.app_total_rate
-        else:
-            allocs = [
-                solve(m, cs, capacity_scale=sc) for (m, cs), sc in zip(entries, entry_scales)
-            ]
-            counts["solver_calls"] += len(entries)
-
-            def get_score(row: int, aid: str) -> float:
-                return allocs[row].app_total_rate(aid)
-
-        # --- Greedy admissions in arrival order --------------------------
-        claimed: set = set()
-        for r in batch:
-            p = r.idx
-            app_id = self.trace.app_id(p)
-            best = None
-            for rr, mid, workers, row in cands:
-                if rr is not r or mid in claimed:
-                    continue
-                score = get_score(row, app_id)
-                key = self._rank_key(self.backends[mid], score, len(workers))
-                if best is None or key > best[0]:
-                    best = (key, mid, workers, row)
-            if best is None:
-                continue  # no feasible machine this tick
-            if injector is not None and injector.admission_rejected():
-                counts["admission_rejections"] += 1
-                continue  # stays pending; retried next tick
-            _key, mid, workers, _row = best
-            self._admit(
-                r, self.backends[mid], workers, now, placements, pending, inflight
-            )
-            claimed.add(mid)
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
@@ -781,7 +675,7 @@ class FleetScheduler:
         seen_completions = [0] * len(backends)
         last_fault_t = -math.inf
         hb = Heartbeat(n, label="fleet")
-        #: Tick counters (memo hits stay zero on exhaustive runs).
+        #: Tick counters.
         counts = dict.fromkeys(
             ("solver_calls", "entries_scored", "memo_hits", "admission_rejections"), 0
         )
@@ -843,12 +737,7 @@ class FleetScheduler:
             batch = pending.batch(cfg.max_pending_per_tick, None if injector is None else now)
             if batch:
                 ticks += 1
-                tick = (
-                    self._tick_incremental
-                    if cfg.scoring == "incremental"
-                    else self._tick_exhaustive
-                )
-                tick(batch, scales, now, health, placements, pending, inflight, counts)
+                self._tick(batch, scales, now, health, placements, pending, inflight, counts)
 
             # --- Advance the fleet clock ---------------------------------
             live = busy.any()

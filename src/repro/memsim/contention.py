@@ -539,10 +539,11 @@ class ConsumerRows:
     fraction, mix) and, computed once at creation, what a solve derives
     from it: ``coef``, its :func:`batch_coefficients` column; ``touch``,
     the resources it marks touched; ``reads``, its flattened ``(node,
-    source)`` presence, from which MC reader counts follow; and ``key``,
-    the value identity the fleet's canonical solve cache keys on. Rows are
-    deduplicated by value, so the store grows with the distinct consumers
-    seen, not with solves. Row 0 is all zeros: the padding of dead slots.
+    source)`` presence, from which MC reader counts follow. Rows are
+    deduplicated by value, so a row id stands for its values (the fleet's
+    canonical solve cache keys on row ids) and the store grows with the
+    distinct consumers seen, not with solves. Row 0 is all zeros: the
+    padding of dead slots.
     """
 
     def __init__(self, machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL):
@@ -556,7 +557,6 @@ class ConsumerRows:
         self.demand: List[float] = [0.0]
         self.write_fraction: List[float] = [0.0]
         self.threads: List[int] = [0]
-        self.key: List[tuple] = [()]
         self._index: Dict[tuple, int] = {}
         self.mix = np.zeros((16, n))
         self.coef = np.zeros((16, t.num_res))
@@ -605,7 +605,6 @@ class ConsumerRows:
         self.demand.append(key[1])
         self.write_fraction.append(key[2])
         self.threads.append(c.threads)
-        self.key.append(key)
         self._index[(key, c.threads)] = row
         return row
 
@@ -637,11 +636,6 @@ def consumer_rows(machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL) -> Con
     if rows is None:
         rows = by_model[key] = ConsumerRows(machine, mc_model)
     return rows
-
-
-def _is_rows(payload: Sequence) -> bool:
-    """Whether a solve payload holds row indices (else ``Consumer`` objects)."""
-    return len(payload) > 0 and not isinstance(payload[0], Consumer)
 
 
 def _batch_setup(
@@ -977,91 +971,23 @@ def solve_batch(
 
 
 class FleetBatch:
-    """Lazy view over one fleet-batched solve.
+    """Slot rates of one fleet-batched solve; :meth:`tail_rates` reads
+    candidate scores straight off the dense rate tensor."""
 
-    :meth:`tail_rates` reads candidate scores straight off the dense rate
-    tensor; for ``Consumer`` entries, :meth:`allocation` materialises a
-    full :class:`Allocation` (memoised) and :meth:`app_total_rate` sums one
-    application's rates. All are bitwise what ``solve(machine, consumers)``
-    gives for that entry alone.
-    """
+    __slots__ = ("_lens", "_rates")
 
-    __slots__ = (
-        "_consumers",
-        "_lens",
-        "_tables",
-        "_rates",
-        "_util",
-        "_bottleneck",
-        "_touched",
-        "_caps",
-        "_allocs",
-    )
-
-    def __init__(self, consumers, lens, tables, rates, util, bottleneck, touched, caps):
-        self._consumers = consumers
+    def __init__(self, lens: List[int], rates: Optional[np.ndarray]):
         self._lens = lens
-        self._tables = tables
         self._rates = rates
-        self._util = util
-        self._bottleneck = bottleneck
-        self._touched = touched
-        self._caps = caps
-        self._allocs: List[Optional[Allocation]] = [None] * len(lens)
 
     def __len__(self) -> int:
-        return len(self._allocs)
-
-    def _entry_consumers(self, i: int):
-        if self._consumers[i] is None:
-            raise ValueError(f"entry {i} was given as rows, not Consumers")
-        return self._consumers[i]
-
-    def allocation(self, i: int) -> Allocation:
-        """Full :class:`Allocation` of ``Consumer`` entry ``i`` (built on
-        first use)."""
-        alloc = self._allocs[i]
-        if alloc is None:
-            consumers, live = self._entry_consumers(i)
-            if self._rates is None:  # every entry in the batch was idle
-                alloc = _empty_allocation(consumers)
-            else:
-                alloc = allocation_from_rows(
-                    [c.key() for c in consumers],
-                    [c.key() for c in live],
-                    self._tables[i].res_keys,
-                    self._rates[i],
-                    self._bottleneck[i],
-                    self._touched[i],
-                    self._util[i],
-                    self._caps[i],
-                )
-            self._allocs[i] = alloc
-        return alloc
-
-    def app_total_rate(self, i: int, app_id: str) -> float:
-        """Aggregate rate of ``app_id`` in ``Consumer`` entry ``i``.
-
-        Sums the app's live-consumer rates in consumer order — the same
-        floats in the same order as
-        ``allocation(i).app_total_rate(app_id)`` (idle consumers only
-        ever contribute an exact ``+ 0.0``), so scores taken here and
-        scores taken from materialised allocations are interchangeable.
-        """
-        _consumers, live = self._entry_consumers(i)
-        if self._rates is None:
-            return 0.0
-        total = 0.0
-        row = self._rates[i]
-        for j, c in enumerate(live):
-            if c.app_id == app_id:
-                total += float(row[j])
-        return total
+        return len(self._lens)
 
     def tail_rates(self, tails: Sequence[int]) -> List[float]:
         """Per entry ``i``, the sum of its last ``tails[i]`` slot rates in
         slot order — for a candidate whose rows trail its machine's
-        residents, the floats :meth:`app_total_rate` adds, in its order."""
+        residents, bitwise the candidate app's ``Allocation.app_total_rate``
+        in ``solve(machine, consumers)`` of that entry alone."""
         if self._rates is None:
             return [0.0] * len(tails)
         return [
@@ -1071,7 +997,7 @@ class FleetBatch:
 
 
 def solve_batch_fleet_lazy(
-    entries: Iterable[Tuple[Machine, Sequence]],
+    entries: Iterable[Tuple[Machine, Sequence[int]]],
     mc_model: MCModel = DEFAULT_MC_MODEL,
     *,
     capacity_scales: Optional[Sequence[Optional[np.ndarray]]] = None,
@@ -1080,13 +1006,12 @@ def solve_batch_fleet_lazy(
 
     Each entry is ``(machine, rows)``: non-idle row indices into the
     machine's shared :func:`consumer_rows`, in slot order — the fleet
-    scheduler gathers a machine's resident rows, then a candidate's. A
-    ``Consumer`` list instead goes through :meth:`ConsumerRows.add_live`
-    (:func:`solve`'s checks; idle consumers dropped), and only such entries
-    support :meth:`FleetBatch.allocation` and :meth:`~FleetBatch.app_total_rate`.
+    scheduler gathers a machine's resident rows, then a candidate's
+    (:meth:`ConsumerRows.add_live` turns a ``Consumer`` list into rows,
+    after :func:`solve`'s checks).
 
     Each entry's result is bitwise-identical to ``solve(machine,
-    consumers)`` run alone: the gathered coefficient columns, touched
+    consumers)`` of the consumers behind its rows, run alone: the gathered coefficient columns, touched
     flags, MC reader counts and demands are what :func:`solve`'s setup
     derives, and on the fleet-wide ``(entries, resources, consumers)``
     tensor padded resource rows (untouched, infinite capacity, zero
@@ -1104,24 +1029,16 @@ def solve_batch_fleet_lazy(
     """
     rows: List[Sequence[int]] = []
     tables: List[MachineTables] = []
-    consumers: List[Optional[Tuple[List[Consumer], List[Consumer]]]] = []
     # Entries grouped by machine: one shared row store per group.
     groups: Dict[int, Tuple[ConsumerRows, List[int]]] = {}
-    for i, (machine, payload) in enumerate(entries):
+    for i, (machine, entry_rows) in enumerate(entries):
         group = groups.get(id(machine))
         if group is None:
             group = groups[id(machine)] = (consumer_rows(machine, mc_model), [])
         store, members = group
         members.append(i)
         tables.append(store.tables)
-        if _is_rows(payload):
-            rows.append(payload)
-            consumers.append(None)
-        else:
-            payload = list(payload)
-            live = _live_consumers(machine, payload)
-            rows.append([store.add(c) for c in live])
-            consumers.append((payload, live))
+        rows.append(entry_rows)
     num_batch = len(rows)
     if capacity_scales is not None and len(capacity_scales) != num_batch:
         raise ValueError(
@@ -1131,7 +1048,7 @@ def solve_batch_fleet_lazy(
     lens = [len(r) for r in rows]
     max_live = max(lens, default=0)
     if max_live == 0:
-        return FleetBatch(consumers, lens, None, None, None, None, None, None)
+        return FleetBatch(lens, None)
 
     # Slot-major row matrix, padded with row 0 (all zeros: a dead slot).
     live_all = np.arange(max_live) < np.array(lens)[:, None]
@@ -1173,12 +1090,8 @@ def solve_batch_fleet_lazy(
                 raise ValueError(f"capacity_scales[{i}] entries must be positive")
             caps_all[i, :num_res] *= scale
 
-    rates, _load, util, bottleneck_row = _progressive_fill(
-        A_all, caps_all, touched_all, demand_all, live_all
-    )
-    return FleetBatch(
-        consumers, lens, tables, rates, util, bottleneck_row, touched_all, caps_all
-    )
+    rates = _progressive_fill(A_all, caps_all, touched_all, demand_all, live_all)[0]
+    return FleetBatch(lens, rates)
 
 
 def solve(

@@ -5,8 +5,10 @@ import pytest
 
 from repro.engine import Application, Simulator, Tuner
 from repro.memsim import FirstTouch, UniformAll, UniformWorkers
+from repro.perf.latency import LatencyModel
 from repro.units import MiB
 from repro.workloads.base import WorkloadSpec
+from tests.oracle.epoch_reference import ReferenceSimulator
 
 
 def wl(**kw):
@@ -73,6 +75,25 @@ class TestBasicRuns:
     def test_rejects_bad_epoch(self, mach_b):
         with pytest.raises(ValueError):
             Simulator(mach_b, epoch_s=0.0)
+
+    @pytest.mark.parametrize("epoch_s", [float("nan"), float("inf")])
+    def test_rejects_non_finite_epoch(self, mach_b, epoch_s):
+        with pytest.raises(ValueError, match="epoch length"):
+            Simulator(mach_b, epoch_s=epoch_s)
+
+    def test_rejects_nan_max_time(self, mach_b):
+        sim = Simulator(mach_b)
+        sim.add_app(Application("a", wl(), mach_b, (0,), policy=FirstTouch()))
+        with pytest.raises(ValueError, match="max_time"):
+            sim.run(max_time=float("nan"))
+        assert sim.now == 0.0 and sim.epoch == 0
+
+    def test_rejects_subclassed_latency_model(self, mach_b):
+        class _Scaled(LatencyModel):
+            pass
+
+        with pytest.raises(TypeError, match="LatencyModel"):
+            Simulator(mach_b, latency_model=_Scaled())
 
 
 class TestPlacementEffects:
@@ -204,10 +225,11 @@ class TestTunerIntegration:
 
 
 class TestSolverCache:
-    """The contention-solve replay cache must be invisible in results."""
+    """The contention-solve replay cache must be invisible in results: the
+    kernel matches the scalar reference loop, which solves every epoch."""
 
     def _run(self, mach, *, cache, build):
-        sim = Simulator(mach, solver_cache=cache)
+        sim = (Simulator if cache else ReferenceSimulator)(mach)
         build(sim, mach)
         return sim, sim.run()
 
@@ -265,10 +287,6 @@ class TestSolverCache:
         assert res.execution_time("short") < res.execution_time("long")
         # Departure of the short app changes the consumer set: >= 2 solves.
         assert sim.solver_cache.misses >= 2
-
-    def test_cache_disabled_means_no_cache_object(self, mach_b):
-        sim = Simulator(mach_b, solver_cache=False)
-        assert sim.solver_cache is None
 
 
 class TestMemoryOnlyWorkerNodes:

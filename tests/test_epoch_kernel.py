@@ -4,8 +4,8 @@ The array-native epoch kernel (:mod:`repro.engine.kernel`) re-expresses
 the simulator's per-epoch loop over dense arrays and strides across
 multi-epoch tuner dormancy windows. Its contract is *bitwise* equality:
 every DWP trajectory sample, counter value, RNG draw, telemetry
-aggregate, and ``SimResult`` field must match the scalar reference path
-(``Simulator(epoch_kernel=False)``) exactly — with and without an active
+aggregate, and ``SimResult`` field must match the scalar reference loop
+(``tests/oracle/epoch_reference.py``) exactly — with and without an active
 fault plan, across the Table-I workload suite and every tuner variant.
 
 The satellites ride along: run-length traffic coalescing, the cached
@@ -36,6 +36,7 @@ from repro.workloads import (
     swaptions,
     two_phase,
 )
+from tests.oracle.epoch_reference import ReferenceSimulator
 
 QUICK = dict(config=MeasurementConfig(n=6, c=1, t=0.1), warmup_s=0.2)
 SUITE = {wl.name: wl for wl in paper_benchmarks()}
@@ -46,13 +47,14 @@ def _trajectory(tuner):
 
 
 def _run_pair(build, max_time=None):
-    """Run the scenario with the kernel on and off; return both outcomes."""
-    out = {}
-    for kernel in (True, False):
-        sim, tuners = build(kernel)
+    """Run the scenario on the kernel and on the scalar reference loop;
+    return both outcomes."""
+    out = []
+    for sim_cls in (Simulator, ReferenceSimulator):
+        sim, tuners = build(sim_cls)
         res = sim.run(max_time=max_time) if max_time else sim.run()
-        out[kernel] = (sim, tuners, res)
-    return out[True], out[False]
+        out.append((sim, tuners, res))
+    return out
 
 
 def _assert_bitwise_equal(on, off):
@@ -84,8 +86,8 @@ class TestDWPTunerEquality:
     @pytest.mark.parametrize("name", sorted(SUITE))
     @pytest.mark.parametrize("faults", [None, DEFAULT_FAULT_PLAN], ids=["clean", "faulted"])
     def test_solo_tuned_run(self, mach_b, canonical_b, name, faults):
-        def build(kernel):
-            sim = Simulator(mach_b, epoch_kernel=kernel, faults=faults)
+        def build(sim_cls):
+            sim = sim_cls(mach_b, faults=faults)
             app = sim.add_app(
                 Application("a", SUITE[name], mach_b, (0,), policy=None)
             )
@@ -100,8 +102,8 @@ class TestCoScheduledEquality:
 
     @pytest.mark.parametrize("faults", [None, DEFAULT_FAULT_PLAN], ids=["clean", "faulted"])
     def test_coscheduled_run(self, mach_b, canonical_b, faults):
-        def build(kernel):
-            sim = Simulator(mach_b, epoch_kernel=kernel, faults=faults)
+        def build(sim_cls):
+            sim = sim_cls(mach_b, faults=faults)
             rest = tuple(n for n in mach_b.node_ids if n != 0)
             sim.add_app(
                 Application(
@@ -126,9 +128,9 @@ class TestAdaptiveEquality:
     def test_phased_adaptive_run(self, mach_b, faults):
         pw = two_phase("x", streamcluster(), ocean_cp(), split=0.5)
 
-        def build(kernel):
+        def build(sim_cls):
             ct = CanonicalTuner(mach_b)
-            sim = Simulator(mach_b, epoch_kernel=kernel, faults=faults)
+            sim = sim_cls(mach_b, faults=faults)
             app = sim.add_app(PhasedApplication("p", pw, mach_b, (0,), policy=None))
             tuner = sim.add_tuner(
                 AdaptiveBWAP(
@@ -151,8 +153,8 @@ class TestHardenedEquality:
     """Hardened climb with the fault-matrix profile under the full plan."""
 
     def test_hardened_faulted_run(self, mach_b, canonical_b):
-        def build(kernel):
-            sim = Simulator(mach_b, epoch_kernel=kernel, faults=DEFAULT_FAULT_PLAN)
+        def build(sim_cls):
+            sim = sim_cls(mach_b, faults=DEFAULT_FAULT_PLAN)
             app = sim.add_app(
                 Application("a", streamcluster(), mach_b, (0,), policy=None)
             )
@@ -177,8 +179,8 @@ class TestStrideEngages:
     """The kernel must actually skip dormant epochs, not just match."""
 
     def test_fewer_solver_lookups_with_kernel(self, mach_a):
-        def build(kernel):
-            sim = Simulator(mach_a, epoch_kernel=kernel)
+        def build(sim_cls):
+            sim = sim_cls(mach_a)
             workers = pick_worker_nodes(mach_a, 2)
             others = tuple(n for n in range(mach_a.num_nodes) if n not in workers)
             sim.add_app(
@@ -205,10 +207,10 @@ class TestStrideEngages:
         on, off = _run_pair(build, max_time=60.0)
         _assert_bitwise_equal(on, off)
         on_calls = on[0].solver_cache.hits + on[0].solver_cache.misses
-        off_calls = off[0].solver_cache.hits + off[0].solver_cache.misses
         # Strided epochs never consult the solver cache: the kernel run
-        # must have done materially fewer lookups for the same trajectory.
-        assert on_calls < off_calls
+        # must have done materially fewer lookups than the reference's
+        # one solve per epoch of the same trajectory.
+        assert on_calls < off[0].epoch
 
     def test_never_settling_tuner_without_hint_blocks_stride(self, mach_b):
         class _Poll(Tuner):
@@ -224,8 +226,8 @@ class TestStrideEngages:
             def is_settled(self):
                 return False
 
-        def build(kernel):
-            sim = Simulator(mach_b, epoch_kernel=kernel)
+        def build(sim_cls):
+            sim = sim_cls(mach_b)
             sim.add_app(
                 Application(
                     "a", swaptions(), mach_b, (0, 1), policy=UniformAll(), looping=True

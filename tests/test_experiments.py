@@ -162,6 +162,51 @@ class TestCli:
             main(["bogus"])
 
 
+class TestBenchCompare:
+    """``bench-compare`` fails a guarded metric that regressed or went
+    missing, unless a quick run declares it skipped."""
+
+    @staticmethod
+    def _write(directory, metrics, *, quick=False, skipped=()):
+        import json
+
+        directory.mkdir(exist_ok=True)
+        entry = {
+            "name": "x",
+            "quick": quick,
+            "metrics": metrics,
+            "guarded": ["rate", "big_rate"],
+            "skipped": list(skipped),
+        }
+        (directory / "BENCH_x.json").write_text(json.dumps(entry))
+
+    def _compare(self, tmp_path, current, **kw):
+        from repro.experiments.cli import bench_compare_main
+
+        self._write(tmp_path / "base", {"rate": 10.0, "big_rate": 4.0})
+        self._write(tmp_path / "cur", current, **kw)
+        return bench_compare_main(
+            ["--baseline", str(tmp_path / "base"), "--current", str(tmp_path / "cur")]
+        )
+
+    def test_within_tolerance_passes(self, tmp_path):
+        assert self._compare(tmp_path, {"rate": 6.0, "big_rate": 4.0}) == 0
+
+    def test_regression_fails(self, tmp_path):
+        assert self._compare(tmp_path, {"rate": 4.0, "big_rate": 4.0}) == 1
+
+    def test_missing_metric_fails(self, tmp_path):
+        assert self._compare(tmp_path, {"rate": 10.0}) == 1
+
+    def test_quick_run_may_skip_a_declared_metric(self, tmp_path, capsys):
+        cur = {"rate": 10.0}
+        assert self._compare(tmp_path, cur, quick=True, skipped=["big_rate"]) == 0
+        assert "skipped in a quick run" in capsys.readouterr().out
+        # Only a quick run may skip, and only what it declares.
+        assert self._compare(tmp_path, cur, skipped=["big_rate"]) == 1
+        assert self._compare(tmp_path, cur, quick=True) == 1
+
+
 class TestDWPProbeAblation:
     def test_reduced_scenario(self):
         from repro.experiments.ablations import run_dwp_probe_ablation

@@ -3,11 +3,13 @@
 The load-bearing properties, mirroring ``benchmarks/bench_fleet_chaos.py``:
 
 1. **Zero-fault identity** — ``faults=None`` and a zero-intensity plan
-   produce byte-for-byte the same run, in both scoring modes (every
-   fault hook is gated on the injector).
-2. **Batched == scalar under faults** — crashes, brown-outs, and lossy
-   admission never diverge the two scoring modes, because fault draws
-   happen in decision order, which both modes share.
+   produce byte-for-byte the same run (every fault hook is gated on the
+   injector).
+2. **Production == reference under faults** — crashes, brown-outs, and
+   lossy admission never diverge the state-keyed tick from the
+   exhaustive greedy of ``tests/oracle/exhaustive_tick.py`` (one scalar
+   solve per candidate; the test names call it "scalar"), because fault
+   draws happen in decision order, which both share.
 3. **Recovery semantics** — ``recovery="none"`` strands crashed work,
    ``"requeue"`` completes it, ``"requeue+checkpoint"`` completes it
    while redoing strictly less work.
@@ -40,10 +42,17 @@ from repro.fleet import (
     chaos_plan,
     class_machine,
 )
-from repro.memsim.contention import machine_tables, solve, solve_batch_fleet_lazy
+from repro.memsim.contention import (
+    consumer_rows,
+    machine_tables,
+    solve,
+    solve_batch_fleet_lazy,
+)
 from repro.memsim.flows import Consumer
 from repro.store import ResultStore
 from repro.workloads import TraceSpec, build_trace
+
+from tests.oracle.exhaustive_tick import OracleScheduler
 
 #: Four machines (mids 0..3) across two classes.
 _MIX = (("A", 2), ("B", 2))
@@ -69,15 +78,14 @@ def _trace_spec(arrivals: int = 30) -> TraceSpec:
     return TraceSpec(kind="poisson", rate_per_s=1.0, arrivals=arrivals, seed=5)
 
 
-def _run(scoring, recovery, faults, *, backend="flow", arrivals=30):
+def _run(recovery, faults, *, cls=FleetScheduler, backend="flow", arrivals=30):
     config = SchedulerConfig(
-        scoring=scoring,
         backend=backend,
         tick_s=2.0,
         recovery=recovery,
         retry_backoff_s=5.0,
     )
-    return FleetScheduler(
+    return cls(
         build_fleet(_MIX),
         build_trace(_trace_spec(arrivals)),
         config,
@@ -327,21 +335,25 @@ class TestCapacityScaledSolve:
         for row, res in enumerate(tables.res_keys):
             if res[0] == "link":
                 scale[row] = 0.1
+        # Each app trails one entry, so every app's rate is a tail rate.
+        orders = [consumers, consumers[::-1]]
+        cases = [(order, s) for order in orders for s in (scale, None)]
+        store = consumer_rows(machine)
         batch = solve_batch_fleet_lazy(
-            [(machine, consumers), (machine, consumers)],
-            capacity_scales=[scale, None],
+            [(machine, store.add_live(order)) for order, _s in cases],
+            capacity_scales=[s for _order, s in cases],
         )
+        for (order, s), got in zip(cases, batch.tail_rates([1] * len(cases))):
+            alloc = solve(machine, order, capacity_scale=s)
+            assert got == alloc.app_total_rate(order[-1].app_id)
+        # Links at 10% capacity must actually bite.
         scaled = solve(machine, consumers, capacity_scale=scale)
         plain = solve(machine, consumers)
-        for app in ("a", "b"):
-            assert batch.app_total_rate(0, app) == scaled.app_total_rate(app)
-            assert batch.app_total_rate(1, app) == plain.app_total_rate(app)
-        # Links at 10% capacity must actually bite.
         assert scaled.app_total_rate("a") < plain.app_total_rate("a")
 
     def test_capacity_scales_validation(self):
         machine = class_machine("A")
-        consumers = self._consumers(machine)
+        consumers = consumer_rows(machine).add_live(self._consumers(machine))
         with pytest.raises(ValueError, match="capacity_scales has"):
             solve_batch_fleet_lazy(
                 [(machine, consumers)], capacity_scales=[None, None]
@@ -366,8 +378,8 @@ class TestFaultRuns:
         assert_zero_fault_identity(_MIX, _trace_spec(20), _plan())
 
     def test_faulted_batched_equals_scalar(self):
-        rb = _run("batched", "requeue+checkpoint", _plan())
-        rs = _run("scalar", "requeue+checkpoint", _plan())
+        rb = _run("requeue+checkpoint", _plan())
+        rs = _run("requeue+checkpoint", _plan(), cls=OracleScheduler)
         assert rb.placements == rs.placements
         assert rb.completions == rs.completions
         assert rb.utilization == rs.utilization
@@ -383,8 +395,8 @@ class TestFaultRuns:
         assert rb.completions_lost > 0 or rb.admission_rejections > 0
 
     def test_faulted_sim_backend_batched_equals_scalar(self):
-        rb = _run("batched", "requeue", _plan(), backend="sim", arrivals=10)
-        rs = _run("scalar", "requeue", _plan(), backend="sim", arrivals=10)
+        rb = _run("requeue", _plan(), backend="sim", arrivals=10)
+        rs = _run("requeue", _plan(), cls=OracleScheduler, backend="sim", arrivals=10)
         assert rb.placements == rs.placements
         assert rb.completions == rs.completions
         assert rb.end_time == rs.end_time
@@ -392,8 +404,8 @@ class TestFaultRuns:
         assert rb.stranded == rs.stranded
 
     def test_recovery_completes_what_stranding_loses(self):
-        stranded = _run("batched", "none", _plan())
-        requeued = _run("batched", "requeue", _plan())
+        stranded = _run("none", _plan())
+        requeued = _run("requeue", _plan())
         assert stranded.stranded > 0
         assert len(stranded.completions) < stranded.arrivals
         assert requeued.stranded == 0
@@ -401,13 +413,13 @@ class TestFaultRuns:
         assert requeued.requeues > 0
 
     def test_checkpoint_redoes_less_work(self):
-        requeued = _run("batched", "requeue", _plan())
-        ckpt = _run("batched", "requeue+checkpoint", _plan())
+        requeued = _run("requeue", _plan())
+        ckpt = _run("requeue+checkpoint", _plan())
         assert len(ckpt.completions) == ckpt.arrivals
         assert 0 < ckpt.lost_work_bytes < requeued.lost_work_bytes
 
     def test_slo_and_attempt_accounting(self):
-        result = _run("batched", "requeue", _plan())
+        result = _run("requeue", _plan())
         assert any(c.attempts > 1 for c in result.completions)
         for c in result.completions:
             assert math.isfinite(c.deadline_s)
@@ -418,7 +430,7 @@ class TestFaultRuns:
         )
 
     def test_availability_and_downtime_accounting(self):
-        result = _run("batched", "requeue", _plan())
+        result = _run("requeue", _plan())
         assert 0 < result.availability < 1
         assert set(result.machine_downtime) == {0, 1, 2, 3}
         inj = FleetFaultInjector(_plan())
@@ -432,7 +444,7 @@ class TestFaultRuns:
         assert result.availability == pytest.approx(expected)
 
     def test_fault_free_run_has_default_fault_fields(self):
-        result = _run("batched", "requeue", None)
+        result = _run("requeue", None)
         assert result.requeues == 0
         assert result.stranded == 0
         assert result.admission_rejections == 0
@@ -443,8 +455,8 @@ class TestFaultRuns:
         assert all(c.attempts == 1 for c in result.completions)
 
     def test_runs_are_deterministic(self):
-        a = _run("batched", "requeue+checkpoint", _plan())
-        b = _run("batched", "requeue+checkpoint", _plan())
+        a = _run("requeue+checkpoint", _plan())
+        b = _run("requeue+checkpoint", _plan())
         assert a.placements == b.placements
         assert a.completions == b.completions
         assert a.end_time == b.end_time

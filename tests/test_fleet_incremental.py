@@ -1,12 +1,15 @@
-"""Incremental fleet scheduling: state-keyed score rows.
+"""Fleet scheduling over state-keyed score rows.
 
-The load-bearing property: ``scoring="incremental"`` is a pure
+The load-bearing property: the state-keyed tick is a pure
 execution-strategy change. Placements, completions, SLO accounting, and
-utilisation are bitwise-identical to the exhaustive batched and scalar
-modes — across disciplines, under full-intensity chaos (including
+utilisation are bitwise-identical to the exhaustive greedy of
+``tests/oracle/exhaustive_tick.py`` (one scalar solve per candidate) —
+across disciplines, under full-intensity chaos (including
 capacity-scaling brown-outs), and on tie-heavy fleets of same-class
 machines — because each ``(machine state, kind, slot)`` cell holds the
-very float the solver produced for that cell's input.
+very float the solver produced for that cell's input. Test names keep
+the retired scoring modes' names: "batched" and "scalar" name that
+reference.
 """
 
 from __future__ import annotations
@@ -28,28 +31,27 @@ from repro.fleet import (
 )
 import repro.fleet.scheduler as scheduler_mod
 from repro.fleet.backend import FlowBackend, make_backend
-from repro.fleet.scheduler import DISCIPLINES, SCORINGS, _Pend, _PendQueue
+from repro.fleet.scheduler import DISCIPLINES, _Pend, _PendQueue
 from repro.topology import machine_a
 from repro.workloads import TraceSpec, build_trace, trace_catalog
+
+from tests.oracle.exhaustive_tick import OracleScheduler
 
 _MIX = (("A", 2), ("B", 2), ("dual", 1), ("sym4", 1))
 
 
-def _scheduler(scoring, *, discipline="best-rate", faults=None,
+def _scheduler(cls=FleetScheduler, *, discipline="best-rate", faults=None,
                arrivals=40, rate=2.0, backend="flow", seed=11):
     fleet = build_fleet(_MIX)
     trace = build_trace(
         TraceSpec(kind="poisson", rate_per_s=rate, arrivals=arrivals, seed=7)
     )
-    cfg = SchedulerConfig(
-        backend=backend, scoring=scoring, discipline=discipline,
-        tick_s=2.0,
-    )
-    return FleetScheduler(fleet, trace, cfg, seed=seed, faults=faults)
+    cfg = SchedulerConfig(backend=backend, discipline=discipline, tick_s=2.0)
+    return cls(fleet, trace, cfg, seed=seed, faults=faults)
 
 
-def _run(scoring, **kwargs):
-    return _scheduler(scoring, **kwargs).run(1_000_000.0)
+def _run(cls=FleetScheduler, **kwargs):
+    return _scheduler(cls, **kwargs).run(1_000_000.0)
 
 
 def _assert_identical(a, b):
@@ -69,7 +71,7 @@ def _assert_identical(a, b):
 
 
 # --------------------------------------------------------------------- #
-# Bitwise identity with the exhaustive modes
+# Bitwise identity with the exhaustive reference
 # --------------------------------------------------------------------- #
 
 
@@ -79,12 +81,13 @@ class TestIncrementalIdentity:
     )
     def test_matches_batched_per_discipline(self, discipline):
         _assert_identical(
-            _run("batched", discipline=discipline),
-            _run("incremental", discipline=discipline),
+            _run(OracleScheduler, discipline=discipline),
+            _run(discipline=discipline),
         )
 
     def test_matches_scalar(self):
-        _assert_identical(_run("scalar"), _run("incremental"))
+        """Also on a denser trace: more ticks admit full batches."""
+        _assert_identical(_run(OracleScheduler, rate=4.0), _run(rate=4.0))
 
     def test_matches_batched_under_chaos(self):
         """Full-intensity chaos: crashes, flaps, capacity-scaling
@@ -92,21 +95,19 @@ class TestIncrementalIdentity:
         with per-machine capacity scales in play."""
         plan = chaos_plan(6, horizon_s=40.0, seed=3)
         assert any(d.capacity_scale < 1.0 for d in plan.degradations)
-        _assert_identical(
-            _run("batched", faults=plan), _run("incremental", faults=plan)
-        )
+        _assert_identical(_run(OracleScheduler, faults=plan), _run(faults=plan))
 
     def test_matches_batched_sim_backend(self):
         _assert_identical(
-            _run("batched", backend="sim", arrivals=8, rate=0.1),
-            _run("incremental", backend="sim", arrivals=8, rate=0.1),
+            _run(OracleScheduler, backend="sim", arrivals=8, rate=0.1),
+            _run(backend="sim", arrivals=8, rate=0.1),
         )
 
     def test_replay_is_deterministic(self):
         """Two independent schedulers (cold memo vs cold memo) and the
         counters they report agree exactly."""
-        a = _run("incremental")
-        b = _run("incremental")
+        a = _run()
+        b = _run()
         _assert_identical(a, b)
         assert (a.memo_hits, a.entries_scored) == (b.memo_hits, b.entries_scored)
 
@@ -131,11 +132,11 @@ def _tie_trace():
     )
 
 
-def _tie_run(scoring, discipline, faults):
-    cfg = SchedulerConfig(scoring=scoring, discipline=discipline, tick_s=2.0)
-    return FleetScheduler(
-        build_fleet(_TIE_MIX), _tie_trace(), cfg, seed=3, faults=faults
-    ).run(1_000_000.0)
+def _tie_run(cls, discipline, faults):
+    cfg = SchedulerConfig(discipline=discipline, tick_s=2.0)
+    return cls(build_fleet(_TIE_MIX), _tie_trace(), cfg, seed=3, faults=faults).run(
+        1_000_000.0
+    )
 
 
 #: ``(memo_hits, entries_scored)`` on the tie-heavy runs. Each distinct
@@ -167,8 +168,8 @@ class TestTieHeavy:
     @pytest.mark.parametrize("discipline", DISCIPLINES)
     def test_matches_batched(self, discipline, chaos):
         plan = chaos_plan(16, horizon_s=40.0, seed=5) if chaos else None
-        ref = _tie_run("batched", discipline, plan)
-        inc = _tie_run("incremental", discipline, plan)
+        ref = _tie_run(OracleScheduler, discipline, plan)
+        inc = _tie_run(FleetScheduler, discipline, plan)
         _assert_identical(ref, inc)
         # Some tick admitted two apps of one kind.
         kinds = _tie_trace().kind_idx
@@ -231,7 +232,7 @@ class TestScoreMemo:
                 for mid in range(6)
             )
             plan = dataclasses.replace(plan, degradations=plan.degradations + extra)
-        sched = _scheduler("incremental", faults=plan, rate=0.25 if chaos else 2.0)
+        sched = _scheduler(faults=plan, rate=0.25 if chaos else 2.0)
         score_kinds = sched._score_kinds
         fresh = {}
         replays = 0
@@ -272,28 +273,26 @@ class TestScoreMemo:
         """Under chaos (crashes, brown-out scales, requeues), every solve
         input the run hands the solver is new to the run, and one cell
         per input is solved — while the run still reproduces the
-        exhaustive batched run bitwise."""
+        exhaustive reference run bitwise."""
         _real, solved = _recording_solver(monkeypatch)
-        sched = _scheduler("incremental", faults=_chaos())
+        sched = _scheduler(faults=_chaos())
         inc = sched.run(1_000_000.0)
         assert solved and max(Counter(solved).values()) == 1
         assert inc.entries_scored == len(solved)
         assert inc.memo_hits > 0
-        _assert_identical(_run("batched", faults=_chaos()), inc)
+        _assert_identical(_run(OracleScheduler, faults=_chaos()), inc)
 
 
 class TestRankKeyHelpers:
-    """The tick's vectorised key helpers agree with ``_rank_key``'s tuple
-    comparison, exact ties included: ``_summary`` picks each machine's
+    """The tick's vectorised key helpers agree with the reference's
+    ``_rank_key`` tuple comparison, exact ties included: ``_summary`` picks each machine's
     best slot, and ``_ranked`` orders the machines below each kind."""
 
     @pytest.mark.parametrize("counts", [(1, 2), (2, 1), (1, 2, 4)])
     @pytest.mark.parametrize("discipline", ["best-rate", "least-loaded"])
     def test_summary_and_below(self, discipline, counts):
-        cfg = SchedulerConfig(
-            scoring="incremental", discipline=discipline, worker_counts=counts
-        )
-        sched = FleetScheduler(build_fleet(_TIE_MIX), _tie_trace(), cfg)
+        cfg = SchedulerConfig(discipline=discipline, worker_counts=counts)
+        sched = OracleScheduler(build_fleet(_TIE_MIX), _tie_trace(), cfg)
         backends = sched.backends
         wl = trace_catalog(TraceSpec())[0]
         for b in backends[::3]:  # vary the free-node counts
@@ -338,28 +337,24 @@ class TestRankKeyHelpers:
 
 class TestIncrementalCounters:
     def test_memo_and_pruning_cut_entries(self):
-        batched = _run("batched")
-        inc = _run("incremental")
+        batched = _run(OracleScheduler)
+        inc = _run()
         assert inc.memo_hits > 0
+        assert inc.bound_pruned == 0  # the tick prunes nothing
         assert inc.entries_scored < batched.entries_scored
-        # At most one batch solve per tick (batched mode's rate), and
-        # solve-free ticks skip even that.
-        assert inc.solver_calls <= batched.solver_calls
+        # At most one batch solve per tick, and solve-free ticks skip even
+        # that.
+        assert inc.solver_calls <= inc.ticks < batched.solver_calls
 
     def test_first_fit_needs_no_solver(self):
-        inc = _run("incremental", discipline="first-fit")
+        inc = _run(discipline="first-fit")
         assert inc.solver_calls == 0
         assert inc.entries_scored == 0
 
     def test_exhaustive_modes_report_neutral_counters(self):
-        batched = _run("batched")
+        batched = _run(OracleScheduler)
         assert batched.memo_hits == 0
         assert batched.bound_pruned == 0
-
-    def test_scoring_validation(self):
-        assert "incremental" in SCORINGS
-        with pytest.raises(ValueError, match="scoring"):
-            SchedulerConfig(scoring="bogus")
 
     @pytest.mark.parametrize(
         "counts",

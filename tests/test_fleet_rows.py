@@ -12,7 +12,8 @@ The tests pin down:
 * row-store conservation after every step, and bounded row capacity over
   a long run (retired rows are reused);
 * per-row coefficient columns equal to :func:`batch_coefficients`;
-* row entries of the fleet solve scoring exactly like ``Consumer`` entries;
+* row entries of the fleet solve scoring exactly like scalar ``solve``s of
+  their ``Consumer`` lists;
 * admission input validation.
 """
 
@@ -26,7 +27,7 @@ import pytest
 from repro.engine.threads import pick_worker_nodes
 from repro.fleet import FleetScheduler, SchedulerConfig, build_fleet, class_machine
 from repro.fleet.backend import FlowBackend, make_backend
-from repro.memsim import Consumer, ConsumerRows, consumer_rows, solve_batch_fleet_lazy
+from repro.memsim import Consumer, ConsumerRows, consumer_rows, solve, solve_batch_fleet_lazy
 from repro.memsim.contention import batch_coefficients, machine_tables
 from repro.workloads import TraceSpec, build_trace, trace_catalog
 
@@ -150,7 +151,7 @@ class TestRowStore:
         machines = {id(node.machine): node.machine for node in fleet}
         before = {key: len(consumer_rows(m).node) for key, m in machines.items()}
         sched = FleetScheduler(
-            fleet, trace, SchedulerConfig(scoring="incremental", tick_s=2.0), seed=5
+            fleet, trace, SchedulerConfig(tick_s=2.0), seed=5
         )
         out = sched.run(10_000_000.0)
         assert len(out.completions) == 2000
@@ -220,13 +221,9 @@ class TestRowStore:
                     (machine, [rows.add(c) for c in b_cons] + [rows.add(c) for c in c_cons])
                 )
                 tails.append(len(c_cons))
-        by_cons = solve_batch_fleet_lazy(entries)
-        by_rows = solve_batch_fleet_lazy(row_entries)
-        scores = by_rows.tail_rates(tails)
-        for i in range(len(entries)):
-            assert scores[i] == by_cons.app_total_rate(i, "cand")
-        with pytest.raises(ValueError, match="rows"):
-            by_rows.allocation(0)
+        scores = solve_batch_fleet_lazy(row_entries).tail_rates(tails)
+        for (machine, consumers), score in zip(entries, scores):
+            assert score == solve(machine, consumers).app_total_rate("cand")
 
 
 class TestAdmitValidation:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import repro.memsim.contention as contention
 from repro.memsim.contention import (
     Allocation,
+    consumer_rows,
     machine_tables,
     solve,
     solve_batch,
@@ -164,36 +165,46 @@ class TestFleetBatchMatchesScalar:
             entries.append((m, _random_consumers(rng, m, rng.randint(0, 7))))
         return entries
 
+    @staticmethod
+    def _solved(entries, tails_of):
+        """``(tail_rates, expected)`` per entry: the fleet batch's score of
+        the trailing ``tails_of(live)`` live slots, and the bitwise sum the
+        scalar solve gives those consumers, in slot order."""
+        rows = [(m, consumer_rows(m).add_live(cs)) for m, cs in entries]
+        lives = [[c for c in cs if not c.is_idle] for _m, cs in entries]
+        tails = [tails_of(live) for live in lives]
+        got = solve_batch_fleet_lazy(rows, DEFAULT_MC_MODEL).tail_rates(tails)
+        expected = []
+        for (m, cs), live, k in zip(entries, lives, tails):
+            alloc = solve(m, cs, DEFAULT_MC_MODEL)
+            expected.append(sum([alloc.rates[c.key()] for c in live[len(live) - k :]], 0.0))
+        return got, expected
+
     def test_heterogeneous_entries_bitwise(self):
         entries = self._fleet_entries()
-        fleet = solve_batch_fleet_lazy(entries, DEFAULT_MC_MODEL)
-        assert len(fleet) == len(entries)
-        for i, (m, cs) in enumerate(entries):
-            _assert_allocations_equal(
-                fleet.allocation(i), solve(m, cs, DEFAULT_MC_MODEL)
-            )
+        for k in range(7):
+            got, expected = self._solved(entries, lambda live: min(k, len(live)))
+            assert got == expected
 
     def test_lazy_batch_scores_match_allocations(self):
         entries = self._fleet_entries(seed=7)
-        batch = solve_batch_fleet_lazy(entries, DEFAULT_MC_MODEL)
-        assert len(batch) == len(entries)
-        for i, (m, cs) in enumerate(entries):
-            scalar = solve(m, cs, DEFAULT_MC_MODEL)
-            for aid in {c.app_id for c in cs}:
-                # Score read off the rate tensor, before materialising.
-                assert batch.app_total_rate(i, aid) == scalar.app_total_rate(aid)
-            _assert_allocations_equal(batch.allocation(i), scalar)
-            # Memoised: the same Allocation object comes back.
-            assert batch.allocation(i) is batch.allocation(i)
+        got, _expected = self._solved(entries, lambda live: min(1, len(live)))
+        assert len(got) == len(entries)
+        for (m, cs), score in zip(entries, got):
+            live = [c for c in cs if not c.is_idle]
+            # Each consumer is its own app: a one-slot tail is that app's
+            # total, read off the rate tensor.
+            app = live[-1].app_id if live else "app:none"
+            assert score == solve(m, cs, DEFAULT_MC_MODEL).app_total_rate(app)
 
     def test_empty_and_all_idle_fleet(self):
         assert len(solve_batch_fleet_lazy([], DEFAULT_MC_MODEL)) == 0
         m = fully_connected(4)
         idle = [Consumer("app:0", 0, 4, np.zeros(4), 0.0)]
-        batch = solve_batch_fleet_lazy([(m, idle), (m, [])], DEFAULT_MC_MODEL)
-        assert batch.app_total_rate(0, "app:0") == 0.0
-        _assert_allocations_equal(batch.allocation(0), solve(m, idle))
-        _assert_allocations_equal(batch.allocation(1), solve(m, []))
+        assert consumer_rows(m).add_live(idle) == []
+        batch = solve_batch_fleet_lazy([(m, []), (m, [])], DEFAULT_MC_MODEL)
+        assert batch.tail_rates([0, 0]) == [0.0, 0.0]
+        assert solve(m, idle).app_total_rate("app:0") == 0.0
 
 
 # --------------------------------------------------------------------- #
