@@ -8,9 +8,10 @@ so execution fidelity is pluggable per run:
 :class:`FlowBackend`
     Fluid-rate model. Apps progress at the rates the contention solver
     allocates; rates change only when the resident set changes, so the
-    backend advances in closed form between completion events and
-    re-solves (through a :class:`~repro.memsim.SolverCache`) only at
-    those events. Cheap enough for million-arrival traces.
+    backend advances in closed form between completion events and reads
+    its rates at those events from a table keyed by its interned state
+    (:class:`MachineStates`), solving only states it has never met.
+    Cheap enough for million-arrival traces.
 
 :class:`SimBackend`
     A full :class:`~repro.engine.Simulator` per machine — epoch kernel,
@@ -21,7 +22,9 @@ Both backends score candidate placements with the *same* analytic
 consumer construction (:meth:`MachineBackend.candidate_consumers`), so a
 scheduling decision depends only on the solver — which is what makes the
 state-keyed scores bitwise-comparable with one scalar solve per
-candidate.
+candidate. Every backend names its resident state by an id interned in
+its machine's :class:`MachineStates`, which the scheduler's score table
+and the fluid backend's rate table both key on.
 """
 
 from __future__ import annotations
@@ -48,8 +51,6 @@ from repro.experiments.common import (
 from repro.memsim.contention import (
     DEFAULT_MC_MODEL,
     Consumer,
-    ConsumerRows,
-    SolverCache,
     consumer_rows,
     solve,
 )
@@ -81,42 +82,71 @@ def machine_seed(base_seed: int, mid: int) -> int:
     return derive_seed(base_seed, "fleet-machine", mid)
 
 
-def _canon_solve(
-    machine: Machine,
-    rows: ConsumerRows,
-    tpl: List[int],
-    owners: List[str],
-    capacity_scale: Optional[np.ndarray],
-) -> Tuple[float, ...]:
-    """Rates of a fluid resident set — template rows ``tpl`` owned by apps
-    ``owners``, in resident order — through a rename-canonical cache
-    shared by every backend on ``machine`` (same-class machines share it).
+#: State id of an idle machine in every :class:`MachineStates`.
+IDLE = 0
 
-    The solver's rates are positional — app ids are labels, never numbers
-    — so keying the template row ids with each row's app replaced by its
-    first-occurrence index hits across apps, machines and time: almost
-    every re-solve replays a configuration some machine was already in.
-    ``rows`` deduplicates by value, so a row id stands for its values. A
-    miss solves the rows as ``Consumer`` objects of their real apps.
+
+class MachineStates:
+    """Interned resident states of one machine, shared by every backend on
+    it (same-class fleet machines share the machine object).
+
+    A state is ``(resident rows, occupied nodes)``: the template rows of
+    :func:`~repro.memsim.consumer_rows` a solve reads, in resident order,
+    and the nodes apps hold — everything a candidate solve on the machine
+    reads and, with the capacity scale, everything the fluid backend's
+    rates depend on. Owner labels are not part of it: the solver reads
+    each consumer's node, mix, demand and write fraction by position, and
+    an app id only names an output. Transition memos map ``(state,
+    event)`` to the next state, so a backend keeps its id current without
+    building a key of its resident set; ``rates`` holds the per-row rates
+    at ``(state, scale id)``.
     """
-    cache = getattr(machine, "_fleet_canon_solver", None)
-    if cache is None:
-        cache = SolverCache(maxsize=4096)
-        machine._fleet_canon_solver = cache  # type: ignore[attr-defined]
-    order: Dict[str, int] = {}
-    key = (
-        None if capacity_scale is None else capacity_scale.tobytes(),
-        tuple(tpl),
-        tuple([order.setdefault(a, len(order)) for a in owners]),
-    )
-    hit = cache.lookup(key)
-    if hit is not None:
-        return hit
-    consumers = [rows.consumer(t, a) for t, a in zip(tpl, owners)]
-    alloc = solve(machine, consumers, DEFAULT_MC_MODEL, capacity_scale=capacity_scale)
-    rates = tuple(alloc.rates[c.key()] for c in consumers)
-    cache.store(key, rates)
-    return rates
+
+    def __init__(self):
+        self.rows: List[Tuple[int, ...]] = [()]
+        self.occupied: List[Tuple[int, ...]] = [()]
+        self._ids: Dict[tuple, int] = {((), ()): IDLE}
+        self._next: Dict[tuple, int] = {}
+        self._scale_ids: Dict[Optional[bytes], int] = {None: 0}
+        self.rates: Dict[Tuple[int, int], Tuple[float, ...]] = {}
+
+    def intern(self, rows: Tuple[int, ...], occupied: Tuple[int, ...]) -> int:
+        """Id of the state ``(rows, occupied)`` (ascending nodes)."""
+        sid = self._ids.get((rows, occupied))
+        if sid is None:
+            sid = self._ids[rows, occupied] = len(self.rows)
+            self.rows.append(rows)
+            self.occupied.append(occupied)
+        return sid
+
+    def admitted(self, sid: int, rows: Tuple[int, ...], workers: Tuple[int, ...]) -> int:
+        """``sid`` after an app on ``workers`` joins with resident ``rows``."""
+        nxt = self._next.get((sid, rows, workers))
+        if nxt is None:
+            occupied = tuple(sorted(self.occupied[sid] + workers))
+            nxt = self._next[sid, rows, workers] = self.intern(self.rows[sid] + rows, occupied)
+        return nxt
+
+    def depleted(self, sid: int, pos: int) -> int:
+        """``sid`` after the resident row at position ``pos`` runs dry."""
+        nxt = self._next.get((sid, pos))
+        if nxt is None:
+            rows = self.rows[sid][:pos] + self.rows[sid][pos + 1 :]
+            nxt = self._next[sid, pos] = self.intern(rows, self.occupied[sid])
+        return nxt
+
+    def released(self, sid: int, workers: Tuple[int, ...]) -> int:
+        """``sid`` after an app with no resident rows frees ``workers``."""
+        nxt = self._next.get((sid, workers))
+        if nxt is None:
+            occupied = tuple(n for n in self.occupied[sid] if n not in workers)
+            nxt = self._next[sid, workers] = self.intern(self.rows[sid], occupied)
+        return nxt
+
+    def scale_id(self, scale: Optional[np.ndarray]) -> int:
+        """Small-int id of a capacity scale's values."""
+        key = None if scale is None else scale.tobytes()
+        return self._scale_ids.setdefault(key, len(self._scale_ids))
 
 
 @dataclass(frozen=True)
@@ -206,11 +236,12 @@ class MachineBackend(abc.ABC):
         #: machine's state only when it moves, so correctness of score
         #: reuse rests on every mutation path bumping it.
         self.state_version = 0
-        #: Version-keyed caches of the free/occupied node tuples (every
-        #: occupancy change bumps the version, so staleness is impossible;
-        #: the scheduler reads both once per candidate).
-        self._free_cache: Optional[Tuple[int, Tuple[int, ...]]] = None
-        self._occ_cache: Optional[Tuple[int, Tuple[int, ...]]] = None
+        #: Interned resident states of this machine's class (shared by
+        #: every backend on the machine object), the id of this machine's,
+        #: and the version that id was read at.
+        self.states: MachineStates = machine.__dict__.setdefault("_fleet_states", MachineStates())
+        self._sid = IDLE
+        self._sid_version = 0
         self._occupied: Dict[int, str] = {}
         self._placed: Dict[str, _Placed] = {}
         self.completions: List[FleetCompletion] = []
@@ -227,23 +258,21 @@ class MachineBackend(abc.ABC):
     def num_live(self) -> int:
         return len(self._placed)
 
+    @property
+    def state_id(self) -> int:
+        """Id of the current resident state in :attr:`states`. By default
+        re-interned from :meth:`resident_rows` and :meth:`occupied_nodes`
+        whenever :attr:`state_version` has moved."""
+        if self._sid_version != self.state_version:
+            self._sid = self.states.intern(tuple(self.resident_rows()), self.occupied_nodes())
+            self._sid_version = self.state_version
+        return self._sid
+
     def free_nodes(self) -> Tuple[int, ...]:
-        cached = self._free_cache
-        if cached is not None and cached[0] == self.state_version:
-            return cached[1]
-        free = tuple(
-            n for n in range(self.machine.num_nodes) if n not in self._occupied
-        )
-        self._free_cache = (self.state_version, free)
-        return free
+        return tuple(n for n in range(self.machine.num_nodes) if n not in self._occupied)
 
     def occupied_nodes(self) -> Tuple[int, ...]:
-        cached = self._occ_cache
-        if cached is not None and cached[0] == self.state_version:
-            return cached[1]
-        occ = tuple(sorted(self._occupied))
-        self._occ_cache = (self.state_version, occ)
-        return occ
+        return tuple(sorted(self._occupied))
 
     def utilization(self, end_s: float) -> float:
         """Busy node-seconds over total node-seconds up to ``end_s``."""
@@ -340,6 +369,7 @@ class MachineBackend(abc.ABC):
             evicted.append((app_id, frac))
         if evicted:
             self.state_version += 1
+            self._sid, self._sid_version = IDLE, self.state_version
         return evicted
 
     @abc.abstractmethod
@@ -498,13 +528,15 @@ class FlowBackend(MachineBackend):
     remaining bytes and useful factor (work bytes per GB of traffic).
     Depleted and evicted workers retire their rows into a free list
     that admissions reuse, so capacity tracks peak residency, not arrivals.
+    Admissions, depletions, completions and evictions step :attr:`state_id`
+    through its class's transition memos, and rates are read from the
+    class's rate table at ``(state, scale id)``.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._store = consumer_rows(self.machine)
         self._tpl: List[int] = []
-        self._owner: List[str] = []
         self._rem: List[float] = []
         self._factor: List[float] = []
         self._free: List[int] = []
@@ -516,6 +548,11 @@ class FlowBackend(MachineBackend):
         #: ``(state_version, capacity scale, live rows, speeds)`` of the
         #: last solve (see :meth:`_solve`).
         self._solve_slot: Optional[tuple] = None
+
+    @property
+    def state_id(self) -> int:
+        """Kept current by every event, never re-interned."""
+        return self._sid
 
     def admit(
         self,
@@ -542,22 +579,23 @@ class FlowBackend(MachineBackend):
             attempts,
         )
         rows = []
+        added = []
         for t, frac in zip(t_rows, fracs):
             rem = exec_bytes * frac
             if rem > 0.0:
+                added.append(t)
                 if self._free:
                     r = self._free.pop()
-                    self._tpl[r], self._owner[r] = t, app_id
-                    self._rem[r], self._factor[r] = rem, factor
+                    self._tpl[r], self._rem[r], self._factor[r] = t, rem, factor
                 else:
                     r = len(self._tpl)
                     self._tpl.append(t)
-                    self._owner.append(app_id)
                     self._rem.append(rem)
                     self._factor.append(factor)
                 rows.append(r)
         self._app_rows[app_id] = rows
         self._exec_bytes[app_id] = exec_bytes
+        self._sid = self.states.admitted(self._sid, tuple(added), tuple(workers))
 
     def resident_rows(self) -> List[int]:
         tpl = self._tpl
@@ -581,19 +619,22 @@ class FlowBackend(MachineBackend):
 
     def _solve(self) -> Tuple[List[int], List[float]]:
         """Live rows in resident order and their speeds (rate x factor),
-        reused while ``state_version`` and the capacity-scale object hold."""
+        reused while ``state_version`` and the capacity-scale object hold.
+        Rates come from the class's table at ``(state, scale id)``; a
+        state it has no rates for solves its rows as ``Consumer`` objects
+        of their real apps."""
         slot = self._solve_slot
         version, scale = self.state_version, self.capacity_scale
         if slot is not None and slot[0] == version and slot[1] is scale:
             return slot[2], slot[3]
+        states = self.states
         live = [r for rows in self._app_rows.values() for r in rows]
-        rates = _canon_solve(
-            self.machine,
-            self._store,
-            [self._tpl[r] for r in live],
-            [self._owner[r] for r in live],
-            scale,
-        )
+        key = (self._sid, states.scale_id(scale))
+        rates = states.rates.get(key)
+        if rates is None:
+            consumers = self.resident_consumers()
+            alloc = solve(self.machine, consumers, DEFAULT_MC_MODEL, capacity_scale=scale)
+            rates = states.rates[key] = tuple([alloc.rates[c.key()] for c in consumers])
         factor = self._factor
         speeds = [rate * factor[r] for r, rate in zip(live, rates)]
         self._solve_slot = (version, scale, live, speeds)
@@ -635,17 +676,27 @@ class FlowBackend(MachineBackend):
                 if left <= 0.0:
                     depleted = True
             if depleted:
+                states, sid, pos = self.states, self._sid, 0
                 for rows in self._app_rows.values():
-                    gone = [r for r in rows if rem[r] <= 0.0]
+                    gone = []
+                    for r in rows:
+                        if rem[r] <= 0.0:
+                            gone.append(r)
+                            sid = states.depleted(sid, pos)
+                        else:
+                            pos += 1
                     for r in gone:
                         rows.remove(r)
                     self._free.extend(gone)
+                self._sid = sid
                 kept = [i for i, r in enumerate(live) if rem[r] > 0.0]
                 live = [live[i] for i in kept]
                 speeds = [speeds[i] for i in kept]
             for app_id in [a for a, rows in self._app_rows.items() if not rows]:
                 del self._app_rows[app_id], self._exec_bytes[app_id]
-                self._finish(self._placed[app_id], self.now)
+                rec = self._placed[app_id]
+                self._finish(rec, self.now)
+                self._sid = self.states.released(self._sid, rec.workers)
                 resolve = True
         self.now = to
 

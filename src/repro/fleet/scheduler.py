@@ -5,11 +5,13 @@ its feasible (machine x worker-set) candidates by the discipline's rank
 key and takes the first maximum; machines claimed earlier in the tick
 are skipped.
 
-Candidates are scored by machine *state*. Each machine is interned,
-whenever its version or capacity scale moves, as the state ``(machine
-identity, resident rows, occupied nodes, capacity-scale key)`` —
-everything a candidate solve on it reads — and a growing table holds one
-float per ``(state, arrival kind, worker-count slot)`` cell. A tick
+Candidates are scored by machine *state*. Every backend keeps the id of
+its resident state — ``(resident rows, occupied nodes)``, interned per
+machine class in :class:`~repro.fleet.backend.MachineStates` — and the
+tick pairs it, whenever a machine's version or capacity scale moves, with
+the capacity-scale key: everything a candidate solve on it reads. A
+growing table holds one float per ``(state, arrival kind, worker-count
+slot)`` cell. A tick
 gathers its kinds' scores from each machine's current state and solves
 the cells the run has never seen, each once, in one
 :func:`repro.memsim.solve_batch_fleet_lazy` call. Candidates are shared
@@ -18,10 +20,12 @@ resident rows without building a ``Consumer``. The exhaustive greedy this
 replays bitwise — one scalar solve per candidate, every tick — is kept as
 the reference in ``tests/oracle/exhaustive_tick.py``.
 
-The scheduler hands no allocations to the backends: the fluid backend
-solves its own resident set at each advance, through a version-keyed
-slot and a rename-canonical cache that replay the floats a scoring solve
-produced.
+The fluid backend reads its resident set's rates at each advance from
+its class's rate table, keyed by the same state id and its capacity
+scale. A scoring entry is the resident set its candidate's admission
+would leave, so the tick files each entry's rates there: the backend
+replays the floats a scoring solve produced and solves only states the
+tick never scored.
 
 Between ticks the fleet skips idle spans in one jump, so sparse traces
 cost time proportional to events, not to simulated seconds. A step
@@ -329,35 +333,29 @@ class FleetScheduler:
         #: ticks and same-class machines — for scoring and the
         #: fluid admit path.
         self._cand_cache: Dict[Tuple[int, Tuple[int, ...], int], tuple] = {}
-        #: Machine-level slot state, refreshed when a machine's version or
-        #: capacity-scale key moves: the version and scale-key id it was
-        #: derived at, its state id, the free-node count, and per
-        #: ``worker_counts`` slot (leading axis) whether it fits and its
-        #: worker set.
+        #: Each machine's scoring state, refreshed when its version or
+        #: capacity-scale key moves, and the version and scale-key id it
+        #: was read at.
         m = len(self.fleet)
         ks = config.worker_counts
         self._mver = np.full(m, -1, dtype=np.int64)
         self._msid = np.full(m, -1, dtype=np.int64)
         self._mstate = np.zeros(m, dtype=np.int64)
-        self._free_len = np.zeros(m, dtype=np.int64)
-        self._fit = np.zeros((len(ks), m), dtype=bool)
-        self._slots: List[Tuple[Optional[Tuple[int, ...]], ...]] = [() for _ in self.fleet]
-        #: :meth:`_slot_row` per (machine identity, occupied nodes) —
-        #: pure, shared across ticks and same-class machines.
-        self._slot_cache: Dict[tuple, tuple] = {}
         #: Small-int ids of capacity-scale keys.
         self._scale_ids: Dict[Optional[tuple], int] = {None: 0}
-        #: State ids of ``(machine identity, resident rows, occupied
-        #: nodes, scale-key id)``, and per id what a candidate solve on it
-        #: reads: ``(backend, resident rows, _slot_row, capacity scale)``
-        #: — the backend is the first that reached the state; same-class
-        #: machines build identical candidate templates.
+        #: Scoring-state ids of ``(machine identity, backend state id,
+        #: scale-key id)``, and per id what a candidate solve on it reads:
+        #: ``(backend, backend state id, worker set per slot, capacity
+        #: scale)`` — the backend is the first that reached the state;
+        #: same-class machines build identical candidate templates.
         self._state_ids: Dict[tuple, int] = {}
         self._states: List[tuple] = []
         #: Candidate scores per ``(slot, kind, state)``: the solver's float
         #: for that input, NaN while never solved or where the slot does
-        #: not fit. Grows along the state axis.
+        #: not fit; and per state its free-node count. Both grow along
+        #: the state axis.
         self._rows = np.full((len(ks), len(trace.catalog), 64), np.nan)
+        self._st_free = np.zeros(64, dtype=np.int64)
         #: Slot worker counts, and the slots in ascending-count order.
         self._ks = np.array(ks, dtype=np.int64)
         self._by_k = np.argsort(self._ks, kind="stable").tolist()
@@ -410,45 +408,47 @@ class FleetScheduler:
     def _slot_row(self, b: MachineBackend) -> tuple:
         """``(worker set per slot, free-node count)`` of machine ``b`` in
         its current state; a slot that does not fit has worker set
-        ``None``."""
-        key = (id(b.machine), b.occupied_nodes())
-        hit = self._slot_cache.get(key)
-        if hit is None:
-            free_len = len(b.free_nodes())
-            hit = self._slot_cache[key] = (
-                tuple(
-                    pick_worker_nodes(b.machine, k, exclude=key[1]) if k <= free_len else None
-                    for k in self.config.worker_counts
-                ),
-                free_len,
-            )
-        return hit
+        ``None`` (worker picks are memoised per machine)."""
+        occupied = b.occupied_nodes()
+        free_len = b.machine.num_nodes - len(occupied)
+        return tuple(
+            pick_worker_nodes(b.machine, k, exclude=occupied) if k <= free_len else None
+            for k in self.config.worker_counts
+        ), free_len
 
     def _refresh_machines(self, stale, ver, sid, scales) -> None:
-        """Intern the current state of every machine in ``stale`` and
-        re-derive its slot state from it."""
-        mids = np.flatnonzero(stale).tolist()
-        if not mids:
+        """Look up the scoring state of every machine in ``stale`` from its
+        backend's state id and scale-key id, and re-derive its slot state
+        from it."""
+        mids = np.flatnonzero(stale)
+        if not len(mids):
             return
         ids = self._state_ids
-        states = self._states
-        for mid in mids:
-            b = self.backends[mid]
-            res = tuple(b.resident_rows())
-            key = (id(b.machine), res, b.occupied_nodes(), int(sid[mid]))
+        backends = self.backends
+        sts = []
+        for mid, scale_id in zip(mids.tolist(), sid[mids].tolist()):
+            b = backends[mid]
+            key = (id(b.machine), b.state_id, scale_id)
             st = ids.get(key)
             if st is None:
-                st = ids[key] = len(states)
-                states.append((b, res, self._slot_row(b), scales.get(mid)))
-                if st == self._rows.shape[2]:
-                    grown = np.full(self._rows.shape[:2] + (2 * st,), np.nan)
-                    grown[:, :, :st] = self._rows
-                    self._rows = grown
-            self._mstate[mid] = st
-            self._slots[mid], self._free_len[mid] = states[st][2]
-        self._fit[:, mids] = self._ks[:, None] <= self._free_len[mids]
+                st = self._new_state(key, b, scales.get(mid))
+            sts.append(st)
+        self._mstate[mids] = sts
         self._mver[mids] = ver[mids]
         self._msid[mids] = sid[mids]
+
+    def _new_state(self, key: tuple, b: MachineBackend, scale) -> int:
+        """Intern scoring state ``key``, first reached by backend ``b``."""
+        st = self._state_ids[key] = len(self._states)
+        workers, free_len = self._slot_row(b)
+        self._states.append((b, key[1], workers, scale))
+        if st == len(self._st_free):
+            grown = np.full(self._rows.shape[:2] + (2 * st,), np.nan)
+            grown[:, :, :st] = self._rows
+            self._rows = grown
+            self._st_free = np.concatenate([self._st_free, np.zeros_like(self._st_free)])
+        self._st_free[st] = free_len
+        return st
 
     def _admit(
         self, r: _Pend, b: MachineBackend, workers, now, placements, pending, inflight,
@@ -504,7 +504,7 @@ class FleetScheduler:
         kk, mm = np.nonzero((hits > 0) & elig)
         cols = (mm, -best[kk, mm])
         if self.config.discipline == "least-loaded":
-            cols += (-self._free_len[mm],)
+            cols += (-self._st_free[self._mstate[mm]],)
         order = np.lexsort(cols + (kk,))
         return kk[order], mm[order]
 
@@ -566,7 +566,7 @@ class FleetScheduler:
             s_min = self._by_k[0]
             best = np.zeros((nk, m))
             slot = np.full((nk, m), s_min)
-            hits = np.broadcast_to(self._fit[s_min], (nk, m))
+            hits = np.broadcast_to(self._ks[s_min] <= self._st_free[self._mstate], (nk, m))
         else:
             best, slot, hits = self._score_kinds(first_p, elig, counts)
 
@@ -595,7 +595,7 @@ class FleetScheduler:
                 continue  # stays pending; retried next tick
             mid = order[c]
             b = backends[mid]
-            workers = self._slots[mid][slot[j, mid]]
+            workers = self._states[self._mstate[mid]][2][slot[j, mid]]
             template = self._cand_template(b, workers, kind)
             self._admit(r, b, workers, now, placements, pending, inflight, template)
             claimed[mid] = True
@@ -606,7 +606,7 @@ class FleetScheduler:
         :meth:`_summary` over ``(kind position, machine)``."""
         kinds = np.array(list(first_p))
         score = self._rows[:, kinds[:, None], self._mstate]
-        fits = self._fit & elig
+        fits = (self._ks[:, None] <= self._st_free[self._mstate]) & elig
         cold = np.isnan(score) & fits[:, None]
         # Every fitting slot of an eligible machine is read or solved.
         visits = len(kinds) * int(fits.sum())
@@ -621,20 +621,27 @@ class FleetScheduler:
                 (s_, kinds[a], self._mstate[b_]), self._rows.shape
             )
             cells, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-            entries, tails, entry_scales = [], [], []
+            entries, tails, entry_scales, admits = [], [], [], []
             for i in first.tolist():
                 kind = int(kinds[a[i]])
-                b, res, (workers, _free), scale = self._states[self._mstate[b_[i]]]
-                live = self._cand_template(b, workers[s_[i]], kind)[1]
-                entries.append((b.machine, res + tuple(live)))
+                b, sid, workers, scale = self._states[self._mstate[b_[i]]]
+                live = tuple(self._cand_template(b, workers[s_[i]], kind)[1])
+                entries.append((b.machine, b.states.rows[sid] + live))
                 tails.append(len(live))
                 entry_scales.append(scale)
-            solved = np.array(
-                solve_batch_fleet_lazy(
-                    entries,
-                    capacity_scales=entry_scales if self.injector is not None else None,
-                ).tail_rates(tails)
+                admits.append((b.states, sid, live, workers[s_[i]]))
+            batch = solve_batch_fleet_lazy(
+                entries,
+                capacity_scales=entry_scales if self.injector is not None else None,
             )
+            # A score is the sum of the candidate's trailing slot rates in
+            # slot order: bitwise its app's total rate in a lone solve.
+            solved = np.array([sum(r[len(r) - k :], 0.0) for r, k in zip(batch, tails)])
+            # An entry is the resident set its candidate's admission would
+            # leave: its rates are what the fluid backend reads there.
+            for (states, sid, live, workers), scale, rates in zip(admits, entry_scales, batch):
+                key = (states.admitted(sid, live, workers), states.scale_id(scale))
+                states.rates.setdefault(key, rates)
             self._rows.flat[cells] = solved
             score[cold] = solved[inverse.ravel()]
             counts["entries_scored"] += len(entries)

@@ -26,7 +26,6 @@ from repro.memsim.contention import (
     solve,
     solve_batch,
     solve_batch_fleet_lazy,
-    FleetBatch,
 )
 from repro.memsim.policies import (
     AutoNUMA,
@@ -74,7 +73,6 @@ __all__ = [
     "solve",
     "solve_batch",
     "solve_batch_fleet_lazy",
-    "FleetBatch",
     "AutoNUMA",
     "FirstTouch",
     "PlacementContext",

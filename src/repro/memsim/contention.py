@@ -160,11 +160,11 @@ class SolverCache:
     def lookup(self, key: Hashable):
         """Cached value for ``key`` (None on a miss; statistics updated).
 
-        Generic companion to :meth:`solve_keyed` for callers that cache
-        something richer than a bare :class:`Allocation` — the simulator's
-        epoch kernel stores ``(allocation, rate-row, utilization-row)``
-        tuples so fingerprint-identical epochs replay the dense arrays too.
-        One cache instance must only ever hold one kind of value.
+        Callers key on an exact solve-input identity such as
+        :func:`consumers_fingerprint` — the simulator's epoch kernel stores
+        ``(allocation, rate-row, utilization-row)`` tuples so
+        fingerprint-identical epochs replay the dense arrays too. One cache
+        instance must only ever hold one kind of value.
         """
         hit = self._entries.get(key)
         if hit is not None:
@@ -198,49 +198,6 @@ class SolverCache:
     def clear(self) -> None:
         """Drop all entries (statistics are kept)."""
         self._entries.clear()
-
-    def solve(
-        self,
-        machine: Machine,
-        consumers: Sequence[Consumer],
-        mc_model: MCModel = DEFAULT_MC_MODEL,
-        *,
-        capacity_scale: Optional[np.ndarray] = None,
-    ) -> Allocation:
-        """Like :func:`solve`, but replaying a cached result when possible.
-
-        One cache instance must only ever see one machine: the fingerprint
-        deliberately excludes the (immutable, identity-stable) machine.
-        """
-        key: Hashable = consumers_fingerprint(consumers, mc_model)
-        if capacity_scale is not None:
-            key = (key, np.ascontiguousarray(capacity_scale, dtype=float).tobytes())
-        return self.solve_keyed(
-            key, machine, consumers, mc_model, capacity_scale=capacity_scale
-        )
-
-    def solve_keyed(
-        self,
-        key: Hashable,
-        machine: Machine,
-        consumers: Sequence[Consumer],
-        mc_model: MCModel = DEFAULT_MC_MODEL,
-        *,
-        capacity_scale: Optional[np.ndarray] = None,
-    ) -> Allocation:
-        """Like :meth:`solve` with a precomputed fingerprint.
-
-        For callers (the simulator) that also key their own derived caches
-        on the fingerprint and must not pay for computing it twice. When
-        ``capacity_scale`` is given the caller's key must already encode it
-        (the simulator folds the fault injector's scale key in).
-        """
-        hit = self.lookup(key)
-        if hit is not None:
-            return hit
-        alloc = solve(machine, consumers, mc_model, capacity_scale=capacity_scale)
-        self.store(key, alloc)
-        return alloc
 
 
 def _pair_link_table(
@@ -541,7 +498,7 @@ class ConsumerRows:
     the resources it marks touched; ``reads``, its flattened ``(node,
     source)`` presence, from which MC reader counts follow. Rows are
     deduplicated by value, so a row id stands for its values (the fleet's
-    canonical solve cache keys on row ids) and the store grows with the
+    machine states key on row ids) and the store grows with the
     distinct consumers seen, not with solves. Row 0 is all zeros: the
     padding of dead slots.
     """
@@ -970,39 +927,14 @@ def solve_batch(
     ]
 
 
-class FleetBatch:
-    """Slot rates of one fleet-batched solve; :meth:`tail_rates` reads
-    candidate scores straight off the dense rate tensor."""
-
-    __slots__ = ("_lens", "_rates")
-
-    def __init__(self, lens: List[int], rates: Optional[np.ndarray]):
-        self._lens = lens
-        self._rates = rates
-
-    def __len__(self) -> int:
-        return len(self._lens)
-
-    def tail_rates(self, tails: Sequence[int]) -> List[float]:
-        """Per entry ``i``, the sum of its last ``tails[i]`` slot rates in
-        slot order — for a candidate whose rows trail its machine's
-        residents, bitwise the candidate app's ``Allocation.app_total_rate``
-        in ``solve(machine, consumers)`` of that entry alone."""
-        if self._rates is None:
-            return [0.0] * len(tails)
-        return [
-            sum(self._rates[i, n - k : n].tolist(), 0.0)
-            for i, (n, k) in enumerate(zip(self._lens, tails))
-        ]
-
-
 def solve_batch_fleet_lazy(
     entries: Iterable[Tuple[Machine, Sequence[int]]],
     mc_model: MCModel = DEFAULT_MC_MODEL,
     *,
     capacity_scales: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> FleetBatch:
-    """Solve consumer sets on *heterogeneous* machines in one filling pass.
+) -> List[Tuple[float, ...]]:
+    """Solve consumer sets on *heterogeneous* machines in one filling pass;
+    returns each entry's slot rates in slot order.
 
     Each entry is ``(machine, rows)``: non-idle row indices into the
     machine's shared :func:`consumer_rows`, in slot order — the fleet
@@ -1010,8 +942,8 @@ def solve_batch_fleet_lazy(
     (:meth:`ConsumerRows.add_live` turns a ``Consumer`` list into rows,
     after :func:`solve`'s checks).
 
-    Each entry's result is bitwise-identical to ``solve(machine,
-    consumers)`` of the consumers behind its rows, run alone: the gathered coefficient columns, touched
+    Each entry's rates are bitwise the rates ``solve(machine, consumers)``
+    gives the consumers behind its rows, run alone: the gathered coefficient columns, touched
     flags, MC reader counts and demands are what :func:`solve`'s setup
     derives, and on the fleet-wide ``(entries, resources, consumers)``
     tensor padded resource rows (untouched, infinite capacity, zero
@@ -1048,7 +980,7 @@ def solve_batch_fleet_lazy(
     lens = [len(r) for r in rows]
     max_live = max(lens, default=0)
     if max_live == 0:
-        return FleetBatch(lens, None)
+        return [()] * num_batch
 
     # Slot-major row matrix, padded with row 0 (all zeros: a dead slot).
     live_all = np.arange(max_live) < np.array(lens)[:, None]
@@ -1091,7 +1023,7 @@ def solve_batch_fleet_lazy(
             caps_all[i, :num_res] *= scale
 
     rates = _progressive_fill(A_all, caps_all, touched_all, demand_all, live_all)[0]
-    return FleetBatch(lens, rates)
+    return [tuple(row[:n]) for row, n in zip(rates.tolist(), lens)]
 
 
 def solve(

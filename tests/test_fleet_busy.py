@@ -9,6 +9,10 @@ machine is idle, crashes of busy machines, lost completions):
 
 * at every tick the kept vectors equal ones rebuilt from the backends,
   and every busy machine's clock is the fleet clock;
+* at every tick each backend's kept state id equals one interned afresh
+  from its resident rows and occupied nodes, and each scorable machine's
+  scoring state pairs that with its current capacity scale — fault-free
+  and under chaos;
 * every admitted app starts at or after its arrival (an idle machine's
   clock is pinned before admission);
 * every advance of a busy machine runs under that instant's capacity
@@ -78,22 +82,47 @@ def _scheduler(*, backend="flow", scoring="incremental", trace=None, faults=_PLA
     return _SCHEDULERS[scoring](fleet, trace or _sparse_trace(), cfg, seed=3, faults=faults)
 
 
+def _fresh_state(b):
+    """``b``'s state interned afresh from its resident rows and nodes."""
+    return b.states.intern(tuple(b.resident_rows()), b.occupied_nodes())
+
+
 def _checked(sched):
     """Wrap ``sched`` so every tick and every busy advance asserts the
-    busy-set invariants; returns the list of tick times seen."""
+    busy-set invariants and every backend's kept state id; returns the
+    list of tick times seen."""
     ticks = []
     tick = sched._tick
+    refresh = sched._refresh_machines
+    injector = sched.injector
 
     def checked_tick(batch, scales, now, *args):
         backends = sched.backends
         assert sched._ver.tolist() == [b.state_version for b in backends]
         assert sched._busy.tolist() == [b.num_live > 0 for b in backends]
         assert all(b.now == now for b in backends if b.num_live)
+        assert [b.state_id for b in backends] == [_fresh_state(b) for b in backends]
         ticks.append(now)
         return tick(batch, scales, now, *args)
 
+    def checked_refresh(stale, ver, sid, scales):
+        refresh(stale, ver, sid, scales)
+        # Every machine the tick may score holds the scoring state of its
+        # fresh resident state and its current capacity-scale key.
+        now = ticks[-1]
+        current = (sched._mver == ver) & (sched._msid == sid)
+        for mid in np.flatnonzero(current).tolist():
+            b = sched.backends[mid]
+            key = None if injector is None else injector.scale_key_for(mid, now)
+            fresh = (id(b.machine), _fresh_state(b), sched._scale_ids[key])
+            assert sched._state_ids[fresh] == sched._mstate[mid]
+            scale = sched._states[sched._mstate[mid]][3]
+            want = None if injector is None else injector.capacity_scale_for(mid, b.machine, now)
+            assert (scale is None) == (want is None)
+            assert scale is None or scale.tobytes() == want.tobytes()
+
     sched._tick = checked_tick
-    injector = sched.injector
+    sched._refresh_machines = checked_refresh
     for b in sched.backends:
         advance = b.advance
 
@@ -107,6 +136,14 @@ def _checked(sched):
 
         b.advance = checked_advance
     return ticks
+
+
+def _reference_backend(b):
+    """The dict-walking reference backend in place of fluid backend ``b``."""
+    return OracleFlowBackend(
+        b.mid, b.class_name, b.machine, policy=b.policy, dwp=b.dwp, seed=b.seed,
+        slo_slowdown=b.slo_slowdown,
+    )
 
 
 def _assert_identical(a, b):
@@ -167,15 +204,23 @@ class TestBusySet:
         reference backend, which admits the full per-arrival workload."""
         sched = _scheduler(scoring=scoring)
         ref = _scheduler(scoring=scoring)
-        ref.backends = [
-            OracleFlowBackend(
-                b.mid, b.class_name, b.machine, policy=b.policy, dwp=b.dwp, seed=b.seed,
-                slo_slowdown=b.slo_slowdown,
-            )
-            for b in ref.backends
-        ]
+        ref.backends = [_reference_backend(b) for b in ref.backends]
         _checked(ref)
         _assert_identical(sched.run(1_000_000.0), ref.run(1_000_000.0))
+
+    @pytest.mark.parametrize("faults", [None, _PLAN], ids=["clean", "chaos"])
+    def test_kept_state_ids(self, faults):
+        """At every tick each backend's kept state id, and each scorable
+        machine's scoring state, equal ones interned afresh — and the run
+        over kept ids equals the run over the dict-walking reference
+        backend, whose ids are re-interned whenever its version moves."""
+        sched = _scheduler(faults=faults)
+        ref = _scheduler(faults=faults)
+        ref.backends = [_reference_backend(b) for b in ref.backends]
+        ticks = _checked(sched)
+        _checked(ref)
+        _assert_identical(sched.run(1_000_000.0), ref.run(1_000_000.0))
+        assert ticks and len(sched._states) > 1  # busy states were checked
 
     def test_incremental_matches_batched(self):
         _assert_identical(

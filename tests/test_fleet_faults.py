@@ -343,7 +343,8 @@ class TestCapacityScaledSolve:
             [(machine, store.add_live(order)) for order, _s in cases],
             capacity_scales=[s for _order, s in cases],
         )
-        for (order, s), got in zip(cases, batch.tail_rates([1] * len(cases))):
+        for (order, s), rates in zip(cases, batch):
+            got = rates[-1]
             alloc = solve(machine, order, capacity_scale=s)
             assert got == alloc.app_total_rate(order[-1].app_id)
         # Links at 10% capacity must actually bite.
@@ -373,7 +374,26 @@ class TestCapacityScaledSolve:
 # --------------------------------------------------------------------- #
 
 
+#: ``FleetResult`` fields the repo benchmark's fleet case reports as
+#: metrics; a missing or non-numeric one would print as an empty value.
+_REPORTED_FIELDS = (
+    "ticks", "entries_scored", "memo_hits", "bound_pruned", "requeues", "stranded",
+    "admission_rejections", "arrivals", "placed", "pending_left",
+    "arrived_work_bytes", "completed_work_bytes",
+)
+
+
 class TestFaultRuns:
+    def test_reported_fields_are_finite_numbers(self):
+        """Every result field the benchmark reads is a plain, finite
+        Python ``int`` or ``float`` (no numpy scalar, no ``None``)."""
+        out = _run("requeue+checkpoint", _plan())
+        assert out.requeues > 0 and out.admission_rejections > 0 and out.memo_hits > 0
+        for name in _REPORTED_FIELDS:
+            value = getattr(out, name)
+            assert type(value) in (int, float), (name, type(value))
+            assert math.isfinite(value), name
+
     def test_zero_fault_identity_both_modes(self):
         assert_zero_fault_identity(_MIX, _trace_spec(20), _plan())
 

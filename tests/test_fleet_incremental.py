@@ -70,6 +70,20 @@ def _assert_identical(a, b):
     assert a.machine_downtime == b.machine_downtime
 
 
+def _brownout_chaos():
+    """Full chaos plus a brown-out of machine 0 over the first 20 s."""
+    plan = chaos_plan(6, horizon_s=40.0, seed=3)
+    deciding = MachineDegradation(0, 0.25, start_s=0.0, end_s=20.0)
+    return dataclasses.replace(plan, degradations=plan.degradations + (deciding,))
+
+
+class _ScaleBlindScheduler(FleetScheduler):
+    """A deliberately wrong tick: scores every machine as if healthy."""
+
+    def _refresh_machines(self, stale, ver, sid, scales):
+        super()._refresh_machines(stale, ver, np.zeros_like(sid), {})
+
+
 # --------------------------------------------------------------------- #
 # Bitwise identity with the exhaustive reference
 # --------------------------------------------------------------------- #
@@ -96,6 +110,16 @@ class TestIncrementalIdentity:
         plan = chaos_plan(6, horizon_s=40.0, seed=3)
         assert any(d.capacity_scale < 1.0 for d in plan.degradations)
         _assert_identical(_run(OracleScheduler, faults=plan), _run(faults=plan))
+
+    def test_matches_batched_under_deciding_brownout(self):
+        """A brown-out that decides placements: machine 0 runs at a
+        quarter of its link capacity while it would otherwise win its
+        ties with machine 1, so a tick that scored it as healthy would
+        place differently — the run must still equal the reference."""
+        plan = _brownout_chaos()
+        inc = _run(faults=plan)
+        _assert_identical(_run(OracleScheduler, faults=plan), inc)
+        assert _run(_ScaleBlindScheduler, faults=plan).placements != inc.placements
 
     def test_matches_batched_sim_backend(self):
         _assert_identical(
@@ -245,7 +269,7 @@ class TestScoreMemo:
             for kind in first_p:
                 for mid in np.flatnonzero(elig).tolist():
                     b = sched.backends[mid]
-                    for s, workers in enumerate(sched._slots[mid]):
+                    for s, workers in enumerate(sched._states[sched._mstate[mid]][2]):
                         got = sched._rows[s, kind, sched._mstate[mid]]
                         if np.isnan(got):
                             assert workers is None
@@ -256,9 +280,8 @@ class TestScoreMemo:
                         key = _solve_input(b.machine, rows, scale)
                         assert key in seen
                         if key not in fresh:
-                            fresh[key] = real(
-                                [(b.machine, rows)], capacity_scales=[scale]
-                            ).tail_rates([len(live)])[0]
+                            (rates,) = real([(b.machine, rows)], capacity_scales=[scale])
+                            fresh[key] = sum(rates[len(rows) - len(live) :], 0.0)
                         else:
                             replays += 1
                         assert float(got).hex() == fresh[key].hex()

@@ -68,12 +68,13 @@ def _assert_rows_conserved(prod: FlowBackend, oracle: OracleFlowBackend) -> None
         if app.remaining[c.node] > 0.0
     ]
     got = [
-        (prod._owner[r], store.node[prod._tpl[r]], prod._rem[r])
-        for rows in prod._app_rows.values()
+        (app_id, store.node[prod._tpl[r]], prod._rem[r])
+        for app_id, rows in prod._app_rows.items()
         for r in rows
     ]
     assert got == expect
-    assert all(prod._owner[r] == a for a, rows in prod._app_rows.items() for r in rows)
+    # The kept state id is the state interned afresh from the rows.
+    assert prod.state_id == prod.states.intern(tuple(prod.resident_rows()), prod.occupied_nodes())
     assert all(rem >= 0.0 for rem in prod._rem)
 
 
@@ -221,7 +222,9 @@ class TestRowStore:
                     (machine, [rows.add(c) for c in b_cons] + [rows.add(c) for c in c_cons])
                 )
                 tails.append(len(c_cons))
-        scores = solve_batch_fleet_lazy(row_entries).tail_rates(tails)
+        scores = [
+            sum(r[len(r) - k :], 0.0) for r, k in zip(solve_batch_fleet_lazy(row_entries), tails)
+        ]
         for (machine, consumers), score in zip(entries, scores):
             assert score == solve(machine, consumers).app_total_rate("cand")
 

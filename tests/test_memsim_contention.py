@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.memsim.contention import proportional_profile, solve
+from repro.memsim.contention import DEFAULT_MC_MODEL, proportional_profile, solve
 from repro.memsim.controller import MCModel
 from repro.memsim.flows import Consumer, consumer_from_placement
 from repro.topology import fully_connected, machine_a, ring
@@ -220,6 +220,18 @@ class TestAllocationAccessors:
         assert alloc.resource_utilization(("link", 0, 1)) == 0.0
 
 
+def _cached_solve(cache, machine, consumers, mc_model=DEFAULT_MC_MODEL):
+    """:func:`solve` through ``cache``, keyed by the input's fingerprint."""
+    from repro.memsim.contention import consumers_fingerprint
+
+    key = consumers_fingerprint(consumers, mc_model)
+    alloc = cache.lookup(key)
+    if alloc is None:
+        alloc = solve(machine, consumers, mc_model)
+        cache.store(key, alloc)
+    return alloc
+
+
 class TestSolverCache:
     def _consumers(self, demand=4.0):
         return [
@@ -231,8 +243,8 @@ class TestSolverCache:
         from repro.memsim.contention import SolverCache
 
         cache = SolverCache()
-        first = cache.solve(mach_a, self._consumers())
-        second = cache.solve(mach_a, self._consumers())
+        first = _cached_solve(cache, mach_a, self._consumers())
+        second = _cached_solve(cache, mach_a, self._consumers())
         assert second is first
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == pytest.approx(0.5)
@@ -241,20 +253,20 @@ class TestSolverCache:
         from repro.memsim.contention import SolverCache
 
         cache = SolverCache()
-        cache.solve(mach_a, self._consumers(demand=4.0))
-        cache.solve(mach_a, self._consumers(demand=5.0))  # demand change
+        _cached_solve(cache, mach_a, self._consumers(demand=4.0))
+        _cached_solve(cache, mach_a, self._consumers(demand=5.0))  # demand change
         mixed = self._consumers()
         mixed[0] = Consumer("a", 0, 8, np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), 4.0)
-        cache.solve(mach_a, mixed)  # placement (mix) change
-        cache.solve(mach_a, mixed[:1])  # app departure
+        _cached_solve(cache, mach_a, mixed)  # placement (mix) change
+        _cached_solve(cache, mach_a, mixed[:1])  # app departure
         assert cache.hits == 0 and cache.misses == 4
 
     def test_mc_model_part_of_key(self, mach_a):
         from repro.memsim.contention import SolverCache
 
         cache = SolverCache()
-        cache.solve(mach_a, self._consumers(), IDEAL_MC)
-        cache.solve(mach_a, self._consumers(), MCModel())
+        _cached_solve(cache, mach_a, self._consumers(), IDEAL_MC)
+        _cached_solve(cache, mach_a, self._consumers(), MCModel())
         assert cache.misses == 2
 
     def test_lru_eviction_bounded(self, mach_a):
@@ -262,10 +274,10 @@ class TestSolverCache:
 
         cache = SolverCache(maxsize=2)
         for d in (1.0, 2.0, 3.0, 4.0):
-            cache.solve(mach_a, self._consumers(demand=d))
+            _cached_solve(cache, mach_a, self._consumers(demand=d))
         assert len(cache) == 2
         # Oldest entry was evicted: re-solving it misses again.
-        cache.solve(mach_a, self._consumers(demand=1.0))
+        _cached_solve(cache, mach_a, self._consumers(demand=1.0))
         assert cache.misses == 5 and cache.hits == 0
 
     def test_rejects_bad_maxsize(self):
@@ -305,8 +317,8 @@ class TestSolverCache:
                 demand = float(rng.uniform(0.5, 30.0))
                 consumers.append(Consumer("app", node, 8, mix, demand))
             fresh = solve(mach_a, consumers)
-            cached_cold = cache.solve(mach_a, consumers)
-            cached_warm = cache.solve(mach_a, consumers)
+            cached_cold = _cached_solve(cache, mach_a, consumers)
+            cached_warm = _cached_solve(cache, mach_a, consumers)
             assert cached_warm is cached_cold
             for key, rate in fresh.rates.items():
                 assert cached_warm.rates[key] == rate  # bitwise, no tolerance

@@ -167,13 +167,14 @@ class TestFleetBatchMatchesScalar:
 
     @staticmethod
     def _solved(entries, tails_of):
-        """``(tail_rates, expected)`` per entry: the fleet batch's score of
-        the trailing ``tails_of(live)`` live slots, and the bitwise sum the
+        """``(got, expected)`` per entry: the sum of the fleet batch's
+        trailing ``tails_of(live)`` slot rates, and the bitwise sum the
         scalar solve gives those consumers, in slot order."""
         rows = [(m, consumer_rows(m).add_live(cs)) for m, cs in entries]
         lives = [[c for c in cs if not c.is_idle] for _m, cs in entries]
         tails = [tails_of(live) for live in lives]
-        got = solve_batch_fleet_lazy(rows, DEFAULT_MC_MODEL).tail_rates(tails)
+        batch = solve_batch_fleet_lazy(rows, DEFAULT_MC_MODEL)
+        got = [sum(r[len(r) - k :], 0.0) for r, k in zip(batch, tails)]
         expected = []
         for (m, cs), live, k in zip(entries, lives, tails):
             alloc = solve(m, cs, DEFAULT_MC_MODEL)
@@ -185,6 +186,15 @@ class TestFleetBatchMatchesScalar:
         for k in range(7):
             got, expected = self._solved(entries, lambda live: min(k, len(live)))
             assert got == expected
+
+    def test_entry_rates_are_the_scalar_rates(self):
+        """Every slot rate of an entry is the scalar solve's rate of that
+        consumer (the fluid backend replays whole entries)."""
+        entries = self._fleet_entries(seed=99)
+        rows = [(m, consumer_rows(m).add_live(cs)) for m, cs in entries]
+        for (m, cs), rates in zip(entries, solve_batch_fleet_lazy(rows, DEFAULT_MC_MODEL)):
+            alloc = solve(m, cs, DEFAULT_MC_MODEL)
+            assert rates == tuple(alloc.rates[c.key()] for c in cs if not c.is_idle)
 
     def test_lazy_batch_scores_match_allocations(self):
         entries = self._fleet_entries(seed=7)
@@ -202,8 +212,7 @@ class TestFleetBatchMatchesScalar:
         m = fully_connected(4)
         idle = [Consumer("app:0", 0, 4, np.zeros(4), 0.0)]
         assert consumer_rows(m).add_live(idle) == []
-        batch = solve_batch_fleet_lazy([(m, []), (m, [])], DEFAULT_MC_MODEL)
-        assert batch.tail_rates([0, 0]) == [0.0, 0.0]
+        assert solve_batch_fleet_lazy([(m, []), (m, [])], DEFAULT_MC_MODEL) == [(), ()]
         assert solve(m, idle).app_total_rate("app:0") == 0.0
 
 
