@@ -13,7 +13,13 @@ heterogeneous fleet:
    2,400-arrival trace (the median of five runs; at least 2,300
    arrivals/s, 10x the exhaustive greedy's rate when it was the
    production path), and on a 1,000,000-arrival trace (one run, under
-   four minutes). ``bwap-repro bench-compare`` guards both.
+   four minutes). ``bwap-repro bench-compare`` guards both. The
+   process's peak RSS through the million-arrival run (``ru_maxrss``
+   read right after it) is recorded as ``million_peak_rss_mb`` and must
+   stay at or under 250 MB: the run's records are columns, so memory
+   barely grows with the trace. ``ru_maxrss`` is a process high-water
+   mark, so the figure also covers whatever ran earlier in the same
+   process; run this file alone to read the million run's own peak.
 2. **State-table reuse** — the fraction of candidate scores read from
    the table instead of solved, fault-free and under the full-intensity
    chaos plan.
@@ -27,6 +33,7 @@ million-arrival run (CI smoke mode).
 """
 
 import os
+import resource
 
 from repro.fleet import FleetScheduler, SchedulerConfig, build_fleet, chaos_plan
 from repro.workloads import TraceSpec, build_trace
@@ -87,6 +94,10 @@ def _measure():
         "chaos": _scheduler(faults=_plan()).run(_MAX_TIME),
         "rate": calibrated_rate(_timed),
         "million": None if _QUICK else calibrated_rate(lambda: _timed(_MILLION), repeats=1),
+        # The process's peak RSS so far, which includes anything run
+        # earlier in this process; the million-arrival run is the
+        # largest this benchmark makes.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
 
@@ -113,6 +124,7 @@ class BenchFleetScale:
             metrics["million_arrivals_per_s"] = million["per_s"]
             metrics["million_arrivals_per_chunk"] = million["per_chunk"]
             metrics["million_arrivals_wall_s"] = million["wall_s"]
+            metrics["million_peak_rss_mb"] = r["peak_rss_mb"]
             wall_s += million["wall_s"]
         guarded = (
             "incremental_arrivals_per_chunk",
@@ -140,11 +152,13 @@ class BenchFleetScale:
             if million is not None:
                 print(
                     f"  1M arrivals: {million['wall_s']:.0f}s "
-                    f"({million['per_s']:.0f} arrivals/s)"
+                    f"({million['per_s']:.0f} arrivals/s, peak RSS "
+                    f"{r['peak_rss_mb']:.0f} MB)"
                 )
         # The headline claims: at least 10x the exhaustive greedy's
         # committed 230 arrivals/s, and a million-arrival trace in under
-        # four minutes.
+        # four minutes and 250 MB.
         if not _QUICK:
             assert rate["per_s"] >= 2300.0
             assert million["wall_s"] < 240.0
+            assert r["peak_rss_mb"] <= 250.0

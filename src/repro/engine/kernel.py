@@ -127,10 +127,11 @@ class EpochWorkspace:
     def digest(self, mc_model) -> Tuple:
         """Bytes-based exact solve-input identity.
 
-        Same contract as :func:`repro.memsim.contention.consumers_fingerprint`
-        — equal digests imply bitwise-identical solver results — but hashed
-        as one flat buffer of the workspace arrays plus the pair-key tuple
-        instead of a nested per-consumer tuple.
+        Equal digests imply bitwise-identical solver results: every
+        quantity a solve reads — each consumer's demand, write fraction
+        and mix, the pair keys and the MC model parameters — is folded in,
+        hashed as one flat buffer of the workspace arrays plus the
+        pair-key tuple.
         """
         d = self._digest
         if d is None:

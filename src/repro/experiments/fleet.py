@@ -159,8 +159,8 @@ def fleet_fingerprint(spec: FleetSpec) -> str:
 
 def outcome_from_result(result: FleetResult) -> FleetOutcome:
     """Fold a scheduler result into the storable summary."""
-    slowdowns = np.array([c.slowdown for c in result.completions])
-    waits = np.array([c.wait_s for c in result.completions])
+    slowdowns = result.completions.slowdowns()
+    waits = result.completions.waits()
     utils = np.array([result.utilization[mid] for mid in sorted(result.utilization)])
     by_class: Dict[str, List[float]] = {}
     for mid, util in result.utilization.items():

@@ -9,10 +9,10 @@ rate, goodput, and availability per cell.
 
 Two invariants are asserted on every run:
 
-* **Zero-fault identity** — a null (zero-intensity) plan produces
+* **Zero-fault identity** — a live injector over a null
+  (zero-intensity) plan, which takes every fault hook, produces
   placements, completions, and utilisation *byte-identical* to a run
-  with no fault plan at all (the fault layer is gated entirely on the
-  injector).
+  with no fault plan at all.
 * **Recovery invariance at zero intensity** — with nothing to recover
   from, every recovery policy summarises identically.
 
@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from repro.experiments.fleet import FleetOutcome, FleetSpec, run_fleet_specs
 from repro.experiments.report import format_table
 from repro.fleet.cluster import build_fleet
-from repro.fleet.faults import FleetFaultPlan, chaos_plan
+from repro.fleet.faults import FleetFaultInjector, FleetFaultPlan, chaos_plan
 from repro.fleet.scheduler import RECOVERIES, FleetScheduler
 from repro.workloads import TraceSpec, build_trace
 
@@ -54,7 +54,10 @@ def assert_zero_fault_identity(
     Compares the full :class:`~repro.fleet.scheduler.FleetResult` surface
     that admission decisions flow through — placements, completions
     (every field, exact float equality), utilisation, end time, solver
-    accounting — between ``faults=None`` and ``faults=plan.scaled(0)``.
+    accounting — between ``faults=None`` and a live injector over
+    ``plan.scaled(0)``. The injector is kept although its plan is null,
+    so the second run takes every fault hook of the scheduler: a hook
+    that leaks into a fault-free run shows here.
     """
     trace = build_trace(trace_spec)
     scaled = plan.scaled(0.0)
@@ -62,7 +65,7 @@ def assert_zero_fault_identity(
         raise AssertionError("plan.scaled(0) must be a null plan")
     base, nulled = (
         FleetScheduler(build_fleet(mix), trace, seed=seed, faults=faults).run(max_time)
-        for faults in (None, scaled)
+        for faults in (None, FleetFaultInjector(scaled))
     )
     for field_name in (
         "placements",
@@ -79,6 +82,8 @@ def assert_zero_fault_identity(
     ):
         a = getattr(base, field_name)
         b = getattr(nulled, field_name)
+        if field_name in ("placements", "completions"):
+            a, b = list(a), list(b)
         if a != b:
             raise AssertionError(
                 f"zero-fault identity broken: {field_name} {a!r} != {b!r}"

@@ -32,6 +32,8 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -181,13 +183,254 @@ class FleetCompletion:
     outcome: Optional[RunOutcome] = None
 
 
+#: Column dtypes of :class:`FleetRecords`: placements in decision order,
+#: and completions.
+_PLACEMENT_COLS = (("p_idx", np.int32), ("p_mid", np.int32), ("p_wset", np.int32))
+_COMPLETION_COLS = (
+    ("idx", np.int32),
+    ("mid", np.int32),
+    ("wset", np.int32),
+    ("placed_s", np.float64),
+    ("finish_s", np.float64),
+    ("ideal_s", np.float64),
+    ("attempts", np.int32),
+    ("slo_ok", np.bool_),
+)
+#: Records a view materialises per chunk while iterating.
+_CHUNK = 4096
+
+
+class FleetRecords:
+    """Struct-of-arrays record buffer of one fleet run.
+
+    Placements hold ``(arrival index, machine id, worker-set id)`` in
+    decision order; completions hold the arrival index, machine,
+    worker-set id, ``placed_s``/``finish_s``/``ideal_s``, attempts and the
+    SLO flag, plus an object column of :class:`SimBackend`'s
+    ``RunOutcome`` (absent on fluid runs). Worker sets are interned in
+    :attr:`wsets`. Everything else a :class:`FleetCompletion` carries is
+    read from the trace (arrival time, work, the ``job{i}`` id) and the
+    fleet (machine class), or computed with the expressions the record
+    always used (slowdown, wait, deadline), so a view builds records
+    equal to the ones a run once kept as objects.
+
+    Each arrival completes at most once, so the completion columns are
+    sized to the trace up front (``np.empty`` pages cost no memory until
+    written); placements start at the same size and double when requeued
+    apps, which place again, outgrow it.
+    """
+
+    def __init__(self, trace, classes: Sequence[str], slo_slowdown: float):
+        self.trace = trace
+        #: Machine class name per machine id.
+        self.classes = classes
+        self.slo_slowdown = slo_slowdown
+        self.wsets: List[Tuple[int, ...]] = []
+        self._wset_ids: Dict[Tuple[int, ...], int] = {}
+        #: Thread count per ``(machine id, worker-set id)``.
+        self.threads: Dict[Tuple[int, int], int] = {}
+        self.placed = 0
+        self.done = 0
+        for name, dtype in _PLACEMENT_COLS + _COMPLETION_COLS:
+            setattr(self, name, np.empty(max(len(trace), 16), dtype))
+        self.outcome: Optional[np.ndarray] = None
+
+    def _grow(self, names) -> None:
+        for name in names:
+            old = getattr(self, name)
+            new = np.empty(2 * len(old), old.dtype)
+            new[: len(old)] = old
+            setattr(self, name, new)
+
+    def _wset_id(self, workers: Tuple[int, ...]) -> int:
+        wid = self._wset_ids.get(workers)
+        if wid is None:
+            wid = self._wset_ids[workers] = len(self.wsets)
+            self.wsets.append(workers)
+        return wid
+
+    def place(self, idx: int, mid: int, workers: Tuple[int, ...]) -> None:
+        """Record one admission decision."""
+        k = self.placed
+        if k == len(self.p_idx):
+            self._grow([name for name, _dtype in _PLACEMENT_COLS])
+        self.p_idx[k] = idx
+        self.p_mid[k] = mid
+        self.p_wset[k] = self._wset_id(workers)
+        self.placed = k + 1
+
+    def complete(self, mid: int, rec: "_Placed", finish_s: float, slo_ok: bool, outcome) -> None:
+        """Record one finished app."""
+        k = self.done
+        if k == len(self.idx):
+            self._grow(self._columns())
+        wset = self._wset_id(rec.workers)
+        self.threads.setdefault((mid, wset), rec.threads)
+        self.idx[k] = rec.idx
+        self.mid[k] = mid
+        self.wset[k] = wset
+        self.placed_s[k] = rec.placed_s
+        self.finish_s[k] = finish_s
+        self.ideal_s[k] = rec.ideal_s
+        self.attempts[k] = rec.attempts
+        self.slo_ok[k] = slo_ok
+        if outcome is not None:
+            if self.outcome is None:
+                self.outcome = np.empty(len(self.idx), dtype=object)  # all None
+            self.outcome[k] = outcome
+        self.done = k + 1
+
+    def _columns(self) -> List[str]:
+        names = [name for name, _dtype in _COMPLETION_COLS]
+        return names if self.outcome is None else names + ["outcome"]
+
+    def keep(self, start: int, rows: Sequence[int]) -> None:
+        """Keep only ``rows`` (ascending) of the completions from
+        ``start`` on, in order — the run drops lost completion reports."""
+        keep = np.asarray(rows, dtype=np.int64)
+        end = start + len(keep)
+        for name in self._columns():
+            col = getattr(self, name)
+            col[start:end] = col[keep]
+        self.done = end
+
+    def seal(self) -> None:
+        """Order completions by ``(finish_s, app id)`` — ties break in the
+        decimal-string order of ``job{i}`` — and trim their columns."""
+        n = self.done
+        fin = self.finish_s[:n]
+        order = np.argsort(fin, kind="stable")
+        f = fin[order]
+        ties = np.flatnonzero(f[1:] == f[:-1]).tolist()
+        ids = self.idx
+        app_id = self.trace.app_id
+        j = 0
+        while j < len(ties):
+            lo = ties[j]
+            while j + 1 < len(ties) and ties[j + 1] == ties[j] + 1:
+                j += 1
+            hi = ties[j] + 2
+            order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda k: app_id(int(ids[k])))
+            j += 1
+        for name in self._columns():
+            setattr(self, name, getattr(self, name)[:n][order])
+
+    def arrival_s(self) -> np.ndarray:
+        return self.trace.times[self.idx[: self.done]]
+
+
+class _RecordView(SequenceABC):
+    """Read-only sequence over one column group of :class:`FleetRecords`,
+    building each record on access. Equal to any sequence of equal
+    records (another view or a list)."""
+
+    __slots__ = ("_recs",)
+    __hash__ = None
+
+    def __init__(self, records: FleetRecords):
+        self._recs = records
+
+    def __getitem__(self, i):
+        n = len(self)
+        if isinstance(i, slice):
+            start, stop, step = i.indices(n)
+            if step == 1:
+                return list(self._build(start, stop))
+            return [self[k] for k in range(start, stop, step)]
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        return next(self._build(i, i + 1))
+
+    def __iter__(self):
+        n = len(self)
+        for lo in range(0, n, _CHUNK):
+            yield from self._build(lo, min(lo + _CHUNK, n))
+
+    def __eq__(self, other):
+        if not isinstance(other, SequenceABC) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class PlacementsView(_RecordView):
+    """``(app_id, mid, workers)`` per admission decision, in decision order."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._recs.placed
+
+    def _build(self, lo: int, hi: int):
+        r = self._recs
+        wsets, app_id = r.wsets, r.trace.app_id
+        for idx, mid, wset in zip(
+            r.p_idx[lo:hi].tolist(), r.p_mid[lo:hi].tolist(), r.p_wset[lo:hi].tolist()
+        ):
+            yield (app_id(idx), mid, wsets[wset])
+
+
+class CompletionsView(_RecordView):
+    """:class:`FleetCompletion` per finished app, sorted by ``(finish_s,
+    app_id)``."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return self._recs.done
+
+    def slowdowns(self) -> np.ndarray:
+        """Every record's ``slowdown``, as one array (same floats)."""
+        r = self._recs
+        return (r.finish_s[: r.done] - r.arrival_s()) / r.ideal_s[: r.done]
+
+    def waits(self) -> np.ndarray:
+        """Every record's ``wait_s``, as one array (same floats)."""
+        r = self._recs
+        return r.placed_s[: r.done] - r.arrival_s()
+
+    def _build(self, lo: int, hi: int):
+        r = self._recs
+        trace, slo = r.trace, r.slo_slowdown
+        wsets, threads, classes = r.wsets, r.threads, r.classes
+        outcomes = [None] * (hi - lo) if r.outcome is None else r.outcome[lo:hi].tolist()
+        cols = [getattr(r, name)[lo:hi].tolist() for name, _dtype in _COMPLETION_COLS]
+        for (idx, mid, wset, placed_s, finish_s, ideal_s, attempts, slo_ok), outcome in zip(
+            zip(*cols), outcomes
+        ):
+            arrival_s = float(trace.times[idx])
+            yield FleetCompletion(
+                app_id=trace.app_id(idx),
+                mid=mid,
+                machine_class=classes[mid],
+                workers=wsets[wset],
+                threads=threads[mid, wset],
+                arrival_s=arrival_s,
+                placed_s=placed_s,
+                finish_s=finish_s,
+                ideal_s=ideal_s,
+                slowdown=(finish_s - arrival_s) / ideal_s,
+                wait_s=placed_s - arrival_s,
+                attempts=attempts,
+                deadline_s=arrival_s + slo * ideal_s,
+                slo_ok=slo_ok,
+                work_bytes=trace.work_bytes(idx),
+                outcome=outcome,
+            )
+
+
 @dataclass
 class _Placed:
     """Occupancy record of one running app."""
 
     app_id: str
-    #: Full (original) work of the app, for goodput accounting.
-    work_bytes: float
+    #: Arrival index of the app in the run's trace.
+    idx: int
     workers: Tuple[int, ...]
     threads: int
     arrival_s: float
@@ -244,7 +487,9 @@ class MachineBackend(abc.ABC):
         self._sid_version = 0
         self._occupied: Dict[int, str] = {}
         self._placed: Dict[str, _Placed] = {}
-        self.completions: List[FleetCompletion] = []
+        #: The run's record buffer, set by the scheduler (a standalone
+        #: backend must be given one before an app of it finishes).
+        self.records: Optional[FleetRecords] = None
         #: Node-seconds spent running *completed* apps (live apps are
         #: folded in by :meth:`utilization`). Evicted apps' busy time is
         #: folded in too — the machine really ran them until the crash.
@@ -286,7 +531,7 @@ class MachineBackend(abc.ABC):
     def _register(
         self,
         app_id: str,
-        work_bytes: float,
+        idx: int,
         workers: Sequence[int],
         arrival_s: float,
         threads: int,
@@ -301,7 +546,7 @@ class MachineBackend(abc.ABC):
                     f"{self._occupied[w]!r}"
                 )
         rec = _Placed(
-            app_id, work_bytes, workers, threads, arrival_s, self.now, ideal_s, attempts
+            app_id, idx, workers, threads, arrival_s, self.now, ideal_s, attempts
         )
         for w in workers:
             self._occupied[w] = app_id
@@ -318,26 +563,7 @@ class MachineBackend(abc.ABC):
         self.state_version += 1
         self.busy_node_seconds += len(rec.workers) * (finish_s - rec.placed_s)
         deadline_s = rec.arrival_s + self.slo_slowdown * rec.ideal_s
-        self.completions.append(
-            FleetCompletion(
-                app_id=rec.app_id,
-                mid=self.mid,
-                machine_class=self.class_name,
-                workers=rec.workers,
-                threads=rec.threads,
-                arrival_s=rec.arrival_s,
-                placed_s=rec.placed_s,
-                finish_s=finish_s,
-                ideal_s=rec.ideal_s,
-                slowdown=(finish_s - rec.arrival_s) / rec.ideal_s,
-                wait_s=rec.placed_s - rec.arrival_s,
-                attempts=rec.attempts,
-                deadline_s=deadline_s,
-                slo_ok=finish_s <= deadline_s,
-                work_bytes=rec.work_bytes,
-                outcome=outcome,
-            )
-        )
+        self.records.complete(self.mid, rec, finish_s, finish_s <= deadline_s, outcome)
 
     # ------------------------------------------------------------------ #
     # Fault hooks (no-ops on a fault-free run)
@@ -471,6 +697,7 @@ class MachineBackend(abc.ABC):
         workers: Sequence[int],
         arrival_s: float,
         *,
+        idx: int,
         work_bytes: Optional[float] = None,
         resume_frac: float = 0.0,
         attempts: int = 1,
@@ -480,6 +707,9 @@ class MachineBackend(abc.ABC):
 
         The clock is only meaningful while the machine is busy, so the
         scheduler pins an idle machine's clock with :meth:`advance` first.
+
+        ``idx`` is the app's arrival index in the run's trace, which its
+        completion record keeps instead of the id string.
 
         ``work_bytes`` is the app's work (default ``workload.work_bytes``):
         the fleet admits its catalog workload, not a per-arrival copy.
@@ -561,6 +791,7 @@ class FlowBackend(MachineBackend):
         workers,
         arrival_s,
         *,
+        idx,
         work_bytes=None,
         resume_frac=0.0,
         attempts=1,
@@ -575,7 +806,7 @@ class FlowBackend(MachineBackend):
         if nodes != list(workers):
             raise ValueError(f"template nodes {nodes} do not match workers {list(workers)}")
         self._register(
-            app_id, work_bytes, workers, arrival_s, threads, work_bytes / 1e9 / useful,
+            app_id, idx, workers, arrival_s, threads, work_bytes / 1e9 / useful,
             attempts,
         )
         rows = []
@@ -719,15 +950,15 @@ class SimBackend(MachineBackend):
         self._tuners: Dict[str, object] = {}
 
     def admit(
-        self, app_id, workload, workers, arrival_s, *, work_bytes=None, resume_frac=0.0,
-        attempts=1, template=None,
+        self, app_id, workload, workers, arrival_s, *, idx, work_bytes=None,
+        resume_frac=0.0, attempts=1, template=None,
     ):
         work_bytes, exec_bytes = _attempt_bytes(workload, work_bytes, resume_frac)
         nw = len(workers)
         threads = len(pin_threads(self.machine, workers))
         useful = workload.demand_gbps(threads, nw) * workload.node_efficiency(nw)
         self._register(
-            app_id, work_bytes, workers, arrival_s, threads, work_bytes / 1e9 / useful,
+            app_id, idx, workers, arrival_s, threads, work_bytes / 1e9 / useful,
             attempts,
         )
         # The simulator executes this attempt's work; registration above

@@ -15,6 +15,8 @@ Everything is gated the same way as the single-machine plans: a null
 plan (or ``None``) builds no injector at all, and every fault hook in
 the scheduler is guarded on the injector — so a fault-free fleet run is
 byte-for-byte the run the scheduler produced before this module existed.
+An injector passed explicitly is kept even over a null plan: that run
+goes through every hook, and must still equal the fault-free one.
 """
 
 from __future__ import annotations
@@ -266,6 +268,31 @@ class HealthTracker:
         return bool(now >= self.blocked_until[mid])
 
 
+#: Uniform draws a :class:`_Draws` stream takes from its generator at once.
+_DRAW_BLOCK = 256
+
+
+class _Draws:
+    """One RNG stream's uniform draws, served from a refilled block:
+    ``Generator.random(k)`` yields exactly the values of ``k`` scalar
+    ``random()`` calls, so the verdict sequence is the scalar one."""
+
+    __slots__ = ("_rng", "_block", "_i")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block: List[float] = []
+        self._i = 0
+
+    def next(self) -> float:
+        i = self._i
+        if i == len(self._block):
+            self._block = self._rng.random(_DRAW_BLOCK).tolist()
+            i = 0
+        self._i = i + 1
+        return self._block[i]
+
+
 class FleetFaultInjector:
     """Stateful realisation of a :class:`FleetFaultPlan`.
 
@@ -280,8 +307,8 @@ class FleetFaultInjector:
     def __init__(self, plan: FleetFaultPlan):
         self.plan = plan
         streams = np.random.default_rng(plan.seed).spawn(2)
-        self._rng_admission = streams[0]
-        self._rng_completion = streams[1]
+        self._admission_draws = _Draws(streams[0])
+        self._completion_draws = _Draws(streams[1])
         self._crashes_by_mid: Dict[int, List[MachineCrash]] = {}
         for c in plan.crashes:
             self._crashes_by_mid.setdefault(c.mid, []).append(c)
@@ -426,12 +453,12 @@ class FleetFaultInjector:
     def admission_rejected(self) -> bool:
         """Draw one admission-rejection verdict (decision order)."""
         p = self.plan.admission_reject_prob
-        return p > 0 and self._rng_admission.random() < p
+        return p > 0 and self._admission_draws.next() < p
 
     def completion_lost(self) -> bool:
         """Draw one lost-completion verdict (completion order)."""
         p = self.plan.lost_completion_prob
-        return p > 0 and self._rng_completion.random() < p
+        return p > 0 and self._completion_draws.next() < p
 
 
 def as_fleet_injector(
@@ -440,13 +467,13 @@ def as_fleet_injector(
     num_machines: Optional[int] = None,
 ) -> Optional[FleetFaultInjector]:
     """Normalise a fleet-faults argument: ``None`` / null plan -> ``None``,
-    plan -> injector, injector -> itself. With ``num_machines`` given,
-    plans targeting machine ids outside the fleet are rejected."""
+    plan -> injector, injector -> itself (even over a null plan, so a
+    caller can drive a fault-free run through every fault hook). With
+    ``num_machines`` given, plans targeting machine ids outside the fleet
+    are rejected."""
     if faults is None:
         return None
     if isinstance(faults, FleetFaultInjector):
-        if faults.plan.is_null:
-            return None
         plan = faults.plan
         out: Optional[FleetFaultInjector] = faults
     elif isinstance(faults, FleetFaultPlan):

@@ -51,8 +51,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.fleet.backend import (
-    FleetCompletion,
+    CompletionsView,
+    FleetRecords,
     MachineBackend,
+    PlacementsView,
     machine_seed,
     make_backend,
 )
@@ -158,9 +160,10 @@ class FleetResult:
 
     #: Admission decisions in decision order: ``(app_id, mid, workers)``.
     #: Requeued apps appear once per placement attempt.
-    placements: List[Tuple[str, int, Tuple[int, ...]]]
-    #: Completions sorted by ``(finish_s, app_id)``.
-    completions: List[FleetCompletion]
+    placements: PlacementsView
+    #: :class:`~repro.fleet.backend.FleetCompletion` records sorted by
+    #: ``(finish_s, app_id)``.
+    completions: CompletionsView
     arrivals: int
     placed: int
     pending_left: int
@@ -230,19 +233,20 @@ class _PendQueue:
     and ``list.remove`` on every admit is O(queue) — the backlog shift
     alone dominated million-arrival runs. Admits instead flag the record
     ``done`` and the queue compacts lazily: leading retired records are
-    skipped by advancing a head pointer (admits overwhelmingly retire
-    from the front of the queue, where the tick batches come from), and
-    the backing list is compacted once retired records dominate it. A
-    requeue appends a fresh record and leaves the retired one where it
-    is. Visible order — arrivals and requeues append, retired records
-    disappear — is exactly that of the plain list this replaces, so
-    every tick sees the batches the plain list gave.
+    skipped, and released, by advancing a head pointer (admits
+    overwhelmingly retire from the front of the queue, where the tick
+    batches come from), and the backing list is compacted once retired
+    records dominate it. A requeue appends a fresh record and leaves the
+    retired one where it is. Visible order — arrivals and requeues
+    append, retired records disappear — is exactly that of the plain
+    list this replaces, so every tick sees the batches the plain list
+    gave.
     """
 
     __slots__ = ("_items", "_head", "_retired")
 
     def __init__(self) -> None:
-        self._items: List[_Pend] = []
+        self._items: List[Optional[_Pend]] = []
         self._head = 0  # leading retired records already skipped
         self._retired = 0  # retired records at index >= _head
 
@@ -276,6 +280,7 @@ class _PendQueue:
         h = self._head
         n = len(items)
         while h < n and items[h].done:
+            items[h] = None  # release the retired record
             h += 1
             self._retired -= 1
         self._head = h
@@ -292,16 +297,6 @@ class _PendQueue:
             if len(out) >= limit:
                 break
         return out
-
-
-def _trace_work_bytes(trace: ArrivalTrace, count: int) -> float:
-    """Total ``work_bytes`` of the first ``count`` arrivals (vectorised)."""
-    if count <= 0:
-        return 0.0
-    base = np.array([wl.work_bytes for wl in trace.catalog])
-    return float(
-        (base[np.asarray(trace.kind_idx[:count], dtype=int)] * trace.work_scale[:count]).sum()
-    )
 
 
 class FleetScheduler:
@@ -451,7 +446,7 @@ class FleetScheduler:
         return st
 
     def _admit(
-        self, r: _Pend, b: MachineBackend, workers, now, placements, pending, inflight,
+        self, r: _Pend, b: MachineBackend, workers, now, records, pending, inflight,
         template=None,
     ) -> None:
         """Start pending record ``r`` on ``workers`` of machine ``b`` at
@@ -468,6 +463,7 @@ class FleetScheduler:
             trace.catalog[int(trace.kind_idx[p])],
             workers,
             float(trace.times[p]),
+            idx=p,
             work_bytes=trace.work_bytes(p),
             resume_frac=r.resume_frac,
             attempts=r.attempts,
@@ -475,7 +471,7 @@ class FleetScheduler:
         )
         self._ver[mid] = b.state_version
         self._busy[mid] = True
-        placements.append((app_id, mid, workers))
+        records.place(p, mid, workers)
         pending.retire(r)
         if self.injector is not None:
             inflight[app_id] = r
@@ -528,7 +524,7 @@ class FleetScheduler:
         return view[1:]
 
     def _tick(
-        self, batch, scales, now, health, placements, pending, inflight, counts
+        self, batch, scales, now, health, records, pending, inflight, counts
     ) -> None:
         """One tick of the state-keyed decision procedure.
 
@@ -597,7 +593,7 @@ class FleetScheduler:
             b = backends[mid]
             workers = self._states[self._mstate[mid]][2][slot[j, mid]]
             template = self._cand_template(b, workers, kind)
-            self._admit(r, b, workers, now, placements, pending, inflight, template)
+            self._admit(r, b, workers, now, records, pending, inflight, template)
             claimed[mid] = True
 
     def _score_kinds(self, first_p, elig, counts):
@@ -670,7 +666,11 @@ class FleetScheduler:
         i = 0  # next arrival index
         now = 0.0
         pending = _PendQueue()
-        placements: List[Tuple[str, int, Tuple[int, ...]]] = []
+        records = FleetRecords(
+            self.trace, [node.class_name for node in self.fleet], cfg.slo_slowdown
+        )
+        for b in backends:
+            b.records = records
         ticks = 0
         requeues = 0
         stranded = 0
@@ -679,7 +679,6 @@ class FleetScheduler:
         #: Pending records of the currently running attempts (injector
         #: runs only — fault-free runs never need to find them again).
         inflight: Dict[str, _Pend] = {}
-        seen_completions = [0] * len(backends)
         last_fault_t = -math.inf
         hb = Heartbeat(n, label="fleet")
         #: Tick counters.
@@ -744,7 +743,7 @@ class FleetScheduler:
             batch = pending.batch(cfg.max_pending_per_tick, None if injector is None else now)
             if batch:
                 ticks += 1
-                self._tick(batch, scales, now, health, placements, pending, inflight, counts)
+                self._tick(batch, scales, now, health, records, pending, inflight, counts)
 
             # --- Advance the fleet clock ---------------------------------
             live = busy.any()
@@ -768,6 +767,7 @@ class FleetScheduler:
             if next_time <= now:
                 break
             advanced = np.flatnonzero(busy).tolist()
+            done = records.done
             for mid in advanced:
                 b = backends[mid]
                 if injector is not None:
@@ -778,43 +778,37 @@ class FleetScheduler:
             now = next_time
 
             # --- Lost completion reports ---------------------------------
-            # Only advanced machines finish apps; ascending mids keep the draw order.
-            if injector is not None:
-                for mid in advanced:
-                    b = backends[mid]
-                    start = seen_completions[mid]
-                    if len(b.completions) == start:
-                        continue
-                    kept = []
-                    for comp in b.completions[start:]:
-                        rec = inflight.pop(comp.app_id)
-                        if injector.completion_lost():
-                            completions_lost += 1
-                            b.forget_app(comp.app_id)
-                            # The attempt ran to the end; only the report
-                            # was lost.
-                            requeue_or_strand(rec, 1.0)
-                        else:
-                            kept.append(comp)
-                    b.completions[start:] = kept
-                    seen_completions[mid] = len(b.completions)
-                    ver[mid] = b.state_version  # forget_app may bump it
+            # Only advanced machines finish apps, and they record in
+            # ascending mid order: the step's new records are in draw order.
+            if injector is not None and records.done > done:
+                kept = []
+                for k, p in enumerate(records.idx[done : records.done].tolist(), done):
+                    app_id = self.trace.app_id(p)
+                    rec = inflight.pop(app_id)
+                    if injector.completion_lost():
+                        completions_lost += 1
+                        b = backends[int(records.mid[k])]
+                        b.forget_app(app_id)
+                        ver[b.mid] = b.state_version  # forget_app may bump it
+                        # The attempt ran to the end; only the report was lost.
+                        requeue_or_strand(rec, 1.0)
+                    else:
+                        kept.append(k)
+                records.keep(done, kept)
 
             if hb.enabled:
-                hb.beat(sum(len(b.completions) for b in backends), force=False)
+                hb.beat(records.done, force=False)
 
-        completions: List[FleetCompletion] = []
-        for b in backends:
-            completions.extend(b.completions)
-        completions.sort(key=lambda c: (c.finish_s, c.app_id))
+        records.seal()
+        completed = records.done
         if hb.enabled:
-            hb.beat(len(completions), force=True)
+            hb.beat(completed, force=True)
         end_time = now
         drained = not pending and i >= n and not busy.any()
-        if drained and completions:
+        if drained and completed:
             # All work finished before the horizon: measure utilisation
             # over the span that actually saw activity.
-            end_time = max(c.finish_s for c in completions)
+            end_time = float(records.finish_s.max())
         machine_downtime: Dict[int, float] = {}
         availability = 1.0
         if injector is not None and end_time > 0:
@@ -825,10 +819,10 @@ class FleetScheduler:
                 len(self.backends) * end_time
             )
         return FleetResult(
-            placements=placements,
-            completions=completions,
+            placements=PlacementsView(records),
+            completions=CompletionsView(records),
             arrivals=n,
-            placed=len(placements),
+            placed=records.placed,
             pending_left=len(pending),
             ticks=ticks,
             solver_calls=counts["solver_calls"],
@@ -841,9 +835,12 @@ class FleetScheduler:
             admission_rejections=counts["admission_rejections"],
             completions_lost=completions_lost,
             lost_work_bytes=lost_work_bytes,
-            slo_violations=sum(1 for c in completions if not c.slo_ok),
-            arrived_work_bytes=_trace_work_bytes(self.trace, i),
-            completed_work_bytes=sum(c.work_bytes for c in completions),
+            slo_violations=int(np.count_nonzero(~records.slo_ok)),
+            arrived_work_bytes=float(self.trace.work_bytes_of(slice(0, i)).sum()),
+            # Full work of each completed app: the builtin sum over the same
+            # Python floats in record order, as summing the records did (its
+            # rounding differs from numpy's from Python 3.12 on).
+            completed_work_bytes=sum(self.trace.work_bytes_of(records.idx).tolist(), 0.0),
             availability=availability,
             machine_downtime=machine_downtime,
             memo_hits=counts["memo_hits"],

@@ -20,7 +20,6 @@ from repro.memsim.contention import (
     ConsumerRows,
     SolverCache,
     consumer_rows,
-    consumers_fingerprint,
     isolated_bandwidth_matrix,
     proportional_profile,
     solve,
@@ -67,7 +66,6 @@ __all__ = [
     "ConsumerRows",
     "SolverCache",
     "consumer_rows",
-    "consumers_fingerprint",
     "isolated_bandwidth_matrix",
     "proportional_profile",
     "solve",

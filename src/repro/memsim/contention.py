@@ -110,34 +110,6 @@ class Allocation:
         return self.utilization.get(key, 0.0)
 
 
-def consumers_fingerprint(
-    consumers: Sequence[Consumer], mc_model: MCModel = DEFAULT_MC_MODEL
-) -> Hashable:
-    """Exact, hashable identity of a contention-solve input.
-
-    Two inputs with equal fingerprints produce bitwise-identical
-    :class:`Allocation` results from :func:`solve` (the machine is assumed
-    fixed — cache per machine). Every quantity `solve` reads is folded in:
-    the consumer identities, demands, write fractions, and the raw bytes of
-    each mix vector, plus the MC model parameters.
-    """
-    return (
-        mc_model.efficiency_floor,
-        mc_model.contention_decay,
-        mc_model.write_cost_factor,
-        tuple(
-            (
-                c.app_id,
-                c.node,
-                c.demand,
-                c.write_fraction,
-                np.ascontiguousarray(c.mix, dtype=float).tobytes(),
-            )
-            for c in consumers
-        ),
-    )
-
-
 class SolverCache:
     """LRU cache of :func:`solve` results keyed by input fingerprint.
 
@@ -160,10 +132,10 @@ class SolverCache:
     def lookup(self, key: Hashable):
         """Cached value for ``key`` (None on a miss; statistics updated).
 
-        Callers key on an exact solve-input identity such as
-        :func:`consumers_fingerprint` — the simulator's epoch kernel stores
-        ``(allocation, rate-row, utilization-row)`` tuples so
-        fingerprint-identical epochs replay the dense arrays too. One cache
+        Callers key on an exact solve-input identity — the simulator's
+        epoch kernel keys on its workspace digest and stores
+        ``(allocation, rate-row, utilization-row)`` tuples, so
+        digest-identical epochs replay the dense arrays too. One cache
         instance must only ever hold one kind of value.
         """
         hit = self._entries.get(key)

@@ -158,6 +158,12 @@ class ArrivalTrace:
         """Work of arrival ``i``: its catalog entry's, times its scale."""
         return self.catalog[int(self.kind_idx[i])].work_bytes * float(self.work_scale[i])
 
+    def work_bytes_of(self, idx) -> np.ndarray:
+        """:meth:`work_bytes` of the arrivals ``idx`` (an index array or a
+        slice) as one array, the same floats."""
+        base = np.array([wl.work_bytes for wl in self.catalog])
+        return base[self.kind_idx[idx]] * self.work_scale[idx]
+
     def workload(self, i: int) -> WorkloadSpec:
         """The (work-scaled) workload of arrival ``i``."""
         base = self.catalog[int(self.kind_idx[i])]

@@ -36,7 +36,7 @@ class OracleFlowBackend(MachineBackend):
         self._flow: Dict[str, _FlowApp] = {}
         self._solve_slot: Optional[Tuple[tuple, Allocation]] = None
 
-    def admit(self, app_id, workload, workers, arrival_s, *, work_bytes=None,
+    def admit(self, app_id, workload, workers, arrival_s, *, idx, work_bytes=None,
               resume_frac=0.0, attempts=1, template=None):
         # The reference derives everything from the full per-arrival
         # workload; it ignores the template the scheduler offers.
@@ -45,7 +45,7 @@ class OracleFlowBackend(MachineBackend):
             workload = dataclasses.replace(workload, work_bytes=work_bytes)
         consumers, threads, _tpn = self.candidate_consumers(app_id, workload, workers)
         rec = self._register(
-            app_id, workload.work_bytes, workers, arrival_s, threads,
+            app_id, idx, workers, arrival_s, threads,
             workload.ideal_time_s(threads, len(workers)), attempts,
         )
         total_demand = sum(c.demand for c in consumers)

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core.interleave import apply_weighted_placement
 from repro.engine import Application, PhasedApplication, Simulator
-from repro.fleet.backend import make_backend
+from repro.fleet.backend import FleetRecords, make_backend
 from repro.memsim import FirstTouch, ReplicatedShared, UniformAll, solve
 from repro.memsim.flows import Consumer
-from repro.workloads import ocean_cp, paper_benchmarks, streamcluster, two_phase
+from repro.workloads import TraceSpec, build_trace, ocean_cp, paper_benchmarks, streamcluster, two_phase
 from tests.oracle.epoch_reference import ReferenceSimulator
 
 SUITE = paper_benchmarks()
@@ -151,19 +151,23 @@ class TestDerivedWithSolve:
             b = make_backend("sim", 0, "A", machine, policy="bwap", dwp=0.8, seed=3)
             b.sim = sim_cls(machine, seed=b.seed, faults=b.sim_faults)
             b.sim.start()
+            b.records = FleetRecords(build_trace(TraceSpec(arrivals=2)), ["A"], b.slo_slowdown)
             if with_neighbour:
-                b.admit("n", SUITE[1], (4, 5), 0.0)
-            b.admit("a", wl, (0, 1), 0.0)
+                b.admit("n", SUITE[1], (4, 5), 0.0, idx=0)
+            b.admit("a", wl, (0, 1), 0.0, idx=1)
             b.advance(1e9)
             b.forget_app("a")
-            b.admit("a", wl, (0, 1), b.now)
+            b.admit("a", wl, (0, 1), b.now, idx=1)
             b.advance(2e9)
             runs.append(b)
         on, off = runs
-        assert [
-            (c.app_id, c.placed_s, c.finish_s, c.outcome) for c in on.completions
-        ] == [(c.app_id, c.placed_s, c.finish_s, c.outcome) for c in off.completions]
-        assert len(on.completions) == (3 if with_neighbour else 2)
+        done = [
+            list(zip(*(getattr(b.records, name)[: b.records.done].tolist()
+                       for name in ("idx", "placed_s", "finish_s", "outcome"))))
+            for b in runs
+        ]
+        assert done[0] == done[1]
+        assert len(done[0]) == (3 if with_neighbour else 2)
         res_on, res_off = on.sim.snapshot(), off.sim.snapshot()
         assert res_on.telemetry == res_off.telemetry
         assert res_on.final_allocation == res_off.final_allocation

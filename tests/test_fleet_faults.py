@@ -42,6 +42,7 @@ from repro.fleet import (
     chaos_plan,
     class_machine,
 )
+from repro.fleet.faults import _DRAW_BLOCK
 from repro.memsim.contention import (
     consumer_rows,
     machine_tables,
@@ -301,13 +302,35 @@ class TestInjector:
         assert a_lost == b_lost
         assert any(a_adm) and any(a_lost)  # at p=0.1/0.3 over 40 draws
 
+    def test_buffered_draws_equal_scalar_draws(self):
+        """Verdicts served from refilled blocks equal one scalar draw per
+        verdict from a fresh ``spawn(2)`` stream, across several refills
+        and with the two streams interleaved unevenly."""
+        plan = _plan()
+        inj = FleetFaultInjector(plan)
+        adm, lost = np.random.default_rng(plan.seed).spawn(2)
+        n = 5 * _DRAW_BLOCK + 7
+        got_adm, got_lost = [], []
+        for i in range(n):
+            got_adm.append(inj.admission_rejected())
+            if i % 3:
+                got_lost.append(inj.completion_lost())
+        assert got_adm == [adm.random() < plan.admission_reject_prob for _ in range(n)]
+        assert got_lost == [
+            lost.random() < plan.lost_completion_prob for _ in range(len(got_lost))
+        ]
+        assert len(got_lost) > 3 * _DRAW_BLOCK
+
     def test_as_fleet_injector(self):
         assert as_fleet_injector(None) is None
         assert as_fleet_injector(FleetFaultPlan()) is None  # null plan
         inj = as_fleet_injector(_plan(), num_machines=4)
         assert isinstance(inj, FleetFaultInjector)
         assert as_fleet_injector(inj) is inj
-        assert as_fleet_injector(FleetFaultInjector(FleetFaultPlan())) is None
+        # An explicit injector is kept over a null plan: it drives a
+        # fault-free run through every fault hook.
+        null = FleetFaultInjector(FleetFaultPlan())
+        assert as_fleet_injector(null) is null
         with pytest.raises(TypeError, match="FleetFaultPlan"):
             as_fleet_injector("chaos")
         with pytest.raises(ValueError, match="machine 3"):
@@ -381,18 +404,46 @@ _REPORTED_FIELDS = (
     "admission_rejections", "arrivals", "placed", "pending_left",
     "arrived_work_bytes", "completed_work_bytes",
 )
+#: ``FleetResult`` counts: plain Python ints.
+_COUNT_FIELDS = (
+    "arrivals", "placed", "pending_left", "ticks", "solver_calls", "entries_scored",
+    "requeues", "stranded", "admission_rejections", "completions_lost", "slo_violations",
+    "memo_hits", "bound_pruned",
+)
+#: Completion attributes the benchmark's fleet case and
+#: ``outcome_from_result`` read, with their plain Python types.
+_COMPLETION_TYPES = {
+    "app_id": str, "mid": int, "arrival_s": float, "placed_s": float, "finish_s": float,
+    "ideal_s": float, "slowdown": float, "wait_s": float, "attempts": int, "slo_ok": bool,
+    "work_bytes": float,
+}
 
 
 class TestFaultRuns:
     def test_reported_fields_are_finite_numbers(self):
         """Every result field the benchmark reads is a plain, finite
-        Python ``int`` or ``float`` (no numpy scalar, no ``None``)."""
+        Python ``int`` or ``float`` (no numpy scalar, no ``None``), every
+        count an ``int``, and every placement element and completion
+        attribute the benchmark reads a plain ``str``, ``int``,
+        ``float``, ``bool`` or tuple of ``int`` — a numpy scalar there
+        would change the digest payload and ``json.dumps``."""
         out = _run("requeue+checkpoint", _plan())
         assert out.requeues > 0 and out.admission_rejections > 0 and out.memo_hits > 0
         for name in _REPORTED_FIELDS:
             value = getattr(out, name)
             assert type(value) in (int, float), (name, type(value))
             assert math.isfinite(value), name
+        for name in _COUNT_FIELDS:
+            assert type(getattr(out, name)) is int, name
+        assert len(out.placements) == out.placed
+        for app_id, mid, workers in out.placements:
+            assert (type(app_id), type(mid), type(workers)) == (str, int, tuple)
+            assert all(type(w) is int for w in workers)
+        assert len(out.completions) > 0
+        for c in out.completions:
+            for name, kind in _COMPLETION_TYPES.items():
+                assert type(getattr(c, name)) is kind, (name, type(getattr(c, name)))
+            assert type(c.workers) is tuple and all(type(w) is int for w in c.workers)
 
     def test_zero_fault_identity_both_modes(self):
         assert_zero_fault_identity(_MIX, _trace_spec(20), _plan())

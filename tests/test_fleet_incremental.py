@@ -30,7 +30,7 @@ from repro.fleet import (
     chaos_plan,
 )
 import repro.fleet.scheduler as scheduler_mod
-from repro.fleet.backend import FlowBackend, make_backend
+from repro.fleet.backend import FleetRecords, FlowBackend, make_backend
 from repro.fleet.scheduler import DISCIPLINES, _Pend, _PendQueue
 from repro.topology import machine_a
 from repro.workloads import TraceSpec, build_trace, trace_catalog
@@ -319,7 +319,7 @@ class TestRankKeyHelpers:
         backends = sched.backends
         wl = trace_catalog(TraceSpec())[0]
         for b in backends[::3]:  # vary the free-node counts
-            b.admit(f"busy{b.mid}", wl, (0,), 0.0)
+            b.admit(f"busy{b.mid}", wl, (0,), 0.0, idx=b.mid)
         m = len(backends)
         sched._refresh_machines(
             np.ones(m, dtype=bool),
@@ -398,20 +398,20 @@ class TestIncrementalCounters:
 
 class TestStateVersion:
     def _backend(self) -> FlowBackend:
-        return make_backend(
-            "flow", 0, "t", machine_a(), policy="bwap", dwp=0.8, seed=1
-        )
+        b = make_backend("flow", 0, "t", machine_a(), policy="bwap", dwp=0.8, seed=1)
+        b.records = FleetRecords(build_trace(TraceSpec(arrivals=2)), [b.class_name], b.slo_slowdown)
+        return b
 
     def test_admit_finish_and_evict_bump(self):
         b = self._backend()
         wl = trace_catalog(TraceSpec())[0]
         v0 = b.state_version
-        b.admit("a", wl, (0,), 0.0)
+        b.admit("a", wl, (0,), 0.0, idx=0)
         assert b.state_version > v0
         v1 = b.state_version
         b.advance(1e9)  # the app finishes: completion bumps again
         assert b.state_version > v1
-        b.admit("b", wl, (0,), 0.0)
+        b.admit("b", wl, (0,), 0.0, idx=1)
         v2 = b.state_version
         assert b.evict_all() and b.state_version > v2
         v3 = b.state_version
@@ -420,7 +420,7 @@ class TestStateVersion:
     def test_free_node_cache_tracks_versions(self):
         b = self._backend()
         free0 = b.free_nodes()
-        b.admit("a", trace_catalog(TraceSpec())[0], (0,), 0.0)
+        b.admit("a", trace_catalog(TraceSpec())[0], (0,), 0.0, idx=0)
         assert b.free_nodes() != free0
         assert 0 in b.occupied_nodes()
 

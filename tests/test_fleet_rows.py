@@ -26,7 +26,7 @@ import pytest
 
 from repro.engine.threads import pick_worker_nodes
 from repro.fleet import FleetScheduler, SchedulerConfig, build_fleet, class_machine
-from repro.fleet.backend import FlowBackend, make_backend
+from repro.fleet.backend import FleetRecords, FlowBackend, make_backend
 from repro.memsim import Consumer, ConsumerRows, consumer_rows, solve, solve_batch_fleet_lazy
 from repro.memsim.contention import batch_coefficients, machine_tables
 from repro.workloads import TraceSpec, build_trace, trace_catalog
@@ -39,10 +39,26 @@ _CLASSES = ("A", "B", "dual", "sym4")
 def _pair(cls: str):
     machine = class_machine(cls)
     kw = dict(policy="bwap", dwp=0.8, seed=1)
-    return (
-        make_backend("flow", 0, cls, machine, **kw),
-        OracleFlowBackend(0, cls, machine, **kw),
-    )
+    pair = make_backend("flow", 0, cls, machine, **kw), OracleFlowBackend(0, cls, machine, **kw)
+    for b in pair:
+        _record(b)
+    return pair
+
+
+def _record(b) -> None:
+    """Give standalone backend ``b`` a record buffer of its own."""
+    b.records = FleetRecords(build_trace(TraceSpec(arrivals=8)), [b.class_name], b.slo_slowdown)
+
+
+def _completed(b) -> list:
+    """Every completion ``b`` recorded, as the column values it wrote
+    (worker sets and thread counts resolved), in record order."""
+    r = b.records
+    names = ("idx", "mid", "wset", "placed_s", "finish_s", "ideal_s", "attempts", "slo_ok")
+    return [
+        (idx, mid, r.wsets[wset], r.threads[mid, wset], *rest)
+        for idx, mid, wset, *rest in zip(*(getattr(r, name)[: r.done].tolist() for name in names))
+    ]
 
 
 def _consumer_view(consumers):
@@ -100,11 +116,11 @@ def _drive(cls: str, seed: int, steps: int = 80) -> None:
             resume = 0.0 if rng.random() < 0.6 else float(rng.choice([0.25, 0.5, 0.75]))
             app_id = f"job{next_app}"
             next_app += 1
-            kw = dict(resume_frac=resume, attempts=1 + int(resume > 0))
+            kw = dict(idx=next_app - 1, resume_frac=resume, attempts=1 + int(resume > 0))
             if rng.random() < 0.5:
                 kw["template"] = prod.candidate_rows(wl, workers)
             prod.admit(app_id, wl, workers, prod.now, **kw)
-            oracle.admit(app_id, wl, workers, oracle.now, resume_frac=resume,
+            oracle.admit(app_id, wl, workers, oracle.now, idx=kw["idx"], resume_frac=resume,
                          attempts=kw["attempts"])
         elif op == "advance":
             # Apps run for about 1-10 s: mostly short steps that catch
@@ -122,15 +138,15 @@ def _drive(cls: str, seed: int, steps: int = 80) -> None:
             oracle.set_capacity_scale(scale)
         assert prod.now == oracle.now
         assert prod.state_version == oracle.state_version
-        assert prod.completions == oracle.completions
+        assert _completed(prod) == _completed(oracle)
         assert _consumer_view(prod.resident_consumers()) == _consumer_view(
             oracle.resident_consumers()
         )
         _assert_rows_conserved(prod, oracle)
     prod.advance(prod.now + 1e9)
     oracle.advance(oracle.now + 1e9)
-    assert prod.completions == oracle.completions
-    assert not prod._app_rows and not oracle._flow
+    assert _completed(prod) == _completed(oracle)
+    assert prod.records.done and not prod._app_rows and not oracle._flow
 
 
 class TestOracleDifferential:
@@ -237,10 +253,10 @@ class TestAdmitValidation:
         b = make_backend("flow", 0, "A", class_machine("A"), policy="bwap", dwp=0.8)
         template = b.candidate_rows(self._wl(), (0, 1))
         with pytest.raises(ValueError, match="do not match"):
-            b.admit("a", self._wl(), (2, 3), 0.0, template=template)
+            b.admit("a", self._wl(), (2, 3), 0.0, idx=0, template=template)
         # Nothing was registered by the rejected admission.
         assert b.num_live == 0 and b.state_version == 0
-        b.admit("a", self._wl(), (0, 1), 0.0, template=template)
+        b.admit("a", self._wl(), (0, 1), 0.0, idx=0, template=template)
         assert b.occupied_nodes() == (0, 1)
 
     @pytest.mark.parametrize("backend", ["flow", "sim"])
@@ -248,13 +264,14 @@ class TestAdmitValidation:
     def test_resume_frac_outside_unit_interval(self, backend, frac):
         b = make_backend(backend, 0, "A", class_machine("A"), policy="bwap", dwp=0.8)
         with pytest.raises(ValueError, match="resume_frac"):
-            b.admit("a", self._wl(), (0,), 0.0, resume_frac=frac)
+            b.admit("a", self._wl(), (0,), 0.0, idx=0, resume_frac=frac)
         assert b.num_live == 0
 
     def test_resume_frac_just_below_one_runs_remaining_work(self):
         b = make_backend("flow", 0, "A", class_machine("A"), policy="bwap", dwp=0.8)
-        b.admit("a", self._wl(), (0,), 0.0, resume_frac=0.75)
+        _record(b)
+        b.admit("a", self._wl(), (0,), 0.0, idx=0, resume_frac=0.75)
         b.advance(5.0)
         b.advance(1e9)
-        (done,) = b.completions
-        assert 5.0 < done.finish_s < 1e9
+        (done,) = _completed(b)
+        assert 5.0 < done[5] < 1e9  # finish_s

@@ -220,11 +220,30 @@ class TestAllocationAccessors:
         assert alloc.resource_utilization(("link", 0, 1)) == 0.0
 
 
+def _fingerprint(consumers, mc_model=DEFAULT_MC_MODEL):
+    """Exact, hashable identity of a solve input on one machine: the MC
+    model parameters and every consumer's identity, demand, write
+    fraction and raw mix bytes — everything :func:`solve` reads."""
+    return (
+        mc_model.efficiency_floor,
+        mc_model.contention_decay,
+        mc_model.write_cost_factor,
+        tuple(
+            (
+                c.app_id,
+                c.node,
+                c.demand,
+                c.write_fraction,
+                np.ascontiguousarray(c.mix, dtype=float).tobytes(),
+            )
+            for c in consumers
+        ),
+    )
+
+
 def _cached_solve(cache, machine, consumers, mc_model=DEFAULT_MC_MODEL):
     """:func:`solve` through ``cache``, keyed by the input's fingerprint."""
-    from repro.memsim.contention import consumers_fingerprint
-
-    key = consumers_fingerprint(consumers, mc_model)
+    key = _fingerprint(consumers, mc_model)
     alloc = cache.lookup(key)
     if alloc is None:
         alloc = solve(machine, consumers, mc_model)
@@ -328,10 +347,8 @@ class TestSolverCache:
 
 class TestFingerprint:
     def test_stable_and_order_sensitive(self, mach_a):
-        from repro.memsim.contention import consumers_fingerprint
-
         a = Consumer("a", 0, 8, one_hot(8, 0), 4.0)
         b = Consumer("b", 1, 8, one_hot(8, 1), 4.0)
-        assert consumers_fingerprint([a, b]) == consumers_fingerprint([a, b])
-        assert consumers_fingerprint([a, b]) != consumers_fingerprint([b, a])
-        assert hash(consumers_fingerprint([a, b])) is not None
+        assert _fingerprint([a, b]) == _fingerprint([a, b])
+        assert _fingerprint([a, b]) != _fingerprint([b, a])
+        assert hash(_fingerprint([a, b])) is not None
