@@ -10,11 +10,19 @@ as epochs per perfbench calibration chunk, the median of five runs.
 its bitwise equality with the scalar reference loop of
 ``tests/oracle/epoch_reference.py``, with and without a full-intensity
 fault plan.
+
+It also measures the DWP tuner's page-table writer: Algorithm 1's
+weighted interleave of a whole streamcluster address space, one
+``apply_weighted_placement`` per step of a fixed DWP weight ladder, as
+pages written per calibration chunk (guarded as
+``placement_pages_per_chunk``). The suite checks that writer against one
+``mbind`` per sub-range (``tests/oracle/algorithm1.py``).
 """
 
 import dataclasses
 
-from repro.core import AdaptiveBWAP, AdaptiveConfig, CanonicalTuner
+from repro.core import AdaptiveBWAP, AdaptiveConfig, CanonicalTuner, apply_weighted_placement
+from repro.core.dwp import combine_weights
 from repro.engine import Application, Simulator, pick_worker_nodes
 from repro.memsim import FirstTouch
 from repro.perf.counters import MeasurementConfig
@@ -67,9 +75,38 @@ def _measure():
     return epochs, calibrated_rate(_run)
 
 
+#: The DWP ladder the placement benchmark climbs: 0, 0.1, ..., 1.
+_LADDER = [step / 10 for step in range(11)]
+
+
+def _run_placement():
+    """Climb the ladder over a fresh (unbacked) streamcluster address space
+    on two machine-A workers: the first step backs every page, each later
+    one migrates the pages that no longer conform."""
+    mach = machine_a()
+    workers = pick_worker_nodes(mach, 2)
+    canonical = CanonicalTuner(mach).weights(workers)
+    ladder = [combine_weights(canonical, workers, dwp) for dwp in _LADDER]
+    space = Application("sc", streamcluster(), mach, workers, policy=None).space
+
+    def climb():
+        for weights in ladder:
+            apply_weighted_placement(space, weights)
+
+    _out, wall = timed(climb)
+    return len(ladder) * space.total_pages, wall
+
+
+def _measure_placement():
+    _run_placement()  # warm up
+    pages, _wall = _run_placement()
+    return pages, calibrated_rate(_run_placement)
+
+
 class BenchKernelEpochs:
     def test_epochs_per_second(self, benchmark, once, capsys, ledger):
         epochs, rate = once(benchmark, _measure)
+        pages, placement = _measure_placement()
         ledger(
             "kernel_epochs",
             {
@@ -77,9 +114,12 @@ class BenchKernelEpochs:
                 "epochs_per_s": rate["per_s"],
                 "epochs_per_chunk": rate["per_chunk"],
                 "calib_chunk_ms": rate["calib_chunk_ms"],
+                "placement_pages": pages,
+                "placement_pages_per_s": placement["per_s"],
+                "placement_pages_per_chunk": placement["per_chunk"],
             },
-            guarded=("epochs_per_chunk",),
-            wall_s=rate["wall_s"],
+            guarded=("epochs_per_chunk", "placement_pages_per_chunk"),
+            wall_s=rate["wall_s"] + placement["wall_s"],
         )
         with capsys.disabled():
             print()
@@ -88,4 +128,8 @@ class BenchKernelEpochs:
                 f"  {epochs} epochs @ {rate['per_s']:8.0f} eps "
                 f"= {rate['per_chunk']:.2f} epochs per {rate['calib_chunk_ms']:.3f} ms "
                 "calibration chunk"
+            )
+            print(
+                f"  DWP ladder placement: {pages} pages @ {placement['per_s']:.3g} pages/s "
+                f"= {placement['per_chunk']:.0f} pages per chunk"
             )

@@ -20,7 +20,7 @@ that no longer conform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -107,31 +107,39 @@ def apply_weighted_user(
     move: bool = True,
 ) -> PlacementOutcome:
     """Weighted-interleave one segment with Algorithm 1 (user level)."""
-    return _write_subranges(space, segment, algorithm1_subranges(segment.num_pages, weights), move)
+    return _write_user(space, [segment], weights, move)
 
 
-def _write_subranges(
-    space: AddressSpace, segment: Segment, plan: _Plan, move: bool
+def _write_user(
+    space: AddressSpace, segments: Sequence[Segment], weights: Sequence[float], move: bool
 ) -> PlacementOutcome:
-    """Write the plan's N ``mbind(MPOL_INTERLEAVE)`` tiles as one rebind: they
-    partition the segment, so the page table and touched/moved sums are the
-    N calls'. Each tile gives its ``k`` nodes ``length // k`` pages each, plus
-    one to the first ``length % k`` of the phase-rotated set."""
-    start = segment.start_page
-    counts = [0] * space.num_nodes
-    tiles = []
-    for offset, length, nodes in plan:
-        tiles.append(uniform_assignment(length, nodes, phase=start + offset))
-        s = (start + offset) % len(nodes)
-        q, r = divmod(length, len(nodes))
-        for node in nodes:
-            counts[node] += q
-        for node in (nodes[s:] + nodes[:s])[:r]:
-            counts[node] += 1
+    """Algorithm 1 over a run of contiguous segments as one rebind: each
+    segment's N ``mbind(MPOL_INTERLEAVE)`` tiles partition it, so the page
+    table and touched/moved sums are the N calls'. Each distinct tile
+    ``(length, node set, phase)`` is built once, with its per-node counts:
+    ``length // k`` for each of its ``k`` nodes, plus one for the first
+    ``length % k`` of the phase-rotated set."""
+    if not segments:
+        return PlacementOutcome(pages_touched=0, pages_moved=0, mbind_calls=0)
+    plans = {n: algorithm1_subranges(n, weights) for n in {seg.num_pages for seg in segments}}
+    index, tiles, tile_counts, used, firsts = {}, [], [], [], []
+    for seg in segments:
+        firsts.append(len(used))
+        for offset, length, nodes in plans[seg.num_pages]:
+            phase = (seg.start_page + offset) % len(nodes)
+            if (length, nodes, phase) not in index:
+                index[length, nodes, phase] = len(tiles)
+                tiles.append(uniform_assignment(length, nodes, phase=phase))
+                row = np.zeros(space.num_nodes, dtype=np.int64)
+                row[list(nodes)] = length // len(nodes)
+                row[list((nodes[phase:] + nodes[:phase])[: length % len(nodes)])] += 1
+                tile_counts.append(row)
+            used.append(index[length, nodes, phase])
+    counts = np.add.reduceat(np.array(tile_counts)[used], firsts) if move else None
     touched, moved = space.rebind(
-        start, np.concatenate(tiles), move=move, counts=counts if move else None
+        segments[0].start_page, np.concatenate([tiles[t] for t in used]), move=move, counts=counts
     )
-    return PlacementOutcome(pages_touched=touched, pages_moved=moved, mbind_calls=len(plan))
+    return PlacementOutcome(pages_touched=touched, pages_moved=moved, mbind_calls=len(used))
 
 
 def apply_weighted_kernel(
@@ -171,22 +179,17 @@ def apply_weighted_placement(
     BWAP's user-level path walks all address ranges likely to hold shared
     data — the data/BSS segments and dynamic mappings — which in our model
     is every mapped segment. ``mode`` selects the back end: ``"user"``
-    (Algorithm 1, planned once per distinct segment size) or ``"kernel"``
-    (exact).
+    (Algorithm 1 planned per distinct segment size, one page-table write)
+    or ``"kernel"`` (exact).
     """
     if mode not in ("user", "kernel"):
         raise ValueError(f"mode must be 'user' or 'kernel', got {mode!r}")
     w = _checked_weights(weights)
-    plans: Dict[int, _Plan] = {}
+    if mode == "user":
+        return _write_user(space, space.segments, w, move)
     touched = moved = calls = 0
     for seg in space.segments:
-        if mode == "kernel":
-            out = apply_weighted_kernel(space, seg, w, move=move)
-        else:
-            plan = plans.get(seg.num_pages)
-            if plan is None:
-                plan = plans[seg.num_pages] = algorithm1_subranges(seg.num_pages, w)
-            out = _write_subranges(space, seg, plan, move)
+        out = apply_weighted_kernel(space, seg, w, move=move)
         touched += out.pages_touched
         moved += out.pages_moved
         calls += out.mbind_calls

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.memsim.flows import Consumer
 from repro.memsim.pages import PAGE_SIZE, AddressSpace, Segment, SegmentKind
-from repro.memsim.policies import PlacementContext, PlacementPolicy, PlacementStats
+from repro.memsim.policies import PlacementContext, PlacementPolicy
 from repro.engine.threads import pin_threads, threads_per_node
 from repro.topology.machine import Machine
 from repro.workloads.base import WorkloadSpec
@@ -29,12 +29,13 @@ class AppBlock:
 
     One row per worker node in ``worker_nodes`` order: pair key, node id,
     thread count, demand, write fraction and traffic mix (all zero for a
-    row without demand), plus the solver's live mask. Built and validated
-    once per distinct input (the checks ``Consumer`` applies per object);
-    the epoch kernel concatenates the blocks of the running apps.
+    row without demand), plus the solver's live mask. Validated once per
+    placement as ``Consumer`` would per object (:meth:`with_demands` checks
+    only demands); the epoch kernel concatenates the running apps' blocks.
     """
 
-    __slots__ = ("keys", "node_idx", "threads", "demand", "write_frac", "mix", "live")
+    __slots__ = ("keys", "node_idx", "threads", "demand", "write_frac", "mix", "live",
+                 "rows", "_mixes", "_totals")
 
     def __init__(self, app_id, nodes, threads, demands, write_fraction, mixes, num_nodes):
         self.keys = tuple((app_id, w) for w in nodes)
@@ -42,24 +43,41 @@ class AppBlock:
             raise ValueError(f"duplicate consumer keys: {sorted(self.keys)}")
         if min(nodes) < 0 or max(nodes) >= num_nodes:
             raise ValueError(f"consumer nodes {nodes} outside machine")
-        if any(d < 0 for d in demands) or min(threads) < 0:
-            raise ValueError(f"demands {demands} and threads {threads} must be non-negative")
-        if not 0 <= write_fraction <= 1:
-            raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
+        if min(threads) < 0:
+            raise ValueError(f"threads {threads} must be non-negative")
         if mixes.shape != (len(nodes), num_nodes) or mixes.min() < -1e-12:
             raise ValueError(f"mixes must be non-negative, one per node of {num_nodes}")
+        self._totals = mixes.sum(axis=1).tolist()
+        if any(t > 0 and abs(t - 1.0) > 1e-6 for t in self._totals):
+            raise ValueError(f"mix must sum to 1 (or 0 for idle), got {self._totals}")
         self.node_idx = np.array(nodes, dtype=np.intp)
         self.threads = np.array(threads, dtype=float)
+        for arr in (self.node_idx, self.threads, mixes):
+            arr.setflags(write=False)
+        #: The placement's mix rows, one read-only array per worker.
+        self._mixes, self.rows = mixes, tuple(mixes)
+        self._set_demands(demands, write_fraction)
+
+    def with_demands(self, demands, write_fraction) -> "AppBlock":
+        """This block's validated rows under new demands and write fraction."""
+        block = object.__new__(AppBlock)
+        for name in ("keys", "node_idx", "threads", "rows", "_mixes", "_totals"):
+            setattr(block, name, getattr(self, name))
+        block._set_demands(demands, write_fraction)
+        return block
+
+    def _set_demands(self, demands, write_fraction) -> None:
+        if any(d < 0 for d in demands):
+            raise ValueError(f"demands {demands} must be non-negative")
+        if not 0 <= write_fraction <= 1:
+            raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
         self.demand = np.array(demands, dtype=float)
-        self.write_frac = np.array([write_fraction] * len(nodes), dtype=float)
-        self.mix = mixes if all(d > 0 for d in demands) else np.where(
-            (self.demand > 0)[:, None], mixes, 0.0
+        self.write_frac = np.array([write_fraction] * len(demands), dtype=float)
+        self.mix = self._mixes if all(d > 0 for d in demands) else np.where(
+            (self.demand > 0)[:, None], self._mixes, 0.0
         )
-        totals = self.mix.sum(axis=1).tolist()
-        if any(t > 0 and abs(t - 1.0) > 1e-6 for t in totals):
-            raise ValueError(f"mix must sum to 1 (or 0 for idle), got {totals}")
-        self.live = np.array([d != 0 and t != 0.0 for d, t in zip(demands, totals)])
-        for arr in (self.node_idx, self.threads, self.demand, self.write_frac, self.mix, self.live):
+        self.live = np.array([d != 0 and t != 0.0 for d, t in zip(demands, self._totals)])
+        for arr in (self.demand, self.write_frac, self.mix, self.live):
             arr.setflags(write=False)
 
 
@@ -146,8 +164,11 @@ class Application:
         }
         self._remaining: Dict[int, float] = dict(self._share)
         self.finished = False
-        self._block_memo: Optional[Tuple[tuple, AppBlock]] = None
-        self._mixes_memo: Optional[Tuple[tuple, np.ndarray, tuple]] = None
+        #: Demand stamp: bumped when a worker's remaining share reaches or
+        #: leaves zero. With ``finished``, ``demand_scale`` and the workload
+        #: object it covers every input of :meth:`node_demand`.
+        self._stamp = 0
+        self._block_memo: Optional[Tuple[tuple, tuple, AppBlock]] = None
         self._consumers_memo: Optional[Tuple[AppBlock, List[Consumer]]] = None
         self.finish_time: Optional[float] = None
         self.start_time: float = 0.0
@@ -229,31 +250,29 @@ class Application:
     def block(self) -> AppBlock:
         """The app's consumer rows as one read-only :class:`AppBlock`.
 
-        Memoised per distinct input: the mixes depend only on the placement
-        (``space.version``), private fraction and replication, so a
-        demand-only change rebuilds the block around the same mixes, and
-        epochs where nothing changed return the same block object.
+        Memoised on the placement version, the demand stamp and the other
+        row inputs: an unchanged epoch derives nothing and gets the same
+        object, and a demand-only change keeps the validated mix rows (they
+        depend only on placement, private fraction and replication).
         """
         wl = self.workload
-        mix_key = (
-            self.space.version,
-            wl.private_fraction,
-            bool(getattr(self.policy, "replicates_shared", False)),
-        )
+        replicates = bool(getattr(self.policy, "replicates_shared", False))
+        key = (self.space.version, self._stamp, self.finished, self.demand_scale, wl, replicates)
+        memo = self._block_memo
+        if memo is not None and memo[0] == key:
+            return memo[2]
         demands = tuple(self.node_demand(w) for w in self.worker_nodes)
-        key = (mix_key, demands, wl.write_fraction)
-        if self._block_memo is not None and self._block_memo[0] == key:
-            return self._block_memo[1]
-        if self._mixes_memo is None or self._mixes_memo[0] != mix_key:
+        mix_key = (self.space.version, wl.private_fraction, replicates)
+        if memo is not None and memo[1] == mix_key:
+            block = memo[2].with_demands(demands, wl.write_fraction)
+        else:
             mixes = np.array([self.traffic_mix(w) for w in self.worker_nodes])
-            mixes.setflags(write=False)
-            self._mixes_memo = (mix_key, mixes, tuple(mixes))
-        threads = [self.threads_on(w) for w in self.worker_nodes]
-        block = AppBlock(
-            self.app_id, self.worker_nodes, threads, demands, wl.write_fraction,
-            self._mixes_memo[1], self.machine.num_nodes,
-        )
-        self._block_memo = (key, block)
+            threads = [self.threads_on(w) for w in self.worker_nodes]
+            block = AppBlock(
+                self.app_id, self.worker_nodes, threads, demands, wl.write_fraction,
+                mixes, self.machine.num_nodes,
+            )
+        self._block_memo = (key, mix_key, block)
         return block
 
     def consumers(self) -> List[Consumer]:
@@ -263,13 +282,12 @@ class Application:
         b = self.block()
         if self._consumers_memo is not None and self._consumers_memo[0] is b:
             return self._consumers_memo[1]
-        rows = self._mixes_memo[2]
         out = [
             Consumer(
                 app_id=self.app_id,
                 node=int(b.node_idx[j]),
                 threads=int(b.threads[j]),
-                mix=rows[j] if b.demand[j] > 0 else b.mix[j],
+                mix=b.rows[j] if b.demand[j] > 0 else b.mix[j],
                 demand=float(b.demand[j]),
                 write_fraction=float(b.write_frac[j]),
             )
@@ -308,6 +326,8 @@ class Application:
         # floating-point crumbs (~1e-7 bytes) whose dt = crumb/rate underflows
         # against the clock, so without the snap the simulator spins through
         # zero-length epochs and then charges a full spurious epoch.
+        if left < 1.0 and self._remaining[node] > 0.0:
+            self._stamp += 1
         self._remaining[node] = left if left >= 1.0 else 0.0
 
     def max_dormant_epochs(
@@ -343,6 +363,7 @@ class Application:
             return True
         if all(r <= 0.0 for r in self._remaining.values()):
             self.completions += 1
+            self._stamp += 1
             if self.looping:
                 self._remaining = dict(self._share)
                 return False

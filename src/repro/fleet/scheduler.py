@@ -836,11 +836,10 @@ class FleetScheduler:
             completions_lost=completions_lost,
             lost_work_bytes=lost_work_bytes,
             slo_violations=int(np.count_nonzero(~records.slo_ok)),
-            arrived_work_bytes=float(self.trace.work_bytes_of(slice(0, i)).sum()),
-            # Full work of each completed app: the builtin sum over the same
-            # Python floats in record order, as summing the records did (its
-            # rounding differs from numpy's from Python 3.12 on).
-            completed_work_bytes=sum(self.trace.work_bytes_of(records.idx).tolist(), 0.0),
+            # Both exactly rounded, so goodput is exactly 1.0 when every
+            # arrival completed, whatever the completion order.
+            arrived_work_bytes=math.fsum(self.trace.work_bytes_of(slice(0, i)).tolist()),
+            completed_work_bytes=math.fsum(self.trace.work_bytes_of(records.idx).tolist()),
             availability=availability,
             machine_downtime=machine_downtime,
             memo_hits=counts["memo_hits"],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,8 +123,8 @@ class AddressSpace:
         self._starts: List[int] = []
         self._segments_by_name: Dict[str, Segment] = {}
         #: The page table lives in the first ``_next_page`` entries of a
-        #: capacity-doubling buffer; the tail is kept ``UNALLOCATED`` so
-        #: mapping a segment only advances ``_next_page``.
+        #: capacity-doubling buffer; the tail is left unwritten (so never
+        #: faulted in) until a segment mapped over it is set ``UNALLOCATED``.
         self._buf = np.empty(0, dtype=np.int16)
         self._next_page = 0
         #: Per-segment node histograms (``None`` until computed; never handed
@@ -168,9 +168,10 @@ class AddressSpace:
         )
         end = seg.end_page
         if end > len(self._buf):
-            buf = np.full(max(end, 2 * len(self._buf)), UNALLOCATED, dtype=np.int16)
+            buf = np.empty(max(end, 2 * len(self._buf)), dtype=np.int16)
             buf[: self._next_page] = self._buf[: self._next_page]
             self._buf = buf
+        self._buf[seg.start_page : end] = UNALLOCATED
         self._segments.append(seg)
         self._starts.append(seg.start_page)
         self._hists.append(None)
@@ -282,9 +283,9 @@ class AddressSpace:
         refuses the call with ``PermissionError`` if there are any. The
         range and node ids are checked before anything is written.
 
-        ``counts``, the assignment's per-node page counts, replaces the
-        histogram recount; only a ``move`` write of one whole segment (which
-        leaves the segment equal to ``assignment``) may pass it.
+        ``counts``, one row of per-node page counts per segment, replaces the
+        histogram recount; only a ``move`` write of a run of whole segments
+        (leaving each equal to its slice of ``assignment``) may pass it.
         """
         assignment = np.asarray(assignment, dtype=np.int16)
         n = len(assignment)
@@ -293,10 +294,16 @@ class AddressSpace:
             raise ValueError("assignment contains invalid node ids")
         if counts is not None:
             i = bisect_right(self._starts, start_page) - 1
-            counts = np.array(counts, dtype=np.int64)
-            whole = i >= 0 and self._segments[i].page_range() == (start_page, start_page + n)
-            if not (move and whole and counts.shape == (self.num_nodes,) and counts.sum() == n):
-                raise ValueError("counts must come with a move write of one whole segment")
+            counts = np.atleast_2d(np.array(counts, dtype=np.int64))
+            run = self._segments[i : i + len(counts)]
+            if not (
+                move
+                and len(run) == len(counts)
+                and (run[0].start_page, run[-1].end_page) == (start_page, start_page + n)
+                and counts.shape[1:] == (self.num_nodes,)
+                and counts.sum(axis=1).tolist() == [seg.num_pages for seg in run]
+            ):
+                raise ValueError("counts must come with a move write of whole segments, a row each")
         view = self._buf[start_page : start_page + n]
         changed = int(np.count_nonzero(view != assignment))
         if not changed:
@@ -318,7 +325,7 @@ class AddressSpace:
         if touched or moved:
             self._written(start_page, start_page + n)
         if counts is not None:
-            self._hists[i] = counts
+            self._hists[i : i + len(counts)] = list(counts)
         return touched, moved
 
     def set_pages(self, start_page: int, assignment: np.ndarray) -> int:

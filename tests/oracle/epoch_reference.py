@@ -1,9 +1,11 @@
 """Scalar epoch loop: the reference for the array-native epoch kernel.
 
-Each epoch builds every application's ``Consumer`` list, solves it with
-:func:`repro.memsim.solve` directly (no solver cache), and walks per-worker
-dicts for rates, loaded latencies, slowdowns, stall fractions, progress
-and counters — one epoch per step, never a stride. The production
+Each epoch builds every application's ``Consumer`` list afresh (demands
+from ``node_demand``, mixes from the placement, never through the memoised
+``Application.block``), solves it with :func:`repro.memsim.solve` directly
+(no solver cache), and walks per-worker dicts for rates, loaded latencies,
+slowdowns, stall fractions, progress and counters — one epoch per step,
+never a stride. The production
 :class:`~repro.engine.kernel.EpochKernel` must reproduce this loop
 bitwise: trajectories, counter banks, RNG states, telemetry and the final
 ``Allocation``.
@@ -11,13 +13,35 @@ bitwise: trajectories, counter banks, RNG states, telemetry and the final
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine.app import Application
 from repro.engine.sim import Simulator
 from repro.memsim import Allocation, solve
+from repro.memsim.flows import Consumer
 from repro.perf.stalls import WorkerLoad, slowdown, stall_fraction
+
+
+def placement_consumers(app: Application) -> List[Consumer]:
+    """One ``Consumer`` per worker, derived straight from the app's state:
+    a traffic mix per demand-bearing worker, an all-zero mix otherwise."""
+    out = []
+    for w in app.worker_nodes:
+        demand = app.node_demand(w)
+        mix = Application.traffic_mix(app, w) if demand > 0 else np.zeros(app.machine.num_nodes)
+        out.append(
+            Consumer(
+                app_id=app.app_id,
+                node=w,
+                threads=app.threads_on(w),
+                mix=mix,
+                demand=demand,
+                write_fraction=app.workload.write_fraction,
+            )
+        )
+    return out
 
 
 class ReferenceSimulator(Simulator):
@@ -69,7 +93,7 @@ class _ScalarEpoch:
         consumers = []
         consumer_by_key = {}
         for app in apps:
-            for c in app.consumers():
+            for c in placement_consumers(app):
                 consumers.append(c)
                 consumer_by_key[c.key()] = c
         alloc = solve(sim.machine, consumers, sim.mc_model, capacity_scale=cap_scale)

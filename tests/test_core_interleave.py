@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.interleave import (
+    PlacementOutcome,
     algorithm1_subranges,
     apply_weighted_kernel,
     apply_weighted_placement,
@@ -340,3 +341,55 @@ class TestAlgorithm1Oracle:
 
     def test_zero_page_plan_is_empty(self):
         assert algorithm1_subranges(0, [0.25, 0.75]) == []
+
+
+class TestOneWritePerPlacement:
+    """``apply_weighted_placement`` writes the whole space in one rebind and
+    must equal one ``mbind`` per sub-range of every segment."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_subrange_mbind(self, data):
+        num_nodes = data.draw(st.integers(1, 6), label="num_nodes")
+        spaces = fast, ref = AddressSpace(num_nodes), AddressSpace(num_nodes)
+        sizes = [data.draw(st.integers(1, 300), label="shared pages")]
+        sizes += data.draw(
+            st.lists(st.sampled_from([1, 2, 5, 16, 37, 64]), max_size=8), label="private pages"
+        )
+        for sp in spaces:
+            sp.map_segment("shared", sizes[0] * PAGE_SIZE, SegmentKind.SHARED)
+            for t, pages in enumerate(sizes[1:]):
+                sp.map_segment(f"private-{t}", pages * PAGE_SIZE, SegmentKind.PRIVATE, t)
+        # Back some segments wholly, some partly, leave the rest unbacked.
+        for seg_f, seg_r in zip(*(sp.segments for sp in spaces)):
+            how = data.draw(st.sampled_from(["unbacked", "touched", "partly"]), label="backing")
+            node = data.draw(st.integers(0, num_nodes - 1), label="node")
+            if how == "touched":
+                fast.touch(seg_f, node)
+                ref.touch(seg_r, node)
+            elif how == "partly":
+                pages = np.arange(seg_f.start_page, seg_f.end_page, 3)
+                for sp in spaces:
+                    sp.assign_pages(pages, np.full(len(pages), node))
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            weights = data.draw(_weights(num_nodes), label="weights")
+            move = data.draw(st.booleans(), label="move")
+            versions = fast.version, ref.version
+            got = apply_weighted_placement(fast, weights, move=move)
+            want = apply_weighted_placement_reference(ref, weights, move=move)
+            assert got == want
+            assert fast.page_nodes().tobytes() == ref.page_nodes().tobytes()
+            # One page-table write: the version moves once, exactly when
+            # any of the reference's per-sub-range calls moved it.
+            assert fast.version - versions[0] == int(ref.version > versions[1])
+            _memo_matches_recount(fast)
+            for seg_f, seg_r in zip(fast.segments, ref.segments):
+                assert (
+                    fast.node_histogram([seg_f]).tobytes()
+                    == ref.node_histogram([seg_r]).tobytes()
+                )
+
+    def test_empty_space_is_a_no_op(self):
+        sp = AddressSpace(2)
+        assert apply_weighted_placement(sp, [0.5, 0.5]) == PlacementOutcome(0, 0, 0)
+        assert sp.version == 0

@@ -19,9 +19,8 @@ from repro.core.interleave import apply_weighted_placement
 from repro.engine import Application, PhasedApplication, Simulator
 from repro.fleet.backend import FleetRecords, make_backend
 from repro.memsim import FirstTouch, ReplicatedShared, UniformAll, solve
-from repro.memsim.flows import Consumer
 from repro.workloads import TraceSpec, build_trace, ocean_cp, paper_benchmarks, streamcluster, two_phase
-from tests.oracle.epoch_reference import ReferenceSimulator
+from tests.oracle.epoch_reference import ReferenceSimulator, placement_consumers
 
 SUITE = paper_benchmarks()
 POLICIES = {
@@ -32,29 +31,8 @@ POLICIES = {
 }
 
 
-def _reference_consumers(app):
-    """Consumers built per worker straight from the placement: a traffic
-    mix per demand-bearing worker, an all-zero mix otherwise."""
-    out = []
-    for w in app.worker_nodes:
-        demand = app.node_demand(w)
-        out.append(
-            Consumer(
-                app_id=app.app_id,
-                node=w,
-                threads=app.threads_on(w),
-                mix=Application.traffic_mix(app, w)
-                if demand > 0
-                else np.zeros(app.machine.num_nodes),
-                demand=demand,
-                write_fraction=app.workload.write_fraction,
-            )
-        )
-    return out
-
-
 def _assert_block_is_reference(app):
-    ref = _reference_consumers(app)
+    ref = placement_consumers(app)
     block = app.block()
     assert block.keys == tuple(c.key() for c in ref)
     assert block.node_idx.tolist() == [c.node for c in ref]
@@ -134,6 +112,103 @@ class TestAppBlock:
             args[i] = bad
             with pytest.raises(ValueError, match=match):
                 AppBlock(*args)
+
+
+def _fresh_block(app):
+    """An :class:`AppBlock` built from scratch for the app's current state."""
+    from repro.engine.app import AppBlock
+
+    workers = app.worker_nodes
+    return AppBlock(
+        app.app_id,
+        workers,
+        [app.threads_on(w) for w in workers],
+        tuple(app.node_demand(w) for w in workers),
+        app.workload.write_fraction,
+        np.array([Application.traffic_mix(app, w) for w in workers]),
+        app.machine.num_nodes,
+    )
+
+
+def _plain(machine, looping=False):
+    return Application("a", streamcluster(), machine, (0, 1), policy=UniformAll(), looping=looping)
+
+
+def _deplete(app, *workers):
+    for w in workers or app.worker_nodes:
+        app.advance(w, app.remaining(w))
+    return app
+
+
+def _cross_phase(app):
+    first = app.current_phase_index
+    for w in app.worker_nodes:
+        app.advance(w, 0.6 * app.remaining(w))
+    assert app.current_phase_index != first
+
+
+#: Input -> (build an app, change that one input, whether the mixes hold).
+_STAMP_INPUTS = {
+    "worker depletes": (_plain, lambda app: _deplete(app, 1), True),
+    "looping restart": (
+        lambda m: _deplete(_plain(m, looping=True)),
+        lambda app: app.check_finished(1.0),
+        True,
+    ),
+    "finished": (_plain, lambda app: setattr(app, "finished", True), True),
+    "demand_scale": (_plain, lambda app: setattr(app, "demand_scale", 1.7), True),
+    "phase crossing": (
+        lambda m: PhasedApplication(
+            "p", two_phase("x", streamcluster(), ocean_cp()), m, (0, 1), policy=FirstTouch()
+        ),
+        _cross_phase,
+        False,
+    ),
+    "space.version": (
+        _plain,
+        lambda app: apply_weighted_placement(app.space, [0.7, 0.1, 0.1, 0.1]),
+        False,
+    ),
+}
+
+
+def _same_rows(got, want):
+    assert got.keys == want.keys
+    for name in ("node_idx", "threads", "demand", "write_frac", "mix", "live"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestDemandStamp:
+    """``block()`` derives nothing while its inputs hold, and builds a new
+    block equal to a fresh build after any one of them changes."""
+
+    @pytest.mark.parametrize("name", sorted(_STAMP_INPUTS))
+    def test_input_change_rebuilds_exactly(self, mach_b, name):
+        build, mutate, mixes_kept = _STAMP_INPUTS[name]
+        app = build(mach_b)
+        before = app.block()
+        assert app.block() is before
+        demands = before.demand.tobytes()
+        mutate(app)
+        after = app.block()
+        assert after is not before
+        _same_rows(after, _fresh_block(app))
+        _assert_block_is_reference(app)
+        # A demand-only change keeps the placement's validated mix rows.
+        assert (after.rows is before.rows) == mixes_kept
+        if mixes_kept:
+            assert after.demand.tobytes() != demands
+
+    def test_unchanged_epoch_derives_nothing(self, mach_b, monkeypatch):
+        app = _plain(mach_b, looping=True)
+        block = app.block()
+        monkeypatch.setattr(app, "node_demand", None)  # any derivation raises
+        monkeypatch.setattr(app, "traffic_mix", None)
+        app.advance(0, 0.25 * app.remaining(0))  # progress; no worker depletes
+        app.advance(1, 0.0)
+        app.demand_scale = 1.0  # rewritten with its own value
+        assert not app.check_finished(0.5)
+        assert app.block() is block
 
 
 class TestDerivedWithSolve:

@@ -25,7 +25,7 @@ from repro.core import (
 )
 from repro.engine import Application, PhasedApplication, Simulator, pick_worker_nodes
 from repro.engine.sim import Tuner, wake_epoch_at
-from repro.faults import DEFAULT_FAULT_PLAN
+from repro.faults import DEFAULT_FAULT_PLAN, FaultPlan, PhaseShock
 from repro.memsim import FirstTouch, UniformAll
 from repro.perf.counters import MeasurementConfig
 from repro.perf.profiler import AccessProfiler, TrafficSample
@@ -147,6 +147,46 @@ class TestAdaptiveEquality:
         assert on[1][0].searches_started == off[1][0].searches_started
         assert on[1][0].retunes == off[1][0].retunes
         assert on[1][0].state is off[1][0].state
+
+
+class TestPhasedShockEquality:
+    """Phased apps under phase-shock faults: every phase crossing, shock
+    edge, depletion and looping restart reaches the kernel's memoised
+    blocks exactly when the reference, which derives its consumers afresh
+    each epoch, sees it."""
+
+    @pytest.mark.parametrize("looping", [False, True])
+    def test_phased_shocked_run(self, mach_b, canonical_b, looping):
+        plan = FaultPlan(
+            phase_shocks=(
+                PhaseShock(1.8, start_s=0.5, end_s=3.0, app_id="p"),
+                PhaseShock(0.4, start_s=2.0, end_s=9.0),
+                PhaseShock(1.3, start_s=12.0, end_s=30.0, app_id="bg"),
+            )
+        )
+
+        def build(sim_cls):
+            sim = sim_cls(mach_b, faults=plan)
+            bg = PhasedApplication(
+                "bg", two_phase("y", swaptions(), streamcluster(), split=0.3),
+                mach_b, (1, 2, 3), policy=FirstTouch(), looping=looping,
+            )
+            sim.add_app(bg)
+            app = sim.add_app(
+                PhasedApplication(
+                    "p", two_phase("x", streamcluster(), ocean_cp(), split=0.4),
+                    mach_b, (0,), policy=None,
+                )
+            )
+            tuner = sim.add_tuner(DWPTuner(app, canonical_b.weights((0,)), **QUICK))
+            return sim, [tuner]
+
+        on, off = _run_pair(build, max_time=400.0)
+        _assert_bitwise_equal(on, off)
+        sim = on[0]
+        assert sim._apps["p"].current_phase_index == 1
+        assert sim._apps["bg"].completions >= 1
+        assert sim.now > 30.0
 
 
 class TestHardenedEquality:

@@ -26,6 +26,7 @@ import pytest
 from repro.experiments.fleet import (
     FleetSpec,
     fleet_fingerprint,
+    outcome_from_result,
     run_fleet_spec,
 )
 from repro.experiments.fleet_chaos import assert_zero_fault_identity
@@ -444,6 +445,22 @@ class TestFaultRuns:
             for name, kind in _COMPLETION_TYPES.items():
                 assert type(getattr(c, name)) is kind, (name, type(getattr(c, name)))
             assert type(c.workers) is tuple and all(type(w) is int for w in c.workers)
+
+    @pytest.mark.parametrize("seed", [0, 2, 3, 5, 6])
+    def test_goodput_exact(self, seed):
+        """Arrived and completed work are both exactly rounded sums, so a
+        run that completes every arrival reads goodput exactly 1.0. Summed
+        in two orders, they missed it by an ulp either way on these seeds."""
+        plan = dataclasses.replace(_plan(), seed=seed, crashes=_plan().crashes[::2])
+        config = SchedulerConfig(
+            backend="flow", tick_s=2.0, recovery="requeue+checkpoint", retry_backoff_s=5.0
+        )
+        trace = build_trace(TraceSpec(kind="poisson", rate_per_s=1.0, arrivals=60, seed=seed))
+        out = FleetScheduler(build_fleet(_MIX), trace, config, seed=11, faults=plan).run(1e6)
+        goodput = outcome_from_result(out).goodput
+        assert out.stranded == out.pending_left == 0
+        assert len(out.completions) == out.arrivals
+        assert out.completed_work_bytes / out.arrived_work_bytes == goodput == 1.0
 
     def test_zero_fault_identity_both_modes(self):
         assert_zero_fault_identity(_MIX, _trace_spec(20), _plan())

@@ -19,6 +19,8 @@ pin down:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -77,7 +79,7 @@ def _check(out, placements, completions) -> None:
     assert out.placements == placements and placements == out.placements
     assert out.completions == completions and completions == out.completions
     assert out.slo_violations == sum(not c.slo_ok for c in completions)
-    assert out.completed_work_bytes == sum(c.work_bytes for c in completions)
+    assert out.completed_work_bytes == math.fsum(c.work_bytes for c in completions)
     assert out.completions.slowdowns().tolist() == [c.slowdown for c in completions]
     assert out.completions.waits().tolist() == [c.wait_s for c in completions]
     if completions and not out.pending_left:

@@ -192,14 +192,29 @@ class TestForeignSegments:
 
 
 class TestRebindCounts:
-    """``rebind(counts=...)`` hands over a histogram only for a ``move``
-    write of exactly one whole mapped segment."""
+    """``rebind(counts=...)`` hands over histograms only for a ``move``
+    write of a run of whole mapped segments, one counts row each."""
 
     def _space(self):
         sp = AddressSpace(3)
         sp.map_segment("a", 4 * PAGE_SIZE)
         sp.map_segment("b", 2 * PAGE_SIZE)
+        sp.map_segment("c", 3 * PAGE_SIZE)
         return sp
+
+    def test_run_of_whole_segments_keeps_counts(self):
+        sp = self._space()
+        rows = [[1, 2, 1], [0, 0, 2], [1, 1, 1]]
+        assignment = np.array([0, 1, 2, 1, 2, 2, 0, 1, 2])
+        version = sp.version
+        assert sp.rebind(0, assignment, counts=rows) == (9, 0)
+        assert sp.version == version + 1  # one write
+        for i, row in enumerate(rows):
+            assert list(sp._hists[i]) == row  # handed over, not recounted
+        assert list(sp.node_histogram()) == [2, 3, 4]
+        # A run that starts at a later segment.
+        assert sp.rebind(4, np.array([0, 0, 1, 1, 1]), counts=[[2, 0, 0], [0, 3, 0]]) == (0, 4)
+        assert [list(sp._hists[i]) for i in range(3)] == [rows[0], [2, 0, 0], [0, 3, 0]]
 
     def test_whole_segment_move_write_keeps_counts(self):
         sp = self._space()
@@ -215,10 +230,19 @@ class TestRebindCounts:
         [
             (0, [0, 1, 2], True, [1, 1, 1]),  # part of a segment
             (1, [0, 1, 2, 0], True, [2, 1, 1]),  # straddles two segments
-            (0, [0, 1, 2, 0, 1, 2], True, [2, 2, 2]),  # two whole segments
+            (0, [0, 1, 2, 0, 1, 2], True, [2, 2, 2]),  # two whole segments, one row
             (4, [2, 0], False, [1, 0, 1]),  # not a move write
             (4, [2, 0], True, [2, 0, 1]),  # counts do not sum to the range
             (4, [2, 0], True, [1, 1]),  # wrong number of nodes
+            (0, [0] * 6, True, [[4, 0, 0]]),  # too few rows for the run
+            (0, [0] * 6, True, [[4, 0, 0], [2, 0, 0], [0, 0, 0]]),  # too many rows
+            (0, [0] * 9, True, [[4, 0, 0], [2, 0, 0]]),  # one row short, full run
+            (0, [0] * 7, True, [[4, 0, 0], [2, 0, 0], [1, 0, 0]]),  # ends inside "c"
+            (1, [0] * 5, True, [[3, 0, 0], [2, 0, 0]]),  # starts inside "a"
+            (0, [0] * 6, True, [[4, 0, 0], [1, 0, 0]]),  # a row sum is off
+            (0, [0] * 6, True, [[3, 0, 0], [3, 0, 0]]),  # right total, wrong rows
+            (0, [0] * 6, False, [[4, 0, 0], [2, 0, 0]]),  # not a move write
+            (0, [0] * 6, True, [[4, 0], [2, 0]]),  # wrong number of nodes
         ],
     )
     def test_rejected_before_any_write(self, start, assignment, move, counts):

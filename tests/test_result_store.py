@@ -225,7 +225,7 @@ class TestResultStore:
 #: What every stored payload holds at the current ``SCHEMA_VERSION``. A
 #: change to any stored field's name, type or meaning must bump the
 #: version and re-pin it here, so stale entries are never replayed.
-PINNED_SCHEMA_VERSION = 3
+PINNED_SCHEMA_VERSION = 4
 PINNED_FIELDS = {
     "RunOutcome": [
         ("exec_time_s", "float"),
