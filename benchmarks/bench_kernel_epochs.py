@@ -17,6 +17,14 @@ weighted interleave of a whole streamcluster address space, one
 pages written per calibration chunk (guarded as
 ``placement_pages_per_chunk``). The suite checks that writer against one
 ``mbind`` per sub-range (``tests/oracle/algorithm1.py``).
+
+Last, it measures deployment: the ``paper`` grid's machine-A deployments
+of streamcluster under first-touch and uniform-workers, each co-scheduled
+with a first-touch swaptions app on the remaining nodes, as applications
+deployed (address space mapped and placed, first consumer block built)
+per calibration chunk (guarded as ``deployments_per_chunk``). The suite
+checks the page counts every write keeps against a per-page recount
+(``tests/oracle/page_counts.py``).
 """
 
 import dataclasses
@@ -24,7 +32,7 @@ import dataclasses
 from repro.core import AdaptiveBWAP, AdaptiveConfig, CanonicalTuner, apply_weighted_placement
 from repro.core.dwp import combine_weights
 from repro.engine import Application, Simulator, pick_worker_nodes
-from repro.memsim import FirstTouch
+from repro.memsim import FirstTouch, UniformWorkers
 from repro.perf.counters import MeasurementConfig
 from repro.topology import machine_a
 from repro.workloads import streamcluster, swaptions
@@ -103,10 +111,42 @@ def _measure_placement():
     return pages, calibrated_rate(_run_placement)
 
 
+#: The deployments of one pass: machine A at 1, 2 and 4 workers, times
+#: the two baseline policies, each beside its co-scheduled swaptions app.
+_DEPLOY_PASSES = 3
+
+
+def _run_deployments():
+    mach = machine_a()
+    grid = []
+    for n in (1, 2, 4):
+        workers = pick_worker_nodes(mach, n)
+        grid.append((workers, tuple(w for w in range(mach.num_nodes) if w not in workers)))
+
+    def deploy():
+        count = 0
+        for _ in range(_DEPLOY_PASSES):
+            for workers, rest in grid:
+                for policy in (FirstTouch, UniformWorkers):
+                    Application("A", swaptions(), mach, rest, policy=FirstTouch(), looping=True).block()
+                    Application("B", streamcluster(), mach, workers, policy=policy()).block()
+                    count += 2
+        return count
+
+    return timed(deploy)
+
+
+def _measure_deployments():
+    _run_deployments()  # warm up
+    deployments, _wall = _run_deployments()
+    return deployments, calibrated_rate(_run_deployments)
+
+
 class BenchKernelEpochs:
     def test_epochs_per_second(self, benchmark, once, capsys, ledger):
         epochs, rate = once(benchmark, _measure)
         pages, placement = _measure_placement()
+        deployments, deploy = _measure_deployments()
         ledger(
             "kernel_epochs",
             {
@@ -117,9 +157,12 @@ class BenchKernelEpochs:
                 "placement_pages": pages,
                 "placement_pages_per_s": placement["per_s"],
                 "placement_pages_per_chunk": placement["per_chunk"],
+                "deployments": deployments,
+                "deployments_per_s": deploy["per_s"],
+                "deployments_per_chunk": deploy["per_chunk"],
             },
-            guarded=("epochs_per_chunk", "placement_pages_per_chunk"),
-            wall_s=rate["wall_s"] + placement["wall_s"],
+            guarded=("epochs_per_chunk", "placement_pages_per_chunk", "deployments_per_chunk"),
+            wall_s=rate["wall_s"] + placement["wall_s"] + deploy["wall_s"],
         )
         with capsys.disabled():
             print()
@@ -132,4 +175,8 @@ class BenchKernelEpochs:
             print(
                 f"  DWP ladder placement: {pages} pages @ {placement['per_s']:.3g} pages/s "
                 f"= {placement['per_chunk']:.0f} pages per chunk"
+            )
+            print(
+                f"  Paper-grid deployments: {deployments} @ {deploy['per_s']:.0f}/s "
+                f"= {deploy['per_chunk']:.3f} per chunk"
             )

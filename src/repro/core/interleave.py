@@ -24,8 +24,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.memsim.interleave import uniform_assignment
-from repro.memsim.mbind import MbindFlag, MPol, mbind
+from repro.memsim.interleave import uniform_assignment, uniform_counts
+from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
 from repro.memsim.pages import AddressSpace, Segment
 
 #: Weights below this value are treated as zero (the node receives no pages).
@@ -116,9 +116,7 @@ def _write_user(
     """Algorithm 1 over a run of contiguous segments as one rebind: each
     segment's N ``mbind(MPOL_INTERLEAVE)`` tiles partition it, so the page
     table and touched/moved sums are the N calls'. Each distinct tile
-    ``(length, node set, phase)`` is built once, with its per-node counts:
-    ``length // k`` for each of its ``k`` nodes, plus one for the first
-    ``length % k`` of the phase-rotated set."""
+    ``(length, node set, phase)`` is built once, with its per-node counts."""
     if not segments:
         return PlacementOutcome(pages_touched=0, pages_moved=0, mbind_calls=0)
     plans = {n: algorithm1_subranges(n, weights) for n in {seg.num_pages for seg in segments}}
@@ -130,10 +128,7 @@ def _write_user(
             if (length, nodes, phase) not in index:
                 index[length, nodes, phase] = len(tiles)
                 tiles.append(uniform_assignment(length, nodes, phase=phase))
-                row = np.zeros(space.num_nodes, dtype=np.int64)
-                row[list(nodes)] = length // len(nodes)
-                row[list((nodes[phase:] + nodes[:phase])[: length % len(nodes)])] += 1
-                tile_counts.append(row)
+                tile_counts.append(uniform_counts(length, nodes, space.num_nodes, phase=phase))
             used.append(index[length, nodes, phase])
     counts = np.add.reduceat(np.array(tile_counts)[used], firsts) if move else None
     touched, moved = space.rebind(
@@ -153,14 +148,8 @@ def apply_weighted_kernel(
     w = _checked_weights(weights)
     nodes = [i for i in range(len(w)) if w[i] > _WEIGHT_EPS]
     flags = MbindFlag.MOVE | MbindFlag.STRICT if move else MbindFlag.NONE
-    res = mbind(
-        space,
-        segment.start_page,
-        segment.num_pages,
-        MPol.WEIGHTED_INTERLEAVE,
-        nodes,
-        weights=[w[i] for i in nodes],
-        flags=flags,
+    res = mbind_segment(
+        space, segment, MPol.WEIGHTED_INTERLEAVE, nodes, weights=[w[i] for i in nodes], flags=flags
     )
     return PlacementOutcome(
         pages_touched=res.pages_touched, pages_moved=res.pages_moved, mbind_calls=1

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.memsim.flows import Consumer
-from repro.memsim.pages import PAGE_SIZE, AddressSpace, Segment, SegmentKind
+from repro.memsim.pages import PAGE_SIZE, AddressSpace, SegmentKind
 from repro.memsim.policies import PlacementContext, PlacementPolicy
 from repro.engine.threads import pin_threads, threads_per_node
 from repro.topology.machine import Machine
@@ -137,18 +137,20 @@ class Application:
         self.space = AddressSpace(machine.num_nodes, page_size=page_size)
         self.space.map_segment("shared", workload.shared_bytes, SegmentKind.SHARED)
         if workload.private_bytes_per_thread > 0:
-            for t in range(self.num_threads):
-                self.space.map_segment(
-                    f"private-{t}",
-                    workload.private_bytes_per_thread,
-                    SegmentKind.PRIVATE,
-                    owner_thread=t,
-                )
+            threads = range(self.num_threads)
+            self.space.map_segments(
+                [f"private-{t}" for t in threads],
+                workload.private_bytes_per_thread,
+                SegmentKind.PRIVATE,
+                threads,
+            )
         self._shared_segments = self.space.segments_of_kind(SegmentKind.SHARED)
-        self._private_by_node: Dict[int, List[Segment]] = {}
-        for seg in self.space.segments_of_kind(SegmentKind.PRIVATE):
-            owner = self.ctx.node_of_thread(seg.owner_thread)
-            self._private_by_node.setdefault(owner, []).append(seg)
+        #: Row ``j`` marks the private segments of worker ``j``'s threads.
+        owners = [
+            self.thread_nodes[seg.owner_thread] if seg.kind is SegmentKind.PRIVATE else -1
+            for seg in self.space.segments
+        ]
+        self._owners = (np.array(self.worker_nodes)[:, None] == owners).astype(np.int64)
         if policy is not None:
             if hasattr(policy, "validate_workload"):
                 policy.validate_workload(workload.write_fraction)
@@ -169,6 +171,7 @@ class Application:
         #: object it covers every input of :meth:`node_demand`.
         self._stamp = 0
         self._block_memo: Optional[Tuple[tuple, tuple, AppBlock]] = None
+        self._full_speed: Tuple[Optional[WorkloadSpec], Dict[int, float]] = (None, {})
         self._consumers_memo: Optional[Tuple[AppBlock, List[Consumer]]] = None
         self.finish_time: Optional[float] = None
         self.start_time: float = 0.0
@@ -200,35 +203,38 @@ class Application:
 
     def private_distribution(self, node: int) -> np.ndarray:
         """Placement distribution of private pages owned by threads on ``node``."""
-        segs = self._private_by_node.get(node)
-        if not segs:
+        if node not in self.worker_nodes:
             return np.zeros(self.machine.num_nodes)
-        return self.space.placement_distribution(segs)
+        return self._private_distributions()[0][self.worker_nodes.index(node)]
+
+    def _private_distributions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every worker's private placement distribution and page total,
+        one row each, from one product with the kept page counts."""
+        hist = self._owners @ self.space.counts[: self._owners.shape[1]]
+        total = hist.sum(axis=1, keepdims=True)
+        return hist / np.maximum(total, 1), total
 
     def traffic_mix(self, node: int) -> np.ndarray:
-        """Per-source-node traffic fractions for the threads on ``node``.
+        """Per-source-node traffic fractions for the threads on worker
+        ``node`` (its row of :meth:`traffic_mixes`)."""
+        return self.traffic_mixes()[self.worker_nodes.index(node)]
 
-        With a replicating policy (``replicates_shared``), each worker's
-        shared reads are served by its local replica instead of the
-        primary copy's placement.
-        """
+    def traffic_mixes(self) -> np.ndarray:
+        """Every worker's traffic mix, one row each, from the kept page
+        counts: ``private_fraction`` of it follows the worker's
+        :meth:`private_distribution` (none while that is empty), the rest
+        :meth:`shared_distribution`, or the local replica under a
+        replicating policy (``replicates_shared``)."""
+        private, total = self._private_distributions()
         if getattr(self.policy, "replicates_shared", False):
-            shared = np.zeros(self.machine.num_nodes)
-            shared[node] = 1.0
+            shared = np.eye(self.machine.num_nodes)[list(self.worker_nodes)]
         else:
             shared = self.shared_distribution()
-        private = self.private_distribution(node)
-        pf = self.workload.private_fraction
-        if private.sum() == 0:
-            # No private pages (or none placed yet): all traffic is shared.
-            pf = 0.0
-        if shared.sum() == 0:
-            if private.sum() == 0:
-                return np.zeros(self.machine.num_nodes)
-            return private
+            if not shared.any():
+                return private
+        pf = np.where(total > 0, self.workload.private_fraction, 0.0)
         mix = (1.0 - pf) * shared + pf * private
-        total = mix.sum()
-        return mix / total if total > 0 else mix
+        return mix / mix.sum(axis=1, keepdims=True)
 
     # ------------------------------------------------------------------ #
     # Demand and progress
@@ -243,9 +249,13 @@ class Application:
         that worker's share of the work is done."""
         if self.finished or self._remaining.get(node, 0.0) <= 0.0:
             return 0.0
-        return self.demand_scale * self.workload.node_demand_gbps(
-            self.threads_on(node), self.num_threads, len(self.worker_nodes)
-        )
+        wl = self.workload
+        if self._full_speed[0] is not wl:  # specs are frozen: kept per object
+            self._full_speed = (wl, {
+                w: wl.node_demand_gbps(self.threads_on(w), self.num_threads, len(self.worker_nodes))
+                for w in self.worker_nodes
+            })
+        return self.demand_scale * self._full_speed[1][node]
 
     def block(self) -> AppBlock:
         """The app's consumer rows as one read-only :class:`AppBlock`.
@@ -266,7 +276,7 @@ class Application:
         if memo is not None and memo[1] == mix_key:
             block = memo[2].with_demands(demands, wl.write_fraction)
         else:
-            mixes = np.array([self.traffic_mix(w) for w in self.worker_nodes])
+            mixes = self.traffic_mixes()
             threads = [self.threads_on(w) for w in self.worker_nodes]
             block = AppBlock(
                 self.app_id, self.worker_nodes, threads, demands, wl.write_fraction,

@@ -36,6 +36,20 @@ def uniform_assignment(
     return np.tile(np.concatenate((nodes[s:], nodes[:s])), -(-num_pages // m))[:num_pages]
 
 
+def uniform_counts(
+    num_pages: int, nodes: Sequence[int], num_nodes: int, *, phase: int = 0
+) -> np.ndarray:
+    """Per-node page counts of :func:`uniform_assignment` over ``num_nodes``
+    nodes, without counting: ``num_pages // k`` each, plus one for the first
+    ``num_pages % k`` of the phase-rotated set."""
+    nodes = list(nodes)
+    s = phase % len(nodes)
+    row = np.zeros(num_nodes, dtype=np.int64)
+    row[nodes] = num_pages // len(nodes)
+    row[(nodes[s:] + nodes[:s])[: num_pages % len(nodes)]] += 1
+    return row
+
+
 def weighted_counts(num_pages: int, weights: Sequence[float]) -> np.ndarray:
     """Apportion ``num_pages`` across nodes by weight (largest remainder).
 

@@ -17,7 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.memsim.interleave import uniform_assignment, weighted_assignment
+from repro.memsim.interleave import (
+    uniform_assignment,
+    uniform_counts,
+    weighted_assignment,
+    weighted_counts,
+)
 from repro.memsim.pages import AddressSpace
 
 
@@ -86,9 +91,31 @@ def mbind(
         Round-robin phase for ``MPol.INTERLEAVE`` (continuation across
         calls).
     """
+    return _bind(space, start_page, num_pages, policy, nodes, weights, flags, phase, False)
+
+
+def mbind_segment(
+    space: AddressSpace,
+    segment,
+    policy: MPol,
+    nodes: Sequence[int],
+    *,
+    weights: Sequence[float] = None,
+    flags: MbindFlag = MbindFlag.NONE,
+) -> MbindResult:
+    """Convenience wrapper applying :func:`mbind` to a whole segment; a
+    ``MOVE`` bind hands the segment's per-node counts over with the write."""
+    return _bind(
+        space, segment.start_page, segment.num_pages, policy, nodes, weights, flags,
+        segment.start_page, True,
+    )
+
+
+def _bind(space, start_page, num_pages, policy, nodes, weights, flags, phase, whole):
     if num_pages < 0:
         raise ValueError(f"num_pages must be non-negative, got {num_pages}")
-    if num_pages == 0:
+    if num_pages == 0 or policy is MPol.DEFAULT:
+        # DEFAULT restores first-touch behaviour; nothing to bind now.
         return MbindResult(pages_touched=0, pages_moved=0)
 
     node_list = list(nodes)
@@ -102,38 +129,20 @@ def mbind(
         if weights is None:
             raise ValueError("weighted-interleave requires weights")
         assignment = weighted_assignment(num_pages, weights, node_list)
-    elif policy is MPol.DEFAULT:
-        # DEFAULT restores first-touch behaviour; nothing to bind now.
-        return MbindResult(pages_touched=0, pages_moved=0)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unsupported policy {policy}")
 
+    move = MbindFlag.MOVE in flags
+    counts = None
+    if whole and move and all(0 <= n < space.num_nodes for n in node_list):
+        # The write's per-node counts, known without counting its pages (a
+        # bind is an interleave over one node).
+        if policy is MPol.WEIGHTED_INTERLEAVE:
+            counts = np.zeros(space.num_nodes, dtype=np.int64)
+            counts[node_list] = weighted_counts(num_pages, weights)
+        else:
+            counts = uniform_counts(num_pages, node_list, space.num_nodes, phase=phase)
     touched, moved = space.rebind(
-        start_page,
-        assignment,
-        move=MbindFlag.MOVE in flags,
-        strict=MbindFlag.STRICT in flags,
+        start_page, assignment, move=move, strict=MbindFlag.STRICT in flags, counts=counts
     )
     return MbindResult(pages_touched=touched, pages_moved=moved)
-
-
-def mbind_segment(
-    space: AddressSpace,
-    segment,
-    policy: MPol,
-    nodes: Sequence[int],
-    *,
-    weights: Sequence[float] = None,
-    flags: MbindFlag = MbindFlag.NONE,
-) -> MbindResult:
-    """Convenience wrapper applying :func:`mbind` to a whole segment."""
-    return mbind(
-        space,
-        segment.start_page,
-        segment.num_pages,
-        policy,
-        nodes,
-        weights=weights,
-        flags=flags,
-        phase=segment.start_page,
-    )

@@ -11,7 +11,7 @@ allocates lazily on first touch).
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -127,11 +127,10 @@ class AddressSpace:
         #: faulted in) until a segment mapped over it is set ``UNALLOCATED``.
         self._buf = np.empty(0, dtype=np.int16)
         self._next_page = 0
-        #: Per-segment node histograms (``None`` until computed; never handed
-        #: out). A write drops only the entries of the segments it overlaps,
-        #: and a selection's histogram is a fresh, exact integer sum of its
-        #: segments'.
-        self._hists: List[Optional[np.ndarray]] = []
+        #: The histogram of record: one row of per-node page counts per
+        #: segment. Every write updates it from counts it already knows, so
+        #: no page is ever recounted.
+        self._counts = np.zeros((0, num_nodes), dtype=np.int64)
         #: Monotonic placement version: bumped by every mutation that backs,
         #: moves, or maps pages. Lets per-epoch consumers of the placement
         #: statistics (the simulator asks every epoch) reuse derived values
@@ -155,30 +154,45 @@ class AddressSpace:
         Segment names are unique within an address space so that
         :meth:`segment` lookups are unambiguous.
         """
-        if name in self._segments_by_name:
-            raise ValueError(f"segment named {name!r} already mapped")
+        return self.map_segments([name], size_bytes, kind, [owner_thread])[0]
+
+    def map_segments(
+        self,
+        names: Sequence[str],
+        size_bytes: int,
+        kind: SegmentKind = SegmentKind.SHARED,
+        owner_threads: Optional[Sequence[Optional[int]]] = None,
+    ) -> List[Segment]:
+        """Map one ``size_bytes`` segment per name, back to back, with one
+        page-table fill (see :meth:`map_segment`); ``owner_threads`` gives
+        each segment's owner. Every segment is checked before any is mapped.
+        """
+        owners = [None] * len(names) if owner_threads is None else list(owner_threads)
+        if len(owners) != len(names):
+            raise ValueError(f"{len(owners)} owner threads for {len(names)} segments")
         num_pages = bytes_to_pages(size_bytes, self.page_size)
-        seg = Segment(
-            name=name,
-            start_page=self._next_page,
-            num_pages=num_pages,
-            kind=kind,
-            owner_thread=owner_thread,
-            page_size=self.page_size,
-        )
-        end = seg.end_page
+        start = self._next_page
+        batch: Dict[str, Segment] = {}
+        for j, (name, owner) in enumerate(zip(names, owners)):
+            if name in self._segments_by_name or name in batch:
+                raise ValueError(f"segment named {name!r} already mapped")
+            batch[name] = Segment(name, start + j * num_pages, num_pages, kind, owner, self.page_size)
+        if not batch:
+            return []
+        segs = list(batch.values())
+        end = segs[-1].end_page
         if end > len(self._buf):
             buf = np.empty(max(end, 2 * len(self._buf)), dtype=np.int16)
-            buf[: self._next_page] = self._buf[: self._next_page]
+            buf[:start] = self._buf[:start]
             self._buf = buf
-        self._buf[seg.start_page : end] = UNALLOCATED
-        self._segments.append(seg)
-        self._starts.append(seg.start_page)
-        self._hists.append(None)
-        self._segments_by_name[name] = seg
+        self._buf[start:end] = UNALLOCATED
+        self._counts = np.concatenate([self._counts, np.zeros((len(segs), self.num_nodes), np.int64)])
+        self._segments += segs
+        self._starts += [seg.start_page for seg in segs]
+        self._segments_by_name.update(batch)
         self._next_page = end
         self._version += 1
-        return seg
+        return segs
 
     @property
     def segments(self) -> Tuple[Segment, ...]:
@@ -214,11 +228,16 @@ class AddressSpace:
     # ------------------------------------------------------------------ #
 
     def page_nodes(self, segment: Optional[Segment] = None) -> np.ndarray:
-        """Per-page node ids (a *view*; ``UNALLOCATED`` where untouched)."""
+        """Per-page node ids (a read-only *view*; ``UNALLOCATED`` where
+        untouched). Writes go through the methods below, which keep the
+        page counts."""
         if segment is None:
-            return self._buf[: self._next_page]
-        self._index(segment)
-        return self._buf[segment.start_page : segment.end_page]
+            view = self._buf[: self._next_page]
+        else:
+            self._index(segment)
+            view = self._buf[segment.start_page : segment.end_page]
+        view.flags.writeable = False
+        return view
 
     def _check_range(self, start_page: int, num_pages: int) -> None:
         if start_page < 0 or num_pages < 0 or start_page + num_pages > self._next_page:
@@ -236,35 +255,54 @@ class AddressSpace:
         """Placement version, bumped on every mutation of the page table."""
         return self._version
 
-    def _written(self, lo: int, hi: int) -> None:
-        """Record a write to pages ``[lo, hi)``: drop the histograms of the
-        segments it overlaps and bump the version."""
-        first = bisect_right(self._starts, lo) - 1
-        last = bisect_left(self._starts, hi)
-        self._hists[first:last] = [None] * (last - first)
-        self._version += 1
+    def _count(self, values: np.ndarray) -> np.ndarray:
+        """Per-node counts of page-table entries (``UNALLOCATED`` in none)."""
+        return np.array([np.count_nonzero(values == k) for k in range(self.num_nodes)], np.int64)
+
+    def _shift(self, pages: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Move the kept counts of ``pages`` (ascending, distinct) from their
+        ``old`` nodes (``UNALLOCATED`` for none) to their ``new`` ones."""
+        bounds = np.searchsorted(pages, self._starts + [self._next_page]).tolist()
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi > lo:
+                self._counts[i] += self._count(new[lo:hi]) - self._count(old[lo:hi])
 
     def touch(self, segment: Segment, node: int) -> int:
         """First-touch all still-unallocated pages of a segment onto ``node``.
 
         Returns the number of pages that were allocated. Already-backed
         pages are left where they are, exactly like Linux first-touch; the
-        segment's histogram is updated rather than recounted.
+        unbacked count is read off the segment's kept counts, and a wholly
+        unbacked segment is backed with one fill.
         """
         self._check_node(node)
-        i = self._index(segment)
-        view = self._buf[segment.start_page : segment.end_page]
-        mask = view == UNALLOCATED
-        allocated = int(np.count_nonzero(mask))
-        if allocated:
-            view[mask] = node
-            old = self._hists[i]
-            self._written(segment.start_page, segment.end_page)
-            if old is not None or allocated == segment.num_pages:
-                hist = np.zeros(self.num_nodes, dtype=np.int64) if old is None else old.copy()
-                hist[node] += allocated
-                self._hists[i] = hist
-        return allocated
+        return self._touch([self._index(segment)], [node])
+
+    def touch_all(self, nodes: Sequence[int]) -> int:
+        """:meth:`touch` every segment, in mapping order, onto its entry of
+        ``nodes``; returns the pages allocated."""
+        if len(nodes) != len(self._segments):
+            raise ValueError(f"{len(nodes)} nodes for {len(self._segments)} segments")
+        for node in set(nodes):
+            self._check_node(node)
+        return self._touch(list(range(len(nodes))), list(nodes))
+
+    def _touch(self, rows: List[int], nodes: List[int]) -> int:
+        """Back the unbacked pages of the distinct segments ``rows`` on
+        their ``nodes``, one write; returns the pages allocated."""
+        allocated = self._counts[rows].sum(axis=1).tolist()
+        for j, (i, node) in enumerate(zip(rows, nodes)):
+            seg = self._segments[i]
+            allocated[j] = seg.num_pages - allocated[j]
+            if allocated[j] == seg.num_pages:
+                self._buf[seg.start_page : seg.end_page].fill(node)
+            elif allocated[j]:
+                view = self._buf[seg.start_page : seg.end_page]
+                view[view == UNALLOCATED] = node
+        if any(allocated):
+            self._counts[rows, nodes] += allocated
+            self._version += 1
+        return sum(allocated)
 
     def rebind(
         self,
@@ -283,15 +321,19 @@ class AddressSpace:
         refuses the call with ``PermissionError`` if there are any. The
         range and node ids are checked before anything is written.
 
-        ``counts``, one row of per-node page counts per segment, replaces the
-        histogram recount; only a ``move`` write of a run of whole segments
-        (leaving each equal to its slice of ``assignment``) may pass it.
+        ``counts``, one row of per-node page counts per segment, become
+        those segments' kept counts (``touched`` is read off the old ones);
+        only a ``move`` write of a run of whole segments (leaving each equal
+        to its slice of ``assignment``) may pass it. Without it the counts
+        of the changed pages are moved.
         """
         assignment = np.asarray(assignment, dtype=np.int16)
         n = len(assignment)
         self._check_range(start_page, n)
-        if n and (assignment.min() < 0 or assignment.max() >= self.num_nodes):
+        # One pass: a negative id reads as a large unsigned one.
+        if n and assignment.view(np.uint16).max() >= self.num_nodes:
             raise ValueError("assignment contains invalid node ids")
+        view = self._buf[start_page : start_page + n]
         if counts is not None:
             i = bisect_right(self._starts, start_page) - 1
             counts = np.atleast_2d(np.array(counts, dtype=np.int64))
@@ -304,28 +346,32 @@ class AddressSpace:
                 and counts.sum(axis=1).tolist() == [seg.num_pages for seg in run]
             ):
                 raise ValueError("counts must come with a move write of whole segments, a row each")
-        view = self._buf[start_page : start_page + n]
-        changed = int(np.count_nonzero(view != assignment))
-        if not changed:
-            return 0, 0
+            rows = self._counts[i : i + len(counts)]
+            touched = n - int(rows.sum())
+            moved = int(np.count_nonzero(view != assignment)) - touched
+            if touched or moved:
+                view[:] = assignment
+                self._version += 1
+            rows[:] = counts
+            return touched, moved
         # ``assignment`` holds no UNALLOCATED, so every unbacked page is a
         # changed one and the rest of the changed pages are nonconforming.
-        touched = int(np.count_nonzero(view == UNALLOCATED))
-        moved = changed - touched
+        changed = view != assignment
+        unbacked = view == UNALLOCATED
+        touched = int(np.count_nonzero(unbacked))
+        moved = int(np.count_nonzero(changed)) - touched
         if moved and not move:
             if strict:
                 raise PermissionError(
                     f"strict bind without move: {moved} pages already "
                     "placed on non-conforming nodes"
                 )
-            moved = 0
-            np.copyto(view, assignment, where=view == UNALLOCATED)
-        else:
-            view[:] = assignment
+            moved, changed = 0, unbacked
         if touched or moved:
-            self._written(start_page, start_page + n)
-        if counts is not None:
-            self._hists[i : i + len(counts)] = list(counts)
+            pages = np.flatnonzero(changed)
+            self._shift(start_page + pages, view[pages], assignment[pages])
+            view[pages] = assignment[pages]
+            self._version += 1
         return touched, moved
 
     def set_pages(self, start_page: int, assignment: np.ndarray) -> int:
@@ -339,8 +385,9 @@ class AddressSpace:
     def assign_pages(self, indices: np.ndarray, nodes: np.ndarray) -> int:
         """Scatter-assign nodes to individual pages; returns pages *moved*.
 
-        The scattered counterpart of :meth:`set_pages`, used by the fault
-        path to revert the subset of a migration batch that failed.
+        The scattered counterpart of :meth:`set_pages` (``indices`` must be
+        distinct), used by the fault path to revert the subset of a
+        migration batch that failed and by AutoNUMA's moves.
         """
         indices = np.asarray(indices, dtype=np.intp)
         nodes = np.asarray(nodes, dtype=np.int16)
@@ -355,44 +402,45 @@ class AddressSpace:
             raise IndexError("page index out of range")
         if nodes.min() < 0 or nodes.max() >= self.num_nodes:
             raise ValueError("assignment contains invalid node ids")
+        if (indices[1:] <= indices[:-1]).any():
+            order = np.argsort(indices, kind="stable")
+            indices, nodes = indices[order], nodes[order]
+            if (indices[1:] == indices[:-1]).any():
+                raise ValueError("page indices must be distinct")
         current = self._buf[indices]
         changed = current != nodes
-        moved = int(np.count_nonzero(current[changed] != UNALLOCATED))
-        if changed.any():
-            self._buf[indices] = nodes
-            self._written(lo, hi + 1)
+        if not changed.all():
+            indices, current, nodes = indices[changed], current[changed], nodes[changed]
+        if not len(indices):
+            return 0
+        moved = int(np.count_nonzero(current != UNALLOCATED))
+        self._shift(indices, current, nodes)
+        self._buf[indices] = nodes
+        self._version += 1
         return moved
 
     # ------------------------------------------------------------------ #
     # Placement statistics
     # ------------------------------------------------------------------ #
 
-    def _segment_histogram(self, i: int) -> np.ndarray:
-        hist = self._hists[i]
-        if hist is None:
-            seg = self._segments[i]
-            data = self._buf[seg.start_page : seg.end_page]
-            hist = np.array(
-                [np.count_nonzero(data == k) for k in range(self.num_nodes)],
-                dtype=np.int64,
-            )
-            self._hists[i] = hist
-        return hist
+    @property
+    def counts(self) -> np.ndarray:
+        """The ``(segments x nodes)`` int64 page-count matrix, one row per
+        segment in mapping order (a read-only view)."""
+        view = self._counts.view()
+        view.flags.writeable = False
+        return view
 
     def node_histogram(self, segments: Optional[Iterable[Segment]] = None) -> np.ndarray:
         """Allocated-page counts per node over the given segments (or all).
 
-        Built from per-segment histograms memoised until a write touches
-        their segment; the returned array is read-only (copy before
-        modifying).
+        A sum of the segments' kept count rows; the returned array is
+        read-only (copy before modifying).
         """
-        if segments is None:
-            indices: Iterable[int] = range(len(self._segments))
-        else:
-            indices = [self._index(s) for s in segments]
-        hist = np.zeros(self.num_nodes, dtype=np.int64)
-        for i in indices:
-            hist += self._segment_histogram(i)
+        counts = self._counts
+        if segments is not None:
+            counts = counts[[self._index(s) for s in segments]]
+        hist = counts.sum(axis=0)
         hist.setflags(write=False)
         return hist
 
@@ -411,7 +459,7 @@ class AddressSpace:
 
     def allocated_pages(self) -> int:
         """Number of pages with physical backing."""
-        return int(self.node_histogram().sum())
+        return int(self._counts.sum())
 
     def resident_bytes_per_node(self) -> np.ndarray:
         """Bytes resident on each node."""

@@ -10,14 +10,14 @@ and, for the adaptive ones, how to react as the run progresses.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.memsim.interleave import weighted_assignment
+from repro.memsim.interleave import uniform_assignment, uniform_counts
 from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
-from repro.memsim.pages import AddressSpace, Segment, SegmentKind
+from repro.memsim.pages import AddressSpace, SegmentKind
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,11 @@ class FirstTouch(PlacementPolicy):
     name = "first-touch"
 
     def place(self, space: AddressSpace, ctx: PlacementContext) -> PlacementStats:
-        touched = 0
-        for seg in space.segments:
-            if seg.kind is SegmentKind.PRIVATE:
-                touched += space.touch(seg, ctx.node_of_thread(seg.owner_thread))
-            else:
-                touched += space.touch(seg, ctx.init_node)
-        return PlacementStats(pages_touched=touched)
+        nodes = [
+            ctx.node_of_thread(seg.owner_thread) if seg.kind is SegmentKind.PRIVATE else ctx.init_node
+            for seg in space.segments
+        ]
+        return PlacementStats(pages_touched=space.touch_all(nodes))
 
 
 class _InterleavePolicy(PlacementPolicy):
@@ -137,14 +135,17 @@ class _InterleavePolicy(PlacementPolicy):
         raise NotImplementedError
 
     def place(self, space: AddressSpace, ctx: PlacementContext) -> PlacementStats:
-        nodes = self._nodes(ctx)
-        stats = PlacementStats()
-        for seg in space.segments:
-            res = mbind_segment(
-                space, seg, MPol.INTERLEAVE, nodes, flags=MbindFlag.MOVE | MbindFlag.STRICT
-            )
-            stats += PlacementStats(res.pages_touched, res.pages_moved)
-        return stats
+        """Every segment's ``mbind(MPOL_INTERLEAVE, MOVE | STRICT)`` as one
+        write: each starts at the phase of its first page, so together they
+        interleave the whole space, and their counts are known."""
+        nodes, segs = self._nodes(ctx), space.segments
+        if not segs:
+            return PlacementStats()
+        # Segments of one size and phase mod k share their counts.
+        keys = [(s.num_pages, s.start_page % len(nodes)) for s in segs]
+        rows = {key: uniform_counts(key[0], nodes, space.num_nodes, phase=key[1]) for key in set(keys)}
+        assignment = uniform_assignment(space.total_pages, nodes)
+        return PlacementStats(*space.rebind(0, assignment, counts=[rows[key] for key in keys]))
 
 
 class UniformWorkers(_InterleavePolicy):
@@ -226,6 +227,7 @@ class AutoNUMA(PlacementPolicy):
             raise ValueError(f"convergence_epochs must be >= 1, got {convergence_epochs}")
         self.migration_fraction = migration_fraction
         self.convergence_epochs = convergence_epochs
+        self._target_memo: Optional[Tuple[tuple, np.ndarray]] = None
 
     def place(self, space: AddressSpace, ctx: PlacementContext) -> PlacementStats:
         return FirstTouch().place(space, ctx)
@@ -235,27 +237,53 @@ class AutoNUMA(PlacementPolicy):
     ) -> PlacementStats:
         if epoch >= self.convergence_epochs:
             return PlacementStats()
-        moved = 0
+        target = self._target(space, ctx)
+        mismatched = space.page_nodes() != target
+        chosen = []
         for seg in space.segments:
-            target = self._target_assignment(seg, ctx)
-            view = space.page_nodes(seg)
-            mismatched = np.nonzero(view != target)[0]
-            if len(mismatched) == 0:
-                continue
-            n_move = max(1, int(len(mismatched) * self.migration_fraction))
-            chosen = mismatched[:n_move]
-            new = view.copy()
-            new[chosen] = target[chosen]
-            moved += space.set_pages(seg.start_page, new)
-        return PlacementStats(pages_moved=moved)
+            lo, hi = seg.start_page, seg.end_page
+            k = int(np.count_nonzero(mismatched[lo:hi]))
+            if k:
+                # The first ``fraction`` (at least one) of the segment's
+                # mismatched pages move: those before the cut.
+                cut = lo + _cut(mismatched[lo:hi], max(1, int(k * self.migration_fraction)))
+                chosen.append(np.flatnonzero(mismatched[lo:cut]))
+                chosen[-1] += lo
+        del mismatched  # free before the write's own temporaries
+        if not chosen:
+            return PlacementStats()
+        chosen = np.concatenate(chosen)
+        return PlacementStats(pages_moved=space.assign_pages(chosen, target[chosen]))
 
-    def _target_assignment(self, seg: Segment, ctx: PlacementContext) -> np.ndarray:
-        if seg.kind is SegmentKind.PRIVATE:
-            return np.full(seg.num_pages, ctx.node_of_thread(seg.owner_thread), dtype=np.int16)
-        # Shared pages: balanced across accessing (worker) nodes.
-        from repro.memsim.interleave import uniform_assignment
+    def _target(self, space: AddressSpace, ctx: PlacementContext) -> np.ndarray:
+        """Whole-space target: private pages on their owner's node, shared
+        pages balanced across the accessing (worker) nodes."""
+        key = (space, space.total_pages, ctx)  # spaces compare by identity
+        if self._target_memo is not None and self._target_memo[0] == key:
+            return self._target_memo[1]
+        # Node ids below 128 fit in a byte, which halves the kept target
+        # (the compare against the int16 page table casts in buffers).
+        target = np.empty(space.total_pages, dtype=np.int8 if space.num_nodes < 128 else np.int16)
+        for seg in space.segments:
+            if seg.kind is SegmentKind.PRIVATE:
+                target[seg.start_page : seg.end_page] = ctx.node_of_thread(seg.owner_thread)
+            else:
+                target[seg.start_page : seg.end_page] = uniform_assignment(
+                    seg.num_pages, ctx.worker_nodes, phase=seg.start_page
+                )
+        self._target_memo = (key, target)
+        return target
 
-        return uniform_assignment(seg.num_pages, ctx.worker_nodes, phase=seg.start_page)
+
+def _cut(mask: np.ndarray, n: int, chunk: int = 1 << 16) -> int:
+    """One past the ``n``-th set entry of ``mask`` (which has at least
+    ``n``), found chunk by chunk instead of indexing every entry."""
+    lo = 0
+    while True:
+        c = int(np.count_nonzero(mask[lo : lo + chunk]))
+        if n <= c:
+            return lo + int(np.flatnonzero(mask[lo : lo + chunk])[n - 1]) + 1
+        n, lo = n - c, lo + chunk
 
 
 def policy_by_name(name: str, **kwargs) -> PlacementPolicy:

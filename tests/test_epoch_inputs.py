@@ -21,6 +21,7 @@ from repro.fleet.backend import FleetRecords, make_backend
 from repro.memsim import FirstTouch, ReplicatedShared, UniformAll, solve
 from repro.workloads import TraceSpec, build_trace, ocean_cp, paper_benchmarks, streamcluster, two_phase
 from tests.oracle.epoch_reference import ReferenceSimulator, placement_consumers
+from tests.oracle.page_counts import traffic_mix_reference
 
 SUITE = paper_benchmarks()
 POLICIES = {
@@ -125,7 +126,7 @@ def _fresh_block(app):
         [app.threads_on(w) for w in workers],
         tuple(app.node_demand(w) for w in workers),
         app.workload.write_fraction,
-        np.array([Application.traffic_mix(app, w) for w in workers]),
+        np.array([traffic_mix_reference(app, w) for w in workers]),
         app.machine.num_nodes,
     )
 
@@ -203,7 +204,7 @@ class TestDemandStamp:
         app = _plain(mach_b, looping=True)
         block = app.block()
         monkeypatch.setattr(app, "node_demand", None)  # any derivation raises
-        monkeypatch.setattr(app, "traffic_mix", None)
+        monkeypatch.setattr(app, "traffic_mixes", None)
         app.advance(0, 0.25 * app.remaining(0))  # progress; no worker depletes
         app.advance(1, 0.0)
         app.demand_scale = 1.0  # rewritten with its own value

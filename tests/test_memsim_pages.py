@@ -11,6 +11,7 @@ from repro.core.interleave import apply_weighted_placement
 from repro.memsim.mbind import MbindFlag, MPol, mbind
 from repro.memsim.pages import UNALLOCATED, AddressSpace, Segment, SegmentKind
 from repro.units import PAGE_SIZE
+from tests.oracle.page_counts import check_counts, fresh_histogram
 
 
 class TestSegment:
@@ -191,8 +192,44 @@ class TestForeignSegments:
         assert list(a.node_histogram([dataclasses.replace(seg)])) == [0, 10]
 
 
+class TestMapSegments:
+    """``map_segments`` maps a batch back to back with one fill, or nothing."""
+
+    def test_batch_layout(self):
+        sp = AddressSpace(2)
+        sp.map_segment("shared", 3 * PAGE_SIZE)
+        version = sp.version
+        segs = sp.map_segments(["p0", "p1"], PAGE_SIZE + 1, SegmentKind.PRIVATE, [0, 1])
+        assert [(s.name, s.start_page, s.num_pages, s.owner_thread) for s in segs] == [
+            ("p0", 3, 2, 0),
+            ("p1", 5, 2, 1),
+        ]
+        assert sp.segments[1:] == tuple(segs) and sp.segment("p1") is segs[1]
+        assert sp.version == version + 1
+        assert sp.counts.tolist() == [[0, 0]] * 3
+        assert (sp.page_nodes() == UNALLOCATED).all()
+        assert sp.map_segments([], PAGE_SIZE) == [] and sp.version == version + 1
+
+    @pytest.mark.parametrize(
+        "names, owners",
+        [(["a", "b", "a"], [0, 1, 2]), (["b", "x"], [0, 1]), (["c", "d"], [0]), (["e"], [None])],
+    )
+    def test_rejected_before_any_mapping(self, names, owners):
+        sp = AddressSpace(2)
+        sp.map_segment("x", PAGE_SIZE)
+        before = (sp.segments, sp.version, sp.total_pages)
+        with pytest.raises(ValueError):
+            sp.map_segments(names, PAGE_SIZE, SegmentKind.PRIVATE, owners)
+        assert (sp.segments, sp.version, sp.total_pages) == before
+        assert sp.counts.shape == (1, 2)
+        for name in names:
+            if name != "x":
+                with pytest.raises(KeyError):
+                    sp.segment(name)
+
+
 class TestRebindCounts:
-    """``rebind(counts=...)`` hands over histograms only for a ``move``
+    """``rebind(counts=...)`` hands over count rows only for a ``move``
     write of a run of whole mapped segments, one counts row each."""
 
     def _space(self):
@@ -210,16 +247,16 @@ class TestRebindCounts:
         assert sp.rebind(0, assignment, counts=rows) == (9, 0)
         assert sp.version == version + 1  # one write
         for i, row in enumerate(rows):
-            assert list(sp._hists[i]) == row  # handed over, not recounted
+            assert list(sp.counts[i]) == row  # handed over, not recounted
         assert list(sp.node_histogram()) == [2, 3, 4]
         # A run that starts at a later segment.
         assert sp.rebind(4, np.array([0, 0, 1, 1, 1]), counts=[[2, 0, 0], [0, 3, 0]]) == (0, 4)
-        assert [list(sp._hists[i]) for i in range(3)] == [rows[0], [2, 0, 0], [0, 3, 0]]
+        assert sp.counts.tolist() == [rows[0], [2, 0, 0], [0, 3, 0]]
 
     def test_whole_segment_move_write_keeps_counts(self):
         sp = self._space()
         assert sp.rebind(4, np.array([2, 0]), counts=[1, 0, 1]) == (2, 0)
-        assert list(sp._hists[1]) == [1, 0, 1]  # handed over, not recounted
+        assert list(sp.counts[1]) == [1, 0, 1]  # handed over, not recounted
         assert list(sp.node_histogram([sp.segment("b")])) == [1, 0, 1]
         # An unchanged write still leaves an exact memo.
         assert sp.rebind(4, np.array([2, 0]), counts=np.array([1, 0, 1])) == (0, 0)
@@ -254,18 +291,6 @@ class TestRebindCounts:
         assert (sp.page_nodes() == UNALLOCATED).all()
 
 
-def _fresh_histogram(space, segments):
-    """Reference: bincount over the selection's pages, read off page_nodes()."""
-    table = space.page_nodes()
-    if segments is None:
-        data = table
-    elif segments:
-        data = np.concatenate([table[s.start_page : s.end_page] for s in segments])
-    else:
-        data = np.empty(0, dtype=np.int16)
-    return np.bincount(data[data != UNALLOCATED], minlength=space.num_nodes)
-
-
 def _selections(space):
     segs = list(space.segments)
     return [
@@ -279,17 +304,9 @@ def _selections(space):
     ] + [[s] for s in segs]
 
 
-def _check_memo(space):
-    """Every memoised segment histogram (recounted or handed over by a
-    writer) equals a fresh recount of the segment's pages."""
-    for i, seg in enumerate(space.segments):
-        if space._hists[i] is not None:
-            np.testing.assert_array_equal(space._hists[i], _fresh_histogram(space, [seg]))
-
-
 def _check_statistics(space):
     for sel in _selections(space):
-        want = _fresh_histogram(space, sel)
+        want = fresh_histogram(space, sel)
         hist = space.node_histogram(sel)
         assert hist.dtype == np.int64
         np.testing.assert_array_equal(hist, want)
@@ -301,28 +318,45 @@ def _check_statistics(space):
 
 
 class TestHistogramMemo:
-    """Random page-table op sequences against a fresh bincount reference."""
+    """Random page-table op sequences against the per-page recount."""
 
     def test_touch_updates_histogram_without_recount(self):
         sp = AddressSpace(3)
         a = sp.map_segment("a", 5 * PAGE_SIZE)
         b = sp.map_segment("b", 4 * PAGE_SIZE)
         version = sp.version
-        # Wholly unbacked and never counted: the histogram is one-hot.
+        # Wholly unbacked: one fill, and the row is one-hot.
         assert sp.touch(a, 1) == 5
-        assert list(sp._hists[0]) == [0, 5, 0] and sp._hists[1] is None
+        assert sp.counts.tolist() == [[0, 5, 0], [0, 0, 0]]
         assert sp.version == version + 1
-        # Partly backed and not counted: left for a recount.
+        # Partly backed: the unbacked pages are added to ``node``.
         sp.set_pages(b.start_page, np.array([2], dtype=np.int16))
-        assert sp.touch(b, 0) == 3 and sp._hists[1] is None
-        # Known histogram: the allocated pages are added to ``node``.
+        assert sp.touch(b, 0) == 3
+        assert list(sp.counts[1]) == [3, 0, 1]
+        # Wholly backed: nothing to allocate, no write.
+        version = sp.version
+        assert sp.touch(b, 1) == 0 and sp.version == version
         c = sp.map_segment("c", 4 * PAGE_SIZE)
         sp.set_pages(c.start_page + 1, np.array([2, 2], dtype=np.int16))
-        sp.node_histogram([c])
         assert sp.touch(c, 1) == 2
-        assert list(sp._hists[2]) == [0, 2, 2]
-        _check_memo(sp)
+        assert list(sp.counts[2]) == [0, 2, 2]
+        check_counts(sp)
         _check_statistics(sp)
+
+    def test_touch_all_backs_each_segment_on_its_node(self):
+        sp = AddressSpace(3)
+        a = sp.map_segment("a", 2 * PAGE_SIZE)
+        sp.map_segment("b", 3 * PAGE_SIZE)
+        sp.set_pages(a.start_page, np.array([2], dtype=np.int16))
+        version = sp.version
+        assert sp.touch_all([0, 1]) == 4
+        assert sp.page_nodes().tolist() == [2, 0, 1, 1, 1]
+        assert sp.counts.tolist() == [[1, 0, 1], [0, 3, 0]] and sp.version == version + 1
+        assert sp.touch_all([1, 2]) == 0 and sp.version == version + 1
+        for bad in ([0], [0, 3]):
+            with pytest.raises(ValueError):
+                sp.touch_all(bad)
+        check_counts(sp)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -398,5 +432,5 @@ class TestHistogramMemo:
                 after[: len(before)], before
             )
             assert (space.version > version) == mutated, op
-            _check_memo(space)
+            check_counts(space)
             _check_statistics(space)

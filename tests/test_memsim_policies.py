@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.pages import AddressSpace, SegmentKind
 from repro.memsim.policies import (
@@ -12,9 +14,12 @@ from repro.memsim.policies import (
     UniformAll,
     UniformWorkers,
     WeightedInterleave,
+    _cut,
     policy_by_name,
 )
 from repro.units import PAGE_SIZE
+from tests.oracle.baselines import autonuma_step_reference, interleave_place_reference
+from tests.oracle.page_counts import check_counts
 
 
 @pytest.fixture
@@ -189,3 +194,67 @@ class TestPlacementStats:
     def test_addition(self):
         s = PlacementStats(1, 2) + PlacementStats(3, 4)
         assert s.pages_touched == 4 and s.pages_moved == 6
+
+
+#: The ``ctx`` fixture's deployment, for the hypothesis tests below.
+CTX = PlacementContext(num_nodes=4, worker_nodes=(0, 1), thread_nodes=(0, 0, 1, 1), init_node=0)
+
+
+def _twin_spaces(data, backed=True):
+    """Two identical spaces: a shared segment and one private segment per
+    thread, of drawn sizes; when ``backed``, first-touched and then
+    scrambled by drawn writes."""
+    spaces = (AddressSpace(CTX.num_nodes), AddressSpace(CTX.num_nodes))
+    shared = data.draw(st.integers(1, 300), label="shared pages")
+    private = data.draw(st.integers(1, 40), label="private pages")
+    for sp in spaces:
+        sp.map_segment("shared", shared * PAGE_SIZE)
+        for t in range(CTX.num_threads):
+            sp.map_segment(f"private-{t}", private * PAGE_SIZE, SegmentKind.PRIVATE, owner_thread=t)
+        if backed:
+            FirstTouch().place(sp, CTX)
+    total = spaces[0].total_pages
+    idx = data.draw(st.lists(st.integers(0, total - 1), unique=True, max_size=60), label="scrambled")
+    nodes = data.draw(st.lists(st.integers(0, CTX.num_nodes - 1), min_size=len(idx), max_size=len(idx)))
+    for sp in spaces:
+        sp.assign_pages(np.array(idx, dtype=int), np.array(nodes, dtype=int))
+    return spaces
+
+
+class TestWholeSpaceWriters:
+    """The one-write baselines against one write per segment
+    (``tests/oracle/baselines.py``): same page table, same counts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_interleave_place_matches_per_segment_mbind(self, data):
+        policy = data.draw(st.sampled_from([UniformWorkers(), UniformAll()]), label="policy")
+        fast, ref = _twin_spaces(data, backed=data.draw(st.booleans(), label="backed"))
+        stats = policy.place(fast, CTX)
+        want = interleave_place_reference(ref, policy._nodes(CTX))
+        assert (stats.pages_touched, stats.pages_moved) == want
+        np.testing.assert_array_equal(fast.page_nodes(), ref.page_nodes())
+        check_counts(fast)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_autonuma_step_matches_per_segment_moves(self, data):
+        fast, ref = _twin_spaces(data)
+        fraction = data.draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]), label="fraction")
+        pol = AutoNUMA(migration_fraction=fraction, convergence_epochs=8)
+        for epoch in range(data.draw(st.integers(1, 4), label="steps")):
+            stats = pol.step(fast, CTX, epoch)
+            assert stats.pages_moved == autonuma_step_reference(ref, CTX, fraction)
+            np.testing.assert_array_equal(fast.page_nodes(), ref.page_nodes())
+            check_counts(fast)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mask=st.lists(st.booleans(), min_size=1, max_size=60).filter(any),
+        chunk=st.integers(1, 70),
+        data=st.data(),
+    )
+    def test_cut_scans_chunks(self, mask, chunk, data):
+        mask = np.array(mask)
+        n = data.draw(st.integers(1, int(mask.sum())), label="n")
+        assert _cut(mask, n, chunk) == np.flatnonzero(mask)[n - 1] + 1
