@@ -8,18 +8,21 @@ co-schedule with epoch-granularity tuner polling: its epochs per perfbench
 calibration chunk (the median of five runs) and the cache's hit rate,
 both guarded by ``bwap-repro bench-compare``. That cached runs equal the
 scalar reference loop, which solves every epoch, is checked in
-``tests/test_engine_sim.py``. :func:`solve_batch` on this scenario's
-consumer sets reproduces the scalar :func:`solve` allocations bitwise —
-the array-native batch kernel is the solver, not a second implementation.
+``tests/test_engine_sim.py``. This scenario's consumer sets packed into
+one :func:`solve_batch_arrays` call reproduce the scalar :func:`solve`
+allocations bitwise — the array-native batch kernel is the solver, not a
+second implementation.
 """
 
 from repro.engine import Application, Simulator, pick_worker_nodes
 from repro.engine.sim import Tuner
-from repro.memsim import DEFAULT_MC_MODEL, FirstTouch, UniformAll, solve, solve_batch
+from repro.memsim import DEFAULT_MC_MODEL, FirstTouch, UniformAll, solve
+from repro.memsim.contention import solve_batch_arrays
 from repro.topology import machine_a
 from repro.workloads import streamcluster, swaptions
 
 from conftest import calibrated_rate, timed
+from tests.oracle import solver_setup
 
 
 class _Poll(Tuner):
@@ -112,7 +115,9 @@ class BenchSolverCache:
             by_app["bg"],
             by_app["fg"],
         ]
-        allocations = solve_batch(sim.machine, batches, DEFAULT_MC_MODEL)
+        allocations = solver_setup.solve_batch(
+            sim.machine, batches, DEFAULT_MC_MODEL, dense=solve_batch_arrays
+        )
         for consumers, batched in zip(batches, allocations):
             scalar = solve(sim.machine, consumers, DEFAULT_MC_MODEL)
             assert batched.rates == scalar.rates

@@ -431,7 +431,6 @@ class EpochKernel:
             (app.app_id, rec.stall_rate, rec.throughput, rec.per_node_stall)
             for app, rec in zip(apps, records)
         )
-        coalesce = sim.coalesce_traffic
         for app, rec in zip(apps, records):
             tele = sim._telemetry[app.app_id]
             tele.stall_time_product += rec.frac * dt
@@ -442,9 +441,7 @@ class EpochKernel:
             # crossed a boundary this epoch reports the new phase's split.
             wl = app.workload
             reads, writes = wl.read_write_split(rec.throughput)
-            tele.record_traffic(
-                dt, reads, writes, wl.private_fraction, coalesce=coalesce
-            )
+            tele.record_traffic(dt, reads, writes, wl.private_fraction)
             app.check_finished(sim.now)
 
         for tuner in sim._tuners:
@@ -566,27 +563,16 @@ class EpochKernel:
                 tele.stall_time_product += d_stall
                 tele.throughput_time_product += d_thr
                 tele.active_time += dt
-        coalesce = sim.coalesce_traffic
-        for app, rec in zip(apps, records):
+        for app in apps:
             tele = sim._telemetry[app.app_id]
-            if coalesce:
-                # The anchor epoch just recorded these exact rates, so the
-                # k strided epochs all extend the current run. Duration
-                # accumulates one epoch at a time, matching k coalesced
-                # record_traffic calls bit for bit.
-                last = tele.traffic[-1]
-                duration = last.duration_s
-                for _ in range(k):
-                    duration = duration + dt
-                tele.traffic[-1] = replace(last, duration_s=duration)
-            else:
-                # No phase boundary lies inside the stride, so every
-                # strided epoch reads the anchor's workload split.
-                wl = app.workload
-                reads, writes = wl.read_write_split(rec.throughput)
-                for _ in range(k):
-                    tele.record_traffic(
-                        dt, reads, writes, wl.private_fraction, coalesce=False
-                    )
+            # The anchor epoch just recorded these exact rates, so the k
+            # strided epochs all extend the current run. Duration
+            # accumulates one epoch at a time, matching k record_traffic
+            # calls bit for bit.
+            last = tele.traffic[-1]
+            duration = last.duration_s
+            for _ in range(k):
+                duration = duration + dt
+            tele.traffic[-1] = replace(last, duration_s=duration)
             app.epoch_index += k
         sim.epoch += k

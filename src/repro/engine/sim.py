@@ -123,20 +123,18 @@ class AppTelemetry:
         read_gbps: float,
         write_gbps: float,
         private_fraction: float,
-        *,
-        coalesce: bool = True,
     ) -> None:
         """Append one epoch's traffic observation.
 
-        With ``coalesce`` (the simulator's default), an epoch whose rates
-        are bit-identical to the previous sample's extends that sample's
-        duration instead of appending — bounding telemetry memory by the
-        number of distinct-traffic stretches rather than the epoch count.
-        Aggregates over the list (:meth:`AccessProfiler.characterise`)
-        are unchanged: only consecutive equal-rate samples merge, so every
-        time-weighted sum groups the identical terms it always had.
+        An epoch whose rates are bit-identical to the previous sample's
+        extends that sample's duration instead of appending — bounding
+        telemetry memory by the number of distinct-traffic stretches rather
+        than the epoch count. Aggregates over the list
+        (:meth:`AccessProfiler.characterise`) are those of one sample per
+        epoch: only consecutive equal-rate samples merge, so every
+        time-weighted sum groups the identical terms.
         """
-        if coalesce and self.traffic:
+        if self.traffic:
             last = self.traffic[-1]
             if last.same_rates(read_gbps, write_gbps, private_fraction):
                 self.traffic[-1] = last.extended(duration_s)
@@ -197,7 +195,6 @@ class Simulator:
         epoch_s: float = 0.25,
         seed: int = 1234,
         faults: Optional["FaultPlan | FaultInjector"] = None,
-        coalesce_traffic: bool = True,
     ):
         # Comparisons are written so that NaN fails them.
         if not 0 < epoch_s < math.inf:
@@ -231,10 +228,6 @@ class Simulator:
         #: Number of epochs executed so far; also the number of the next
         #: epoch to execute. A multi-epoch stride advances it by k at once.
         self.epoch = 0
-        #: Coalesce consecutive equal-rate TrafficSamples (run-length
-        #: telemetry). Aggregates are unchanged; turn off to get the
-        #: historical one-sample-per-epoch lists.
-        self.coalesce_traffic = coalesce_traffic
         #: Per-app worker clock frequency, resolved once at attach time.
         self._app_freq: Dict[str, Optional[float]] = {}
         self._kernel = EpochKernel(self)

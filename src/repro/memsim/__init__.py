@@ -23,7 +23,6 @@ from repro.memsim.contention import (
     isolated_bandwidth_matrix,
     proportional_profile,
     solve,
-    solve_batch,
     solve_batch_fleet_lazy,
 )
 from repro.memsim.policies import (
@@ -69,7 +68,6 @@ __all__ = [
     "isolated_bandwidth_matrix",
     "proportional_profile",
     "solve",
-    "solve_batch",
     "solve_batch_fleet_lazy",
     "AutoNUMA",
     "FirstTouch",

@@ -9,10 +9,10 @@ Section III-A3 lists exactly these phenomena as the reason the
 
 Two allocation disciplines are provided:
 
-* :func:`solve` — max-min fair **progressive filling** across consumers,
-  used to model steady-state application execution: all consumers' rates
-  rise together until a resource saturates, which freezes the consumers
-  crossing it; the remainder keep growing.
+* max-min fair **progressive filling** across consumers, used to model
+  steady-state application execution: all consumers' rates rise together
+  until a resource saturates, which freezes the consumers crossing it;
+  the remainder keep growing.
 * :func:`proportional_profile` — **proportional throttling** of independent
   per-pair flows, used to model the canonical tuner's profiling benchmark:
   with deep memory-level parallelism each source channel runs at its own
@@ -20,19 +20,25 @@ Two allocation disciplines are provided:
   down proportionally. This preserves the relative asymmetry between pairs,
   which is the signal the canonical tuner needs.
 
-The progressive-filling solver is array-native: every solve runs over a
-dense ``(batch, resources, consumers)`` tensor with a *canonical* resource
-axis fixed per machine (see :class:`MachineTables`), so :func:`solve_batch`
-can evaluate many candidate consumer sets in one vectorised pass. The
-scalar :func:`solve` is the batch of one, which makes the scalar and
-batched paths bitwise-identical by construction.
+Progressive filling has one pipeline. :func:`_slot_terms` derives what a
+consumer slot costs, touches and reads; :func:`_fill_inputs` turns those
+per-slot terms into capacities and touched flags over a dense
+``(batch, resources, consumers)`` tensor whose *canonical* resource axis is
+fixed per machine (see :class:`MachineTables`); :func:`_progressive_fill`
+runs the filling loop. Three thin adapters feed it:
+:func:`solve_batch_arrays` (dense slot arrays: the epoch kernel and the
+weight search), :func:`solve_batch_fleet_lazy` (the stored terms of
+:class:`ConsumerRows`, for many machines at once: the fleet) and
+:func:`solve` (a ``Consumer`` list, packed as one dense batch element).
+Batch elements are independent and padding is an exact no-op, so every
+adapter returns bitwise what solving one consumer set alone returns.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,9 +76,8 @@ class Allocation:
     utilization: Dict[ResourceKey, float]
     bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]]
     capacities: Dict[ResourceKey, float]
-    #: Lazily-built per-app grouping of ``rates`` (and its totals); the
-    #: simulator's telemetry loop asks for every app every epoch, which
-    #: would otherwise rescan the machine-wide dict once per app.
+    #: Lazily-built per-app grouping of ``rates`` (and its totals), so
+    #: asking for every app does not rescan the dict once per app.
     _app_groups: Optional[Dict[str, Dict[int, float]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -131,13 +136,8 @@ class SolverCache:
 
     def lookup(self, key: Hashable):
         """Cached value for ``key`` (None on a miss; statistics updated).
-
-        Callers key on an exact solve-input identity — the simulator's
-        epoch kernel keys on its workspace digest and stores
-        ``(allocation, rate-row, utilization-row)`` tuples, so
-        digest-identical epochs replay the dense arrays too. One cache
-        instance must only ever hold one kind of value.
-        """
+        Callers key on an exact solve-input identity (the epoch kernel on
+        its workspace digest); one cache holds one kind of value."""
         hit = self._entries.get(key)
         if hit is not None:
             self.hits += 1
@@ -147,12 +147,9 @@ class SolverCache:
         return None
 
     def store(self, key: Hashable, value) -> None:
-        """Insert ``value`` under ``key``, evicting the LRU entry past
-        ``maxsize``. Pairs with :meth:`lookup` (which already counted the
-        miss that led here). Re-storing an existing key refreshes its
-        recency — dict assignment alone keeps the old insertion order, and
-        a freshly overwritten entry must not remain first in line for
-        eviction."""
+        """Insert ``value`` under ``key`` (after the :meth:`lookup` miss
+        that counted it), evicting the LRU entry past ``maxsize``.
+        Re-storing a key refreshes its recency."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         if len(self._entries) > self.maxsize:
@@ -246,6 +243,7 @@ class MachineTables:
         "Q",
         "lat0",
         "local_bw",
+        "node_ids",
         "_eff_tables",
     )
 
@@ -263,15 +261,11 @@ class MachineTables:
         }
         self.num_nodes = num_nodes
         self.num_res = len(self.res_keys)
+        self.node_ids = np.arange(num_nodes)
 
-        self.mc_rows = np.array(
-            [self.res_index[("mc", s)] for s in range(num_nodes)], dtype=np.intp
-        )
+        self.mc_rows = np.array([self.res_index[("mc", s)] for s in range(num_nodes)], dtype=np.intp)
         self.ingress_rows = np.array(
-            [
-                self.res_index[("ingress", w)] if has_ingress[w] else -1
-                for w in range(num_nodes)
-            ],
+            [self.res_index[("ingress", w)] if has_ingress[w] else -1 for w in range(num_nodes)],
             dtype=np.intp,
         )
 
@@ -307,9 +301,7 @@ class MachineTables:
                 for w in range(num_nodes)
             ]
         )
-        self.local_bw = np.array(
-            [machine.node(s).local_bandwidth for s in range(num_nodes)]
-        )
+        self.local_bw = np.array([machine.node(s).local_bandwidth for s in range(num_nodes)])
         self._eff_tables: Dict[Tuple[float, float, float], np.ndarray] = {}
 
     def eff_table(self, mc_model: MCModel) -> np.ndarray:
@@ -322,13 +314,10 @@ class MachineTables:
         table = self._eff_tables.get(key)
         if table is None:
             n = self.num_nodes
-            table = np.empty((n, n + 1))
-            for s in range(n):
-                for k in range(n + 1):
-                    table[s, k] = mc_model.effective_capacity(
-                        float(self.local_bw[s]), k
-                    )
-            self._eff_tables[key] = table
+            table = self._eff_tables[key] = np.array([
+                [mc_model.effective_capacity(float(self.local_bw[s]), k) for k in range(n + 1)]
+                for s in range(n)
+            ])
         return table
 
 
@@ -344,18 +333,15 @@ def machine_tables(machine: Machine) -> MachineTables:
 def latency_path_rows(machine: Machine) -> np.ndarray:
     """``(nodes, nodes, K)`` canonical resource rows of every ``s -> w`` path.
 
-    ``latency_path_rows(m)[w, s]`` lists the rows (into
-    :attr:`MachineTables.res_keys`) whose queueing delays
+    ``[w, s]`` lists the rows whose queueing delays
     :meth:`repro.perf.latency.LatencyModel.consumer_latency_ns` adds to an
-    access from source ``s`` by a consumer on node ``w`` — the source MC,
-    then the route's links in route order, then the destination ingress
-    port (remote paths only; omitted when ingress limiting is disabled,
-    where the scalar model reads an absent key as zero utilization).
-    Entries are padded to a common length ``K`` with ``num_res``: callers
-    gather from a per-row delay vector with a 0.0 appended, so each pad
-    contributes an exact additive zero and the vectorised sum accumulates
-    the same terms in the same order as the scalar model. Memoised on the
-    (immutable) machine.
+    access from source ``s`` by a consumer on node ``w``: the source MC,
+    the route's links in route order, then (remote paths with ingress
+    limiting only) the destination ingress port. Entries are padded to a
+    common length ``K`` with ``num_res``; callers gather from a per-row
+    delay vector with a 0.0 appended, so each pad adds an exact zero and
+    the sum accumulates the scalar model's terms in its order. Memoised
+    on the (immutable) machine.
     """
     cached = getattr(machine, "_latency_path_rows", None)
     if cached is not None:
@@ -383,20 +369,19 @@ def latency_path_rows(machine: Machine) -> np.ndarray:
 def _axis_n_dot(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sum_j A[..., :, j] * x[..., j]`` accumulated sequentially over j.
 
-    Equivalent to ``A @ x[..., None]`` but with a left-to-right accumulation
-    order that is independent of the batch shape and exact under trailing
-    zero padding: the operands are non-negative, so adding a zero term is a
-    bitwise no-op. The scalar/batch equivalence guarantee rests on this —
-    BLAS-style blocked reductions change results with the operand shape.
-    ``np.add.accumulate`` is sequential by definition, so its last
-    partial sum is that left-to-right sum.
+    Equivalent to ``A @ x[..., None]`` but with a left-to-right order
+    (``np.add.accumulate`` is sequential by definition) that is independent
+    of the batch shape and exact under zero padding: the operands are
+    non-negative, so a zero term is a bitwise no-op. Batched solves are
+    bitwise solves alone because of this; BLAS-style blocked reductions
+    change results with the operand shape.
     """
     if not A.shape[-1]:
         return np.zeros(A.shape[:-1])
     return np.add.accumulate(A * x[..., None, :], axis=-1)[..., -1]
 
 
-class BatchArrays:
+class BatchArrays(NamedTuple):
     """Raw array outputs of one batched progressive-filling solve.
 
     ``rates``/``bottleneck_row`` are indexed ``(batch, consumer-slot)``;
@@ -405,25 +390,13 @@ class BatchArrays:
     -1 for consumers frozen by their own demand cap (or never frozen).
     """
 
-    __slots__ = ("tables", "rates", "load", "caps", "util", "touched", "bottleneck_row")
-
-    def __init__(
-        self,
-        tables: MachineTables,
-        rates: np.ndarray,
-        load: np.ndarray,
-        caps: np.ndarray,
-        util: np.ndarray,
-        touched: np.ndarray,
-        bottleneck_row: np.ndarray,
-    ):
-        self.tables = tables
-        self.rates = rates
-        self.load = load
-        self.caps = caps
-        self.util = util
-        self.touched = touched
-        self.bottleneck_row = bottleneck_row
+    tables: MachineTables
+    rates: np.ndarray
+    load: np.ndarray
+    caps: np.ndarray
+    util: np.ndarray
+    touched: np.ndarray
+    bottleneck_row: np.ndarray
 
 
 def batch_coefficients(
@@ -461,18 +434,56 @@ def batch_coefficients(
     return A
 
 
+def _slot_terms(
+    machine: Machine,
+    node_idx: np.ndarray,
+    mix: np.ndarray,
+    write_fraction: np.ndarray,
+    mc_model: MCModel,
+    coefficients: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What each slot of a ``(batch, slot)`` consumer layout costs, touches
+    and reads — the one derivation every solve's setup starts from:
+
+    * ``A[b, r, j]``, the slot's :func:`batch_coefficients` column
+      (``coefficients`` when the caller already built it);
+    * ``touch[b, j, r]``, the resources the slot marks touched: each MC or
+      link it has a positive coefficient on (a positive mix entry on the
+      row's paths) and, whatever its mix, its own node's ingress port;
+    * ``reads[b, j, w, s]``, set when the slot sits on node ``w`` and
+      reads memory node ``s`` (MC reader counts follow from these).
+    """
+    t = machine_tables(machine)
+    A = coefficients
+    if A is None:
+        A = batch_coefficients(machine, node_idx, mix, write_fraction, mc_model)
+    touch = np.swapaxes(A > 0.0, 1, 2)
+    # A slot's coefficients reach no ingress port but its own node's.
+    ingress = t.ingress_rows[node_idx]
+    b, j = np.nonzero(ingress >= 0)
+    touch[b, j, ingress[b, j]] = True
+    reads = (node_idx[..., None] == t.node_ids)[..., None] & (mix > 0.0)[..., None, :]
+    return A, touch, reads
+
+
+def _check_consumer(c: Consumer, num_nodes: int) -> None:
+    if not 0 <= c.node < num_nodes:
+        raise ValueError(f"consumer node {c.node} outside machine")
+    if len(c.mix) > num_nodes:
+        raise ValueError(f"mix has {len(c.mix)} entries for a {num_nodes}-node machine")
+
+
 class ConsumerRows:
     """Validated consumer rows of one machine, shared by every fleet solve.
 
     A row holds what the solver reads of one consumer (node, demand, write
-    fraction, mix) and, computed once at creation, what a solve derives
-    from it: ``coef``, its :func:`batch_coefficients` column; ``touch``,
-    the resources it marks touched; ``reads``, its flattened ``(node,
-    source)`` presence, from which MC reader counts follow. Rows are
-    deduplicated by value, so a row id stands for its values (the fleet's
-    machine states key on row ids) and the store grows with the
-    distinct consumers seen, not with solves. Row 0 is all zeros: the
-    padding of dead slots.
+    fraction, mix) and, computed once at creation by :func:`_slot_terms`,
+    what a solve derives from it: ``coef``, its coefficient column;
+    ``touch``, the resources it marks touched; ``reads``, its ``(node,
+    source)`` presence. Rows are deduplicated by value, so a row id
+    stands for its values (the fleet's machine states key on row ids) and
+    the store grows with the distinct consumers seen, not with solves.
+    Row 0 is all zeros: the padding of dead slots.
     """
 
     def __init__(self, machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL):
@@ -481,7 +492,6 @@ class ConsumerRows:
         self.tables = t = machine_tables(machine)
         n = t.num_nodes
         self.eff = t.eff_table(mc_model)
-        self.sources = np.arange(n)[None, :]
         self.node: List[int] = [0]
         self.demand: List[float] = [0.0]
         self.write_fraction: List[float] = [0.0]
@@ -490,17 +500,13 @@ class ConsumerRows:
         self.mix = np.zeros((16, n))
         self.coef = np.zeros((16, t.num_res))
         self.touch = np.zeros((16, t.num_res), dtype=bool)
-        self.reads = np.zeros((16, n * n), dtype=bool)
+        self.reads = np.zeros((16, n, n), dtype=bool)
         self.demand_arr = np.zeros(16)
 
     def add(self, c: Consumer) -> int:
         """Row index of consumer ``c`` (created and validated on first use)."""
-        t = self.tables
-        n = t.num_nodes
-        if not 0 <= c.node < n:
-            raise ValueError(f"consumer node {c.node} outside machine")
-        if len(c.mix) > n:
-            raise ValueError(f"mix has {len(c.mix)} entries for a {n}-node machine")
+        n = self.tables.num_nodes
+        _check_consumer(c, n)
         mix = np.zeros(n)
         mix[: len(c.mix)] = c.mix
         key = (c.node, float(c.demand), float(c.write_fraction), mix.tobytes())
@@ -514,21 +520,17 @@ class ConsumerRows:
                 grown = np.zeros((2 * len(old),) + old.shape[1:], dtype=old.dtype)
                 grown[: len(old)] = old
                 setattr(self, name, grown)
-        coef = batch_coefficients(
+        A, touch, reads = _slot_terms(
             self.machine,
             np.array([[c.node]], dtype=np.intp),
             mix[None, None, :],
             np.array([[key[2]]]),
             self.mc_model,
-        )[0, :, 0]
-        touch = coef > 0.0
-        touch[t.ingress_rows[t.ingress_rows >= 0]] = False
-        if t.ingress_rows[c.node] >= 0:
-            touch[t.ingress_rows[c.node]] = True
+        )
         self.mix[row] = mix
-        self.coef[row] = coef
-        self.touch[row] = touch
-        self.reads[row, c.node * n : (c.node + 1) * n] = mix > 0.0
+        self.coef[row] = A[0, :, 0]
+        self.touch[row] = touch[0, 0]
+        self.reads[row] = reads[0, 0]
         self.demand_arr[row] = key[1]
         self.node.append(c.node)
         self.demand.append(key[1])
@@ -546,12 +548,8 @@ class ConsumerRows:
     def consumer(self, row: int, app_id: str) -> Consumer:
         """Row ``row`` as a :class:`Consumer` of ``app_id``."""
         return Consumer(
-            app_id,
-            self.node[row],
-            self.threads[row],
-            self.mix[row].copy(),
-            self.demand[row],
-            self.write_fraction[row],
+            app_id, self.node[row], self.threads[row], self.mix[row].copy(),
+            self.demand[row], self.write_fraction[row],
         )
 
 
@@ -567,75 +565,62 @@ def consumer_rows(machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL) -> Con
     return rows
 
 
-def _batch_setup(
-    machine: Machine,
-    node_idx: np.ndarray,
-    mix: np.ndarray,
-    demand: np.ndarray,
-    write_fraction: np.ndarray,
+def _fill_inputs(
+    groups: Sequence[tuple],
     live: np.ndarray,
-    mc_model: MCModel,
-    coefficients: Optional[np.ndarray] = None,
-    capacity_scale: Optional[np.ndarray] = None,
-) -> Tuple[MachineTables, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-machine setup phase of a batched solve.
+    capacity_scales: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_progressive_fill` inputs ``(A, caps, touched, demand)``
+    of gathered per-slot terms: the setup of every solve.
 
-    Returns ``(tables, A, caps, touched, demand, live)`` — everything the
-    machine-independent :func:`_progressive_fill` loop needs.
+    ``groups`` holds one ``(tables, eff, members, A, touch, reads,
+    demand)`` per machine: the :func:`_slot_terms` of batch entries
+    ``members`` (``None`` for all of them) and the machine's
+    :meth:`MachineTables.eff_table`. ``live`` masks the ``(entry, slot)``
+    grid. A resource is touched by any live slot that touches it; an MC is
+    de-rated by the number of distinct nodes with a live slot reading it;
+    untouched rows are unconstrained (``inf``). ``capacity_scales`` holds
+    an optional multiplier per entry over its machine's canonical
+    resource axis. Entries on machines with fewer resources than the
+    largest get padded rows (untouched, ``inf``, zero incidence), which
+    are exact no-ops in the fill.
     """
-    t = machine_tables(machine)
-    mix = np.asarray(mix, dtype=float)
-    if mix.ndim != 3 or mix.shape[2] != t.num_nodes:
-        raise ValueError(
-            f"mix must be (batch, consumers, {t.num_nodes}), got {mix.shape}"
-        )
-    num_batch, _, num_nodes = mix.shape
-    num_res = t.num_res
-    live = np.asarray(live, dtype=bool)
-    node_idx = np.asarray(node_idx, dtype=np.intp)
-    demand = np.asarray(demand, dtype=float)
-    mix = np.where(live[:, :, None], mix, 0.0)
-
-    A = coefficients
-    if A is None:
-        A = batch_coefficients(machine, node_idx, mix, write_fraction, mc_model)
-
-    # Touched resources, replicating the dict-era capacity table exactly:
-    # an MC or link is touched by any *live* consumer with a positive
-    # coefficient on it (write scales and route overheads are >= 1, so
-    # A > 0 is equivalent to a positive mix entry on the row's paths); an
-    # ingress port by any live consumer *resident* on its node,
-    # mix-independent.
-    touched = ((A > 0.0) & live[:, None, :]).any(axis=2)
-    ingress_of_slot = t.ingress_rows[node_idx]
-    valid_ingress = t.ingress_rows[t.ingress_rows >= 0]
-    if valid_ingress.size:
-        touched[:, valid_ingress] = False
-        b, j = np.nonzero(live & (ingress_of_slot >= 0))
-        touched[b, ingress_of_slot[b, j]] = True
-
-    # Effective capacities: links/ingress are static; MCs de-rate with the
-    # number of distinct consumer nodes reading them; untouched rows are
-    # unconstrained.
-    node_present = np.zeros((num_batch, num_nodes, num_nodes), dtype=bool)
-    b, j, n = np.nonzero(mix > 0.0)
-    node_present[b, node_idx[b, j], n] = True
-    reader_counts = node_present.sum(axis=1)
-    caps = np.broadcast_to(t.static_caps, (num_batch, num_res)).copy()
-    caps[:, t.mc_rows] = t.eff_table(mc_model)[
-        np.arange(num_nodes)[None, :], reader_counts
-    ]
-    if capacity_scale is not None:
-        scale = np.asarray(capacity_scale, dtype=float)
-        if scale.shape != (num_res,):
-            raise ValueError(
-                f"capacity_scale must have shape ({num_res},), got {scale.shape}"
-            )
-        if (scale <= 0).any():
-            raise ValueError("capacity_scale entries must be positive")
-        caps = caps * scale
-    caps = np.where(touched, caps, np.inf)
-    return t, A, caps, touched, demand, live
+    num_batch, num_slots = live.shape
+    if capacity_scales is not None and len(capacity_scales) != num_batch:
+        raise ValueError(f"capacity_scales has {len(capacity_scales)} entries for {num_batch} solve entries")
+    if len(groups) != 1:
+        max_res = max((group[0].num_res for group in groups), default=0)
+        A_all = np.zeros((num_batch, max_res, num_slots))
+        caps_all = np.full((num_batch, max_res), np.inf)
+        touched_all = np.zeros((num_batch, max_res), dtype=bool)
+        demand_all = np.zeros((num_batch, num_slots))
+    for t, eff, members, A, touch, reads, demand in groups:
+        sel = slice(None) if members is None or len(members) == num_batch else members
+        lv = live[sel]
+        touched = (touch & lv[:, :, None]).any(axis=1)
+        readers = (reads & lv[:, :, None, None]).any(axis=1).sum(axis=1)
+        caps = np.repeat(t.static_caps[None, :], len(lv), axis=0)
+        caps[:, t.mc_rows] = eff[t.node_ids, readers]
+        caps = np.where(touched, caps, np.inf)
+        if capacity_scales is not None:
+            for k, i in enumerate(range(num_batch) if members is None else members):
+                scale = capacity_scales[i]
+                if scale is None:
+                    continue
+                scale = np.asarray(scale, dtype=float)
+                if scale.shape != (t.num_res,):
+                    raise ValueError(f"capacity scale of entry {i} must have shape ({t.num_res},), got {scale.shape}")
+                if not (np.isfinite(scale) & (scale > 0)).all():  # NaN fails too
+                    raise ValueError(f"capacity scale of entry {i} must be positive and finite")
+                # Untouched rows are inf and stay inf under a positive scale.
+                caps[k] *= scale
+        if len(groups) == 1:
+            return A, caps, touched, demand
+        A_all[sel, : t.num_res, :] = A
+        caps_all[sel, : t.num_res] = caps
+        touched_all[sel, : t.num_res] = touched
+        demand_all[sel] = demand
+    return A_all, caps_all, touched_all, demand_all
 
 
 def _progressive_fill(
@@ -735,42 +720,30 @@ def solve_batch_arrays(
     holds each consumer's worker node, ``mix`` its per-source traffic
     fractions (``(batch, slot, nodes)``), ``demand``/``write_fraction`` per
     slot, and ``live`` the slot-validity mask — trailing padding and idle
-    consumers are simply dead slots. Batch elements are independent; each
-    element's results are bitwise-identical to solving it alone, because
-    reductions over the consumer axis accumulate sequentially (dead-slot
-    zeros are exact no-ops) and all other contractions run over fixed-size
-    machine axes.
-
-    ``capacity_scale`` is an optional per-resource multiplier over the
-    canonical ``machine_tables(machine).res_keys`` axis (fault plans use
-    it to degrade link capacities mid-run); ``None`` leaves the solve
-    bit-for-bit unchanged.
+    consumers are simply dead slots. Each batch element's results are
+    bitwise those of solving it alone. ``capacity_scale`` is an optional
+    per-resource multiplier over ``machine_tables(machine).res_keys``
+    (fault plans degrade link capacities with it), applied to every
+    element; ``None`` leaves the solve bit-for-bit unchanged.
     """
-    t, A, caps, touched, demand, live = _batch_setup(
-        machine,
-        node_idx,
-        mix,
-        demand,
-        write_fraction,
-        live,
-        mc_model,
-        coefficients,
-        capacity_scale,
+    t = machine_tables(machine)
+    mix = np.asarray(mix, dtype=float)
+    if mix.ndim != 3 or mix.shape[2] != t.num_nodes:
+        raise ValueError(
+            f"mix must be (batch, consumers, {t.num_nodes}), got {mix.shape}"
+        )
+    live = np.asarray(live, dtype=bool)
+    node_idx = np.asarray(node_idx, dtype=np.intp)
+    A, touch, reads = _slot_terms(
+        machine, node_idx, mix, write_fraction, mc_model, coefficients
     )
+    group = (t, t.eff_table(mc_model), None, A, touch, reads, np.asarray(demand, dtype=float))
+    scales = None if capacity_scale is None else [capacity_scale] * len(live)
+    A, caps, touched, demand = _fill_inputs([group], live, scales)
     rates, load, util, bottleneck_row = _progressive_fill(
         A, caps, touched, demand, live
     )
     return BatchArrays(t, rates, load, caps, util, touched, bottleneck_row)
-
-
-def _empty_allocation(consumers: Sequence[Consumer]) -> Allocation:
-    rates = {c.key(): 0.0 for c in consumers}
-    bottleneck: Dict[Tuple[str, int], Optional[ResourceKey]] = {
-        c.key(): None for c in consumers
-    }
-    return Allocation(
-        rates=rates, utilization={}, bottleneck=bottleneck, capacities={}
-    )
 
 
 def allocation_from_rows(
@@ -811,92 +784,13 @@ def allocation_from_rows(
 
 def _live_consumers(machine: Machine, consumers: Sequence[Consumer]) -> List[Consumer]:
     """Validated non-idle consumers of one solve input."""
-    num_nodes = machine.num_nodes
     lv = [c for c in consumers if not c.is_idle]
     keys = [c.key() for c in lv]
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate consumer keys: {sorted(keys)}")
     for c in lv:
-        if not 0 <= c.node < num_nodes:
-            raise ValueError(f"consumer node {c.node} outside machine")
-        if len(c.mix) > num_nodes:
-            raise ValueError(
-                f"mix has {len(c.mix)} entries for a {num_nodes}-node machine"
-            )
+        _check_consumer(c, machine.num_nodes)
     return lv
-
-
-def _pack_consumers(
-    lives: Sequence[Sequence[Consumer]], num_nodes: int, num_slots: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack validated consumer lists into dense padded slot arrays."""
-    num_batch = len(lives)
-    node_idx = np.zeros((num_batch, num_slots), dtype=np.intp)
-    mix = np.zeros((num_batch, num_slots, num_nodes))
-    demand = np.zeros((num_batch, num_slots))
-    write_frac = np.zeros((num_batch, num_slots))
-    live_mask = np.zeros((num_batch, num_slots), dtype=bool)
-    for b, lv in enumerate(lives):
-        for j, c in enumerate(lv):
-            node_idx[b, j] = c.node
-            m = np.asarray(c.mix, dtype=float)
-            mix[b, j, : len(m)] = m
-            demand[b, j] = c.demand
-            write_frac[b, j] = c.write_fraction
-            live_mask[b, j] = True
-    return node_idx, mix, demand, write_frac, live_mask
-
-
-def solve_batch(
-    machine: Machine,
-    consumer_batches: Iterable[Sequence[Consumer]],
-    mc_model: MCModel = DEFAULT_MC_MODEL,
-    *,
-    capacity_scale: Optional[np.ndarray] = None,
-) -> List[Allocation]:
-    """Solve many independent consumer sets in one vectorised pass.
-
-    Returns one :class:`Allocation` per input set, each bitwise-identical
-    to what :func:`solve` produces for that set alone — :func:`solve` *is*
-    the batch of one. Use this to score candidate placements (the oracle
-    search's neighbour sets, DWP probe curves, sweep grids) without paying
-    per-candidate solver setup.
-    """
-    batches = [list(cs) for cs in consumer_batches]
-    if not batches:
-        return []
-    lives = [_live_consumers(machine, cs) for cs in batches]
-    max_live = max(len(lv) for lv in lives)
-    if max_live == 0:
-        return [_empty_allocation(cs) for cs in batches]
-
-    num_batch = len(batches)
-    node_idx, mix, demand, write_frac, live_mask = _pack_consumers(
-        lives, machine.num_nodes, max_live
-    )
-    arrays = solve_batch_arrays(
-        machine,
-        node_idx,
-        mix,
-        demand,
-        write_frac,
-        live_mask,
-        mc_model,
-        capacity_scale=capacity_scale,
-    )
-    return [
-        allocation_from_rows(
-            [c.key() for c in batches[b]],
-            [c.key() for c in lives[b]],
-            arrays.tables.res_keys,
-            arrays.rates[b],
-            arrays.bottleneck_row[b],
-            arrays.touched[b],
-            arrays.util[b],
-            arrays.caps[b],
-        )
-        for b in range(num_batch)
-    ]
 
 
 def solve_batch_fleet_lazy(
@@ -912,89 +806,36 @@ def solve_batch_fleet_lazy(
     machine's shared :func:`consumer_rows`, in slot order — the fleet
     scheduler gathers a machine's resident rows, then a candidate's
     (:meth:`ConsumerRows.add_live` turns a ``Consumer`` list into rows,
-    after :func:`solve`'s checks).
-
-    Each entry's rates are bitwise the rates ``solve(machine, consumers)``
-    gives the consumers behind its rows, run alone: the gathered coefficient columns, touched
-    flags, MC reader counts and demands are what :func:`solve`'s setup
-    derives, and on the fleet-wide ``(entries, resources, consumers)``
-    tensor padded resource rows (untouched, infinite capacity, zero
-    incidence) and dead slots are exact no-ops in :func:`_progressive_fill`.
-
-    ``capacity_scales`` is an optional per-*entry* counterpart of
-    :func:`solve`'s ``capacity_scale``: one ``(num_res,)`` multiplier
-    array (or ``None``) per entry over that entry's own canonical
-    resource axis — the fleet scheduler degrades individual machines'
-    links mid-run with it. A scaled entry is bitwise-identical to
-    ``solve(machine, consumers, capacity_scale=scale)`` run alone: the
-    multiply commutes with the untouched-row infinity masking (padded and
-    untouched rows are ``inf`` and stay ``inf`` under a positive scale),
-    and unscaled entries are never multiplied at all.
+    after :func:`solve`'s checks). The rows' stored :func:`_slot_terms`
+    are gathered per machine into :func:`_fill_inputs`, so each entry's
+    rates are bitwise what ``solve(machine, consumers)`` gives the
+    consumers behind its rows, run alone. ``capacity_scales`` holds one
+    ``(num_res,)`` multiplier (or ``None``) per entry, like :func:`solve`'s
+    ``capacity_scale``: the fleet degrades single machines' links with it.
     """
     rows: List[Sequence[int]] = []
-    tables: List[MachineTables] = []
     # Entries grouped by machine: one shared row store per group.
     groups: Dict[int, Tuple[ConsumerRows, List[int]]] = {}
     for i, (machine, entry_rows) in enumerate(entries):
         group = groups.get(id(machine))
         if group is None:
             group = groups[id(machine)] = (consumer_rows(machine, mc_model), [])
-        store, members = group
-        members.append(i)
-        tables.append(store.tables)
+        group[1].append(i)
         rows.append(entry_rows)
-    num_batch = len(rows)
-    if capacity_scales is not None and len(capacity_scales) != num_batch:
-        raise ValueError(
-            f"capacity_scales has {len(capacity_scales)} entries "
-            f"for {num_batch} solve entries"
-        )
     lens = [len(r) for r in rows]
-    max_live = max(lens, default=0)
-    if max_live == 0:
-        return [()] * num_batch
-
     # Slot-major row matrix, padded with row 0 (all zeros: a dead slot).
-    live_all = np.arange(max_live) < np.array(lens)[:, None]
-    idx = np.zeros((num_batch, max_live), dtype=np.intp)
-    idx[live_all] = [r for entry in rows for r in entry]
-
-    max_res = max(store.tables.num_res for store, _members in groups.values())
-    A_all = np.zeros((num_batch, max_res, max_live))
-    caps_all = np.full((num_batch, max_res), np.inf)
-    touched_all = np.zeros((num_batch, max_res), dtype=bool)
-    demand_all = np.zeros((num_batch, max_live))
+    live = np.arange(max(lens, default=0)) < np.array(lens, dtype=np.intp)[:, None]
+    idx = np.zeros(live.shape, dtype=np.intp)
+    idx[live] = [r for entry in rows for r in entry]
+    parts = []
     for store, members in groups.values():
-        t = store.tables
-        n = t.num_nodes
-        sel = members if len(members) < num_batch else slice(None)
-        at = idx[sel]
-        touched = store.touch[at].any(axis=1)
-        # Distinct consumer nodes reading each source's MC.
-        readers = store.reads[at].any(axis=1).reshape(-1, n, n).sum(axis=1)
-        caps = np.tile(t.static_caps, (len(at), 1))
-        caps[:, t.mc_rows] = store.eff[store.sources, readers]
-        A_all[sel, : t.num_res, :] = store.coef[at].transpose(0, 2, 1)
-        caps_all[sel, : t.num_res] = np.where(touched, caps, np.inf)
-        touched_all[sel, : t.num_res] = touched
-        demand_all[sel] = store.demand_arr[at]
-
-    if capacity_scales is not None:
-        for i, scale in enumerate(capacity_scales):
-            if scale is None:
-                continue
-            num_res = tables[i].num_res
-            scale = np.asarray(scale, dtype=float)
-            if scale.shape != (num_res,):
-                raise ValueError(
-                    f"capacity_scales[{i}] must have shape ({num_res},), "
-                    f"got {scale.shape}"
-                )
-            if (scale <= 0).any():
-                raise ValueError(f"capacity_scales[{i}] entries must be positive")
-            caps_all[i, :num_res] *= scale
-
-    rates = _progressive_fill(A_all, caps_all, touched_all, demand_all, live_all)[0]
+        at = idx[members] if len(members) < len(rows) else idx
+        parts.append((
+            store.tables, store.eff, members, store.coef[at].transpose(0, 2, 1),
+            store.touch[at], store.reads[at], store.demand_arr[at],
+        ))
+    A, caps, touched, demand = _fill_inputs(parts, live, capacity_scales)
+    rates = _progressive_fill(A, caps, touched, demand, live)[0]
     return [tuple(row[:n]) for row, n in zip(rates.tolist(), lens)]
 
 
@@ -1010,9 +851,29 @@ def solve(
     All non-idle consumers' rates grow at the same pace. When a resource
     saturates, every consumer with positive share in it freezes; when a
     consumer reaches its demand cap it freezes satisfied. Terminates after
-    at most ``len(resources) + len(consumers)`` rounds.
+    at most ``len(resources) + len(consumers)`` rounds. The validated
+    non-idle consumers are solved as one :func:`solve_batch_arrays` batch
+    element; idle ones keep a 0.0 rate and no bottleneck.
     """
-    return solve_batch(machine, [consumers], mc_model, capacity_scale=capacity_scale)[0]
+    lv = _live_consumers(machine, consumers)
+    mix = np.zeros((1, len(lv), machine.num_nodes))
+    for j, c in enumerate(lv):
+        mix[0, j, : len(c.mix)] = c.mix
+    arrays = solve_batch_arrays(
+        machine,
+        [[c.node for c in lv]],
+        mix,
+        [[c.demand for c in lv]],
+        [[c.write_fraction for c in lv]],
+        np.ones((1, len(lv)), dtype=bool),
+        mc_model,
+        capacity_scale=capacity_scale,
+    )
+    rows = (arrays.rates, arrays.bottleneck_row, arrays.touched, arrays.util, arrays.caps)
+    return allocation_from_rows(
+        [c.key() for c in consumers], [c.key() for c in lv], arrays.tables.res_keys,
+        *(row[0] for row in rows),
+    )
 
 
 def proportional_profile(
@@ -1074,12 +935,10 @@ def proportional_profile(
                 rates[m] = min(rates[m], level)
 
     # Resource membership and capacities (same resources as `solve`).
+    # Every worker reads every source, so each MC has len(workers) readers.
     res_caps: Dict[ResourceKey, float] = {}
     res_members: Dict[ResourceKey, List[int]] = {}
     res_coef: Dict[ResourceKey, List[float]] = {}
-    readers: Dict[int, set] = {}
-    for fi, (src, dst) in enumerate(flows):
-        readers.setdefault(src, set()).add(dst)
 
     def add(key: ResourceKey, cap: float, fi: int, coef: float) -> None:
         res_caps[key] = cap
@@ -1088,7 +947,7 @@ def proportional_profile(
 
     for fi, (src, dst) in enumerate(flows):
         peak = machine.node(src).local_bandwidth
-        add(("mc", src), mc_model.effective_capacity(peak, len(readers[src])), fi, 1.0)
+        add(("mc", src), mc_model.effective_capacity(peak, len(workers)), fi, 1.0)
         if src != dst:
             route = machine.route(src, dst)
             overhead = 1.0 / (machine.hop_efficiency ** max(0, route.hops - 1))

@@ -129,7 +129,8 @@ class AddressSpace:
         self._next_page = 0
         #: The histogram of record: one row of per-node page counts per
         #: segment. Every write updates it from counts it already knows, so
-        #: no page is ever recounted.
+        #: no page is ever recounted. Rows past the mapped segments are
+        #: capacity (doubling, like ``_buf``) and stay zero.
         self._counts = np.zeros((0, num_nodes), dtype=np.int64)
         #: Monotonic placement version: bumped by every mutation that backs,
         #: moves, or maps pages. Lets per-epoch consumers of the placement
@@ -186,7 +187,11 @@ class AddressSpace:
             buf[:start] = self._buf[:start]
             self._buf = buf
         self._buf[start:end] = UNALLOCATED
-        self._counts = np.concatenate([self._counts, np.zeros((len(segs), self.num_nodes), np.int64)])
+        mapped = len(self._segments)
+        if mapped + len(segs) > len(self._counts):
+            counts = np.zeros((max(mapped + len(segs), 2 * mapped), self.num_nodes), np.int64)
+            counts[:mapped] = self._counts[:mapped]
+            self._counts = counts
         self._segments += segs
         self._starts += [seg.start_page for seg in segs]
         self._segments_by_name.update(batch)
@@ -427,7 +432,7 @@ class AddressSpace:
     def counts(self) -> np.ndarray:
         """The ``(segments x nodes)`` int64 page-count matrix, one row per
         segment in mapping order (a read-only view)."""
-        view = self._counts.view()
+        view = self._counts[: len(self._segments)]
         view.flags.writeable = False
         return view
 
@@ -437,9 +442,9 @@ class AddressSpace:
         A sum of the segments' kept count rows; the returned array is
         read-only (copy before modifying).
         """
-        counts = self._counts
+        counts = self._counts[: len(self._segments)]
         if segments is not None:
-            counts = counts[[self._index(s) for s in segments]]
+            counts = self._counts[[self._index(s) for s in segments]]
         hist = counts.sum(axis=0)
         hist.setflags(write=False)
         return hist
@@ -459,7 +464,7 @@ class AddressSpace:
 
     def allocated_pages(self) -> int:
         """Number of pages with physical backing."""
-        return int(self._counts.sum())
+        return int(self._counts[: len(self._segments)].sum())
 
     def resident_bytes_per_node(self) -> np.ndarray:
         """Bytes resident on each node."""

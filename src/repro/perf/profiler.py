@@ -33,8 +33,8 @@ CHARACTERISATION_FEATURE_NAMES: Tuple[str, ...] = (
 class TrafficSample:
     """Observed traffic of one application over one simulation stretch.
 
-    Historically one sample per epoch; the simulator now coalesces
-    consecutive epochs with bit-identical rates into one run-length sample
+    The simulator coalesces consecutive epochs with bit-identical rates
+    into one run-length sample
     (see :meth:`same_rates` / :meth:`extended`), so ``duration_s`` spans
     however many epochs the rates held.
     """

@@ -187,13 +187,7 @@ class _ScalarEpoch:
             tele.throughput_time_product += throughput * dt
             tele.active_time += dt
             reads, writes = app.workload.read_write_split(throughput)
-            tele.record_traffic(
-                dt,
-                reads,
-                writes,
-                app.workload.private_fraction,
-                coalesce=sim.coalesce_traffic,
-            )
+            tele.record_traffic(dt, reads, writes, app.workload.private_fraction)
             app.check_finished(sim.now)
 
         for tuner in sim._tuners:

@@ -51,6 +51,8 @@ def check_counts(space: AddressSpace) -> None:
         for s in space.segments
     ]
     assert kept.sum(axis=1).tolist() == backed
+    assert space.node_histogram().tolist() == kept.sum(axis=0).tolist()
+    assert space.allocated_pages() == sum(backed)
 
 
 def traffic_mix_reference(app, node: int) -> np.ndarray:

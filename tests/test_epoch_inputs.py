@@ -250,14 +250,15 @@ class TestDerivedWithSolve:
         assert on.sim.counters._apps == off.sim.counters._apps
         assert on.sim.solver_cache.hits > 0
 
-    def test_stride_without_coalescing(self, mach_a, canonical_a):
-        """Strided epochs record one plain traffic sample each."""
+    def test_stride_telemetry_matches_reference(self, mach_a, canonical_a):
+        """Strided epochs extend the traffic run the reference records one
+        epoch at a time."""
         from repro.core import DWPTuner
         from repro.perf.counters import MeasurementConfig
 
         out = []
         for sim_cls in (Simulator, ReferenceSimulator):
-            sim = sim_cls(mach_a, coalesce_traffic=False)
+            sim = sim_cls(mach_a)
             app = sim.add_app(Application("a", streamcluster(), mach_a, (0, 1), policy=None))
             sim.add_tuner(
                 DWPTuner(

@@ -1,7 +1,8 @@
 """Property tests for the batched contention solver.
 
-:func:`solve_batch` must be the scalar :func:`solve` run elementwise —
-bitwise, not approximately: the simulator's solver cache fingerprints
+Many consumer sets packed into one production dense solve
+(:func:`solve_batch_arrays`) must be the scalar :func:`solve` run
+elementwise — bitwise, not approximately: the simulator's solver cache fingerprints
 allocations, and the batched search's trajectories must be replayable one
 candidate at a time. Every comparison here is exact equality on the full
 :class:`Allocation` surface (rates, bottleneck, utilization, capacities,
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 import repro.memsim.contention as contention
 from repro.memsim.contention import (
     Allocation,
+    batch_coefficients,
     consumer_rows,
     machine_tables,
     solve,
-    solve_batch,
     solve_batch_arrays,
     solve_batch_fleet_lazy,
 )
@@ -27,6 +28,13 @@ from repro.memsim.controller import DEFAULT_MC_MODEL
 from repro.memsim.flows import Consumer
 from repro.topology import fully_connected, machine_a, machine_b, ring
 from tests.oracle import batch_setup as loops
+from tests.oracle import solver_setup
+
+
+def solve_batch(machine, batches, mc_model):
+    """One :class:`Allocation` per consumer set, all packed into one
+    production :func:`solve_batch_arrays` call."""
+    return solver_setup.solve_batch(machine, batches, mc_model, dense=solve_batch_arrays)
 
 
 def _assert_allocations_equal(batched: Allocation, scalar: Allocation) -> None:
@@ -149,6 +157,8 @@ class TestDegenerateCases:
         c = Consumer("app:0", 0, 8, np.full(4, 0.25), 1.0)
         with pytest.raises(ValueError, match="duplicate consumer keys"):
             solve_batch(machine, [[c, c]], DEFAULT_MC_MODEL)
+        with pytest.raises(ValueError, match="duplicate consumer keys"):
+            solve(machine, [c, c], DEFAULT_MC_MODEL)
 
 
 class TestFleetBatchMatchesScalar:
@@ -262,10 +272,10 @@ class TestLoopFreeContractions:
     @given(batch=_padded_batches())
     def test_batch_setup_scatters_match_slot_loops(self, batch):
         machine, node_idx, mix, demand, write_fraction, live = batch
-        t, A, caps, touched, _demand, _live = contention._batch_setup(
-            machine, node_idx, mix, demand, write_fraction, live, DEFAULT_MC_MODEL
-        )
+        got = solve_batch_arrays(machine, node_idx, mix, demand, write_fraction, live)
+        t, touched, caps = got.tables, got.touched, got.caps
         masked = np.where(live[:, :, None], mix, 0.0)
+        A = batch_coefficients(machine, node_idx, masked, write_fraction)
         want_touched = loops.ingress_touched(
             ((A > 0.0) & live[:, None, :]).any(axis=2), t.ingress_rows, node_idx, live
         )

@@ -60,7 +60,7 @@ def _write(data, sim, app, step):
     page = st.integers(0, total - 1)
     op = data.draw(
         st.sampled_from(
-            ["map", "touch", "touch_all", "mbind", "mbind_segment", "set_pages", "assign_pages",
+            ["map", "map_each", "touch", "touch_all", "mbind", "mbind_segment", "set_pages", "assign_pages",
              "weighted", "autonuma", "migrate", "same_counts"]
         ),
         label="op",
@@ -74,6 +74,10 @@ def _write(data, sim, app, step):
             space.map_segments(names, size, SegmentKind.PRIVATE, owners)
         else:
             space.map_segment(f"s{step}", size)
+    elif op == "map_each":
+        # One at a time: the count rows grow past their capacity.
+        for j in range(data.draw(st.integers(1, 5), label="segments")):
+            space.map_segment(f"e{step}-{j}", data.draw(st.integers(1, 3)) * PAGE_SIZE)
     elif op == "touch":
         if data.draw(st.booleans(), label="partly backed first"):
             space.set_pages(seg.start_page, np.array([data.draw(node)], dtype=np.int16))
