@@ -4,17 +4,23 @@ Wires the two components together the way the paper's library does: the
 application is deployed, calls :func:`bwap_init` once its shared structures
 exist, and from then on the library owns page placement — initial canonical
 placement plus on-line DWP adaptation — transparently.
+
+:func:`deploy_app` is the one deployment path for a measured application
+under a named policy (the paper's baselines or BWAP), shared by the
+single-machine experiments and the fleet's simulator backend;
+:func:`outcome_for_app` folds its results into a :class:`RunOutcome`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.canonical import CanonicalTuner
-from repro.core.dwp import CoScheduledDWPTuner, DWPTuner
+from repro.core.dwp import CoScheduledDWPTuner, DWPTuner, combine_weights
 from repro.core.hardening import (
     HardenedCoScheduledDWPTuner,
     HardenedDWPTuner,
@@ -22,7 +28,25 @@ from repro.core.hardening import (
 )
 from repro.engine.app import Application
 from repro.engine.sim import Simulator
+from repro.memsim import (
+    AutoNUMA,
+    CarrefourLike,
+    FirstTouch,
+    UniformAll,
+    UniformWorkers,
+    WeightedInterleave,
+)
 from repro.perf.counters import MeasurementConfig
+from repro.workloads import WorkloadSpec
+
+#: Policy labels in the paper's legend order.
+BASELINE_POLICIES: Tuple[str, ...] = (
+    "first-touch",
+    "uniform-workers",
+    "uniform-all",
+    "autonuma",
+)
+ALL_POLICIES: Tuple[str, ...] = BASELINE_POLICIES + ("bwap-uniform", "bwap")
 
 
 @dataclass(frozen=True)
@@ -140,3 +164,159 @@ def bwap_init(
         tuner = DWPTuner(app, canonical, **common)
     sim.add_tuner(tuner)
     return tuner
+
+
+@dataclass(frozen=True)
+class RunOutcome:
+    """Everything an experiment needs from one scenario run.
+
+    The trailing fault/hardening fields stay at their zero defaults on
+    fault-free runs with plain tuners, so pre-existing consumers are
+    unaffected.
+    """
+
+    exec_time_s: float
+    mean_stall: float
+    throughput_gbps: float
+    pages_moved: int
+    final_dwp: Optional[float] = None
+    tuner_iterations: Optional[int] = None
+    pages_failed: int = 0
+    migration_rejections: int = 0
+    migration_retries: int = 0
+    rollbacks: int = 0
+    degraded: bool = False
+
+    def speedup_over(self, baseline: "RunOutcome") -> float:
+        """Speedup of this run relative to a baseline run."""
+        return baseline.exec_time_s / self.exec_time_s
+
+    def to_payload(self) -> Dict[str, object]:
+        """JSON-safe dict for the result store.
+
+        Every field is a Python scalar (float/int/bool/None); JSON
+        round-trips those exactly (floats serialise via ``repr``), so a
+        store-served outcome is bit-for-bit the recomputed one. Numpy
+        scalars are converted to the equal-valued Python scalar (json
+        refuses them outright).
+        """
+
+        def scalar(v):
+            if v is None or isinstance(v, bool):
+                return v
+            if isinstance(v, (int, np.integer)):
+                return int(v)
+            if isinstance(v, (float, np.floating)):
+                return float(v)
+            raise TypeError(f"non-scalar outcome field {v!r}")
+
+        return {
+            f.name: scalar(getattr(self, f.name)) for f in dataclasses.fields(self)
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, object]) -> "RunOutcome":
+        """Rebuild an outcome from :meth:`to_payload`; raises on a payload
+        whose keys do not match this schema (the store treats that as a
+        corrupt entry and recomputes)."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        if set(payload) != names:
+            raise ValueError(
+                f"outcome payload keys {sorted(payload)} != schema {sorted(names)}"
+            )
+        return cls(**payload)
+
+
+def _make_policy(name: str, static_weights: Optional[np.ndarray]):
+    if name == "first-touch":
+        return FirstTouch()
+    if name == "uniform-workers":
+        return UniformWorkers()
+    if name == "uniform-all":
+        return UniformAll()
+    if name == "autonuma":
+        return AutoNUMA()
+    if name == "carrefour":
+        return CarrefourLike()
+    if name == "weighted":
+        if static_weights is None:
+            raise ValueError("policy 'weighted' requires static_weights")
+        return WeightedInterleave(static_weights)
+    if name in ("bwap", "bwap-uniform"):
+        return None  # the tuner owns placement
+    raise KeyError(f"unknown policy {name!r}; known: {ALL_POLICIES + ('weighted',)}")
+
+
+def deploy_app(
+    sim: Simulator,
+    app_id: str,
+    workload: WorkloadSpec,
+    workers: Sequence[int],
+    policy: str,
+    *,
+    canonical: CanonicalTuner,
+    num_threads: Optional[int] = None,
+    static_weights: Optional[np.ndarray] = None,
+    static_dwp: Optional[float] = None,
+    bwap_config: Optional[BWAPConfig] = None,
+    high_priority_app_id: Optional[str] = None,
+):
+    """Deploy one measured application under a named policy.
+
+    Adds the :class:`Application` (and, for ``bwap``/``bwap-uniform``, its
+    DWP tuner) to ``sim`` and returns ``(app, tuner)``. The experiments'
+    ``run_scenario`` deploys through it, and so do the fleet's
+    simulator-backed machines for every arriving app — the
+    1-machine-fleet reduction property rests on it.
+    """
+    if policy == "bwap-static":
+        if static_dwp is None:
+            raise ValueError("policy 'bwap-static' requires static_dwp")
+        weights = combine_weights(canonical.weights(workers), workers, static_dwp)
+        app_policy = WeightedInterleave(weights)
+    else:
+        app_policy = _make_policy(policy, static_weights)
+
+    app = sim.add_app(
+        Application(
+            app_id,
+            workload,
+            sim.machine,
+            tuple(workers),
+            num_threads=num_threads,
+            policy=app_policy,
+        )
+    )
+
+    tuner = None
+    if policy in ("bwap", "bwap-uniform"):
+        config = bwap_config or BWAPConfig(use_canonical=(policy == "bwap"))
+        if config.use_canonical != (policy == "bwap"):
+            config = dataclasses.replace(config, use_canonical=(policy == "bwap"))
+        tuner = bwap_init(
+            sim,
+            app,
+            canonical_tuner=canonical,
+            config=config,
+            high_priority_app_id=high_priority_app_id,
+        )
+    return app, tuner
+
+
+def outcome_for_app(result, app_id: str, tuner) -> RunOutcome:
+    """Fold one app's results out of a ``SimResult`` into a :class:`RunOutcome`."""
+    tele = result.telemetry[app_id]
+    migration = result.migration[app_id]
+    return RunOutcome(
+        exec_time_s=result.execution_time(app_id),
+        mean_stall=tele.mean_stall_fraction,
+        throughput_gbps=tele.mean_throughput_gbps,
+        pages_moved=migration.pages_moved,
+        final_dwp=None if tuner is None else tuner.final_dwp,
+        tuner_iterations=None if tuner is None else tuner.iterations,
+        pages_failed=migration.pages_failed,
+        migration_rejections=migration.rejected_calls,
+        migration_retries=migration.retries,
+        rollbacks=getattr(tuner, "rollbacks", 0),
+        degraded=getattr(tuner, "degraded", False),
+    )

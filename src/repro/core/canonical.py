@@ -15,7 +15,7 @@ DWP tuner then adapts to the real application.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,6 +188,16 @@ class CanonicalTuner:
             if not 0 <= w < self.machine.num_nodes:
                 raise ValueError(f"worker node {w} outside machine")
         return key
+
+
+def canonical_tuner(machine: Machine) -> CanonicalTuner:
+    """The memoised default :class:`CanonicalTuner` of an (immutable)
+    machine: its install-time profile, shared by every experiment, fleet
+    backend and dataset row that runs on this machine object."""
+    tuner = getattr(machine, "_canonical_tuner", None)
+    if tuner is None:
+        tuner = machine._canonical_tuner = CanonicalTuner(machine)  # type: ignore[attr-defined]
+    return tuner
 
 
 def _find_relabelling(

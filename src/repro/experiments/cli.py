@@ -15,168 +15,56 @@ scores a checkpoint (see :mod:`repro.learn`).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Dict, Optional, Tuple
 
 
-def _fig1a() -> str:
-    from repro.experiments.fig1 import run_fig1a
-
-    return run_fig1a().render()
-
-
-def _fig1b() -> str:
-    from repro.experiments.fig1 import run_fig1b
-
-    return run_fig1b().render()
-
-
-def _fig2() -> str:
-    from repro.experiments.fig2 import run_fig2
-
-    return run_fig2().render()
-
-
-def _fig3ab() -> str:
-    from repro.experiments.fig3 import run_fig3ab
-
-    return run_fig3ab().render()
-
-
-def _fig3cd() -> str:
-    from repro.experiments.fig3 import run_fig3cd
-
-    return run_fig3cd().render()
-
-
-def _fig4() -> str:
-    from repro.experiments.fig4 import run_fig4
-
-    return run_fig4().render()
-
-
-def _table1() -> str:
-    from repro.experiments.table1 import run_table1
-
-    return run_table1().render()
-
-
-def _table2() -> str:
-    from repro.experiments.table2 import run_table2
-
-    return run_table2().render()
-
-
-def _extensions() -> str:
-    from repro.experiments.extensions import (
-        run_adaptive_study,
-        run_hybrid_study,
-        run_split_study,
-    )
-
-    return "\n\n".join(
-        [
-            run_split_study().render(),
-            run_adaptive_study().render(),
-            run_hybrid_study().render(),
-        ]
-    )
-
-
-def _sensitivity() -> str:
-    from repro.experiments.sensitivity import (
-        run_asymmetry_sweep,
-        run_oracle_asymmetry_sweep,
-        run_worker_sweep,
-    )
-
-    return "\n\n".join(
-        [
-            run_asymmetry_sweep().render(),
-            run_oracle_asymmetry_sweep().render(),
-            run_worker_sweep().render(),
-        ]
-    )
-
-
-def _robustness() -> str:
-    from repro.experiments.robustness import run_robustness
-
-    return run_robustness().render()
-
-
-def _fault_matrix() -> str:
-    from repro.experiments.fault_matrix import run_fault_matrix
-
-    return run_fault_matrix().render()
-
-
-def _machines() -> str:
-    from repro.topology import describe, hybrid_dram_nvm, machine_a, machine_b
-
-    return "\n\n".join(
-        describe(m) for m in (machine_a(), machine_b(), hybrid_dram_nvm())
-    )
-
-
-def _ablations() -> str:
-    from repro.experiments.ablations import (
-        run_canonical_ablation,
-        run_dwp_probe_ablation,
-        run_interleave_ablation,
-        run_overhead,
-    )
-
-    parts = [
-        run_canonical_ablation().render(),
-        run_interleave_ablation().render(),
-        run_overhead().render(),
-        run_dwp_probe_ablation().render(),
-    ]
-    return "\n\n".join(parts)
-
-
-def _fleet() -> str:
-    from repro.experiments.fleet import run_fleet
-
-    return run_fleet().render()
-
-
-def _warmstart() -> str:
-    from repro.experiments.warmstart import run_warmstart
-
-    return run_warmstart().render()
-
-
-def _fleet_chaos() -> str:
-    from repro.experiments.fleet_chaos import run_fleet_chaos
-
-    return run_fleet_chaos().render()
-
-
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fleet": _fleet,
-    "fleet-chaos": _fleet_chaos,
-    "warmstart": _warmstart,
-    "fig1a": _fig1a,
-    "fig1b": _fig1b,
-    "fig2": _fig2,
-    "fig3ab": _fig3ab,
-    "fig3cd": _fig3cd,
-    "fig4": _fig4,
-    "table1": _table1,
-    "table2": _table2,
-    "ablations": _ablations,
-    "extensions": _extensions,
-    "machines": _machines,
-    "sensitivity": _sensitivity,
-    "robustness": _robustness,
-    "fault-matrix": _fault_matrix,
+#: Experiment name -> (module under :mod:`repro.experiments`, runner
+#: names): each runner is called without arguments and the renders of its
+#: results are joined by a blank line. ``machines`` (``None``) runs
+#: nothing; it describes the built-in topologies.
+EXPERIMENTS: Dict[str, Optional[Tuple[str, Tuple[str, ...]]]] = {
+    "fleet": ("fleet", ("run_fleet",)),
+    "fleet-chaos": ("fleet_chaos", ("run_fleet_chaos",)),
+    "warmstart": ("warmstart", ("run_warmstart",)),
+    "fig1a": ("fig1", ("run_fig1a",)),
+    "fig1b": ("fig1", ("run_fig1b",)),
+    "fig2": ("fig2", ("run_fig2",)),
+    "fig3ab": ("fig3", ("run_fig3ab",)),
+    "fig3cd": ("fig3", ("run_fig3cd",)),
+    "fig4": ("fig4", ("run_fig4",)),
+    "table1": ("table1", ("run_table1",)),
+    "table2": ("table2", ("run_table2",)),
+    "ablations": ("ablations", (
+        "run_canonical_ablation", "run_interleave_ablation", "run_overhead",
+        "run_dwp_probe_ablation",
+    )),
+    "extensions": ("extensions", ("run_split_study", "run_adaptive_study", "run_hybrid_study")),
+    "machines": None,
+    "sensitivity": ("sensitivity", (
+        "run_asymmetry_sweep", "run_oracle_asymmetry_sweep", "run_worker_sweep",
+    )),
+    "robustness": ("robustness", ("run_robustness",)),
+    "fault-matrix": ("fault_matrix", ("run_fault_matrix",)),
 }
+
+
+def _render(name: str) -> str:
+    """Run one experiment of :data:`EXPERIMENTS` and render its report,
+    importing its module only now."""
+    entry = EXPERIMENTS[name]
+    if entry is None:
+        from repro.topology import describe, hybrid_dram_nvm, machine_a, machine_b
+
+        return "\n\n".join(describe(m) for m in (machine_a(), machine_b(), hybrid_dram_nvm()))
+    module, runners = entry
+    mod = importlib.import_module(f"repro.experiments.{module}")
+    return "\n\n".join(getattr(mod, runner)().render() for runner in runners)
 
 
 def bench_compare_main(argv) -> int:
@@ -510,7 +398,7 @@ def main(argv=None) -> int:
             parser.error("--heartbeat must be a positive number of seconds")
         os.environ["BWAP_HEARTBEAT"] = str(args.heartbeat)
     if args.jobs is not None:
-        from repro.experiments.common import set_default_jobs
+        from repro.obs import set_default_jobs
 
         set_default_jobs(args.jobs)
 
@@ -522,9 +410,9 @@ def main(argv=None) -> int:
             import cProfile
 
             profiler = cProfile.Profile()
-            output = profiler.runcall(EXPERIMENTS[name])
+            output = profiler.runcall(_render, name)
         else:
-            output = EXPERIMENTS[name]()
+            output = _render(name)
         dt = time.perf_counter() - t0
         print(f"=== {name} ({dt:.1f}s) ===")
         print(output)

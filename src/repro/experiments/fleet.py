@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.experiments.common import fan_out
 from repro.experiments.report import format_table
-from repro.fleet.cluster import build_fleet, class_machine
+from repro.fleet.cluster import build_fleet
 from repro.fleet.faults import FleetFaultPlan
 from repro.fleet.scheduler import FleetResult, FleetScheduler, SchedulerConfig
 from repro.store import (
@@ -28,6 +28,7 @@ from repro.store import (
     fingerprint,
     get_default_store,
 )
+from repro.topology import class_machine
 from repro.workloads import TraceSpec, build_trace
 
 

@@ -8,14 +8,8 @@ machine state, solving the cells a tick meets for the first time in one
 vectorised :func:`repro.memsim.solve_batch_fleet_lazy` call.
 """
 
-from repro.fleet.cluster import (
-    FleetNode,
-    build_fleet,
-    class_machine,
-    machine_classes,
-    parse_mix,
-    register_machine_class,
-)
+from repro.fleet.cluster import FleetNode, build_fleet, parse_mix
+from repro.topology import class_machine, machine_classes, register_machine_class
 from repro.fleet.backend import (
     FleetCompletion,
     FlowBackend,

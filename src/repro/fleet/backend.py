@@ -2,7 +2,7 @@
 
 The scheduler talks to every machine through the small
 :class:`MachineBackend` interface — admit an app onto a worker set,
-report the resident consumer set for scoring, advance to a deadline —
+report the resident rows for scoring, advance to a deadline —
 so execution fidelity is pluggable per run:
 
 :class:`FlowBackend`
@@ -39,44 +39,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.canonical import CanonicalTuner
+from repro.core.bwap import RunOutcome, deploy_app, outcome_for_app
+from repro.core.canonical import canonical_tuner as canonical_for
 from repro.core.dwp import combine_weights
 from repro.engine.sim import Simulator
 from repro.engine.threads import pin_threads, threads_per_node
-from repro.experiments.common import (
-    RunOutcome,
-    deploy_app,
-    derive_seed,
-    get_canonical,
-    outcome_for_app,
-)
-from repro.memsim.contention import (
-    DEFAULT_MC_MODEL,
-    Consumer,
-    consumer_rows,
-    solve,
-)
+from repro.memsim.contention import Consumer, consumer_rows, solve_batch_fleet_lazy
+from repro.store import derive_seed
 from repro.topology import Machine
 from repro.workloads import WorkloadSpec
-
-#: Per-instance canonical tuner cache. The experiments-level
-#: ``get_canonical`` memoises by *machine name*, which is unsafe here:
-#: custom fleet classes built from the topology builders can share a
-#: default name (e.g. every ``fully_connected`` is "fully-connected")
-#: while differing in structure. Fleet machines are per-class singletons,
-#: so identity keying is exact — and the paper machines still reuse the
-#: experiments' shared profile.
-_CANONICAL_BY_ID: Dict[int, "CanonicalTuner"] = {}
-
-
-def canonical_for(machine: Machine) -> "CanonicalTuner":
-    """The canonical tuner of one fleet machine (cached per instance)."""
-    if machine.name in ("machine-A", "machine-B"):
-        return get_canonical(machine)
-    key = id(machine)
-    if key not in _CANONICAL_BY_ID:
-        _CANONICAL_BY_ID[key] = CanonicalTuner(machine)
-    return _CANONICAL_BY_ID[key]
 
 
 def machine_seed(base_seed: int, mid: int) -> int:
@@ -473,7 +444,7 @@ class MachineBackend(abc.ABC):
         self.capacity_scale: Optional[np.ndarray] = None
         self.now = 0.0
         #: Monotonic state version: bumped whenever the resident consumer
-        #: set (as seen by :meth:`resident_consumers`) may have changed —
+        #: set (as seen by :meth:`resident_rows`) may have changed —
         #: admissions, completions, evictions, per-node flow depletion,
         #: simulator epochs. The incremental scheduler re-reads a
         #: machine's state only when it moves, so correctness of score
@@ -680,11 +651,6 @@ class MachineBackend(abc.ABC):
             workload.demand_gbps(threads, len(workers)) * efficiency,
         )
 
-    def resident_rows(self) -> List[int]:
-        """Rows of :meth:`resident_consumers` that a solve reads (non-idle
-        ones, validated), in resident order."""
-        return consumer_rows(self.machine).add_live(self.resident_consumers())
-
     # ------------------------------------------------------------------ #
     # Execution model
     # ------------------------------------------------------------------ #
@@ -723,8 +689,9 @@ class MachineBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def resident_consumers(self) -> List[Consumer]:
-        """Consumer set of the currently running apps (for scoring)."""
+    def resident_rows(self) -> List[int]:
+        """Rows of :func:`~repro.memsim.consumer_rows` that a solve of the
+        running apps reads (non-idle ones), in resident order."""
 
     @abc.abstractmethod
     def advance(self, to: float) -> None:
@@ -832,13 +799,6 @@ class FlowBackend(MachineBackend):
         tpl = self._tpl
         return [tpl[r] for rows in self._app_rows.values() for r in rows]
 
-    def resident_consumers(self) -> List[Consumer]:
-        return [
-            self._store.consumer(self._tpl[r], app_id)
-            for app_id, rows in self._app_rows.items()
-            for r in rows
-        ]
-
     def _evict_one(self, app_id: str) -> float:
         rows = self._app_rows.pop(app_id)
         exec_bytes = self._exec_bytes.pop(app_id)
@@ -852,8 +812,8 @@ class FlowBackend(MachineBackend):
         """Live rows in resident order and their speeds (rate x factor),
         reused while ``state_version`` and the capacity-scale object hold.
         Rates come from the class's table at ``(state, scale id)``; a
-        state it has no rates for solves its rows as ``Consumer`` objects
-        of their real apps."""
+        state it has no rates for solves its resident rows through the
+        tick's own :func:`~repro.memsim.solve_batch_fleet_lazy`."""
         slot = self._solve_slot
         version, scale = self.state_version, self.capacity_scale
         if slot is not None and slot[0] == version and slot[1] is scale:
@@ -863,9 +823,9 @@ class FlowBackend(MachineBackend):
         key = (self._sid, states.scale_id(scale))
         rates = states.rates.get(key)
         if rates is None:
-            consumers = self.resident_consumers()
-            alloc = solve(self.machine, consumers, DEFAULT_MC_MODEL, capacity_scale=scale)
-            rates = states.rates[key] = tuple([alloc.rates[c.key()] for c in consumers])
+            rates = states.rates[key] = solve_batch_fleet_lazy(
+                [(self.machine, self.resident_rows())], capacity_scales=[scale]
+            )[0]
         factor = self._factor
         speeds = [rate * factor[r] for r, rate in zip(live, rates)]
         self._solve_slot = (version, scale, live, speeds)
@@ -986,11 +946,15 @@ class SimBackend(MachineBackend):
         self.state_version += 1
 
     def resident_consumers(self) -> List[Consumer]:
+        """Consumer set of the simulator's running apps."""
         out: List[Consumer] = []
         for app in self.sim.apps:
             if not app.finished:
                 out.extend(app.consumers())
         return out
+
+    def resident_rows(self) -> List[int]:
+        return consumer_rows(self.machine).add_live(self.resident_consumers())
 
     def advance(self, to):
         if self._placed:

@@ -30,13 +30,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.canonical import CanonicalTuner
+from repro.core.canonical import canonical_tuner
 from repro.core.dwp import DWPProbeSession
 from repro.engine.threads import pick_worker_nodes
 from repro.learn.features import FEATURE_NAMES, feature_vector
+from repro.obs import fan_out
 from repro.store import SCHEMA_VERSION, fingerprint, get_default_store
 from repro.topology.builders import random_machine
 from repro.topology.machine import Machine
+from repro.topology.registry import get_machine
 from repro.workloads.generator import random_workload
 from repro.workloads.suites import paper_benchmarks
 
@@ -74,8 +76,6 @@ class RowSpec:
 
     def resolve_machine(self) -> Machine:
         if isinstance(self.machine, str):
-            from repro.experiments.common import get_machine
-
             return get_machine(self.machine)
         return self.machine
 
@@ -131,12 +131,7 @@ def _oracle_dwp(
 def _compute_row(spec: RowSpec) -> Dict[str, object]:
     machine = spec.resolve_machine()
     workers = pick_worker_nodes(machine, spec.num_workers)
-    if isinstance(spec.machine, str):
-        from repro.experiments.common import get_canonical
-
-        canonical = get_canonical(machine).weights(workers)
-    else:
-        canonical = CanonicalTuner(machine).weights(workers)
+    canonical = canonical_tuner(machine).weights(workers)
     features = feature_vector(machine, spec.workload, workers, canonical)
     label = _oracle_dwp(
         machine,
@@ -286,13 +281,10 @@ def build_dataset(
 ) -> Dataset:
     """Build (or resume) a dataset over ``specs``.
 
-    Fans out across processes via
-    :func:`repro.experiments.common.fan_out` (honouring ``--jobs`` /
+    Fans out across processes via :func:`repro.obs.fan_out` (honouring ``--jobs`` /
     ``BWAP_JOBS`` and the opt-in heartbeat); each row consults the result
     store first, so an interrupted build resumes where it stopped.
     """
-    from repro.experiments.common import fan_out
-
     rows = fan_out(build_row, list(specs), jobs=jobs, label="learn-dataset")
     X = np.array([r["features"] for r in rows], dtype=np.float64)
     y = np.array([r["label"] for r in rows], dtype=np.float64)

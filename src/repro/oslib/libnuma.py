@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.canonical import CanonicalTuner
+from repro.core.canonical import CanonicalTuner, canonical_tuner
 from repro.core.dwp import combine_weights
 from repro.core.interleave import PlacementOutcome, apply_weighted_placement
 from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
@@ -31,7 +31,8 @@ class LibNuma:
     machine:
         The NUMA machine this "host" exposes.
     canonical_tuner:
-        Pre-profiled canonical tuner; created on demand when omitted (the
+        Pre-profiled canonical tuner; the machine's shared one
+        (:func:`~repro.core.canonical.canonical_tuner`) when omitted (the
         real BWAP ships the canonical profiles with the installation).
     """
 
@@ -92,10 +93,11 @@ class LibNuma:
     # ------------------------------------------------------------------ #
 
     def canonical_tuner(self) -> CanonicalTuner:
-        """The machine's canonical tuner (profiled lazily)."""
-        if self._canonical is None:
-            self._canonical = CanonicalTuner(self.machine)
-        return self._canonical
+        """The tuner given at construction, else the machine's shared
+        canonical tuner (profiled lazily)."""
+        if self._canonical is not None:
+            return self._canonical
+        return canonical_tuner(self.machine)
 
     def numa_bw_interleave(
         self,

@@ -21,8 +21,10 @@ Two layers live here:
   crash), and hit/miss statistics.
 
 The store itself is value-agnostic (it moves JSON dicts); the
-``RunOutcome`` payload codec and the ``run_spec`` wiring live in
-:mod:`repro.experiments.common`. Environment knobs:
+``RunOutcome`` payload codec lives in :mod:`repro.core.bwap` and the
+``run_spec`` wiring in :mod:`repro.experiments.common`. Per-scenario
+seeds (:func:`derive_seed`) hash the same canonical encoding. Environment
+knobs:
 
 ``BWAP_STORE=0``
     Disable the default store entirely (the CLI's ``--no-store``).
@@ -39,6 +41,7 @@ import json
 import os
 import tempfile
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -75,6 +78,21 @@ def canonical_bytes(obj: Any) -> bytes:
     parts = []
     _encode(obj, parts)
     return b"".join(parts)
+
+
+def derive_seed(base_seed: int, *components) -> int:
+    """Deterministic per-scenario seed from a base seed and scenario labels.
+
+    Stable across processes and Python invocations (unlike ``hash()``,
+    which is salted), so a parallel sweep reproduces the serial one
+    bit-for-bit. Components are canonically encoded
+    (:func:`repro.store.canonical_bytes`) rather than ``repr()``-ed: a
+    large numpy array contributes its full contents — ``repr`` elides
+    everything past the print threshold, which let distinct scenarios
+    collide onto one seed — and an unsupported component type raises
+    ``TypeError`` instead of hashing an address-dependent string.
+    """
+    return zlib.crc32(canonical_bytes((int(base_seed),) + components)) & 0x7FFFFFFF
 
 
 def _tag(parts, kind: str, payload: bytes) -> None:

@@ -9,7 +9,8 @@ The two machines from the paper's evaluation (Section IV) are available as
 and :func:`machine_b` (4-node Intel Xeon E5-2660 v4 in Cluster-on-Die mode,
 mildly asymmetric). Generic builders (:func:`dual_socket`, :func:`mesh`,
 :func:`ring`, :func:`fully_connected`, :func:`from_bandwidth_matrix`) let
-users model their own machines.
+users model their own machines. Named machine classes share one built
+instance each (:func:`class_machine`; :func:`get_machine` for "A"/"B").
 """
 
 from repro.topology.node import Core, MemoryController, NUMANode
@@ -30,6 +31,12 @@ from repro.topology.builders import (
     mesh,
     random_machine,
     ring,
+)
+from repro.topology.registry import (
+    class_machine,
+    get_machine,
+    machine_classes,
+    register_machine_class,
 )
 
 __all__ = [
@@ -52,6 +59,10 @@ __all__ = [
     "mesh",
     "random_machine",
     "ring",
+    "class_machine",
+    "get_machine",
+    "machine_classes",
+    "register_machine_class",
     "MachineSummary",
     "describe",
     "rank_worker_sets",

@@ -16,6 +16,8 @@ from repro.fleet.backend import MachineBackend
 from repro.fleet.scheduler import FleetScheduler
 from repro.memsim import solve
 
+from tests.oracle.flow_backend import resident_consumers
+
 
 class OracleScheduler(FleetScheduler):
     """Fleet scheduler whose tick re-solves every candidate from scratch."""
@@ -35,7 +37,7 @@ class OracleScheduler(FleetScheduler):
         trace = self.trace
         # A claim removes its machine from the tick, so every machine an
         # app scores still holds the residents it had when the tick began.
-        resident = {b.mid: b.resident_consumers() for b in self.backends if b.num_live}
+        resident = {b.mid: resident_consumers(b) for b in self.backends if b.num_live}
         # first-fit ranks on (-mid, -k) alone, so it needs no scores.
         scored = self.config.discipline != "first-fit"
         claimed = set()

@@ -13,8 +13,25 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from repro.fleet.backend import MachineBackend
-from repro.memsim import Allocation, Consumer, solve
+from repro.fleet.backend import FlowBackend, MachineBackend
+from repro.memsim import Allocation, Consumer, consumer_rows, solve
+
+
+def resident_consumers(backend: MachineBackend) -> List[Consumer]:
+    """The resident ``Consumer`` set of any backend, in resident order.
+
+    A production :class:`FlowBackend` keeps rows, not consumers: its rows
+    are rebuilt as ``Consumer`` objects of their real apps, whose scalar
+    :func:`solve` is the reference for the backend's table-miss rates.
+    """
+    if isinstance(backend, FlowBackend):
+        store = consumer_rows(backend.machine)
+        return [
+            store.consumer(backend._tpl[r], app_id)
+            for app_id, rows in backend._app_rows.items()
+            for r in rows
+        ]
+    return backend.resident_consumers()
 
 
 class _FlowApp:
@@ -66,6 +83,9 @@ class OracleFlowBackend(MachineBackend):
             for c in app.consumers
             if app.remaining[c.node] > 0.0
         ]
+
+    def resident_rows(self) -> List[int]:
+        return consumer_rows(self.machine).add_live(self.resident_consumers())
 
     def _evict_one(self, app_id: str) -> float:
         app = self._flow.pop(app_id)

@@ -1,10 +1,16 @@
 """Experiment harness: scenario runner, report rendering, CLI."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core import CanonicalTuner
+
 from repro.experiments.common import (
-    ALL_POLICIES,
     get_canonical,
     get_machine,
     optimal_worker_count,
@@ -13,6 +19,7 @@ from repro.experiments.common import (
     speedups_vs,
 )
 from repro.experiments.report import format_matrix, format_speedup_series, format_table
+from repro.topology import fully_connected
 from repro.units import MiB
 from repro.workloads.base import WorkloadSpec
 
@@ -44,6 +51,47 @@ class TestGetMachine:
     def test_canonical_cached(self):
         m = get_machine("B")
         assert get_canonical(m) is get_canonical(m)
+
+
+#: Runs the second machine's scenario of
+#: :class:`TestCanonicalSameName` alone in a fresh interpreter.
+_FRESH_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from repro.experiments.common import run_scenario
+from repro.topology import fully_connected
+from tests.test_experiments import quick_wl
+out = run_scenario(fully_connected(4, remote_bw=2.0), quick_wl(), 1, "bwap")
+print(json.dumps(out.to_payload()))
+"""
+
+
+class TestCanonicalSameName:
+    """Two machines that share a name but differ in structure each get
+    their own canonical profile: the cache is keyed by the machine object,
+    not by its name."""
+
+    def test_weights_follow_the_machine_not_its_name(self):
+        fast = fully_connected(4, remote_bw=8.0)
+        slow = fully_connected(4, remote_bw=2.0)
+        assert fast.name == slow.name
+        for m in (fast, slow):
+            for workers in ([0], [0, 1]):
+                np.testing.assert_array_equal(
+                    get_canonical(m).weights(workers), CanonicalTuner(m).weights(workers)
+                )
+        assert get_canonical(slow).weights([0])[0] > 0.7
+
+    def test_bwap_run_equals_a_fresh_process(self):
+        first = run_scenario(fully_connected(4, remote_bw=8.0), quick_wl(), 1, "bwap")
+        second = run_scenario(fully_connected(4, remote_bw=2.0), quick_wl(), 1, "bwap")
+        root = Path(__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_RUN, str(root / "src"), str(root)],
+            capture_output=True, text=True, check=True,
+        )
+        assert second.to_payload() == json.loads(fresh.stdout)
+        assert second != first
 
 
 class TestRunScenario:

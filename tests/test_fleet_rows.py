@@ -14,6 +14,8 @@ The tests pin down:
 * per-row coefficient columns equal to :func:`batch_coefficients`;
 * row entries of the fleet solve scoring exactly like scalar ``solve``s of
   their ``Consumer`` lists;
+* a table-miss solve of the fluid backend giving bitwise the rates a
+  scalar ``solve`` of its resident ``Consumer`` set gives;
 * admission input validation.
 """
 
@@ -29,9 +31,10 @@ from repro.fleet import FleetScheduler, SchedulerConfig, build_fleet, class_mach
 from repro.fleet.backend import FleetRecords, FlowBackend, make_backend
 from repro.memsim import Consumer, ConsumerRows, consumer_rows, solve, solve_batch_fleet_lazy
 from repro.memsim.contention import batch_coefficients, machine_tables
+from repro.topology import dual_socket, machine_a
 from repro.workloads import TraceSpec, build_trace, trace_catalog
 
-from tests.oracle.flow_backend import OracleFlowBackend
+from tests.oracle.flow_backend import OracleFlowBackend, resident_consumers
 
 _CLASSES = ("A", "B", "dual", "sym4")
 
@@ -139,7 +142,7 @@ def _drive(cls: str, seed: int, steps: int = 80) -> None:
         assert prod.now == oracle.now
         assert prod.state_version == oracle.state_version
         assert _completed(prod) == _completed(oracle)
-        assert _consumer_view(prod.resident_consumers()) == _consumer_view(
+        assert _consumer_view(resident_consumers(prod)) == _consumer_view(
             oracle.resident_consumers()
         )
         _assert_rows_conserved(prod, oracle)
@@ -243,6 +246,51 @@ class TestRowStore:
         ]
         for (machine, consumers), score in zip(entries, scores):
             assert score == solve(machine, consumers).app_total_rate("cand")
+
+
+class TestTableMissSolve:
+    """``FlowBackend._solve`` on a state its class's rate table lacks
+    solves the resident rows through ``solve_batch_fleet_lazy``; the
+    reference is a scalar ``solve`` of the resident ``Consumer`` set, each
+    app's rows rebuilt as consumers of that app."""
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("build", [machine_a, lambda: dual_socket(cores_per_node=4)])
+    def test_rates_bitwise_equal_consumer_solve(self, build, scaled):
+        # A private machine object: its rate table is this test's alone.
+        machine = build()
+        b = make_backend("flow", 0, "x", machine, policy="bwap", dwp=0.8, seed=1)
+        _record(b)
+        states = b.states
+        catalog = trace_catalog(TraceSpec())
+        num_res = machine_tables(machine).num_res
+        rng = np.random.default_rng(7)
+        solved = 0
+        for step in range(60):
+            free = b.free_nodes()
+            if free and rng.random() < 0.5:
+                k = int(rng.integers(1, min(3, len(free)) + 1))
+                workers = pick_worker_nodes(machine, k, exclude=b.occupied_nodes())
+                wl = catalog[int(rng.integers(len(catalog)))]
+                b.admit(f"job{step}", wl, workers, b.now, idx=step)
+            else:
+                b.advance(b.now + float(rng.exponential(2.0)))
+            scale = None
+            if scaled:
+                scale = np.where(rng.random(num_res) < 0.5, rng.uniform(0.2, 1.0, num_res), 1.0)
+            b.set_capacity_scale(scale)
+            if not b._app_rows:
+                continue
+            states.rates.clear()
+            b._solve_slot = None
+            live, speeds = b._solve()
+            consumers = resident_consumers(b)
+            alloc = solve(machine, consumers, capacity_scale=scale)
+            expect = tuple([alloc.rates[c.key()] for c in consumers])
+            assert states.rates[b.state_id, states.scale_id(scale)] == expect
+            assert speeds == [rate * b._factor[r] for r, rate in zip(live, expect)]
+            solved += 1
+        assert solved > 20
 
 
 class TestAdmitValidation:

@@ -1,9 +1,8 @@
-"""Layering ratchet: the lower layers never import ``repro.experiments``.
+"""Layering ratchet: only ``repro.experiments`` imports ``repro.experiments``.
 
-Every import statement in the lower-layer packages (module level or inside
-a function) is parsed with ``ast``. The two imports listed in
-``ALLOWED`` predate the rule and are scheduled for removal; the list may
-only shrink, so a removed import must also leave the list.
+Every import statement in every other package and top-level module of
+``src/repro`` (module level or inside a function) is parsed with ``ast``;
+none may name an experiments module, and no exception is allowed.
 """
 
 import ast
@@ -12,17 +11,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-LOWER_LAYERS = ("memsim", "engine", "fleet", "core", "topology", "learn")
-
-#: (file under src/repro, imported experiments module, imported names).
-ALLOWED = {
-    (
-        "fleet/backend.py",
-        "repro.experiments.common",
-        ("RunOutcome", "deploy_app", "derive_seed", "get_canonical", "outcome_for_app"),
-    ),
-    ("learn/dataset.py", "repro.experiments.common", ("fan_out", "get_canonical", "get_machine")),
-}
+LOWER_LAYERS = (
+    "memsim", "engine", "fleet", "core", "topology", "learn", "workloads", "perf",
+    "oslib", "__init__.py", "store.py", "faults.py", "obs.py", "units.py",
+)
 
 
 def _absolute(module, level, rel):
@@ -60,7 +52,8 @@ def _experiments_imports(source, rel):
 def _violations():
     out = set()
     for layer in LOWER_LAYERS:
-        for path in sorted((SRC / layer).rglob("*.py")):
+        root = SRC / layer
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
             rel = path.relative_to(SRC).as_posix()
             for module, names in _experiments_imports(path.read_text(), rel).items():
                 out.add((rel, module, tuple(sorted(names))))
@@ -68,13 +61,16 @@ def _violations():
 
 
 def test_lower_layers_do_not_import_experiments():
-    new = _violations() - ALLOWED
-    assert not new, f"lower layers import repro.experiments: {sorted(new)}"
+    found = _violations()
+    assert not found, f"lower layers import repro.experiments: {sorted(found)}"
 
 
-def test_allowed_exceptions_still_exist():
-    stale = ALLOWED - _violations()
-    assert not stale, f"remove these from ALLOWED, the imports are gone: {sorted(stale)}"
+def test_lower_layers_cover_everything_but_experiments():
+    entries = {
+        p.name for p in SRC.iterdir()
+        if p.name != "__pycache__" and (p.is_dir() or p.suffix == ".py")
+    }
+    assert set(LOWER_LAYERS) == entries - {"experiments"}
 
 
 @pytest.mark.parametrize(
