@@ -9,7 +9,6 @@ placement accuracy and migration costs.
 
 import dataclasses
 
-import numpy as np
 
 from repro.core import BWAPConfig, CanonicalTuner, bwap_init
 from repro.engine import Application, Simulator, pick_worker_nodes

@@ -8,7 +8,6 @@ BWAP / uniform interleaving.
 
 import dataclasses
 
-import pytest
 
 from repro.core import (
     AdaptiveBWAP,

@@ -1,6 +1,6 @@
 """Table II — DWP values found by the iterative search (co-scheduled)."""
 
-from repro.experiments.table2 import PAPER_TABLE2, SCENARIOS, run_table2
+from repro.experiments.table2 import SCENARIOS, run_table2
 
 
 class BenchTable2:

@@ -28,12 +28,7 @@ from repro.core.dwp import (
     combine_weights,
     dwp_probe_curve,
 )
-from repro.core.hardening import (
-    HARDENED_PROFILE,
-    HardenedCoScheduledDWPTuner,
-    HardenedDWPTuner,
-    HardeningConfig,
-)
+from repro.core.hardening import HARDENED_PROFILE, HardeningConfig
 from repro.core.bwap import BWAPConfig, bwap_init, canonical_or_uniform
 from repro.core.classify import (
     ClassifierConfig,
@@ -71,8 +66,6 @@ __all__ = [
     "combine_weights",
     "dwp_probe_curve",
     "HARDENED_PROFILE",
-    "HardenedCoScheduledDWPTuner",
-    "HardenedDWPTuner",
     "HardeningConfig",
     "BWAPConfig",
     "bwap_init",

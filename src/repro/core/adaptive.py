@@ -24,18 +24,17 @@ kernel-level back end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dwp import DWPTuner
+from repro.core.hardening import HardeningConfig
 from repro.engine.app import Application
 from repro.engine.sim import Simulator, Tuner, wake_epoch_at
 from repro.perf.counters import MeasurementConfig
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.hardening import HardeningConfig
 
 
 class AdaptiveState(enum.Enum):
@@ -80,20 +79,20 @@ class AdaptiveConfig:
     check_interval_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.stability_window < 2:
-            raise ValueError(f"stability_window must be >= 2, got {self.stability_window}")
-        if self.stability_threshold <= 0 or self.drift_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.drift_floor_fraction <= 0:
-            raise ValueError(
-                f"drift_floor_fraction must be positive, got {self.drift_floor_fraction}"
-            )
-        if self.drift_confirmations < 1:
-            raise ValueError(
-                f"drift_confirmations must be >= 1, got {self.drift_confirmations}"
-            )
-        if self.check_interval_s <= 0:
-            raise ValueError(f"check_interval_s must be positive, got {self.check_interval_s}")
+        # Comparisons are written so that NaN fails them.
+        for name, low in (("stability_window", 2), ("drift_confirmations", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        for name in (
+            "stability_threshold",
+            "drift_threshold",
+            "drift_floor_fraction",
+            "check_interval_s",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 class AdaptiveBWAP(Tuner):
@@ -112,9 +111,8 @@ class AdaptiveBWAP(Tuner):
     measurement / step / warmup_s / tolerance:
         Forwarded to the inner :class:`DWPTuner` search.
     hardening:
-        When set, each search runs as a
-        :class:`~repro.core.hardening.HardenedDWPTuner` with these knobs;
-        ``None`` keeps the plain climb.
+        Fault defences armed in every inner search (see
+        :class:`DWPTuner`); ``None`` keeps the plain climb.
     warm_start:
         Forwarded to every inner search (float or predictor, see
         :class:`DWPTuner`): each triggered search then jumps to the
@@ -133,7 +131,7 @@ class AdaptiveBWAP(Tuner):
         step: float = 0.10,
         warmup_s: float = 0.5,
         tolerance: float = 0.02,
-        hardening: Optional["HardeningConfig"] = None,
+        hardening: Optional[HardeningConfig] = None,
         warm_start=None,
     ):
         self.app = app
@@ -147,6 +145,7 @@ class AdaptiveBWAP(Tuner):
             warmup_s=warmup_s,
             tolerance=tolerance,
             warm_start=warm_start,
+            hardening=hardening,
             # Re-tuning needs widening migrations: kernel back end only.
             mode="kernel",
         )
@@ -288,14 +287,7 @@ class AdaptiveBWAP(Tuner):
             self._drift_count = 0
 
     def _start_search(self, sim: Simulator) -> None:
-        if self.hardening is not None:
-            from repro.core.hardening import HardenedDWPTuner
-
-            self._inner = HardenedDWPTuner(
-                self.app, self.canonical, hardening=self.hardening, **self._tuner_kwargs
-            )
-        else:
-            self._inner = DWPTuner(self.app, self.canonical, **self._tuner_kwargs)
+        self._inner = DWPTuner(self.app, self.canonical, **self._tuner_kwargs)
         self._inner.on_start(sim)
         self.searches_started += 1
         self.state = AdaptiveState.TUNING

@@ -21,11 +21,7 @@ import numpy as np
 
 from repro.core.canonical import CanonicalTuner
 from repro.core.dwp import CoScheduledDWPTuner, DWPTuner, combine_weights
-from repro.core.hardening import (
-    HardenedCoScheduledDWPTuner,
-    HardenedDWPTuner,
-    HardeningConfig,
-)
+from repro.core.hardening import HardeningConfig
 from repro.engine.app import Application
 from repro.engine.sim import Simulator
 from repro.memsim import (
@@ -70,10 +66,10 @@ class BWAPConfig:
     tolerance:
         Relative stall improvement required to keep climbing.
     hardening:
-        When set, :func:`bwap_init` builds the hardened tuner variants
-        (EWMA smoothing, hysteresis, migration retry, watchdog rollback,
-        graceful degradation — see :mod:`repro.core.hardening`). ``None``
-        keeps the paper's plain climb.
+        Fault defences armed in the DWP tuner (EWMA smoothing, hysteresis,
+        migration retry, watchdog rollback, graceful degradation — see
+        :mod:`repro.core.hardening`). ``None`` keeps the paper's plain
+        climb.
     warm_start:
         Fixed starting DWP in [0, 1]: the tuner jumps there in one
         placement move at ``BWAP-init`` and hill-climbs only to polish
@@ -149,17 +145,12 @@ def bwap_init(
         warmup_s=config.warmup_s,
         tolerance=config.tolerance,
         warm_start=config.warm_start,
+        hardening=config.hardening,
     )
-    if config.hardening is not None:
-        common["hardening"] = config.hardening
-        if high_priority_app_id is not None:
-            tuner: DWPTuner = HardenedCoScheduledDWPTuner(
-                app, canonical, high_priority_app_id, **common
-            )
-        else:
-            tuner = HardenedDWPTuner(app, canonical, **common)
-    elif high_priority_app_id is not None:
-        tuner = CoScheduledDWPTuner(app, canonical, high_priority_app_id, **common)
+    if high_priority_app_id is not None:
+        tuner: DWPTuner = CoScheduledDWPTuner(
+            app, canonical, high_priority_app_id, **common
+        )
     else:
         tuner = DWPTuner(app, canonical, **common)
     sim.add_tuner(tuner)
@@ -171,7 +162,7 @@ class RunOutcome:
     """Everything an experiment needs from one scenario run.
 
     The trailing fault/hardening fields stay at their zero defaults on
-    fault-free runs with plain tuners, so pre-existing consumers are
+    fault-free runs with unarmed tuners, so pre-existing consumers are
     unaffected.
     """
 
@@ -317,6 +308,6 @@ def outcome_for_app(result, app_id: str, tuner) -> RunOutcome:
         pages_failed=migration.pages_failed,
         migration_rejections=migration.rejected_calls,
         migration_retries=migration.retries,
-        rollbacks=getattr(tuner, "rollbacks", 0),
-        degraded=getattr(tuner, "degraded", False),
+        rollbacks=0 if tuner is None else tuner.rollbacks,
+        degraded=False if tuner is None else tuner.degraded,
     )

@@ -68,22 +68,11 @@ class CanonicalTuner:
         Target machine.
     mc_model:
         Memory-controller model used during profiling.
-    use_nominal:
-        When True, skip the loaded profiling and use the machine's nominal
-        (isolated pairwise) matrix instead — provided for ablation, since
-        the paper argues loaded profiling matters.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        mc_model: MCModel = DEFAULT_MC_MODEL,
-        *,
-        use_nominal: bool = False,
-    ):
+    def __init__(self, machine: Machine, mc_model: MCModel = DEFAULT_MC_MODEL):
         self.machine = machine
         self.mc_model = mc_model
-        self.use_nominal = use_nominal
         self._profiles: Dict[Tuple[int, ...], np.ndarray] = {}
         self._weights: Dict[Tuple[int, ...], np.ndarray] = {}
 
@@ -99,13 +88,9 @@ class CanonicalTuner:
         """
         key = self._key(worker_nodes)
         if key not in self._profiles:
-            if self.use_nominal:
-                full = self.machine.nominal_bandwidth_matrix()
-                prof = np.zeros_like(full)
-                prof[:, list(key)] = full[:, list(key)]
-            else:
-                prof = proportional_profile(self.machine, list(key), self.mc_model)
-            self._profiles[key] = prof
+            self._profiles[key] = proportional_profile(
+                self.machine, list(key), self.mc_model
+            )
         return self._profiles[key]
 
     # ------------------------------------------------------------------ #

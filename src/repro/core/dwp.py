@@ -13,18 +13,26 @@ DWP = 0 when the application calls ``BWAP-init``, then repeatedly measure
 constant step while the stall rate keeps decreasing, and stop at the first
 non-improvement. Each increase is enforced by incremental page migration —
 a *narrowing* re-interleave, the direction ``mbind`` supports.
+
+The same climb carries the fault defences of :mod:`repro.core.hardening`
+(migration retry, smoothed measurement, stop patience, watchdog rollback,
+graceful degradation) as steps armed by its ``hardening`` config; unarmed,
+they leave the paper's search untouched.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.hardening import NO_DEFENCES, HardeningConfig
 from repro.engine.app import Application
 from repro.engine.sim import Simulator, Tuner, wake_epoch_at
+from repro.memsim.pages import UNALLOCATED
 from repro.perf.counters import MeasurementConfig
 
 
@@ -225,6 +233,12 @@ class DWPTuner(Tuner):
         tuner then jumps straight to that DWP in one placement move and
         hill-climbs only to polish; ``None`` (the default) keeps the
         paper's climb from DWP = 0, bit-for-bit.
+    hardening:
+        Fault defences (:class:`~repro.core.hardening.HardeningConfig`):
+        EWMA smoothing, hysteresis, migration retry, stop patience,
+        watchdog rollback and graceful degradation. ``None`` arms none of
+        them (:data:`~repro.core.hardening.NO_DEFENCES`): the paper's
+        plain climb.
     """
 
     def __init__(
@@ -238,13 +252,17 @@ class DWPTuner(Tuner):
         warmup_s: float = 0.5,
         tolerance: float = 0.0,
         warm_start=None,
+        hardening: Optional[HardeningConfig] = None,
     ):
+        # Comparisons are written so that NaN fails them.
         if not 0 < step <= 1:
             raise ValueError(f"step must be in (0, 1], got {step}")
-        if warmup_s < 0:
-            raise ValueError(f"warmup must be non-negative, got {warmup_s}")
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+        if not 0 <= warmup_s < math.inf:
+            raise ValueError(f"warmup must be non-negative and finite, got {warmup_s}")
+        if not 0 <= tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be non-negative and finite, got {tolerance}"
+            )
         if isinstance(warm_start, (int, float)) and not 0.0 <= float(warm_start) <= 1.0:
             raise ValueError(f"warm_start must be in [0, 1], got {warm_start}")
         self.app = app
@@ -255,6 +273,7 @@ class DWPTuner(Tuner):
         self.warmup_s = warmup_s
         self.tolerance = tolerance
         self.warm_start = warm_start
+        self.hardening = NO_DEFENCES if hardening is None else hardening
         #: The DWP the warm start actually jumped to (None without one).
         self.warm_started_dwp: Optional[float] = None
 
@@ -263,6 +282,21 @@ class DWPTuner(Tuner):
         self._phase = _Phase.WAIT_MEASURE
         self._next_action = 0.0
         self._prev_stall: Optional[float] = None
+
+        #: Times the watchdog reverted to the last-known-good snapshot.
+        self.rollbacks = 0
+        #: True once the tuner gave up and fell back to uniform-workers.
+        self.degraded = False
+        #: Migration-batch replays actually issued.
+        self.migration_retries = 0
+        self._cv_strikes = 0
+        self._no_improve_streak = 0
+        self._best_stall: Optional[float] = None
+        self._worse_streak = 0
+        #: (page nodes, DWP) at the best accepted step; watchdog only.
+        self._snapshot: Optional[Tuple[np.ndarray, float]] = None
+        #: (weights, attempts-so-far) of a bounced batch awaiting replay.
+        self._pending_retry: Optional[Tuple[np.ndarray, int]] = None
 
     # ------------------------------------------------------------------ #
     # Tuner interface
@@ -290,33 +324,22 @@ class DWPTuner(Tuner):
             self.dwp = self._resolve_warm_start()
             self.warm_started_dwp = self.dwp
         self._apply(sim, self.dwp)
-        self._next_action = sim.now + self.warmup_s + self._measurement_wall_s()
+        self._schedule(sim)
 
     def on_epoch(self, sim: Simulator) -> None:
-        if self._phase is _Phase.DONE:
+        if not self._ready(sim):
             return
-        if sim.now < self._next_action or self.app.finished:
-            if self.app.finished:
-                self._phase = _Phase.DONE
-            return
-        if not self._pre_measure(sim):
-            return
-
-        stall = self._measure(sim)
-        if self._prev_stall is None:
-            # Baseline at DWP = 0 recorded; try the first increase.
-            self.trajectory.append(DWPStep(sim.now, self.dwp, stall, accepted=True))
-            if not self._post_decision(sim, stall, improved=True):
-                return
-            self._prev_stall = stall
-            self._raise_dwp(sim)
-            return
-
-        improved = stall < self._prev_stall * self._accept_factor()
+        stall = self._measure(sim, self.app.app_id)
+        # The first decision records the baseline and always tries the
+        # first increase.
+        first = self._prev_stall is None
+        improved = first or stall < self._prev_stall * (
+            1.0 - self.tolerance - self.hardening.hysteresis
+        )
         self.trajectory.append(DWPStep(sim.now, self.dwp, stall, accepted=improved))
-        if not self._post_decision(sim, stall, improved):
+        if not self._defend(sim, stall, improved):
             return
-        if improved and self.dwp < 1.0 - 1e-9:
+        if first or (improved and self.dwp < 1.0 - 1e-9):
             self._prev_stall = stall
             self._raise_dwp(sim)
         else:
@@ -331,12 +354,13 @@ class DWPTuner(Tuner):
     def next_wake_epoch(self, sim: Simulator) -> Optional[int]:
         """Stride hint: this tuner is a pure no-op until ``_next_action``.
 
-        Every decision point (both the plain climb and the co-scheduled
-        stage machine, hardened or not) is gated by
-        ``sim.now < self._next_action`` — between decisions ``on_epoch``
-        returns before touching any state, counter or RNG. The only
-        wrinkle is a finished app: the *next* call flips the phase to
-        DONE, a real state change, so it must run as a regular epoch.
+        Every decision point of both climbs passes :meth:`_ready`, which
+        returns before touching any state, counter or RNG while
+        ``sim.now < self._next_action``. Every defence acts inside a
+        decision point, and retry backoffs reschedule through
+        ``_next_action``. The only wrinkle is a finished app: the *next*
+        call flips the phase to DONE, a real state change, so it must run
+        as a regular epoch.
         """
         if self._phase is _Phase.DONE:
             return None
@@ -355,51 +379,139 @@ class DWPTuner(Tuner):
         return len(self.trajectory)
 
     # ------------------------------------------------------------------ #
-    # Internals — the hooks the hardened variants override
+    # Steps of the climb
     # ------------------------------------------------------------------ #
 
-    def _pre_measure(self, sim: Simulator) -> bool:
-        """Gate before measuring; False skips this decision point.
+    def _ready(self, sim: Simulator) -> bool:
+        """The gate of every decision point: True when this epoch measures.
 
-        Hardened tuners use it to replay pending migration retries and to
-        settle after a graceful degradation.
+        A finished app ends the search; a migration batch awaiting retry
+        is replayed instead of measuring, and the decision waits for its
+        outcome to settle (or, if it bounced again, for the next backoff).
         """
+        if self._phase is _Phase.DONE:
+            return False
+        if self.app.finished:
+            self._phase = _Phase.DONE
+            return False
+        if sim.now < self._next_action:
+            return False
+        if self._pending_retry is None:
+            return True
+        weights, attempts = self._pending_retry
+        self.migration_retries += 1
+        sim.migration.record_retry(self.app.app_id)
+        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
+        h = self.hardening
+        if disposition.rejected and attempts + 1 < h.max_retries:
+            self._pending_retry = (weights, attempts + 1)
+            self._next_action = sim.now + h.retry_backoff_s * (2 ** (attempts + 1))
+        else:
+            # Either the batch went through or the retry budget is spent —
+            # measure whatever placement reality left us with.
+            self._pending_retry = None
+            self._schedule(sim)
+        return False
+
+    def _measure(self, sim: Simulator, app_id: str) -> float:
+        """One decision's stall signal for ``app_id``: ``ewma_samples``
+        trimmed-mean rounds blended exponentially, each round counting a
+        low-SNR strike when its coefficient of variation is too high."""
+        h = self.hardening
+        smoothed: Optional[float] = None
+        for _ in range(h.ewma_samples):
+            sample = sim.sample_stall_stats(app_id, self.config)
+            if smoothed is None:
+                smoothed = sample.mean
+            else:
+                smoothed = h.ewma_alpha * sample.mean + (1 - h.ewma_alpha) * smoothed
+            if sample.cv > h.snr_cv_threshold:
+                self._cv_strikes += 1
+            else:
+                self._cv_strikes = 0
+        assert smoothed is not None
+        return smoothed
+
+    def _defend(self, sim: Simulator, stall: float, improved: bool) -> bool:
+        """Run the defences on a recorded decision; False when one took
+        over this decision point (degradation, stop patience, rollback)."""
+        h = self.hardening
+        if h.snr_strikes and self._cv_strikes >= h.snr_strikes:
+            self._degrade(sim)
+            return False
+        if not improved:
+            self._no_improve_streak += 1
+            if self._no_improve_streak < h.stop_patience and self.dwp < 1.0 - 1e-9:
+                # One spiked window must not end the climb: hold the DWP
+                # and re-measure before conceding the local optimum.
+                self._schedule(sim)
+                return False
+            return True
+        self._no_improve_streak = 0
+        if not h.watchdog_k:
+            return True
+        # Watchdog: an *accepted* step should not sit above the best level
+        # the climb has seen. A streak of them means noise is steering.
+        if self._best_stall is None or stall < self._best_stall:
+            self._best_stall = stall
+            self._worse_streak = 0
+            self._snapshot = (self.app.space.page_nodes().copy(), self.dwp)
+        elif stall > self._best_stall * (1.0 + h.watchdog_margin):
+            self._worse_streak += 1
+            if self._worse_streak >= h.watchdog_k:
+                self._roll_back(sim)
+                return False
+        else:
+            self._worse_streak = 0
         return True
 
-    def _measure(self, sim: Simulator) -> float:
-        """The stall signal a decision is based on."""
-        return self._measure_for(sim, self.app.app_id)
-
-    def _measure_for(self, sim: Simulator, app_id: str) -> float:
-        """One measurement round for an arbitrary application."""
-        return sim.sample_stall_rate(app_id, self.config)
-
-    def _accept_factor(self) -> float:
-        """Relative factor the new stall must beat the previous one by."""
-        return 1.0 - self.tolerance
-
-    def _post_decision(self, sim: Simulator, stall: float, improved: bool) -> bool:
-        """Observe a recorded decision; False means a hardened override
-        (rollback, degradation) took control of this decision point."""
-        return True
-
-    def _measurement_wall_s(self) -> float:
-        """Wall time one decision's measurement occupies."""
-        return self.config.wall_time_s
+    def _schedule(self, sim: Simulator) -> None:
+        """Next decision: after the warm-up and one decision's rounds."""
+        self._next_action = (
+            sim.now
+            + self.warmup_s
+            + self.config.wall_time_s * self.hardening.ewma_samples
+        )
 
     def _raise_dwp(self, sim: Simulator) -> None:
         self.dwp = min(1.0, self.dwp + self.step)
         self._apply(sim, self.dwp)
-        self._next_action = sim.now + self.warmup_s + self._measurement_wall_s()
+        self._schedule(sim)
 
     def _apply(self, sim: Simulator, dwp: float) -> None:
+        """Migrate to the placement of ``dwp``; a batch the fault layer
+        bounces is queued for replay at the next decision point (when
+        retries are armed)."""
         weights = combine_weights(self.canonical, self.app.worker_nodes, dwp)
-        self._dispatch_migration(sim, weights)
+        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
+        if (
+            disposition.rejected
+            and self.hardening.max_retries > 0
+            and self._pending_retry is None
+        ):
+            self._pending_retry = (weights, 0)
 
-    def _dispatch_migration(self, sim: Simulator, weights: np.ndarray) -> None:
-        """Enforce a weight vector; fault dispositions are best-effort here
-        (the unhardened tuner never notices a failed batch)."""
+    def _roll_back(self, sim: Simulator) -> None:
+        """Revert to the last-known-good placement and end the search."""
+        assert self._snapshot is not None
+        pages, dwp = self._snapshot
+        mask = pages != UNALLOCATED
+        moved = self.app.space.assign_pages(np.nonzero(mask)[0], pages[mask])
+        if moved:
+            sim.charge_migration(self.app, moved)
+        self.dwp = dwp
+        self.rollbacks += 1
+        self._phase = _Phase.DONE
+
+    def _degrade(self, sim: Simulator) -> None:
+        """Fall back to uniform-workers: the noise floor has swallowed the
+        gradient, so hold the safe static distribution instead of walking."""
+        weights = np.zeros(self.app.machine.num_nodes)
+        for w in self.app.worker_nodes:
+            weights[w] = 1.0 / len(self.app.worker_nodes)
         sim.migrate_placement(self.app, weights, mode=self.mode)
+        self.degraded = True
+        self._phase = _Phase.DONE
 
 
 class CoScheduledDWPTuner(DWPTuner):
@@ -409,6 +521,8 @@ class CoScheduledDWPTuner(DWPTuner):
     raised while A's stall rate keeps dropping (B's pages are leaving A's
     nodes). Once A stabilises, the reached DWP is a lower bound, and
     stage 2 proceeds as the ordinary climb guided by B's own stall rate.
+    Both stages measure through the same (possibly smoothed) path; the
+    defences act in stage 2, whose SNR and watchdog state starts afresh.
 
     Parameters are as in :class:`DWPTuner`, plus:
 
@@ -436,13 +550,15 @@ class CoScheduledDWPTuner(DWPTuner):
         **kwargs,
     ):
         super().__init__(app, canonical_weights, **kwargs)
-        if stability_tolerance < 0:
+        if not 0 <= stability_tolerance < math.inf:
             raise ValueError(
-                f"stability_tolerance must be non-negative, got {stability_tolerance}"
+                "stability_tolerance must be non-negative and finite, "
+                f"got {stability_tolerance}"
             )
-        if min_abs_improvement < 0:
+        if not 0 <= min_abs_improvement < math.inf:
             raise ValueError(
-                f"min_abs_improvement must be non-negative, got {min_abs_improvement}"
+                "min_abs_improvement must be non-negative and finite, "
+                f"got {min_abs_improvement}"
             )
         self.high_priority_app_id = high_priority_app_id
         self.stability_tolerance = stability_tolerance
@@ -454,16 +570,10 @@ class CoScheduledDWPTuner(DWPTuner):
         if self._stage == 2:
             super().on_epoch(sim)
             return
-        if self._phase is _Phase.DONE:
-            return
-        if sim.now < self._next_action or self.app.finished:
-            if self.app.finished:
-                self._phase = _Phase.DONE
-            return
-        if not self._pre_measure(sim):
+        if not self._ready(sim):
             return
 
-        a_stall = self._measure_for(sim, self.high_priority_app_id)
+        a_stall = self._measure(sim, self.high_priority_app_id)
         if self._prev_a_stall is None:
             self._prev_a_stall = a_stall
             self.trajectory.append(DWPStep(sim.now, self.dwp, a_stall, accepted=True))
@@ -486,15 +596,15 @@ class CoScheduledDWPTuner(DWPTuner):
             self._raise_dwp(sim)
         else:
             # A has stabilised: the current DWP is the lower bound; hand
-            # over to the ordinary search driven by B's stall rate.
+            # over to the ordinary search driven by B's stall rate, with
+            # the SNR and watchdog state flushed so A's history cannot
+            # bias B's search.
             self._stage = 2
             self._prev_stall = None
             self._next_action = sim.now  # measure B immediately
-            self._on_stage_transition(sim)
-
-    def _on_stage_transition(self, sim: Simulator) -> None:
-        """Hook at the stage-1 -> stage-2 handoff (hardened variants reset
-        their smoothing state here: A's signal must not leak into B's)."""
+            self._cv_strikes = 0
+            self._best_stall = None
+            self._worse_streak = 0
 
     @property
     def stage(self) -> int:

@@ -1,12 +1,13 @@
-"""Hardened DWP tuners: surviving faults the plain climb cannot.
+"""Fault defences of the DWP tuner: their configuration.
 
 The paper's hill climb (Section III-B) trusts two fragile channels: the
 trimmed-mean stall measurement and best-effort page migration. Under the
 fault plans of :mod:`repro.faults` both betray it — spiky counters flip
 accept decisions, rejected or partial migrations silently desynchronise the
-believed DWP from the actual placement. The hardened variants here keep the
-identical search when nothing goes wrong and add four defences that only
-engage on evidence of trouble:
+believed DWP from the actual placement. :class:`~repro.core.dwp.DWPTuner`
+takes a :class:`HardeningConfig` that arms defences which keep the
+identical search when nothing goes wrong and only engage on evidence of
+trouble:
 
 * **EWMA smoothing** — take ``ewma_samples`` measurement rounds per
   decision and blend them exponentially, trading wall time for variance.
@@ -23,30 +24,24 @@ engage on evidence of trouble:
 
 With the default :class:`HardeningConfig` (one measurement round, zero
 hysteresis) and no faults injected, every defence is provably inert and
-the hardened tuners' decisions are bitwise-identical to the plain ones —
-the property the zero-fault regression test pins.
+the climb's decisions are bitwise-identical to the unarmed one
+(:data:`NO_DEFENCES`) — the property the zero-fault regression test pins.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
-
-from repro.core.dwp import CoScheduledDWPTuner, DWPTuner, _Phase
-from repro.engine.sim import Simulator
-from repro.memsim.pages import UNALLOCATED
 
 
 @dataclass(frozen=True)
 class HardeningConfig:
-    """Knobs of the hardened tuners.
+    """Knobs of the DWP tuner's fault defences.
 
     The defaults arm only the *reactive* defences (retry, watchdog,
     degradation) — mechanisms that never fire on a healthy run — and keep
-    the measurement path identical to the plain tuner, so default-hardened
-    and plain tuners agree bitwise in the absence of faults.
+    the measurement path of the unarmed climb, so the two agree bitwise in
+    the absence of faults.
 
     Attributes
     ----------
@@ -68,7 +63,9 @@ class HardeningConfig:
         Bounded replays of a transiently rejected migration batch
         (0 disables retrying).
     retry_backoff_s:
-        Wait before the first replay; doubles per attempt.
+        Base of the replay backoff. The first replay runs at the next
+        decision point; a replay that bounces again waits
+        ``retry_backoff_s * 2**k`` before replay ``k + 1``.
     watchdog_k:
         Consecutive accepted decisions whose stall exceeds the best
         observed level (by ``watchdog_margin``) before the search is
@@ -96,33 +93,43 @@ class HardeningConfig:
     snr_strikes: int = 4
 
     def __post_init__(self) -> None:
-        if self.ewma_samples < 1:
-            raise ValueError(f"ewma_samples must be >= 1, got {self.ewma_samples}")
+        # Comparisons are written so that NaN fails them.
+        for name, low in (
+            ("ewma_samples", 1),
+            ("stop_patience", 1),
+            ("max_retries", 0),
+            ("watchdog_k", 0),
+            ("snr_strikes", 0),
+        ):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.hysteresis < 0:
-            raise ValueError(f"hysteresis must be non-negative, got {self.hysteresis}")
-        if self.stop_patience < 1:
-            raise ValueError(f"stop_patience must be >= 1, got {self.stop_patience}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.retry_backoff_s <= 0:
+        if not 0 <= self.hysteresis < math.inf:
             raise ValueError(
-                f"retry_backoff_s must be positive, got {self.retry_backoff_s}"
+                f"hysteresis must be non-negative and finite, got {self.hysteresis}"
             )
-        if self.watchdog_k < 0:
-            raise ValueError(f"watchdog_k must be non-negative, got {self.watchdog_k}")
-        if self.watchdog_margin < 0:
+        if not 0 < self.retry_backoff_s < math.inf:
             raise ValueError(
-                f"watchdog_margin must be non-negative, got {self.watchdog_margin}"
+                f"retry_backoff_s must be positive and finite, got {self.retry_backoff_s}"
             )
-        if self.snr_cv_threshold <= 0:
+        if not 0 <= self.watchdog_margin < math.inf:
             raise ValueError(
-                f"snr_cv_threshold must be positive, got {self.snr_cv_threshold}"
+                "watchdog_margin must be non-negative and finite, "
+                f"got {self.watchdog_margin}"
             )
-        if self.snr_strikes < 0:
-            raise ValueError(f"snr_strikes must be non-negative, got {self.snr_strikes}")
+        if not 0 < self.snr_cv_threshold < math.inf:
+            raise ValueError(
+                "snr_cv_threshold must be positive and finite, "
+                f"got {self.snr_cv_threshold}"
+            )
 
+
+#: The unarmed climb (no retry, watchdog or degradation; one measurement
+#: round, no hysteresis, stop at the first non-improvement): what a tuner
+#: built with ``hardening=None`` runs — the paper's plain search.
+NO_DEFENCES = HardeningConfig(max_retries=0, watchdog_k=0, snr_strikes=0)
 
 #: The profile the fault-matrix experiments run: smoothing and hysteresis
 #: engaged on top of the reactive defences.
@@ -132,183 +139,3 @@ HARDENED_PROFILE = HardeningConfig(
     hysteresis=0.02,
     stop_patience=2,
 )
-
-
-class _HardenedMixin:
-    """Defence implementation shared by both hardened tuner classes.
-
-    Mixed in *before* the plain tuner class so its hook overrides win; it
-    only touches the hook surface (`_pre_measure`, `_measure_for`,
-    `_accept_factor`, `_post_decision`, `_measurement_wall_s`,
-    `_dispatch_migration`) — the climb's control flow stays in the base.
-    """
-
-    def __init__(self, *args, hardening: Optional[HardeningConfig] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.hardening = hardening if hardening is not None else HardeningConfig()
-        #: Times the watchdog reverted to the last-known-good snapshot.
-        self.rollbacks = 0
-        #: True once the tuner gave up and fell back to uniform-workers.
-        self.degraded = False
-        #: Migration-batch replays actually issued.
-        self.migration_retries = 0
-        self._ewma: Optional[float] = None
-        self._cv_strikes = 0
-        self._best_stall: Optional[float] = None
-        self._worse_streak = 0
-        self._no_improve_streak = 0
-        self._snapshot: Optional[Tuple[np.ndarray, float, float]] = None
-        #: (weights, attempts-so-far) of a bounced batch awaiting replay.
-        self._pending_retry: Optional[Tuple[np.ndarray, int]] = None
-
-    # ------------------------------------------------------------------ #
-    # Hook overrides
-    # ------------------------------------------------------------------ #
-
-    def _pre_measure(self, sim: Simulator) -> bool:
-        if self._pending_retry is None:
-            return True
-        weights, attempts = self._pending_retry
-        self.migration_retries += 1
-        sim.migration.record_retry(self.app.app_id)
-        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
-        if disposition.rejected and attempts + 1 < self.hardening.max_retries:
-            self._pending_retry = (weights, attempts + 1)
-            self._next_action = sim.now + self.hardening.retry_backoff_s * (
-                2 ** (attempts + 1)
-            )
-        else:
-            # Either the batch went through or the retry budget is spent —
-            # measure whatever placement reality left us with.
-            self._pending_retry = None
-            self._next_action = sim.now + self.warmup_s + self._measurement_wall_s()
-        return False
-
-    def _measure_for(self, sim: Simulator, app_id: str) -> float:
-        h = self.hardening
-        smoothed: Optional[float] = None
-        for _ in range(h.ewma_samples):
-            sample = sim.sample_stall_stats(app_id, self.config)
-            if smoothed is None:
-                smoothed = sample.mean
-            else:
-                smoothed = h.ewma_alpha * sample.mean + (1 - h.ewma_alpha) * smoothed
-            if sample.cv > h.snr_cv_threshold:
-                self._cv_strikes += 1
-            else:
-                self._cv_strikes = 0
-        assert smoothed is not None
-        return smoothed
-
-    def _accept_factor(self) -> float:
-        return 1.0 - self.tolerance - self.hardening.hysteresis
-
-    def _measurement_wall_s(self) -> float:
-        return self.config.wall_time_s * self.hardening.ewma_samples
-
-    def _post_decision(self, sim: Simulator, stall: float, improved: bool) -> bool:
-        h = self.hardening
-        if h.snr_strikes and self._cv_strikes >= h.snr_strikes:
-            self._degrade(sim)
-            return False
-        if not improved:
-            self._no_improve_streak += 1
-            if self._no_improve_streak < h.stop_patience and self.dwp < 1.0 - 1e-9:
-                # One spiked window must not end the climb: hold the DWP
-                # and re-measure before conceding the local optimum.
-                self._next_action = sim.now + self.warmup_s + self._measurement_wall_s()
-                return False
-            return True
-        self._no_improve_streak = 0
-        # Watchdog: an *accepted* step should not sit above the best level
-        # the climb has seen. A streak of them means noise is steering.
-        if self._best_stall is None or stall < self._best_stall:
-            self._best_stall = stall
-            self._worse_streak = 0
-            self._snapshot = (
-                self.app.space.page_nodes().copy(),
-                self.dwp,
-                stall,
-            )
-        elif stall > self._best_stall * (1.0 + h.watchdog_margin):
-            self._worse_streak += 1
-            if h.watchdog_k and self._worse_streak >= h.watchdog_k:
-                self._roll_back(sim)
-                return False
-        else:
-            self._worse_streak = 0
-        return True
-
-    def _dispatch_migration(self, sim: Simulator, weights: np.ndarray) -> None:
-        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
-        if (
-            disposition.rejected
-            and self.hardening.max_retries > 0
-            and self._pending_retry is None
-        ):
-            self._pending_retry = (weights, 0)
-            self._next_action = sim.now + self.hardening.retry_backoff_s
-
-    def _on_stage_transition(self, sim: Simulator) -> None:
-        # Stage 2 climbs on a different application's signal: flush the
-        # smoothing and SNR state so A's history cannot bias B's search.
-        self._ewma = None
-        self._cv_strikes = 0
-        self._best_stall = None
-        self._worse_streak = 0
-
-    def next_wake_epoch(self, sim: Simulator) -> Optional[int]:
-        """Stride hint — the plain tuner's is exact for hardened variants.
-
-        Every defence (retry replay, watchdog rollback, SNR degradation)
-        acts inside a decision point, and retry backoffs reschedule
-        through ``_next_action`` (see :meth:`_pre_measure` and
-        :meth:`_dispatch_migration`), so the base class's
-        deadline-derived dormancy window already accounts for them. The
-        explicit delegation records that invariant: a future defence that
-        acts *between* decision points must override this hint too.
-        """
-        return super().next_wake_epoch(sim)
-
-    # ------------------------------------------------------------------ #
-    # Defences
-    # ------------------------------------------------------------------ #
-
-    def _roll_back(self, sim: Simulator) -> None:
-        """Revert to the last-known-good placement and end the search."""
-        assert self._snapshot is not None
-        pages, dwp, _stall = self._snapshot
-        mask = pages != UNALLOCATED
-        indices = np.nonzero(mask)[0]
-        moved = self.app.space.assign_pages(indices, pages[mask])
-        if moved:
-            sim.charge_migration(self.app, moved)
-        self.dwp = dwp
-        self.rollbacks += 1
-        self._phase = _Phase.DONE
-
-    def _degrade(self, sim: Simulator) -> None:
-        """Fall back to uniform-workers: the noise floor has swallowed the
-        gradient, so hold the safe static distribution instead of walking."""
-        n = self.app.machine.num_nodes
-        weights = np.zeros(n)
-        for w in self.app.worker_nodes:
-            weights[w] = 1.0 / len(self.app.worker_nodes)
-        sim.migrate_placement(self.app, weights, mode=self.mode)
-        self.degraded = True
-        self._phase = _Phase.DONE
-
-
-class HardenedDWPTuner(_HardenedMixin, DWPTuner):
-    """:class:`~repro.core.dwp.DWPTuner` with the fault defences armed.
-
-    Accepts every plain-tuner parameter plus ``hardening=``.
-    """
-
-
-class HardenedCoScheduledDWPTuner(_HardenedMixin, CoScheduledDWPTuner):
-    """:class:`~repro.core.dwp.CoScheduledDWPTuner` with the defences armed.
-
-    Both stages measure through the smoothed path; the smoothing state is
-    reset at the stage-1 -> stage-2 handoff.
-    """

@@ -25,7 +25,7 @@ import numpy as np
 from repro.engine.app import Application
 from repro.engine.sim import Simulator
 from repro.memsim.controller import DEFAULT_MC_MODEL, MCModel
-from repro.memsim.policies import UniformWorkers, WeightedInterleave
+from repro.memsim.policies import WeightedInterleave
 from repro.topology.machine import Machine
 from repro.workloads.base import WorkloadSpec
 

@@ -20,7 +20,7 @@ DWP while keeping the private placement fixed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class SplitPlacement(PlacementPolicy):
         self.dwp_shared = dwp_shared
         self.dwp_private = dwp_private
         self.mode = mode
+        #: The weighted-interleave back end, applied one segment at a time.
+        self.apply_segment = (
+            apply_weighted_user if mode == "user" else apply_weighted_kernel
+        )
 
     def shared_weights(self, ctx: PlacementContext) -> np.ndarray:
         """Distribution applied to shared segments."""
@@ -83,7 +87,7 @@ class SplitPlacement(PlacementPolicy):
         return combine_weights(canonical, (owner_node,), self.dwp_private)
 
     def place(self, space: AddressSpace, ctx: PlacementContext) -> PlacementStats:
-        apply = apply_weighted_user if self.mode == "user" else apply_weighted_kernel
+        apply = self.apply_segment
         stats = PlacementStats()
         shared_w = self.shared_weights(ctx)
         private_cache: Dict[int, np.ndarray] = {}
@@ -120,22 +124,20 @@ class SplitDWPTuner(DWPTuner):
         super().__init__(app, canonical, **kwargs)
         self.canonical_tuner = canonical_tuner
         self.dwp_private = dwp_private
+        self.policy = SplitPlacement(
+            canonical_tuner, dwp_private=dwp_private, mode=self.mode
+        )
         self._private_placed = False
 
     def _apply(self, sim: Simulator, dwp: float) -> None:
-        from repro.core.interleave import apply_weighted_kernel, apply_weighted_user
-
-        apply = apply_weighted_user if self.mode == "user" else apply_weighted_kernel
+        apply = self.policy.apply_segment
         app = self.app
         moved = 0
 
         if not self._private_placed:
-            policy = SplitPlacement(
-                self.canonical_tuner, dwp_private=self.dwp_private, mode=self.mode
-            )
             for seg in app.space.segments_of_kind(SegmentKind.PRIVATE):
                 owner_node = app.ctx.node_of_thread(seg.owner_thread)
-                out = apply(app.space, seg, policy.private_weights(owner_node))
+                out = apply(app.space, seg, self.policy.private_weights(owner_node))
                 moved += out.pages_moved
             self._private_placed = True
 

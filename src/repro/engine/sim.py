@@ -305,20 +305,11 @@ class Simulator:
     # Tuner services
     # ------------------------------------------------------------------ #
 
-    def sample_stall_rate(
-        self, app_id: str, config: MeasurementConfig = MeasurementConfig()
-    ) -> float:
-        """Noisy trimmed-mean stall measurement (the tuners' only signal)."""
-        return self.counters.sample_stall_rate(app_id, config)
-
     def sample_stall_stats(
         self, app_id: str, config: MeasurementConfig = MeasurementConfig()
     ) -> StallSample:
-        """Trimmed-mean measurement plus its dispersion (hardened tuners).
-
-        Consumes exactly the same RNG draws as :meth:`sample_stall_rate`,
-        so swapping between the two never shifts the noise sequence.
-        """
+        """Noisy trimmed-mean stall measurement plus its dispersion (the
+        tuners' only signal); see :meth:`CounterBank.sample_stall_stats`."""
         return self.counters.sample_stall_stats(app_id, config)
 
     def charge_migration(self, app: Application, pages_moved: int) -> float:

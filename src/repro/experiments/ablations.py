@@ -15,11 +15,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import BWAPConfig, CanonicalTuner, combine_weights
+from repro.core import BWAPConfig
 from repro.core.dwp import dwp_probe_curve
 from repro.core.interleave import (
     apply_weighted_kernel,
@@ -29,7 +29,6 @@ from repro.core.interleave import (
 from repro.experiments.common import get_canonical, get_machine, run_scenario
 from repro.experiments.report import format_table
 from repro.memsim import AddressSpace
-from repro.units import MiB
 from repro.workloads import paper_benchmarks
 
 

@@ -9,7 +9,7 @@ BWAP-uniform ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.experiments.common import (
     ALL_POLICIES,

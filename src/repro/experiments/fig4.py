@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 
 from repro.experiments.common import get_machine, run_scenario
 from repro.experiments.report import format_table
@@ -107,7 +106,7 @@ def run_fig4(
         bwap = run_scenario(machine, wl, n, "bwap", coscheduled=coscheduled, seed=seed)
         # Re-run to capture the trajectory (run_scenario returns outcomes
         # only); use the tuner-level API for the overlay.
-        from repro.core import BWAPConfig, bwap_init
+        from repro.core import bwap_init
         from repro.engine import Application, Simulator, pick_worker_nodes
         from repro.memsim import FirstTouch
         from repro.workloads import swaptions

@@ -11,8 +11,8 @@ portion read from node *i* is proportional to the weight of *i*).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from repro.core.canonical import CanonicalTuner, canonical_tuner
 from repro.core.dwp import combine_weights
 from repro.core.interleave import PlacementOutcome, apply_weighted_placement
 from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
-from repro.memsim.pages import AddressSpace, Segment, SegmentKind
+from repro.memsim.pages import Segment, SegmentKind
 from repro.oslib.process import Process
 from repro.topology.machine import Machine
 

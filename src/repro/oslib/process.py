@@ -10,7 +10,7 @@ address space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.memsim.pages import AddressSpace, Segment, SegmentKind
 from repro.units import PAGE_SIZE

@@ -47,8 +47,8 @@ class StallSample:
     ``mean`` is the paper's trimmed mean — bitwise identical to what
     :meth:`CounterBank.sample_stall_rate` returns for the same RNG state.
     ``cv`` is the coefficient of variation of the trimmed samples, the
-    signal-to-noise estimate hardened tuners use to decide whether the
-    climb is winnable at all.
+    signal-to-noise estimate the DWP tuner's degradation defence uses to
+    decide whether the climb is winnable at all.
     """
 
     mean: float
@@ -178,7 +178,7 @@ class CounterBank:
 
         Consumes exactly the same RNG draws as :meth:`sample_stall_rate`
         (the mean is bitwise identical); additionally reports the trimmed
-        samples' coefficient of variation so hardened tuners can estimate
+        samples' coefficient of variation so the DWP tuner can estimate
         the signal-to-noise ratio without extra reads.
         """
         samples = np.array([self.read_stall_rate(app_id) for _ in range(config.n)])

@@ -15,11 +15,10 @@ produced by the contention solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
-from repro.memsim.contention import Allocation, ResourceKey
+from repro.memsim.contention import Allocation
 from repro.memsim.flows import Consumer
 from repro.topology.machine import Machine
 

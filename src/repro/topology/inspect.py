@@ -11,7 +11,7 @@ summary, the asymmetry statistics the paper quotes (5.8x on machine A,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -7,7 +7,7 @@ by an asymmetric interconnect with full (possibly multi-hop) connectivity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

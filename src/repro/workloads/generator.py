@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.units import GiB, MiB
+from repro.units import MiB
 from repro.workloads.base import WorkloadSpec
 
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.core import CanonicalTuner
-from repro.topology import dual_socket, fully_connected, machine_a, machine_b, mesh, ring
+from repro.topology import dual_socket, fully_connected, machine_a, machine_b, ring
 
 # The persistent result store must not leak state between test runs (a
 # stale entry from an older code version would mask a behaviour change

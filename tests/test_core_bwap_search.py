@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BWAPConfig, CanonicalTuner, bwap_init
+from repro.core import BWAPConfig, bwap_init
 from repro.core.search import (
     analytic_execution_time,
     hill_climb,

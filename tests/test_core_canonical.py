@@ -99,12 +99,6 @@ class TestCanonicalTuner:
         w[0] = 99.0
         assert canonical_a.weights([0])[0] != 99.0
 
-    def test_nominal_mode(self, mach_a):
-        t = CanonicalTuner(mach_a, use_nominal=True)
-        w = t.weights([0])
-        expect = mach_a.nominal_bandwidth_matrix()[:, 0]
-        assert w == pytest.approx(expect / expect.sum())
-
     def test_rejects_bad_worker_set(self, canonical_a):
         with pytest.raises(ValueError):
             canonical_a.weights([])

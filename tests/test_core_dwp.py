@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import CanonicalTuner, bwap_init, combine_weights
+from repro.core import combine_weights
 from repro.core.dwp import CoScheduledDWPTuner, DWPTuner
 from repro.engine import Application, Simulator
-from repro.memsim import FirstTouch, UniformAll
+from repro.memsim import FirstTouch
 from repro.perf.counters import MeasurementConfig
 from repro.units import MiB
-from repro.workloads import streamcluster, swaptions
+from repro.workloads import swaptions
 from repro.workloads.base import WorkloadSpec
 
 
@@ -186,6 +186,25 @@ class TestDWPTuner:
         with pytest.raises(ValueError):
             DWPTuner(app, canonical_b.weights((0,)), tolerance=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(step=float("nan")),
+            dict(warmup_s=float("nan")),
+            dict(warmup_s=float("inf")),
+            dict(tolerance=float("nan")),
+            dict(tolerance=float("inf")),
+            dict(warm_start=float("nan")),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_non_finite_params(self, mach_b, canonical_b, kwargs):
+        # A NaN warm-up never waits between decisions and a NaN tolerance
+        # stops the climb after two: both must fail at construction.
+        app = Application("a", fast_workload(), mach_b, (0,), policy=None)
+        with pytest.raises(ValueError):
+            DWPTuner(app, canonical_b.weights((0,)), **kwargs)
+
 
 class TestCoScheduledTuner:
     def _setup(self, mach, canonical, workers=(0,)):
@@ -228,6 +247,11 @@ class TestCoScheduledTuner:
         with pytest.raises(ValueError):
             CoScheduledDWPTuner(app, canonical_b.weights((0,)), "A",
                                 min_abs_improvement=-1.0)
+        for name in ("stability_tolerance", "min_abs_improvement"):
+            with pytest.raises(ValueError):
+                CoScheduledDWPTuner(
+                    app, canonical_b.weights((0,)), "A", **{name: float("nan")}
+                )
 
 
 class TestDWPProbeCurve:

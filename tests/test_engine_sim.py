@@ -1,6 +1,5 @@
 """The epoch simulator."""
 
-import numpy as np
 import pytest
 
 from repro.engine import Application, Simulator, Tuner

@@ -21,7 +21,6 @@ from repro.core import (
     CanonicalTuner,
     CoScheduledDWPTuner,
     DWPTuner,
-    HardenedDWPTuner,
 )
 from repro.engine import Application, PhasedApplication, Simulator, pick_worker_nodes
 from repro.engine.sim import Tuner, wake_epoch_at
@@ -199,7 +198,7 @@ class TestHardenedEquality:
                 Application("a", streamcluster(), mach_b, (0,), policy=None)
             )
             tuner = sim.add_tuner(
-                HardenedDWPTuner(
+                DWPTuner(
                     app,
                     canonical_b.weights((0,)),
                     hardening=HARDENED_PROFILE,

@@ -7,7 +7,6 @@ the runners' mechanics and render paths quickly.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.experiments.fig1 import run_fig1a, run_fig1b

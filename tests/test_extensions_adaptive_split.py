@@ -14,7 +14,7 @@ from repro.core import (
     split_bwap_init,
 )
 from repro.engine import Application, PhasedApplication, Simulator
-from repro.memsim import SegmentKind, UniformAll
+from repro.memsim import UniformAll
 from repro.perf.counters import MeasurementConfig
 from repro.workloads import ft_c, ocean_cp, streamcluster, two_phase
 
@@ -35,6 +35,13 @@ class TestAdaptiveConfig:
             dict(drift_floor_fraction=0.0),
             dict(drift_confirmations=0),
             dict(check_interval_s=0.0),
+            dict(stability_window=3.0),
+            dict(stability_threshold=float("nan")),
+            dict(drift_threshold=float("nan")),
+            dict(drift_floor_fraction=float("nan")),
+            dict(drift_confirmations=2.0),
+            dict(check_interval_s=float("nan")),
+            dict(check_interval_s=float("inf")),
         ],
     )
     def test_validation(self, kwargs):

@@ -1,6 +1,5 @@
 """Hybrid DRAM/NVM NUMA machines (paper Section VI)."""
 
-import numpy as np
 import pytest
 
 from repro.core import CanonicalTuner, bwap_init

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Application, Simulator
-from repro.memsim import ReplicatedShared, SegmentKind, UniformAll, UniformWorkers
+from repro.memsim import ReplicatedShared, UniformAll
 from repro.units import MiB, PAGE_SIZE
 from repro.workloads import ocean_cp, streamcluster
 from repro.workloads.base import WorkloadSpec

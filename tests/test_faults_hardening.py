@@ -7,10 +7,7 @@ import pytest
 
 from repro.core import (
     HARDENED_PROFILE,
-    HardenedCoScheduledDWPTuner,
-    HardenedDWPTuner,
     HardeningConfig,
-    combine_weights,
 )
 from repro.core.dwp import CoScheduledDWPTuner, DWPTuner
 from repro.engine import Application, Simulator
@@ -188,6 +185,40 @@ class TestMeasurementConfigValidation:
         assert MeasurementConfig(n=20, c=5, t=0.2).wall_time_s == pytest.approx(4.0)
 
 
+class TestHardeningConfigValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ewma_samples", 2.0),
+            ("ewma_alpha", float("nan")),
+            ("hysteresis", float("nan")),
+            ("stop_patience", True),
+            ("max_retries", 1.0),
+            ("retry_backoff_s", float("nan")),
+            ("watchdog_k", 2.0),
+            ("watchdog_margin", float("nan")),
+            ("snr_cv_threshold", float("nan")),
+            ("snr_strikes", np.int64(1)),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        # Non-int counts used to pass and raise a TypeError deep inside
+        # the run; NaN floats passed every range check.
+        with pytest.raises(ValueError, match=field):
+            HardeningConfig(**{field: value})
+
+    def test_rejects_infinite_floats(self):
+        for field in ("hysteresis", "retry_backoff_s", "watchdog_margin"):
+            with pytest.raises(ValueError, match=field):
+                HardeningConfig(**{field: float("inf")})
+
+    def test_none_arms_no_defence(self, mach_b, canonical_b):
+        app = Application("a", fast_workload(), mach_b, (0,), policy=None)
+        h = DWPTuner(app, canonical_b.weights((0,))).hardening
+        assert (h.max_retries, h.watchdog_k, h.snr_strikes) == (0, 0, 0)
+        assert (h.ewma_samples, h.hysteresis, h.stop_patience) == (1, 0.0, 1)
+
+
 class TestMigrationEngineRecords:
     def test_record_rejects_non_integers(self):
         eng = MigrationEngine()
@@ -326,18 +357,14 @@ class TestMigratePlacementFaults:
 
 
 class TestZeroFaultBitwiseIdentity:
-    """Default-hardened tuners with no faults are the plain tuner, bitwise."""
+    """Default hardening with no faults is the unarmed tuner, bitwise."""
 
     def _run(self, wl, machine, canonical, hardened):
         sim = Simulator(machine)
         app = sim.add_app(Application("B", wl, machine, (0, 1), policy=None))
         weights = canonical.weights((0, 1))
-        if hardened:
-            tuner = HardenedDWPTuner(
-                app, weights, hardening=HardeningConfig(), **QUICK
-            )
-        else:
-            tuner = DWPTuner(app, weights, **QUICK)
+        hardening = HardeningConfig() if hardened else None
+        tuner = DWPTuner(app, weights, hardening=hardening, **QUICK)
         sim.add_tuner(tuner)
         res = sim.run()
         return tuner, res
@@ -371,9 +398,7 @@ class TestHardenedDefences:
             Application("a", fast_workload(), mach_b, (0,), policy=None)
         )
         tuner = sim.add_tuner(
-            HardenedDWPTuner(
-                app, canonical_b.weights((0,)), hardening=hardening, **QUICK
-            )
+            DWPTuner(app, canonical_b.weights((0,)), hardening=hardening, **QUICK)
         )
         tuner.on_start(sim)
         return sim, app, tuner
@@ -382,12 +407,12 @@ class TestHardenedDefences:
         sim, app, tuner = self._hardened(
             mach_b, canonical_b, HardeningConfig(watchdog_k=2)
         )
-        assert tuner._post_decision(sim, 1.0, improved=True)  # best + snapshot
+        assert tuner._defend(sim, 1.0, improved=True)  # best + snapshot
         snap_dwp = tuner.dwp
         tuner.dwp = 0.2
-        assert tuner._post_decision(sim, 2.0, improved=True)  # strike 1
+        assert tuner._defend(sim, 2.0, improved=True)  # strike 1
         tuner.dwp = 0.3
-        assert not tuner._post_decision(sim, 2.0, improved=True)  # strike 2
+        assert not tuner._defend(sim, 2.0, improved=True)  # strike 2
         assert tuner.rollbacks == 1
         assert tuner.dwp == snap_dwp
         assert tuner.is_settled()
@@ -396,10 +421,10 @@ class TestHardenedDefences:
         sim, app, tuner = self._hardened(
             mach_b, canonical_b, HardeningConfig(watchdog_k=2)
         )
-        tuner._post_decision(sim, 1.0, improved=True)
-        tuner._post_decision(sim, 2.0, improved=True)  # strike 1
-        tuner._post_decision(sim, 0.5, improved=True)  # new best: streak clears
-        tuner._post_decision(sim, 0.6, improved=True)  # strike 1 again
+        tuner._defend(sim, 1.0, improved=True)
+        tuner._defend(sim, 2.0, improved=True)  # strike 1
+        tuner._defend(sim, 0.5, improved=True)  # new best: streak clears
+        tuner._defend(sim, 0.6, improved=True)  # strike 1 again
         assert tuner.rollbacks == 0
         assert not tuner.is_settled()
 
@@ -410,9 +435,9 @@ class TestHardenedDefences:
             HardeningConfig(snr_strikes=1, snr_cv_threshold=1e-9),
         )
         sim.counters.update("a", stall_rate=1e9, throughput_gbps=1.0)
-        stall = tuner._measure_for(sim, "a")
+        stall = tuner._measure(sim, "a")
         assert tuner._cv_strikes >= 1
-        assert not tuner._post_decision(sim, stall, improved=True)
+        assert not tuner._defend(sim, stall, improved=True)
         assert tuner.degraded
         assert tuner.is_settled()
         # Uniform-workers with one worker: every backed page on node 0.
@@ -423,12 +448,12 @@ class TestHardenedDefences:
         sim, app, tuner = self._hardened(
             mach_b, canonical_b, HardeningConfig(stop_patience=2)
         )
-        tuner._post_decision(sim, 1.0, improved=True)
+        tuner._defend(sim, 1.0, improved=True)
         # First non-improvement at DWP < 1 re-measures instead of stopping.
-        assert not tuner._post_decision(sim, 1.0, improved=False)
+        assert not tuner._defend(sim, 1.0, improved=False)
         assert not tuner.is_settled()
         # Second consecutive non-improvement lets the base tuner stop.
-        assert tuner._post_decision(sim, 1.0, improved=False)
+        assert tuner._defend(sim, 1.0, improved=False)
 
     def test_retry_after_transient_rejection(self, mach_b, canonical_b):
         plan = FaultPlan(
@@ -439,7 +464,7 @@ class TestHardenedDefences:
             Application("a", fast_workload(), mach_b, (0,), policy=None)
         )
         tuner = sim.add_tuner(
-            HardenedDWPTuner(
+            DWPTuner(
                 app,
                 canonical_b.weights((0,)),
                 hardening=HardeningConfig(max_retries=2),
@@ -447,11 +472,11 @@ class TestHardenedDefences:
             )
         )
         tuner.on_start(sim)  # initial backing: allocations, never rejected
-        weights = combine_weights(tuner.canonical, (0,), 0.5)
-        tuner._dispatch_migration(sim, weights)
+        tuner._apply(sim, 0.5)
         assert tuner._pending_retry is not None
         assert sim.migration.stats("a").rejected_calls == 1
-        assert not tuner._pre_measure(sim)  # replays the batch
+        tuner._next_action = sim.now  # the next decision point is due
+        assert not tuner._ready(sim)  # replays the batch instead of measuring
         assert tuner.migration_retries == 1
         assert sim.migration.stats("a").retries == 1
 
@@ -477,11 +502,18 @@ class TestCoScheduledStageTransition:
     def test_hardened_handoff_resets_search_state(self, mach_b, canonical_b):
         calls = []
 
-        class Spy(HardenedCoScheduledDWPTuner):
-            def _on_stage_transition(self, sim):
-                calls.append((self._best_stall, self._cv_strikes))
-                super()._on_stage_transition(sim)
-                calls.append((self._best_stall, self._cv_strikes))
+        class Spy(CoScheduledDWPTuner):
+            def on_epoch(self, sim):
+                stage1 = self.stage == 1
+                if stage1:
+                    # Stale watchdog state: stage 1 neither reads nor
+                    # clears it, so only the handoff can flush it.
+                    self._best_stall = 1.0
+                    before = (self._best_stall, self._cv_strikes)
+                super().on_epoch(sim)
+                if stage1 and self.stage == 2:
+                    calls.append(before)
+                    calls.append((self._best_stall, self._cv_strikes))
 
         sim, tuner = self._cosched(
             mach_b, canonical_b, Spy, hardening=HardeningConfig()
@@ -502,10 +534,10 @@ class TestCoScheduledStageTransition:
                 super().__init__(*args, **kwargs)
                 self._fake = iter(1e12 / 2**i for i in range(64))
 
-            def _measure_for(self, sim, app_id):
+            def _measure(self, sim, app_id):
                 if app_id == self.high_priority_app_id:
                     return next(self._fake)
-                return super()._measure_for(sim, app_id)
+                return super()._measure(sim, app_id)
 
         sim, tuner = self._cosched(mach_b, canonical_b, FakeA)
         sim.run()
@@ -526,7 +558,7 @@ class TestCoScheduledStageTransition:
             Application("B", fast_workload(), mach_b, workers, policy=None)
         )
         tuner = sim.add_tuner(
-            HardenedCoScheduledDWPTuner(
+            CoScheduledDWPTuner(
                 app,
                 canonical_b.weights(workers),
                 "A",

@@ -8,7 +8,7 @@ simulated substrate. Absolute numbers are recorded in EXPERIMENTS.md.
 import numpy as np
 import pytest
 
-from repro.experiments.common import get_canonical, get_machine, run_scenario
+from repro.experiments.common import get_machine, run_scenario
 from repro.workloads import ocean_cp, streamcluster
 
 

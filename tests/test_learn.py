@@ -22,7 +22,6 @@ from repro.learn import (
     TOPOLOGY_FEATURE_NAMES,
     Dataset,
     RidgeModel,
-    RowSpec,
     WarmStartPredictor,
     build_dataset,
     build_row,

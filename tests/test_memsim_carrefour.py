@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import Application, Simulator
-from repro.memsim import CarrefourLike, SegmentKind, UniformWorkers
+from repro.memsim import CarrefourLike, UniformWorkers
 from repro.units import MiB
 from repro.workloads import streamcluster, sp_b
 from repro.workloads.base import WorkloadSpec

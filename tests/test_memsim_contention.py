@@ -6,7 +6,6 @@ import pytest
 from repro.memsim.contention import DEFAULT_MC_MODEL, proportional_profile, solve
 from repro.memsim.controller import MCModel
 from repro.memsim.flows import Consumer, consumer_from_placement
-from repro.topology import fully_connected, machine_a, ring
 
 #: Controller model with no de-rating, for exact-arithmetic assertions.
 IDEAL_MC = MCModel(efficiency_floor=0.9999, contention_decay=0.0, write_cost_factor=1.0)

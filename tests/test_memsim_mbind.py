@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.memsim.mbind import MbindFlag, MPol, mbind, mbind_segment
-from repro.memsim.pages import UNALLOCATED, AddressSpace, SegmentKind
+from repro.memsim.pages import UNALLOCATED, AddressSpace
 from repro.units import PAGE_SIZE
 
 

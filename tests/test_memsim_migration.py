@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.memsim.migration import (
-    DEFAULT_PAGE_MIGRATION_COST_S,
-    MigrationEngine,
-    MigrationStats,
-)
+from repro.memsim.migration import DEFAULT_PAGE_MIGRATION_COST_S, MigrationEngine
 from repro.units import MiB, PAGE_SIZE
 
 

@@ -14,8 +14,6 @@ from repro.memsim.controller import MCModel
 from repro.memsim.flows import Consumer
 from repro.perf.counters import MeasurementConfig
 from repro.perf.latency import LatencyModel
-from repro.topology import ring
-from repro.units import MiB
 from repro.workloads import streamcluster
 
 IDEAL_MC = MCModel(efficiency_floor=0.9999, contention_decay=0.0, write_cost_factor=1.0)

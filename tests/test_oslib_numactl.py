@@ -1,6 +1,5 @@
 """The numactl front end, including the paper's --weighted-interleave."""
 
-import numpy as np
 import pytest
 
 from repro.engine import Application, Simulator

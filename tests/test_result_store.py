@@ -496,3 +496,25 @@ def test_env_gating_values(monkeypatch):
     monkeypatch.setenv("BWAP_STORE", "1")
     monkeypatch.setenv("BWAP_STORE_DIR", str(os.devnull) + "-unused-dir")
     assert get_default_store() is not None
+
+
+def test_hardened_spec_fingerprint_is_pinned():
+    """A hardened scenario keys the store exactly as before the tuner's
+    defences moved into ``DWPTuner``: ``HardeningConfig`` keeps its module
+    path and fields, which the fingerprint encodes."""
+    from repro.core import HARDENED_PROFILE, BWAPConfig
+
+    spec = ScenarioSpec(
+        "B",
+        streamcluster(),
+        1,
+        "bwap",
+        bwap_config=BWAPConfig(hardening=HARDENED_PROFILE),
+        fault_plan=DEFAULT_FAULT_PLAN,
+    )
+    assert fingerprint(spec) == (
+        "71c1d008d76a1d0dc74cb212f8402c99469bf473fb78cc7d906816a54d262ec5"
+    )
+    assert common.scenario_fingerprint(spec) == (
+        "4c122005a24cca55ffa9059ec410ef7c3912d1ce889119828e3e8611a5768f74"
+    )

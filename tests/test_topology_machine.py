@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.topology import Link, Machine, machine_a, machine_b
+from repro.topology import Link, Machine
 from repro.topology.builders import (
     MACHINE_A_BANDWIDTH_MATRIX,
     dual_socket,

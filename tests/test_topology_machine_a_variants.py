@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import CanonicalTuner, bwap_init
-from repro.engine import Application, Simulator, pick_worker_nodes
+from repro.engine import Application, Simulator
 from repro.memsim import UniformAll, UniformWorkers
-from repro.topology import machine_a, machine_a_topological
+from repro.topology import machine_a_topological
 from repro.topology.builders import MACHINE_A_BANDWIDTH_MATRIX
 from repro.workloads import streamcluster
 

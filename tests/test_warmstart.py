@@ -24,7 +24,6 @@ from repro.core import (
     DWPProbeSession,
     DWPTuner,
     HARDENED_PROFILE,
-    HardenedDWPTuner,
     bwap_init,
     dwp_probe_curve,
 )
@@ -79,6 +78,11 @@ def _assert_identical(pair_a, pair_b):
     )
 
 
+# Stable case ids: the hardened case keeps the name it had when the
+# hardened tuner was a class of its own.
+_TUNER_IDS = ["DWPTuner-extra0", "HardenedDWPTuner-extra1"]
+
+
 class TestWarmStartNoneIdentity:
     @pytest.mark.parametrize("wl_factory", [streamcluster, sp_b])
     @pytest.mark.parametrize("intensity", [0.0, 0.5, 1.0])
@@ -86,8 +90,9 @@ class TestWarmStartNoneIdentity:
         "tuner_cls,extra",
         [
             (DWPTuner, {}),
-            (HardenedDWPTuner, {"hardening": HARDENED_PROFILE}),
+            (DWPTuner, {"hardening": HARDENED_PROFILE}),
         ],
+        ids=_TUNER_IDS,
     )
     def test_none_reproduces_plain_trajectories(
         self, mach_b, canonical_b, wl_factory, intensity, tuner_cls, extra
@@ -111,8 +116,9 @@ class TestFixedWarmStart:
         "tuner_cls,extra",
         [
             (DWPTuner, {}),
-            (HardenedDWPTuner, {"hardening": HARDENED_PROFILE}),
+            (DWPTuner, {"hardening": HARDENED_PROFILE}),
         ],
+        ids=_TUNER_IDS,
     )
     def test_equals_plain_climb_preset_at_that_dwp(
         self, mach_b, canonical_b, dwp, tuner_cls, extra
