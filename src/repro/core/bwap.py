@@ -67,7 +67,7 @@ class BWAPConfig:
         Relative stall improvement required to keep climbing.
     hardening:
         Fault defences armed in the DWP tuner (EWMA smoothing, hysteresis,
-        migration retry, watchdog rollback, graceful degradation — see
+        migration retry, stop patience, graceful degradation — see
         :mod:`repro.core.hardening`). ``None`` keeps the paper's plain
         climb.
     warm_start:
@@ -175,7 +175,6 @@ class RunOutcome:
     pages_failed: int = 0
     migration_rejections: int = 0
     migration_retries: int = 0
-    rollbacks: int = 0
     degraded: bool = False
 
     def speedup_over(self, baseline: "RunOutcome") -> float:
@@ -308,6 +307,5 @@ def outcome_for_app(result, app_id: str, tuner) -> RunOutcome:
         pages_failed=migration.pages_failed,
         migration_rejections=migration.rejected_calls,
         migration_retries=migration.retries,
-        rollbacks=0 if tuner is None else tuner.rollbacks,
         degraded=False if tuner is None else tuner.degraded,
     )

@@ -15,9 +15,12 @@ non-improvement. Each increase is enforced by incremental page migration —
 a *narrowing* re-interleave, the direction ``mbind`` supports.
 
 The same climb carries the fault defences of :mod:`repro.core.hardening`
-(migration retry, smoothed measurement, stop patience, watchdog rollback,
-graceful degradation) as steps armed by its ``hardening`` config; unarmed,
-they leave the paper's search untouched.
+(migration retry, smoothed measurement, stop patience, graceful
+degradation) as steps armed by its ``hardening`` config; unarmed, they
+leave the paper's search untouched. Every page write the climb makes is a
+:data:`~repro.engine.sim.PageWrite` built by :meth:`DWPTuner._write` and
+applied through :meth:`~repro.engine.sim.Simulator.migrate_placement`, so
+migration faults and retries reach every variant that overrides it.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.hardening import NO_DEFENCES, HardeningConfig
+from repro.core.interleave import apply_weighted_placement
 from repro.engine.app import Application
-from repro.engine.sim import Simulator, Tuner, wake_epoch_at
-from repro.memsim.pages import UNALLOCATED
+from repro.engine.sim import PageWrite, Simulator, Tuner, wake_epoch_at
 from repro.perf.counters import MeasurementConfig
 
 
@@ -46,8 +49,11 @@ def combine_weights(
     kept (Section III-B: "retaining the canonical weight relations").
     """
     c = np.asarray(canonical, dtype=float)
-    if (c < 0).any() or c.sum() <= 0:
-        raise ValueError("canonical weights must be non-negative with positive sum")
+    if not np.isfinite(c).all() or (c < 0).any() or c.sum() <= 0:
+        raise ValueError(
+            "canonical weights must be finite and non-negative with positive "
+            f"sum, got {c.tolist()}"
+        )
     c = c / c.sum()
     if not 0.0 <= dwp <= 1.0:
         raise ValueError(f"DWP must be in [0, 1], got {dwp}")
@@ -235,10 +241,10 @@ class DWPTuner(Tuner):
         paper's climb from DWP = 0, bit-for-bit.
     hardening:
         Fault defences (:class:`~repro.core.hardening.HardeningConfig`):
-        EWMA smoothing, hysteresis, migration retry, stop patience,
-        watchdog rollback and graceful degradation. ``None`` arms none of
-        them (:data:`~repro.core.hardening.NO_DEFENCES`): the paper's
-        plain climb.
+        EWMA smoothing, hysteresis, migration retry, stop patience and
+        graceful degradation. ``None`` arms none of them
+        (:data:`~repro.core.hardening.NO_DEFENCES`): the paper's plain
+        climb.
     """
 
     def __init__(
@@ -283,20 +289,14 @@ class DWPTuner(Tuner):
         self._next_action = 0.0
         self._prev_stall: Optional[float] = None
 
-        #: Times the watchdog reverted to the last-known-good snapshot.
-        self.rollbacks = 0
         #: True once the tuner gave up and fell back to uniform-workers.
         self.degraded = False
         #: Migration-batch replays actually issued.
         self.migration_retries = 0
         self._cv_strikes = 0
         self._no_improve_streak = 0
-        self._best_stall: Optional[float] = None
-        self._worse_streak = 0
-        #: (page nodes, DWP) at the best accepted step; watchdog only.
-        self._snapshot: Optional[Tuple[np.ndarray, float]] = None
-        #: (weights, attempts-so-far) of a bounced batch awaiting replay.
-        self._pending_retry: Optional[Tuple[np.ndarray, int]] = None
+        #: (write, attempts-so-far) of a bounced batch awaiting replay.
+        self._pending_retry: Optional[Tuple[PageWrite, int]] = None
 
     # ------------------------------------------------------------------ #
     # Tuner interface
@@ -337,7 +337,7 @@ class DWPTuner(Tuner):
             1.0 - self.tolerance - self.hardening.hysteresis
         )
         self.trajectory.append(DWPStep(sim.now, self.dwp, stall, accepted=improved))
-        if not self._defend(sim, stall, improved):
+        if not self._defend(sim, improved):
             return
         if first or (improved and self.dwp < 1.0 - 1e-9):
             self._prev_stall = stall
@@ -398,13 +398,13 @@ class DWPTuner(Tuner):
             return False
         if self._pending_retry is None:
             return True
-        weights, attempts = self._pending_retry
+        write, attempts = self._pending_retry
         self.migration_retries += 1
         sim.migration.record_retry(self.app.app_id)
-        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
+        disposition = sim.migrate_placement(self.app, write)
         h = self.hardening
         if disposition.rejected and attempts + 1 < h.max_retries:
-            self._pending_retry = (weights, attempts + 1)
+            self._pending_retry = (write, attempts + 1)
             self._next_action = sim.now + h.retry_backoff_s * (2 ** (attempts + 1))
         else:
             # Either the batch went through or the retry budget is spent —
@@ -432,9 +432,9 @@ class DWPTuner(Tuner):
         assert smoothed is not None
         return smoothed
 
-    def _defend(self, sim: Simulator, stall: float, improved: bool) -> bool:
+    def _defend(self, sim: Simulator, improved: bool) -> bool:
         """Run the defences on a recorded decision; False when one took
-        over this decision point (degradation, stop patience, rollback)."""
+        over this decision point (degradation, stop patience)."""
         h = self.hardening
         if h.snr_strikes and self._cv_strikes >= h.snr_strikes:
             self._degrade(sim)
@@ -448,21 +448,6 @@ class DWPTuner(Tuner):
                 return False
             return True
         self._no_improve_streak = 0
-        if not h.watchdog_k:
-            return True
-        # Watchdog: an *accepted* step should not sit above the best level
-        # the climb has seen. A streak of them means noise is steering.
-        if self._best_stall is None or stall < self._best_stall:
-            self._best_stall = stall
-            self._worse_streak = 0
-            self._snapshot = (self.app.space.page_nodes().copy(), self.dwp)
-        elif stall > self._best_stall * (1.0 + h.watchdog_margin):
-            self._worse_streak += 1
-            if self._worse_streak >= h.watchdog_k:
-                self._roll_back(sim)
-                return False
-        else:
-            self._worse_streak = 0
         return True
 
     def _schedule(self, sim: Simulator) -> None:
@@ -482,26 +467,28 @@ class DWPTuner(Tuner):
         """Migrate to the placement of ``dwp``; a batch the fault layer
         bounces is queued for replay at the next decision point (when
         retries are armed)."""
-        weights = combine_weights(self.canonical, self.app.worker_nodes, dwp)
-        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
+        write = self._write(dwp)
+        disposition = sim.migrate_placement(self.app, write)
         if (
             disposition.rejected
             and self.hardening.max_retries > 0
             and self._pending_retry is None
         ):
-            self._pending_retry = (weights, 0)
+            self._pending_retry = (write, 0)
 
-    def _roll_back(self, sim: Simulator) -> None:
-        """Revert to the last-known-good placement and end the search."""
-        assert self._snapshot is not None
-        pages, dwp = self._snapshot
-        mask = pages != UNALLOCATED
-        moved = self.app.space.assign_pages(np.nonzero(mask)[0], pages[mask])
-        if moved:
-            sim.charge_migration(self.app, moved)
-        self.dwp = dwp
-        self.rollbacks += 1
-        self._phase = _Phase.DONE
+    def _write(self, dwp: float) -> PageWrite:
+        """The page write that places the app at ``dwp``: the canonical
+        weights shifted by ``dwp``, interleaved over every segment."""
+        return self._interleave(
+            combine_weights(self.canonical, self.app.worker_nodes, dwp)
+        )
+
+    def _interleave(self, weights: np.ndarray) -> PageWrite:
+        """The page write that interleaves every segment by ``weights``."""
+        mode = self.mode
+        return lambda space: apply_weighted_placement(
+            space, weights, mode=mode
+        ).pages_moved
 
     def _degrade(self, sim: Simulator) -> None:
         """Fall back to uniform-workers: the noise floor has swallowed the
@@ -509,7 +496,7 @@ class DWPTuner(Tuner):
         weights = np.zeros(self.app.machine.num_nodes)
         for w in self.app.worker_nodes:
             weights[w] = 1.0 / len(self.app.worker_nodes)
-        sim.migrate_placement(self.app, weights, mode=self.mode)
+        sim.migrate_placement(self.app, self._interleave(weights))
         self.degraded = True
         self._phase = _Phase.DONE
 
@@ -522,7 +509,7 @@ class CoScheduledDWPTuner(DWPTuner):
     nodes). Once A stabilises, the reached DWP is a lower bound, and
     stage 2 proceeds as the ordinary climb guided by B's own stall rate.
     Both stages measure through the same (possibly smoothed) path; the
-    defences act in stage 2, whose SNR and watchdog state starts afresh.
+    defences act in stage 2, whose SNR state starts afresh.
 
     Parameters are as in :class:`DWPTuner`, plus:
 
@@ -597,14 +584,11 @@ class CoScheduledDWPTuner(DWPTuner):
         else:
             # A has stabilised: the current DWP is the lower bound; hand
             # over to the ordinary search driven by B's stall rate, with
-            # the SNR and watchdog state flushed so A's history cannot
-            # bias B's search.
+            # the SNR state flushed so A's history cannot bias B's search.
             self._stage = 2
             self._prev_stall = None
             self._next_action = sim.now  # measure B immediately
             self._cv_strikes = 0
-            self._best_stall = None
-            self._worse_streak = 0
 
     @property
     def stage(self) -> int:

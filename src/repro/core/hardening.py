@@ -15,12 +15,13 @@ trouble:
   climb step, so noise-level "improvements" don't drive the DWP upward.
 * **Retry with backoff** — a migration batch that bounces EBUSY-style is
   replayed after a backoff, up to a bounded number of attempts.
-* **Watchdog rollback** — accepted steps whose stall sits above the best
-  observed level for ``watchdog_k`` consecutive decisions mean the climb
-  is chasing noise; the placement reverts to the last-known-good snapshot.
 * **Graceful degradation** — when the measured coefficient of variation
   says the signal-to-noise ratio makes the search unwinnable, give up and
   fall back to the uniform-workers distribution instead of wandering.
+
+There is no rollback watchdog: the climb accepts a step only while the
+stall keeps falling, so every accepted stall is a new best and no
+accepted step can sit above a last-known-good one.
 
 With the default :class:`HardeningConfig` (one measurement round, zero
 hysteresis) and no faults injected, every defence is provably inert and
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 class HardeningConfig:
     """Knobs of the DWP tuner's fault defences.
 
-    The defaults arm only the *reactive* defences (retry, watchdog,
-    degradation) — mechanisms that never fire on a healthy run — and keep
-    the measurement path of the unarmed climb, so the two agree bitwise in
-    the absence of faults.
+    The defaults arm only the *reactive* defences (retry, degradation) —
+    mechanisms that never fire on a healthy run — and keep the measurement
+    path of the unarmed climb, so the two agree bitwise in the absence of
+    faults.
 
     Attributes
     ----------
@@ -66,13 +67,6 @@ class HardeningConfig:
         Base of the replay backoff. The first replay runs at the next
         decision point; a replay that bounces again waits
         ``retry_backoff_s * 2**k`` before replay ``k + 1``.
-    watchdog_k:
-        Consecutive accepted decisions whose stall exceeds the best
-        observed level (by ``watchdog_margin``) before the search is
-        declared divergent and rolled back (0 disables the watchdog).
-    watchdog_margin:
-        Relative excess over the best observed stall that counts a
-        decision toward divergence.
     snr_cv_threshold:
         Trimmed-sample coefficient of variation above which a measurement
         round is a low-SNR strike.
@@ -87,8 +81,6 @@ class HardeningConfig:
     stop_patience: int = 1
     max_retries: int = 3
     retry_backoff_s: float = 0.25
-    watchdog_k: int = 3
-    watchdog_margin: float = 0.02
     snr_cv_threshold: float = 0.35
     snr_strikes: int = 4
 
@@ -98,7 +90,6 @@ class HardeningConfig:
             ("ewma_samples", 1),
             ("stop_patience", 1),
             ("max_retries", 0),
-            ("watchdog_k", 0),
             ("snr_strikes", 0),
         ):
             value = getattr(self, name)
@@ -114,11 +105,6 @@ class HardeningConfig:
             raise ValueError(
                 f"retry_backoff_s must be positive and finite, got {self.retry_backoff_s}"
             )
-        if not 0 <= self.watchdog_margin < math.inf:
-            raise ValueError(
-                "watchdog_margin must be non-negative and finite, "
-                f"got {self.watchdog_margin}"
-            )
         if not 0 < self.snr_cv_threshold < math.inf:
             raise ValueError(
                 "snr_cv_threshold must be positive and finite, "
@@ -126,10 +112,10 @@ class HardeningConfig:
             )
 
 
-#: The unarmed climb (no retry, watchdog or degradation; one measurement
-#: round, no hysteresis, stop at the first non-improvement): what a tuner
-#: built with ``hardening=None`` runs — the paper's plain search.
-NO_DEFENCES = HardeningConfig(max_retries=0, watchdog_k=0, snr_strikes=0)
+#: The unarmed climb (no retry or degradation; one measurement round, no
+#: hysteresis, stop at the first non-improvement): what a tuner built with
+#: ``hardening=None`` runs — the paper's plain search.
+NO_DEFENCES = HardeningConfig(max_retries=0, snr_strikes=0)
 
 #: The profile the fault-matrix experiments run: smoothing and hysteresis
 #: engaged on top of the reactive defences.

@@ -15,7 +15,10 @@ values" per page class. This module implements that extension:
   harvest nearby bandwidth instead of saturating the local controller.
 
 :class:`SplitDWPTuner` runs the ordinary on-line search over the shared
-DWP while keeping the private placement fixed.
+DWP while keeping the private placement fixed. It only changes the page
+write the climb makes, so its writes go through
+:meth:`~repro.engine.sim.Simulator.migrate_placement` like the base
+tuner's: migration faults reach them and a bounced batch is replayed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.core.canonical import CanonicalTuner
 from repro.core.dwp import DWPTuner, combine_weights
 from repro.core.interleave import apply_weighted_kernel, apply_weighted_user
 from repro.engine.app import Application
-from repro.engine.sim import Simulator
+from repro.engine.sim import PageWrite, Simulator
 from repro.memsim.pages import AddressSpace, SegmentKind
 from repro.memsim.policies import PlacementContext, PlacementPolicy, PlacementStats
 
@@ -129,24 +132,30 @@ class SplitDWPTuner(DWPTuner):
         )
         self._private_placed = False
 
-    def _apply(self, sim: Simulator, dwp: float) -> None:
+    def _write(self, dwp: float) -> PageWrite:
+        """The shared segments at ``dwp``; the first write also places the
+        private segments (a replay of that write places them again)."""
         apply = self.policy.apply_segment
         app = self.app
-        moved = 0
-
+        private = []
         if not self._private_placed:
-            for seg in app.space.segments_of_kind(SegmentKind.PRIVATE):
-                owner_node = app.ctx.node_of_thread(seg.owner_thread)
-                out = apply(app.space, seg, self.policy.private_weights(owner_node))
-                moved += out.pages_moved
+            owner = app.ctx.node_of_thread
+            private = [
+                (seg, self.policy.private_weights(owner(seg.owner_thread)))
+                for seg in app.space.segments_of_kind(SegmentKind.PRIVATE)
+            ]
             self._private_placed = True
-
         weights = combine_weights(self.canonical, app.worker_nodes, dwp)
-        for seg in app.space.segments_of_kind(SegmentKind.SHARED):
-            out = apply(app.space, seg, weights)
-            moved += out.pages_moved
-        if moved:
-            sim.charge_migration(app, moved)
+
+        def write(space: AddressSpace) -> int:
+            moved = 0
+            for seg, private_weights in private:
+                moved += apply(space, seg, private_weights).pages_moved
+            for seg in space.segments_of_kind(SegmentKind.SHARED):
+                moved += apply(space, seg, weights).pages_moved
+            return moved
+
+        return write
 
 
 def split_bwap_init(

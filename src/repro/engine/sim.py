@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.engine.kernel import EpochKernel
 from repro.memsim.contention import Allocation, SolverCache
 from repro.memsim.controller import DEFAULT_MC_MODEL, MCModel
 from repro.memsim.migration import MigrationEngine, MigrationStats
-from repro.memsim.pages import UNALLOCATED
+from repro.memsim.pages import UNALLOCATED, AddressSpace
 from repro.perf.counters import CounterBank, MeasurementConfig, StallSample
 from repro.perf.latency import DEFAULT_LATENCY_MODEL, LatencyModel
 from repro.perf.profiler import TrafficSample
@@ -46,6 +46,10 @@ from repro.topology.machine import Machine
 
 #: Guard against infinite loops in pathological configurations.
 _MAX_EPOCHS = 2_000_000
+
+#: A tuner's page write: rewrites an address space and returns the pages
+#: it moved (see :meth:`Simulator.migrate_placement`).
+PageWrite = Callable[[AddressSpace], int]
 
 
 class Tuner(abc.ABC):
@@ -321,21 +325,23 @@ class Simulator:
         return cost
 
     def migrate_placement(
-        self, app: Application, weights: Sequence[float], *, mode: str = "user"
+        self, app: Application, write: PageWrite
     ) -> MigrationDisposition:
-        """Apply a weighted placement to an app, subject to migration faults.
+        """Apply a tuner's page write to an app, subject to migration faults.
 
-        Fault-free (no plan, or no migration faults in it) this is exactly
-        the tuners' historical apply-then-charge sequence. Under a fault
+        ``write`` rewrites the app's address space (a weighted interleave,
+        or the split tuner's per-segment placement) and returns the pages
+        it moved. This is the one place a tuner's write is applied,
+        faulted and charged. Fault-free (no plan, or no migration faults
+        in it) the write runs and its moves are charged. Under a fault
         plan the batch may bounce wholesale (EBUSY: every moved page is
         reverted, nothing charged) or lose individual pages (the failed
         subset reverts to its old nodes; only surviving pages are charged).
         Newly backed pages are allocations, not migrations — they always
         stick, mirroring ``mbind`` setting policy even when the move part
-        of the call fails.
+        of the call fails. A bounced batch is replayed by passing the same
+        ``write`` again.
         """
-        from repro.core.interleave import apply_weighted_placement
-
         space = app.space
         injector = self.faults
         faulty = (
@@ -344,15 +350,13 @@ class Simulator:
             and not injector.plan.migration.is_null
         )
         if not faulty:
-            outcome = apply_weighted_placement(space, weights, mode=mode)
-            if outcome.pages_moved:
-                self.charge_migration(app, outcome.pages_moved)
-            return MigrationDisposition(
-                requested=outcome.pages_moved, rejected=False, pages_failed=0
-            )
+            moved = write(space)
+            if moved:
+                self.charge_migration(app, moved)
+            return MigrationDisposition(requested=moved, rejected=False, pages_failed=0)
 
         before = space.page_nodes().copy()
-        apply_weighted_placement(space, weights, mode=mode)
+        write(space)
         after = space.page_nodes()
         moved_idx = np.nonzero((after != before) & (before != UNALLOCATED))[0]
         requested = len(moved_idx)

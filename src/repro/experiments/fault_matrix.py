@@ -6,13 +6,15 @@ misbehave? This study crosses graded fault intensities (scaled copies of
 :data:`repro.faults.DEFAULT_FAULT_PLAN`, several fault seeds each) with
 the Table-I benchmarks and the two tuner builds — the paper's plain climb
 and the hardened variant (:data:`repro.core.HARDENED_PROFILE`: EWMA
-smoothing, hysteresis, stop patience, retry/rollback/degradation).
+smoothing, hysteresis, stop patience, retry and degradation).
 
 Per cell the report gives the convergence rate (final DWP within one step
 of the *fault-free* optimum), the mean DWP error, wasted migration pages
-(pages whose move the injector failed), and rollback/retry/degradation
-counts. The acceptance bar: at full intensity the hardened tuner stays
-within one step on at least 4 of the 5 benchmarks while the plain tuner
+(pages whose move the injector failed), and retry/degradation counts.
+There is no rollback column: the climb has no watchdog, since every step
+it accepts lowers the stall (see :mod:`repro.core.hardening`). The
+acceptance bar: at full intensity the hardened tuner stays within one
+step on at least 4 of the 5 benchmarks while the plain tuner
 demonstrably diverges on at least one.
 
 Every scenario is an independent :class:`ScenarioSpec`, so the whole
@@ -68,10 +70,6 @@ class FaultCell:
     @property
     def wasted_pages(self) -> int:
         return sum(o.pages_failed for o in self.outcomes)
-
-    @property
-    def rollbacks(self) -> int:
-        return sum(o.rollbacks for o in self.outcomes)
 
     @property
     def retries(self) -> int:
@@ -140,7 +138,6 @@ class FaultMatrixResult:
                             f"{max(errs):.2f}",
                             f"{sum(errs) / len(errs):.2f}",
                             c.wasted_pages,
-                            c.rollbacks,
                             c.retries,
                             c.degraded_runs,
                         ]
@@ -162,7 +159,6 @@ class FaultMatrixResult:
                 "max |dDWP|",
                 "mean |dDWP|",
                 "wasted pages",
-                "rollbacks",
                 "retries",
                 "degraded",
             ],

@@ -35,6 +35,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 
+def _check_window(start_s: float, end_s: float) -> None:
+    if not (start_s >= 0) or not end_s > start_s:
+        raise ValueError(f"need 0 <= start_s < end_s, got [{start_s}, {end_s})")
+
+
+def _check_prob(name: str, v: float) -> None:
+    if not (isinstance(v, (int, float)) and math.isfinite(v) and 0 <= v < 1):
+        raise ValueError(f"{name} must be a finite value in [0, 1), got {v!r}")
+
+
 @dataclass(frozen=True)
 class CounterNoiseFault:
     """Extra measurement noise on top of the counter bank's baseline.
@@ -55,14 +65,17 @@ class CounterNoiseFault:
     spike_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.extra_noise_std < 0:
+        # Comparisons are written so that NaN fails them.
+        if not 0 <= self.extra_noise_std < math.inf:
             raise ValueError(
-                f"extra_noise_std must be non-negative, got {self.extra_noise_std}"
+                "extra_noise_std must be non-negative and finite, "
+                f"got {self.extra_noise_std}"
             )
-        if not 0 <= self.spike_prob < 1:
-            raise ValueError(f"spike_prob must be in [0, 1), got {self.spike_prob}")
-        if self.spike_scale < 1:
-            raise ValueError(f"spike_scale must be >= 1, got {self.spike_scale}")
+        _check_prob("spike_prob", self.spike_prob)
+        if not 1 <= self.spike_scale < math.inf:
+            raise ValueError(
+                f"spike_scale must be finite and >= 1, got {self.spike_scale}"
+            )
 
     @property
     def is_null(self) -> bool:
@@ -94,9 +107,7 @@ class MigrationFaultSpec:
 
     def __post_init__(self) -> None:
         for name in ("page_failure_prob", "transient_reject_prob", "partial_abort_prob"):
-            v = getattr(self, name)
-            if not 0 <= v < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {v}")
+            _check_prob(name, getattr(self, name))
 
     @property
     def is_null(self) -> bool:
@@ -129,10 +140,7 @@ class LinkFault:
             raise ValueError(
                 f"capacity_scale must be in (0, 1], got {self.capacity_scale}"
             )
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError(
-                f"need 0 <= start_s < end_s, got [{self.start_s}, {self.end_s})"
-            )
+        _check_window(self.start_s, self.end_s)
 
     def active_at(self, now: float) -> bool:
         return self.start_s <= now < self.end_s
@@ -153,12 +161,11 @@ class PhaseShock:
     app_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.demand_scale <= 0:
-            raise ValueError(f"demand_scale must be positive, got {self.demand_scale}")
-        if self.start_s < 0 or self.end_s <= self.start_s:
+        if not 0 < self.demand_scale < math.inf:
             raise ValueError(
-                f"need 0 <= start_s < end_s, got [{self.start_s}, {self.end_s})"
+                f"demand_scale must be positive and finite, got {self.demand_scale}"
             )
+        _check_window(self.start_s, self.end_s)
 
     def active_at(self, now: float, app_id: str) -> bool:
         if self.app_id is not None and self.app_id != app_id:
@@ -274,18 +281,6 @@ DEFAULT_FAULT_PLAN = FaultPlan(
 )
 
 
-@dataclass
-class FaultStats:
-    """Counts of injected events, for the fault-matrix report."""
-
-    perturbed_reads: int = 0
-    spiked_reads: int = 0
-    rejected_migrations: int = 0
-    aborted_batches: int = 0
-    pages_failed: int = 0
-    degraded_solves: int = 0
-
-
 @dataclass(frozen=True)
 class MigrationDisposition:
     """Verdict for one migration batch of ``requested`` pages.
@@ -315,7 +310,6 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.stats = FaultStats()
         root = np.random.default_rng(plan.seed)
         streams = root.spawn(3)
         self._rng_counters = streams[0]
@@ -339,12 +333,10 @@ class FaultInjector:
         cn = self.plan.counter_noise
         if cn is None or cn.is_null:
             return value
-        self.stats.perturbed_reads += 1
         factor = 1.0
         if cn.extra_noise_std > 0:
             factor += self._rng_counters.normal(0.0, cn.extra_noise_std)
         if cn.spike_prob > 0 and self._rng_counters.random() < cn.spike_prob:
-            self.stats.spiked_reads += 1
             factor *= 1.0 + self._rng_counters.random() * (cn.spike_scale - 1.0)
         return max(0.0, value * factor)
 
@@ -361,18 +353,15 @@ class FaultInjector:
             return MigrationDisposition(requested, rejected=False, pages_failed=0)
         rng = self._rng_migration
         if mf.transient_reject_prob > 0 and rng.random() < mf.transient_reject_prob:
-            self.stats.rejected_migrations += 1
             return MigrationDisposition(requested, rejected=True, pages_failed=0)
         failed = 0
         if mf.partial_abort_prob > 0 and rng.random() < mf.partial_abort_prob:
             # A uniform-random prefix commits; the tail fails wholesale.
             committed = int(rng.integers(0, requested))
             failed = requested - committed
-            self.stats.aborted_batches += 1
         remaining = requested - failed
         if mf.page_failure_prob > 0 and remaining > 0:
             failed += int(rng.binomial(remaining, mf.page_failure_prob))
-        self.stats.pages_failed += failed
         return MigrationDisposition(requested, rejected=False, pages_failed=failed)
 
     def choose_failed_pages(self, moved_indices: np.ndarray, count: int) -> np.ndarray:
@@ -425,7 +414,6 @@ class FaultInjector:
                     f"{machine.name!r} has no such direct link"
                 )
             scale[row] *= s
-        self.stats.degraded_solves += 1
         self._scale_memo = (key, scale)
         return scale
 
@@ -494,11 +482,12 @@ def as_injector(
     faults: "Optional[FaultPlan | FaultInjector]",
 ) -> Optional[FaultInjector]:
     """Normalise a faults argument: None / null plan -> None, plan ->
-    injector, injector -> itself."""
+    injector, injector -> itself (even over a null plan, so a caller can
+    drive a fault-free run through every fault hook)."""
     if faults is None:
         return None
     if isinstance(faults, FaultInjector):
-        return None if faults.plan.is_null else faults
+        return faults
     if isinstance(faults, FaultPlan):
         return None if faults.is_null else FaultInjector(faults)
     raise TypeError(

@@ -27,18 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.faults import FaultPlan, LinkFault
+from repro.faults import FaultPlan, LinkFault, _check_prob, _check_window
 from repro.topology import Machine
-
-
-def _check_window(start_s: float, end_s: float) -> None:
-    if not (start_s >= 0) or not end_s > start_s:
-        raise ValueError(f"need 0 <= start_s < end_s, got [{start_s}, {end_s})")
-
-
-def _check_prob(name: str, v: float) -> None:
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and 0 <= v < 1):
-        raise ValueError(f"{name} must be a finite value in [0, 1), got {v!r}")
 
 
 @dataclass(frozen=True)

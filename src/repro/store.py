@@ -55,7 +55,7 @@ from repro.topology import Machine
 #: encoding, or the ``RunOutcome`` payload changes: old entries then simply
 #: stop matching and are recomputed (never misread). ``tests/test_result_store.py``
 #: pins every stored payload's fields to this version.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 # --------------------------------------------------------------------- #

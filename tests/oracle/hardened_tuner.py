@@ -8,6 +8,12 @@ hooks to arm the fault defences, giving :class:`HardenedDWPTuner` and
 by its ``hardening`` config and must reproduce these classes bitwise:
 trajectory, final DWP, defence counters, migration statistics and
 execution time.
+
+The mixin keeps the rollback watchdog the production tuner no longer has,
+armed by its own ``watchdog_k``/``watchdog_margin`` arguments: with it
+armed, the two must still agree bitwise, which shows the watchdog never
+acts (every accepted stall beats the previous accepted one, so it is
+always a new best).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 
 from repro.core.dwp import DWPStep, combine_weights
 from repro.core.hardening import HardeningConfig
+from repro.core.interleave import apply_weighted_placement
 from repro.engine.app import Application
 from repro.engine.sim import Simulator, Tuner, wake_epoch_at
 from repro.memsim.pages import UNALLOCATED
@@ -28,6 +35,11 @@ from repro.perf.counters import MeasurementConfig
 class _Phase(enum.Enum):
     WAIT_MEASURE = "wait-measure"
     DONE = "done"
+
+
+def interleave_write(weights: np.ndarray, mode: str):
+    """The page write of a weighted interleave over every segment."""
+    return lambda space: apply_weighted_placement(space, weights, mode=mode).pages_moved
 
 
 class DWPTuner(Tuner):
@@ -141,7 +153,7 @@ class DWPTuner(Tuner):
         self._dispatch_migration(sim, weights)
 
     def _dispatch_migration(self, sim: Simulator, weights: np.ndarray) -> None:
-        sim.migrate_placement(self.app, weights, mode=self.mode)
+        sim.migrate_placement(self.app, interleave_write(weights, self.mode))
 
 
 class CoScheduledDWPTuner(DWPTuner):
@@ -213,9 +225,18 @@ class CoScheduledDWPTuner(DWPTuner):
 class _HardenedMixin:
     """The fault defences, as overrides of the plain tuner's hooks."""
 
-    def __init__(self, *args, hardening: Optional[HardeningConfig] = None, **kwargs):
+    def __init__(
+        self,
+        *args,
+        hardening: Optional[HardeningConfig] = None,
+        watchdog_k: int = 3,
+        watchdog_margin: float = 0.02,
+        **kwargs,
+    ):
         super().__init__(*args, **kwargs)
         self.hardening = hardening if hardening is not None else HardeningConfig()
+        self.watchdog_k = watchdog_k
+        self.watchdog_margin = watchdog_margin
         self.rollbacks = 0
         self.degraded = False
         self.migration_retries = 0
@@ -232,7 +253,7 @@ class _HardenedMixin:
         weights, attempts = self._pending_retry
         self.migration_retries += 1
         sim.migration.record_retry(self.app.app_id)
-        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
+        disposition = sim.migrate_placement(self.app, interleave_write(weights, self.mode))
         if disposition.rejected and attempts + 1 < self.hardening.max_retries:
             self._pending_retry = (weights, attempts + 1)
             self._next_action = sim.now + self.hardening.retry_backoff_s * (
@@ -285,9 +306,9 @@ class _HardenedMixin:
                 self.dwp,
                 stall,
             )
-        elif stall > self._best_stall * (1.0 + h.watchdog_margin):
+        elif stall > self._best_stall * (1.0 + self.watchdog_margin):
             self._worse_streak += 1
-            if h.watchdog_k and self._worse_streak >= h.watchdog_k:
+            if self.watchdog_k and self._worse_streak >= self.watchdog_k:
                 self._roll_back(sim)
                 return False
         else:
@@ -295,7 +316,7 @@ class _HardenedMixin:
         return True
 
     def _dispatch_migration(self, sim: Simulator, weights: np.ndarray) -> None:
-        disposition = sim.migrate_placement(self.app, weights, mode=self.mode)
+        disposition = sim.migrate_placement(self.app, interleave_write(weights, self.mode))
         if (
             disposition.rejected
             and self.hardening.max_retries > 0
@@ -326,7 +347,7 @@ class _HardenedMixin:
         weights = np.zeros(n)
         for w in self.app.worker_nodes:
             weights[w] = 1.0 / len(self.app.worker_nodes)
-        sim.migrate_placement(self.app, weights, mode=self.mode)
+        sim.migrate_placement(self.app, interleave_write(weights, self.mode))
         self.degraded = True
         self._phase = _Phase.DONE
 

@@ -70,6 +70,12 @@ class TestCombineWeights:
         with pytest.raises(ValueError):
             combine_weights([0.0, 0.0, 0.5, 0.5], (0, 1), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_canonical(self, bad):
+        # NaN used to come back as [nan nan 0 0] with only a RuntimeWarning.
+        with pytest.raises(ValueError, match="finite.*" + str(bad)):
+            combine_weights([bad, 1.0, 1.0, 1.0], (0, 1), 0.5)
+
 
 def fast_workload(**kw):
     base = dict(

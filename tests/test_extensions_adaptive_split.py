@@ -10,13 +10,18 @@ from repro.core import (
     AdaptiveConfig,
     AdaptiveState,
     CanonicalTuner,
+    HardeningConfig,
     SplitPlacement,
     split_bwap_init,
 )
 from repro.engine import Application, PhasedApplication, Simulator
+from repro.faults import DEFAULT_FAULT_PLAN, FaultPlan, MigrationFaultSpec
 from repro.memsim import UniformAll
+from repro.memsim.pages import UNALLOCATED
 from repro.perf.counters import MeasurementConfig
 from repro.workloads import ft_c, ocean_cp, streamcluster, two_phase
+from tests.oracle.hardened_tuner import interleave_write
+from tests.oracle.page_counts import check_counts
 
 QUICK = dict(measurement=MeasurementConfig(n=6, c=1, t=0.1), warmup_s=0.2)
 
@@ -215,3 +220,67 @@ class TestAnalyticProbe:
         )
         assert np.array_equal(times, expected)
         assert (times > 0).all()
+
+
+class TestSplitTunerFaults:
+    """The split climb writes pages through ``Simulator.migrate_placement``,
+    so injected migration faults and the retry defence reach it."""
+
+    def _run(self, mach_b, faults, **kwargs):
+        sim = Simulator(mach_b, faults=faults)
+        app = sim.add_app(
+            Application(
+                "a",
+                dataclasses.replace(ft_c(), work_bytes=200e9),
+                mach_b,
+                (0, 1),
+                policy=None,
+            )
+        )
+        tuner = split_bwap_init(
+            sim, app, CanonicalTuner(mach_b), **quick_tuner_kwargs(), **kwargs
+        )
+        result = sim.run()
+        return app, tuner, result.migration["a"]
+
+    def test_page_failures_reach_the_split_climb(self, mach_b):
+        app, tuner, migration = self._run(mach_b, DEFAULT_FAULT_PLAN)
+        assert tuner.is_settled()
+        assert migration.pages_failed > 0
+        check_counts(app.space)
+
+    def test_bounced_split_batch_is_replayed(self, mach_b):
+        plan = FaultPlan(
+            seed=3, migration=MigrationFaultSpec(transient_reject_prob=0.5)
+        )
+        app, tuner, migration = self._run(
+            mach_b, plan, hardening=HardeningConfig(max_retries=2)
+        )
+        assert migration.rejected_calls > 0
+        assert tuner.migration_retries == migration.retries > 0
+        check_counts(app.space)
+        assert (app.space.page_nodes() != UNALLOCATED).all()
+
+    def test_replay_of_first_write_places_private_segments(self, mach_b):
+        # Back every page on node 0 first, so the split tuner's first write
+        # is a migration the fault layer can bounce.
+        plan = FaultPlan(
+            seed=1, migration=MigrationFaultSpec(transient_reject_prob=0.999)
+        )
+        sim = Simulator(mach_b, faults=plan)
+        app = sim.add_app(Application("a", ft_c(), mach_b, (0, 1), policy=None))
+        sim.migrate_placement(app, interleave_write(np.array([1.0, 0, 0, 0]), "user"))
+        tuner = split_bwap_init(
+            sim,
+            app,
+            CanonicalTuner(mach_b),
+            hardening=HardeningConfig(max_retries=2),
+            **quick_tuner_kwargs(),
+        )
+        sim.start()
+        assert sim.migration.stats("a").rejected_calls == 1
+        assert app.private_distribution(1)[1] == 0.0  # the bounce reverted it
+        write, _ = tuner._pending_retry
+        write(app.space)
+        dist1 = app.private_distribution(1)
+        assert dist1[1] > dist1[0]

@@ -29,6 +29,15 @@ from repro.perf.counters import MeasurementConfig
 from repro.units import MiB
 from repro.workloads import paper_benchmarks, swaptions
 from repro.workloads.base import WorkloadSpec
+from tests.oracle.hardened_tuner import interleave_write
+
+
+def uniform_write(n):
+    return interleave_write(np.full(n, 1.0 / n), "user")
+
+
+def node0_write():
+    return interleave_write(np.array([1.0, 0.0, 0.0, 0.0]), "user")
 
 
 def fast_workload(**kw):
@@ -94,12 +103,48 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             DEFAULT_FAULT_PLAN.scaled(-1.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CounterNoiseFault(extra_noise_std=float("nan")),
+            lambda: CounterNoiseFault(extra_noise_std=float("inf")),
+            lambda: CounterNoiseFault(spike_prob=0.1, spike_scale=float("nan")),
+            lambda: CounterNoiseFault(spike_prob=0.1, spike_scale=float("inf")),
+            lambda: CounterNoiseFault(spike_prob=float("nan")),
+            lambda: PhaseShock(demand_scale=float("nan")),
+            lambda: PhaseShock(demand_scale=float("inf")),
+            lambda: PhaseShock(2.0, start_s=float("nan")),
+            lambda: LinkFault(0, 1, 0.5, start_s=float("nan")),
+            lambda: MigrationFaultSpec(page_failure_prob=float("nan")),
+        ],
+        ids=[
+            "noise-std-nan",
+            "noise-std-inf",
+            "spike-scale-nan",
+            "spike-scale-inf",
+            "spike-prob-nan",
+            "demand-scale-nan",
+            "demand-scale-inf",
+            "shock-start-nan",
+            "link-start-nan",
+            "page-failure-nan",
+        ],
+    )
+    def test_validation_rejects_non_finite(self, build):
+        # Each of these used to construct: a NaN shock failed deep inside
+        # the contention solve, and NaN noise zeroed every counter read.
+        with pytest.raises(ValueError):
+            build()
+
     def test_as_injector_normalisation(self):
         assert as_injector(None) is None
         assert as_injector(FaultPlan()) is None
         inj = as_injector(DEFAULT_FAULT_PLAN)
         assert isinstance(inj, FaultInjector)
         assert as_injector(inj) is inj
+        # An injector passed explicitly is kept even over a null plan.
+        null = FaultInjector(FaultPlan())
+        assert as_injector(null) is null
         with pytest.raises(TypeError):
             as_injector("faults")
 
@@ -195,8 +240,8 @@ class TestHardeningConfigValidation:
             ("stop_patience", True),
             ("max_retries", 1.0),
             ("retry_backoff_s", float("nan")),
-            ("watchdog_k", 2.0),
-            ("watchdog_margin", float("nan")),
+            ("ewma_alpha", 0.0),
+            ("snr_strikes", -1),
             ("snr_cv_threshold", float("nan")),
             ("snr_strikes", np.int64(1)),
         ],
@@ -208,14 +253,14 @@ class TestHardeningConfigValidation:
             HardeningConfig(**{field: value})
 
     def test_rejects_infinite_floats(self):
-        for field in ("hysteresis", "retry_backoff_s", "watchdog_margin"):
+        for field in ("hysteresis", "retry_backoff_s", "snr_cv_threshold"):
             with pytest.raises(ValueError, match=field):
                 HardeningConfig(**{field: float("inf")})
 
     def test_none_arms_no_defence(self, mach_b, canonical_b):
         app = Application("a", fast_workload(), mach_b, (0,), policy=None)
         h = DWPTuner(app, canonical_b.weights((0,))).hardening
-        assert (h.max_retries, h.watchdog_k, h.snr_strikes) == (0, 0, 0)
+        assert (h.max_retries, h.snr_strikes) == (0, 0)
         assert (h.ewma_samples, h.hysteresis, h.stop_patience) == (1, 0.0, 1)
 
 
@@ -301,8 +346,7 @@ class TestMigratePlacementFaults:
         )
         # Back every page uniformly first: subsequent weight changes are
         # genuine migrations, eligible for injected faults.
-        n = mach_b.num_nodes
-        sim.migrate_placement(app, np.full(n, 1.0 / n))
+        sim.migrate_placement(app, uniform_write(mach_b.num_nodes))
         return sim, app
 
     def test_initial_allocation_never_faulted(self, mach_b):
@@ -313,8 +357,7 @@ class TestMigratePlacementFaults:
         app = sim.add_app(
             Application("a", fast_workload(), mach_b, (0,), policy=None)
         )
-        n = mach_b.num_nodes
-        d = sim.migrate_placement(app, np.full(n, 1.0 / n))
+        d = sim.migrate_placement(app, uniform_write(mach_b.num_nodes))
         # First-time backing moves no pages, so nothing can bounce.
         assert d.requested == 0 and not d.rejected
         assert app.space.allocated_pages() > 0
@@ -325,7 +368,7 @@ class TestMigratePlacementFaults:
         )
         sim, app = self._sim_with_backed_app(mach_b, faults=plan)
         before = app.space.page_nodes().copy()
-        d = sim.migrate_placement(app, np.array([1.0, 0.0, 0.0, 0.0]))
+        d = sim.migrate_placement(app, node0_write())
         assert d.rejected and d.requested > 0
         assert (app.space.page_nodes() == before).all()
         stats = sim.migration.stats("a")
@@ -340,7 +383,7 @@ class TestMigratePlacementFaults:
         )
         sim, app = self._sim_with_backed_app(mach_b, faults=plan)
         before = app.space.page_nodes().copy()
-        d = sim.migrate_placement(app, np.array([1.0, 0.0, 0.0, 0.0]))
+        d = sim.migrate_placement(app, node0_write())
         assert not d.rejected
         assert 0 < d.pages_failed < d.requested
         after = app.space.page_nodes()
@@ -351,7 +394,7 @@ class TestMigratePlacementFaults:
 
     def test_fault_free_disposition_counts_moves(self, mach_b):
         sim, app = self._sim_with_backed_app(mach_b)
-        d = sim.migrate_placement(app, np.array([1.0, 0.0, 0.0, 0.0]))
+        d = sim.migrate_placement(app, node0_write())
         assert not d.rejected and d.pages_failed == 0
         assert d.requested == d.pages_ok > 0
 
@@ -378,15 +421,21 @@ class TestZeroFaultBitwiseIdentity:
         ] == [(s.time_s, s.dwp, s.stall_rate, s.accepted) for s in t_hard.trajectory]
         assert r_plain.sim_time == r_hard.sim_time
         assert t_plain.final_dwp == t_hard.final_dwp
-        assert t_hard.rollbacks == 0 and not t_hard.degraded
+        assert not t_hard.degraded
 
     def test_null_plan_equals_no_plan(self, mach_a):
         from repro.experiments.common import run_scenario
 
         wl = paper_benchmarks()[0]
         base = run_scenario(mach_a, wl, 2, "bwap", seed=7)
+        # A live injector over the null plan runs every fault hook.
         nulled = run_scenario(
-            mach_a, wl, 2, "bwap", seed=7, faults=DEFAULT_FAULT_PLAN.scaled(0.0)
+            mach_a,
+            wl,
+            2,
+            "bwap",
+            seed=7,
+            faults=FaultInjector(DEFAULT_FAULT_PLAN.scaled(0.0)),
         )
         assert base == nulled
 
@@ -403,31 +452,6 @@ class TestHardenedDefences:
         tuner.on_start(sim)
         return sim, app, tuner
 
-    def test_watchdog_rolls_back_to_best(self, mach_b, canonical_b):
-        sim, app, tuner = self._hardened(
-            mach_b, canonical_b, HardeningConfig(watchdog_k=2)
-        )
-        assert tuner._defend(sim, 1.0, improved=True)  # best + snapshot
-        snap_dwp = tuner.dwp
-        tuner.dwp = 0.2
-        assert tuner._defend(sim, 2.0, improved=True)  # strike 1
-        tuner.dwp = 0.3
-        assert not tuner._defend(sim, 2.0, improved=True)  # strike 2
-        assert tuner.rollbacks == 1
-        assert tuner.dwp == snap_dwp
-        assert tuner.is_settled()
-
-    def test_improvement_resets_watchdog(self, mach_b, canonical_b):
-        sim, app, tuner = self._hardened(
-            mach_b, canonical_b, HardeningConfig(watchdog_k=2)
-        )
-        tuner._defend(sim, 1.0, improved=True)
-        tuner._defend(sim, 2.0, improved=True)  # strike 1
-        tuner._defend(sim, 0.5, improved=True)  # new best: streak clears
-        tuner._defend(sim, 0.6, improved=True)  # strike 1 again
-        assert tuner.rollbacks == 0
-        assert not tuner.is_settled()
-
     def test_snr_degradation_to_uniform_workers(self, mach_b, canonical_b):
         sim, app, tuner = self._hardened(
             mach_b,
@@ -435,9 +459,9 @@ class TestHardenedDefences:
             HardeningConfig(snr_strikes=1, snr_cv_threshold=1e-9),
         )
         sim.counters.update("a", stall_rate=1e9, throughput_gbps=1.0)
-        stall = tuner._measure(sim, "a")
+        tuner._measure(sim, "a")
         assert tuner._cv_strikes >= 1
-        assert not tuner._defend(sim, stall, improved=True)
+        assert not tuner._defend(sim, improved=True)
         assert tuner.degraded
         assert tuner.is_settled()
         # Uniform-workers with one worker: every backed page on node 0.
@@ -448,12 +472,12 @@ class TestHardenedDefences:
         sim, app, tuner = self._hardened(
             mach_b, canonical_b, HardeningConfig(stop_patience=2)
         )
-        tuner._defend(sim, 1.0, improved=True)
+        tuner._defend(sim, improved=True)
         # First non-improvement at DWP < 1 re-measures instead of stopping.
-        assert not tuner._defend(sim, 1.0, improved=False)
+        assert not tuner._defend(sim, improved=False)
         assert not tuner.is_settled()
         # Second consecutive non-improvement lets the base tuner stop.
-        assert tuner._defend(sim, 1.0, improved=False)
+        assert tuner._defend(sim, improved=False)
 
     def test_retry_after_transient_rejection(self, mach_b, canonical_b):
         plan = FaultPlan(
@@ -505,24 +529,22 @@ class TestCoScheduledStageTransition:
         class Spy(CoScheduledDWPTuner):
             def on_epoch(self, sim):
                 stage1 = self.stage == 1
-                if stage1:
-                    # Stale watchdog state: stage 1 neither reads nor
-                    # clears it, so only the handoff can flush it.
-                    self._best_stall = 1.0
-                    before = (self._best_stall, self._cv_strikes)
+                before = self._cv_strikes
                 super().on_epoch(sim)
                 if stage1 and self.stage == 2:
-                    calls.append(before)
-                    calls.append((self._best_stall, self._cv_strikes))
+                    calls.append((before, self._cv_strikes))
 
-        sim, tuner = self._cosched(
-            mach_b, canonical_b, Spy, hardening=HardeningConfig()
-        )
+        # Every round strikes, and too many strikes are needed to degrade:
+        # stage 1 piles up strikes that only the handoff can flush.
+        hardening = HardeningConfig(snr_cv_threshold=1e-9, snr_strikes=1000)
+        sim, tuner = self._cosched(mach_b, canonical_b, Spy, hardening=hardening)
         sim.run()
         assert tuner.stage == 2
         assert tuner.is_settled()
-        assert len(calls) == 2  # exactly one handoff
-        assert calls[1] == (None, 0)  # A's history flushed before stage 2
+        assert len(calls) == 1  # exactly one handoff
+        before, after = calls[0]
+        assert before > 0
+        assert after == 0  # A's history flushed before stage 2
 
     def test_never_stabilising_high_priority_app_caps_at_dwp_one(
         self, mach_b, canonical_b
@@ -581,7 +603,6 @@ class TestScenarioFaultPlumbing:
         assert o.pages_failed == 0
         assert o.migration_rejections == 0
         assert o.migration_retries == 0
-        assert o.rollbacks == 0
         assert o.degraded is False
 
     def test_run_scenario_reports_fault_activity(self, mach_a):
@@ -631,7 +652,7 @@ class TestFaultMatrixAggregation:
             ),
             ("SC", 1.0, "hardened"): FaultCell(
                 "SC", 1.0, "hardened",
-                (self._outcome(0.3), self._outcome(0.4, rollbacks=1)),
+                (self._outcome(0.3), self._outcome(0.4, migration_retries=1)),
             ),
         }
         r = FaultMatrixResult(
@@ -642,7 +663,7 @@ class TestFaultMatrixAggregation:
         assert plain.converged(0.3, 0.1) == 0
         hard = r.cell("SC", 1.0, "hardened")
         assert hard.converged(0.3, 0.1) == 2
-        assert hard.rollbacks == 1
+        assert hard.retries == 1
         assert r.benchmarks_within_one_step("hardened", 1.0) == 1
         assert r.benchmarks_diverged("plain", 1.0) == ["SC"]
         text = r.render()

@@ -24,6 +24,7 @@ from repro.memsim.replication import ReplicatedShared
 from repro.topology import hybrid_dram_nvm, machine_b
 from repro.units import PAGE_SIZE
 from repro.workloads.base import WorkloadSpec
+from tests.oracle.hardened_tuner import interleave_write
 from tests.oracle.page_counts import check_counts, recount, traffic_mix_reference
 
 MACHINE_B = machine_b()
@@ -121,7 +122,9 @@ def _write(data, sim, app, step):
         fraction = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="fraction")
         AutoNUMA(migration_fraction=fraction).step(space, app.ctx, 0)
     elif op == "migrate":
-        sim.migrate_placement(app, _weights(data, n), mode=data.draw(st.sampled_from(["user", "kernel"])))
+        weights = _weights(data, n)
+        mode = data.draw(st.sampled_from(["user", "kernel"]))
+        sim.migrate_placement(app, interleave_write(weights, mode))
     else:
         # An unchanged move write of a whole segment hands its counts over.
         rows = recount(space)

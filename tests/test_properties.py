@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dwp import combine_weights
-from repro.core.interleave import algorithm1_subranges, apply_weighted_user
+from repro.core.interleave import (
+    algorithm1_subranges,
+    apply_weighted_placement,
+    apply_weighted_user,
+)
 from repro.memsim.contention import solve
 from repro.memsim.controller import MCModel
 from repro.memsim.flows import Consumer
@@ -16,7 +20,7 @@ from repro.memsim.interleave import (
     weighted_counts,
 )
 from repro.memsim.mbind import MbindFlag, MPol, mbind
-from repro.memsim.pages import AddressSpace
+from repro.memsim.pages import UNALLOCATED, AddressSpace
 from repro.topology import fully_connected
 from repro.units import PAGE_SIZE
 
@@ -134,6 +138,59 @@ class TestCombineWeightsProperties:
         # Worker mass never decreases with DWP.
         base = combine_weights(w, workers, 0.0)
         assert out[list(workers)].sum() >= base[list(workers)].sum() - 1e-9
+
+
+@st.composite
+def canonical_and_workers(draw):
+    """A canonical vector and a worker set that holds some of its mass."""
+    c = draw(
+        st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=8)
+    )
+    workers = draw(
+        st.lists(
+            st.integers(0, len(c) - 1), min_size=1, max_size=len(c), unique=True
+        )
+    )
+    c = np.array(c)
+    # The mass must survive normalisation: a subnormal share underflows to 0.
+    assume(c.sum() > 0 and (c[workers] / c.sum() > 0).any())
+    return c, tuple(workers)
+
+
+class TestStructuralClaims:
+    """The paper's DWP end points (Section III-B) over arbitrary canonical
+    vectors and worker sets."""
+
+    @given(cw=canonical_and_workers())
+    def test_dwp_zero_is_normalised_canonical(self, cw):
+        c, workers = cw
+        out = combine_weights(c, workers, 0.0)
+        assert np.abs(out - c / c.sum()).max() <= 1e-12
+
+    @given(cw=canonical_and_workers())
+    def test_dwp_one_puts_nothing_off_workers(self, cw):
+        c, workers = cw
+        out = combine_weights(c, workers, 1.0)
+        off = np.ones(len(c), dtype=bool)
+        off[list(workers)] = False
+        assert (out[off] == 0).all()
+        assert out.sum() == pytest.approx(1.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        cw=canonical_and_workers(),
+        pages=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        mode=st.sampled_from(["user", "kernel"]),
+    )
+    def test_dwp_one_places_every_page_on_workers(self, cw, pages, mode):
+        c, workers = cw
+        space = AddressSpace(len(c))
+        for i, n in enumerate(pages):
+            space.map_segment(f"s{i}", n * PAGE_SIZE)
+        apply_weighted_placement(space, combine_weights(c, workers, 1.0), mode=mode)
+        nodes = space.page_nodes()
+        assert (nodes != UNALLOCATED).all()
+        assert np.isin(nodes, workers).all()
 
 
 class TestMbindProperties:

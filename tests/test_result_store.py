@@ -225,7 +225,7 @@ class TestResultStore:
 #: What every stored payload holds at the current ``SCHEMA_VERSION``. A
 #: change to any stored field's name, type or meaning must bump the
 #: version and re-pin it here, so stale entries are never replayed.
-PINNED_SCHEMA_VERSION = 4
+PINNED_SCHEMA_VERSION = 5
 PINNED_FIELDS = {
     "RunOutcome": [
         ("exec_time_s", "float"),
@@ -237,7 +237,6 @@ PINNED_FIELDS = {
         ("pages_failed", "int"),
         ("migration_rejections", "int"),
         ("migration_retries", "int"),
-        ("rollbacks", "int"),
         ("degraded", "bool"),
     ],
     "FleetOutcome": [
@@ -499,9 +498,9 @@ def test_env_gating_values(monkeypatch):
 
 
 def test_hardened_spec_fingerprint_is_pinned():
-    """A hardened scenario keys the store exactly as before the tuner's
-    defences moved into ``DWPTuner``: ``HardeningConfig`` keeps its module
-    path and fields, which the fingerprint encodes."""
+    """A hardened scenario's store key is pinned: the fingerprint encodes
+    ``HardeningConfig``'s module path and fields, so a change to either
+    (as dropping the watchdog fields was) must re-pin it here."""
     from repro.core import HARDENED_PROFILE, BWAPConfig
 
     spec = ScenarioSpec(
@@ -513,8 +512,8 @@ def test_hardened_spec_fingerprint_is_pinned():
         fault_plan=DEFAULT_FAULT_PLAN,
     )
     assert fingerprint(spec) == (
-        "71c1d008d76a1d0dc74cb212f8402c99469bf473fb78cc7d906816a54d262ec5"
+        "b75af3d9cc0233f259fe2260440194f7ed4c14a012a97b9cf3b36b57574be5d1"
     )
     assert common.scenario_fingerprint(spec) == (
-        "4c122005a24cca55ffa9059ec410ef7c3912d1ce889119828e3e8611a5768f74"
+        "34c1e803484d4afa0acd3f6b7d1eed0845803fc3397c8006acc798f9d7cfe9fe"
     )

@@ -89,7 +89,8 @@ def dense_batches(draw):
         node_idx[:] = node_idx[:1]
     mix = rng.dirichlet(np.ones(n), size=(num_batch, num_slots))
     mix[rng.random(mix.shape) < 0.3] = 0.0
-    live = rng.random((num_batch, num_slots)) < 0.7
+    # A zero-mix slot is idle (``Consumer.is_idle``), so never live.
+    live = (rng.random((num_batch, num_slots)) < 0.7) & mix.any(axis=2)
     demand = rng.uniform(0.5, 30.0, size=(num_batch, num_slots))
     demand[rng.random(demand.shape) < 0.2] = np.inf
     write_fraction = rng.uniform(0.0, 1.0, size=(num_batch, num_slots))
