@@ -16,6 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.memsim.contention import batch_coefficients
+from repro.memsim.controller import MCModel
 from repro.memsim.flows import Consumer
 from repro.memsim.pages import PAGE_SIZE, AddressSpace, SegmentKind
 from repro.memsim.policies import PlacementContext, PlacementPolicy
@@ -35,7 +37,7 @@ class AppBlock:
     """
 
     __slots__ = ("keys", "node_idx", "threads", "demand", "write_frac", "mix", "live",
-                 "rows", "_mixes", "_totals")
+                 "rows", "_mixes", "_totals", "_coef")
 
     def __init__(self, app_id, nodes, threads, demands, write_fraction, mixes, num_nodes):
         self.keys = tuple((app_id, w) for w in nodes)
@@ -56,12 +58,15 @@ class AppBlock:
             arr.setflags(write=False)
         #: The placement's mix rows, one read-only array per worker.
         self._mixes, self.rows = mixes, tuple(mixes)
+        #: Coefficient columns by (write fraction, write cost factor),
+        #: shared with every demand-only copy of this placement.
+        self._coef: Dict[Tuple[float, float], np.ndarray] = {}
         self._set_demands(demands, write_fraction)
 
     def with_demands(self, demands, write_fraction) -> "AppBlock":
         """This block's validated rows under new demands and write fraction."""
         block = object.__new__(AppBlock)
-        for name in ("keys", "node_idx", "threads", "rows", "_mixes", "_totals"):
+        for name in ("keys", "node_idx", "threads", "rows", "_mixes", "_totals", "_coef"):
             setattr(block, name, getattr(self, name))
         block._set_demands(demands, write_fraction)
         return block
@@ -79,6 +84,22 @@ class AppBlock:
         self.live = np.array([d != 0 and t != 0.0 for d, t in zip(demands, self._totals)])
         for arr in (self.demand, self.write_frac, self.mix, self.live):
             arr.setflags(write=False)
+
+    def coefficients(self, machine: Machine, mc_model: MCModel) -> np.ndarray:
+        """``(resources, rows)`` :func:`batch_coefficients` columns of the
+        placement's mix rows under this block's write fraction on
+        ``machine``, the app's own machine: built once per placement and
+        write fraction. A row without demand keeps its placement column,
+        which is an exact no-op in a solve: the row is a dead slot, so its
+        rate stays 0 and nothing it touches counts.
+        """
+        key = (float(self.write_frac[0]), mc_model.write_cost_factor)
+        A = self._coef.get(key)
+        if A is None:
+            A = self._coef[key] = batch_coefficients(
+                machine, self.node_idx[None], self._mixes[None], self.write_frac[None], mc_model,
+            )[0]
+        return A
 
 
 class Application:

@@ -18,9 +18,12 @@ work:
 * elementwise float64 ufuncs are IEEE-identical to the scalar expressions
   they replace, so per-pair arithmetic vectorises freely;
 * *reductions* are not (NumPy sums pairwise) — every reduction here either
-  runs sequentially in the reference order (source-axis latency totals,
-  per-app throughput sums) or reproduces the exact scalar call
-  (``np.average`` on identically-gathered arrays);
+  runs sequentially in the reference order (route-hop and source-axis
+  latency totals, each one ``np.add.accumulate``; per-app throughput sums
+  in Python) or reproduces the arithmetic of the scalar call on
+  identically gathered arrays (the weighted stall average is the
+  ``(values * weights).sum() / weights.sum()`` that ``np.average``
+  computes);
 * adding an exact ``0.0`` is a bitwise no-op for the non-negative
   quantities involved, which lets dead/padded slots ride along;
 * comparisons are replicated with the reference operand order —
@@ -241,6 +244,10 @@ class EpochKernel:
             # is read) and no resource touched.
             pairs, res = np.zeros(ws.num_pairs), np.zeros(machine_tables(sim.machine).num_res)
             return _Solve(ws, pairs, res, pairs, res, res)
+        # Each block's coefficient columns are built once per placement.
+        coef = np.concatenate(
+            [b.coefficients(sim.machine, sim.mc_model) for b in ws.blocks], axis=1
+        )
         arrays = solve_batch_arrays(
             sim.machine,
             ws.node_idx[None, :],
@@ -249,6 +256,7 @@ class EpochKernel:
             ws.write_frac[None, :],
             ws.live[None, :],
             sim.mc_model,
+            coefficients=coef[None],
             capacity_scale=cap_scale,
         )
         return _Solve(
@@ -291,24 +299,21 @@ class EpochKernel:
     ) -> List[_AppEpoch]:
         sim = self.sim
         tables = machine_tables(sim.machine)
-        num_nodes = tables.num_nodes
 
         # Loaded latency, replicating LatencyModel.consumer_latency_ns
         # term for term: unloaded latency + the path resources' queueing
         # delays (source MC, route links in route order, destination
-        # ingress), then the mix-weighted total accumulated over sources
-        # in ascending order. Padded gathers add an exact 0.0.
+        # ingress), then the mix-weighted total over sources in ascending
+        # order. Both sums are one sequential np.add.accumulate; padded
+        # gathers add an exact 0.0.
         u = np.minimum(util_row, _MAX_UTILIZATION)
         qd = sim.latency_model.queue_scale_ns * u / (1.0 - u)
         qd_pad = np.concatenate((qd, (0.0,)))
         rows = latency_path_rows(sim.machine)[ws.node_idx]  # (P, N, K)
-        lat = tables.lat0[ws.node_idx]  # fancy index -> fresh (P, N) array
-        for k in range(rows.shape[2]):
-            lat = lat + qd_pad[rows[:, :, k]]
-        total = np.zeros(ws.num_pairs)
-        for s in range(num_nodes):
-            frac = ws.mix[:, s]
-            total = total + np.where(frac > 0.0, frac * lat[:, s], 0.0)
+        hops = np.concatenate((tables.lat0[ws.node_idx][:, :, None], qd_pad[rows]), axis=2)
+        lat = np.add.accumulate(hops, axis=2)[:, :, -1]
+        weighted = np.where(ws.mix > 0.0, ws.mix * lat, 0.0)
+        total = np.add.accumulate(weighted, axis=1)[:, -1]
         local0 = tables.lat0[ws.node_idx, ws.node_idx]
         lat_final = np.where(ws.mix_nonzero, total, local0)
 
@@ -330,26 +335,30 @@ class EpochKernel:
         stall = np.where(s_arr <= 1.0, 0.0, (s_arr - 1.0) / s_arr)
         prog = ws.demand / s_arr * useful * 1e9  # bytes/s
 
+        nodes = ws.node_idx.tolist()
+        active = ws.active.tolist()
+        rates = rates_row.tolist()
+        stalls = stall.tolist()
+        progress = prog.tolist()
         records: List[_AppEpoch] = []
         for app, sl in zip(apps, ws.slices):
-            act = ws.active[sl]
-            if act.any():
-                # Identical gathered arrays -> identical np.average call.
-                vals = stall[sl][act]
+            if any(active[sl]):
+                # np.average's own arithmetic on identically gathered
+                # arrays: the weighted sum over the weight sum.
+                act = ws.active[sl]
                 weights = ws.threads[sl][act]
-                frac = float(np.average(vals, weights=weights))
+                frac = float(np.multiply(stall[sl][act], weights).sum() / weights.sum())
             else:
                 frac = 0.0
             # app_total_rate: plain sum over the app's pairs in order.
-            throughput = sum(float(r) for r in rates_row[sl])
+            throughput = sum(rates[sl])
             freq = sim._worker_frequency_ghz(app)
             per_node_stall: Dict[int, float] = {}
             active_pairs: List[Tuple[int, float]] = []
             for j in range(sl.start, sl.stop):
-                if ws.active[j]:
-                    w = int(ws.node_idx[j])
-                    per_node_stall[w] = float(stall[j])
-                    active_pairs.append((w, float(prog[j])))
+                if active[j]:
+                    per_node_stall[nodes[j]] = stalls[j]
+                    active_pairs.append((nodes[j], progress[j]))
             records.append(
                 _AppEpoch(
                     frac=frac,

@@ -636,69 +636,63 @@ def _progressive_fill(
     batch elements are independent, and padded resource rows (zero
     incidence, infinite capacity, untouched) and dead consumer slots are
     exact no-ops — which is what lets heterogeneous machine groups share
-    one fleet-wide tensor. Returns ``(rates, load, util, bottleneck_row)``.
+    one fleet-wide tensor. Live slots need non-negative demands. Returns
+    ``(rates, load, util, bottleneck_row)``. The per-round steps are in
+    ``docs/model.md`` §3; an element that stops has every slot frozen, so
+    ``active`` alone says which elements are still filling.
     """
     num_batch, num_res, num_slots = A.shape
     saturation_slack = _EPS * np.maximum(caps, 1.0)
-    batch_range = np.arange(num_batch)
-
-    rates = np.zeros((num_batch, num_slots))
-    active = live.copy()
-    bottleneck_row = np.full((num_batch, num_slots), -1, dtype=np.intp)
-    stopped = np.zeros(num_batch, dtype=bool)
+    demand_lo = demand - _EPS
     uses = A > _EPS
 
-    load = _axis_n_dot(A, rates)
+    rates = np.zeros((num_batch, num_slots))
+    load = np.zeros((num_batch, num_res))
+    gap = caps  # caps - load at zero load
+    active = live.copy()
+    bottleneck_row = np.full((num_batch, num_slots), -1, dtype=np.intp)
     for _ in range(num_res + num_slots + 1):
-        alive = active.any(axis=1) & ~stopped
+        alive = active.any(axis=1)
         if not alive.any():
             break
-        growth = _axis_n_dot(A, active.astype(float))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(growth > _EPS, (caps - load) / growth, np.inf)
-        room = np.clip(room, 0.0, None)
+        growth = _axis_n_dot(A, active)
+        room = np.full((num_batch, num_res), np.inf)
+        np.divide(gap, growth, out=room, where=growth > _EPS)
         headroom = np.where(active, demand - rates, np.inf)
-        delta = np.minimum(room.min(axis=1), headroom.min(axis=1))
+        delta = np.maximum(np.minimum(room.min(axis=1), headroom.min(axis=1)), 0.0)
         if (alive & ~np.isfinite(delta)).any():
             # Every active consumer is unbounded and touches no finite
             # resource — cannot happen on a real machine, but guard anyway.
             raise RuntimeError(
                 "unbounded allocation: consumer touches no finite resource"
             )
-        grow = active & alive[:, None]
-        rates = np.where(grow, rates + delta[:, None], rates)
+        np.add(rates, delta[:, None], out=rates, where=active)
 
         load = _axis_n_dot(A, rates)
-        saturated = ((caps - load) <= saturation_slack) & touched
+        gap = caps - load
+        saturated = (gap <= saturation_slack) & touched
         users = uses & saturated[:, :, None] & active[:, None, :]
         has_user = users.any(axis=1)
         # First saturated resource (in canonical row order) claims each
         # consumer's bottleneck attribution, once.
-        first_row = users.argmax(axis=1)
-        take = has_user & (bottleneck_row < 0) & alive[:, None]
-        bottleneck_row = np.where(take, first_row, bottleneck_row)
+        if has_user.any():
+            take = has_user & (bottleneck_row < 0)
+            bottleneck_row = np.where(take, users.argmax(axis=1), bottleneck_row)
 
-        newly_frozen = has_user | (active & (rates >= demand - _EPS))
-        newly_frozen &= alive[:, None]
-
-        need_fallback = alive & ~newly_frozen.any(axis=1)
+        frozen = has_user | (active & (rates >= demand_lo))
+        need_fallback = alive & ~frozen.any(axis=1)
         if need_fallback.any():
             # Nothing froze: numerical corner; freeze the tightest
             # resource's users to guarantee progress, or stop the element
-            # when even that resource has no active users.
-            gaps = np.where(touched, caps - load, np.inf)
-            tight = gaps.argmin(axis=1)
-            tight_users = uses[batch_range, tight, :] & active
-            any_tight = tight_users.any(axis=1)
-            stopped |= need_fallback & ~any_tight
-            freeze = need_fallback & any_tight
-            newly_frozen |= tight_users & freeze[:, None]
-        active &= ~newly_frozen
+            # (freeze every slot) when even that resource has none.
+            tight = np.where(touched, gap, np.inf).argmin(axis=1)
+            tight_users = uses[np.arange(num_batch), tight, :] & active
+            frozen |= tight_users & need_fallback[:, None]
+            frozen |= (need_fallback & ~tight_users.any(axis=1))[:, None]
+        active &= ~frozen
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(
-            touched & (caps > 0), load / np.where(caps > 0, caps, 1.0), 0.0
-        )
+    util = np.zeros((num_batch, num_res))
+    np.divide(load, caps, out=util, where=touched & (caps > 0))
     return rates, load, util, bottleneck_row
 
 

@@ -236,6 +236,8 @@ class ResultStore:
     def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
         self.stats = StoreStats()
+        #: Shard prefixes whose directory this instance has made.
+        self._shards: set[str] = set()
 
     def path_for(self, fp: str) -> Path:
         """Entry file for a fingerprint (two-level fan-out by prefix)."""
@@ -272,11 +274,18 @@ class ResultStore:
     def put(self, fp: str, payload: Dict[str, Any]) -> None:
         """Atomically write ``payload`` under ``fp`` (last writer wins)."""
         path = self.path_for(fp)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        shard = path.parent
+        if fp[:2] not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(fp[:2])
         entry = {"schema": SCHEMA_VERSION, "fingerprint": fp, "payload": payload}
-        fd, tmp = tempfile.mkstemp(
-            prefix=f".{fp[:12]}.", suffix=".tmp", dir=path.parent
-        )
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=f".{fp[:12]}.", suffix=".tmp", dir=shard)
+        except FileNotFoundError:
+            # The shard was removed after this instance made it (the store
+            # directory deleted under a long-lived instance): make it again.
+            shard.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f".{fp[:12]}.", suffix=".tmp", dir=shard)
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(entry, handle)

@@ -8,7 +8,7 @@ bitwise reference for the one setup pipeline in
   scatter, and the capacity scale multiplied in before untouched rows go
   to infinity.
 * :func:`solve_batch_arrays` / :func:`solve_batch` run it through the
-  unchanged :func:`~repro.memsim.contention._progressive_fill`;
+  reference fill, :func:`tests.oracle.progressive_fill.progressive_fill`;
   :func:`solve` is the batch of one. :func:`solve_batch` packs many
   consumer sets into one dense batch, through this module's setup or the
   production one.
@@ -30,13 +30,13 @@ import numpy as np
 from repro.memsim.contention import (
     Allocation,
     BatchArrays,
-    _progressive_fill,
     allocation_from_rows,
     batch_coefficients,
     consumer_rows,
     machine_tables,
 )
 from repro.memsim.controller import DEFAULT_MC_MODEL
+from tests.oracle.progressive_fill import progressive_fill
 
 
 def live_consumers(machine, consumers):
@@ -106,7 +106,7 @@ def solve_batch_arrays(
         machine, node_idx, mix, demand, write_fraction, live, mc_model,
         coefficients, capacity_scale,
     )
-    rates, load, util, bottleneck_row = _progressive_fill(A, caps, touched, demand, live)
+    rates, load, util, bottleneck_row = progressive_fill(A, caps, touched, demand, live)
     return BatchArrays(t, rates, load, caps, util, touched, bottleneck_row)
 
 
@@ -260,6 +260,6 @@ def solve_batch_fleet_lazy(entries, mc_model=DEFAULT_MC_MODEL, *, capacity_scale
     ``(A, caps, touched, demand, live)`` and ``(rates, load, util,
     bottleneck_row)``."""
     A, caps, touched, demand, live, lens = fleet_inputs(list(entries), mc_model, capacity_scales)
-    outputs = _progressive_fill(A, caps, touched, demand, live)
+    outputs = progressive_fill(A, caps, touched, demand, live)
     rates = [tuple(row[:n]) for row, n in zip(outputs[0].tolist(), lens)]
     return rates, (A, caps, touched, demand, live), outputs

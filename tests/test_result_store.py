@@ -139,6 +139,37 @@ class TestResultStore:
         assert store.clear() == 1
         assert store.get(fp) is None
 
+    def test_put_makes_each_shard_directory_once(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        made = []
+        real = type(tmp_path).mkdir
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "mkdir", counting)
+        fps = [fingerprint(i) for i in range(40)]
+        for fp in fps + fps:
+            store.put(fp, {"fp": fp})
+        assert sorted(made) == sorted({store.path_for(fp).parent for fp in fps})
+        assert all(store.get(fp) == {"fp": fp} for fp in fps)
+
+    def test_put_remakes_a_removed_shard(self, tmp_path):
+        """A shard deleted under a live instance is made again on the
+        next put into it (one retry after the temp file cannot open)."""
+        import shutil
+
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        fp = fingerprint("first")
+        store.put(fp, {"n": 1})
+        shutil.rmtree(root)
+        store.put(fp, {"n": 2})
+        assert store.get(fp) == {"n": 2}
+        assert store.stats.puts == 2
+        assert [p.name for p in store.path_for(fp).parent.iterdir()] == [f"{fp}.json"]
+
     @pytest.mark.parametrize(
         "raw",
         [
