@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.memsim.interleave import uniform_assignment, uniform_counts
+from repro.memsim.interleave import period_block, uniform_counts
 from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
 from repro.memsim.pages import AddressSpace, Segment
 
@@ -44,8 +44,15 @@ class PlacementOutcome:
     mbind_calls: int
 
 
-def _checked_weights(weights: Sequence[float]) -> np.ndarray:
+def _checked_weights(weights: Sequence[float], num_nodes: int) -> np.ndarray:
+    """``weights`` as a float vector: exactly one finite, non-negative entry
+    per node of a ``num_nodes``-node machine, with a positive sum."""
     w = np.asarray(weights, dtype=float)
+    if w.shape != (num_nodes,):
+        raise ValueError(
+            f"weights must be a 1-D vector of {num_nodes} entries, one per node; "
+            f"got shape {w.shape}"
+        )
     if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
         raise ValueError(f"weights must be finite, non-negative, with positive sum: {w.tolist()}")
     return w
@@ -61,7 +68,7 @@ def algorithm1_subranges(num_pages: int, weights: Sequence[float]) -> _Plan:
     uniformly interleaved over the remaining nodes — which hands every
     remaining node ``dw * num_pages`` pages, so totals meet the weights.
     """
-    w = _checked_weights(weights)
+    w = _checked_weights(weights, np.size(weights))
     w = w / w.sum()
     if num_pages < 0:
         raise ValueError(f"num_pages must be non-negative, got {num_pages}")
@@ -107,34 +114,36 @@ def apply_weighted_user(
     move: bool = True,
 ) -> PlacementOutcome:
     """Weighted-interleave one segment with Algorithm 1 (user level)."""
-    return _write_user(space, [segment], weights, move)
+    return _write_user(space, [segment], _checked_weights(weights, space.num_nodes), move)
 
 
 def _write_user(
-    space: AddressSpace, segments: Sequence[Segment], weights: Sequence[float], move: bool
+    space: AddressSpace, segments: Sequence[Segment], weights: np.ndarray, move: bool
 ) -> PlacementOutcome:
     """Algorithm 1 over a run of contiguous segments as one rebind: each
-    segment's N ``mbind(MPOL_INTERLEAVE)`` tiles partition it, so the page
-    table and touched/moved sums are the N calls'. Each distinct tile
-    ``(length, node set, phase)`` is built once, with its per-node counts."""
+    segment's N ``mbind(MPOL_INTERLEAVE)`` sub-ranges partition it, so the
+    page table and touched/moved sums are the N calls'. Each sub-range is
+    one run written from the period block of its ``(node set, phase mod
+    k)``, built once per call; its per-node counts are computed once per
+    distinct ``(length, node set, phase)``."""
     if not segments:
         return PlacementOutcome(pages_touched=0, pages_moved=0, mbind_calls=0)
     plans = {n: algorithm1_subranges(n, weights) for n in {seg.num_pages for seg in segments}}
-    index, tiles, tile_counts, used, firsts = {}, [], [], [], []
+    blocks, runs, index, tile_counts, used, firsts = {}, [], {}, [], [], []
     for seg in segments:
         firsts.append(len(used))
         for offset, length, nodes in plans[seg.num_pages]:
             phase = (seg.start_page + offset) % len(nodes)
+            if (nodes, phase) not in blocks:
+                blocks[nodes, phase] = period_block(nodes, phase=phase)
+            runs.append((length, blocks[nodes, phase]))
             if (length, nodes, phase) not in index:
-                index[length, nodes, phase] = len(tiles)
-                tiles.append(uniform_assignment(length, nodes, phase=phase))
+                index[length, nodes, phase] = len(tile_counts)
                 tile_counts.append(uniform_counts(length, nodes, space.num_nodes, phase=phase))
             used.append(index[length, nodes, phase])
     counts = np.add.reduceat(np.array(tile_counts)[used], firsts) if move else None
-    touched, moved = space.rebind(
-        segments[0].start_page, np.concatenate([tiles[t] for t in used]), move=move, counts=counts
-    )
-    return PlacementOutcome(pages_touched=touched, pages_moved=moved, mbind_calls=len(used))
+    touched, moved = space.rebind(segments[0].start_page, runs, move=move, counts=counts)
+    return PlacementOutcome(pages_touched=touched, pages_moved=moved, mbind_calls=len(runs))
 
 
 def apply_weighted_kernel(
@@ -145,7 +154,7 @@ def apply_weighted_kernel(
     move: bool = True,
 ) -> PlacementOutcome:
     """Weighted-interleave one segment with the kernel-level exact policy."""
-    w = _checked_weights(weights)
+    w = _checked_weights(weights, space.num_nodes)
     nodes = [i for i in range(len(w)) if w[i] > _WEIGHT_EPS]
     flags = MbindFlag.MOVE | MbindFlag.STRICT if move else MbindFlag.NONE
     res = mbind_segment(
@@ -173,7 +182,7 @@ def apply_weighted_placement(
     """
     if mode not in ("user", "kernel"):
         raise ValueError(f"mode must be 'user' or 'kernel', got {mode!r}")
-    w = _checked_weights(weights)
+    w = _checked_weights(weights, space.num_nodes)
     if mode == "user":
         return _write_user(space, space.segments, w, move)
     touched = moved = calls = 0
@@ -188,7 +197,7 @@ def apply_weighted_placement(
 def placement_error(space: AddressSpace, weights: Sequence[float]) -> float:
     """Total-variation distance between target weights and the achieved
     placement — the accuracy metric for the user-vs-kernel ablation."""
-    w = _checked_weights(weights)
+    w = _checked_weights(weights, space.num_nodes)
     w = w / w.sum()
     actual = space.placement_distribution()
     return float(0.5 * np.abs(actual - w).sum())

@@ -156,15 +156,14 @@ class Application:
         self.looping = looping
 
         self.space = AddressSpace(machine.num_nodes, page_size=page_size)
-        self.space.map_segment("shared", workload.shared_bytes, SegmentKind.SHARED)
-        if workload.private_bytes_per_thread > 0:
-            threads = range(self.num_threads)
-            self.space.map_segments(
-                [f"private-{t}" for t in threads],
-                workload.private_bytes_per_thread,
-                SegmentKind.PRIVATE,
-                threads,
-            )
+        # The shared segment, then one private segment per thread: one fill.
+        threads = list(range(self.num_threads)) if workload.private_bytes_per_thread > 0 else []
+        self.space.map_segments(
+            ["shared"] + [f"private-{t}" for t in threads],
+            [workload.shared_bytes] + [workload.private_bytes_per_thread] * len(threads),
+            [SegmentKind.SHARED] + [SegmentKind.PRIVATE] * len(threads),
+            [None] + threads,
+        )
         self._shared_segments = self.space.segments_of_kind(SegmentKind.SHARED)
         #: Row ``j`` marks the private segments of worker ``j``'s threads.
         owners = [

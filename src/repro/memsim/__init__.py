@@ -7,11 +7,7 @@ bandwidth-contention solver, and migration cost accounting.
 """
 
 from repro.memsim.pages import UNALLOCATED, AddressSpace, Segment, SegmentKind
-from repro.memsim.interleave import (
-    uniform_assignment,
-    weighted_assignment,
-    weighted_counts,
-)
+from repro.memsim.interleave import weighted_assignment, weighted_counts
 from repro.memsim.mbind import MbindFlag, MbindResult, MPol, mbind, mbind_segment
 from repro.memsim.controller import DEFAULT_MC_MODEL, MCModel
 from repro.memsim.flows import Consumer, consumer_from_placement
@@ -49,7 +45,6 @@ __all__ = [
     "AddressSpace",
     "Segment",
     "SegmentKind",
-    "uniform_assignment",
     "weighted_assignment",
     "weighted_counts",
     "MbindFlag",

@@ -4,7 +4,8 @@ Two assignment schemes are needed by the paper:
 
 * **Uniform interleave** — Linux ``MPOL_INTERLEAVE``: round-robin by page
   index over a node set. This is what ``uniform-workers``/``uniform-all``
-  and the inner calls of BWAP's Algorithm 1 use.
+  and the inner calls of BWAP's Algorithm 1 use. It is periodic, so it is
+  generated as one small period block that writers repeat in place.
 * **Weighted interleave** — the kernel-level policy the authors added: each
   node receives a page share proportional to its weight, with pages of the
   different nodes finely interleaved (not in contiguous blocks).
@@ -17,30 +18,48 @@ from typing import Sequence
 import numpy as np
 
 
-def uniform_assignment(
-    num_pages: int, nodes: Sequence[int], *, phase: int = 0
-) -> np.ndarray:
-    """Round-robin page assignment over ``nodes``.
+#: Pages in an interleave's period block, rounded down to whole periods.
+PERIOD_BLOCK_PAGES = 4096
 
-    ``phase`` offsets the round-robin position, mirroring how Linux
-    interleaving continues from the current position rather than restarting
-    per ``mbind`` call.
+
+def period_block(nodes: Sequence[int], *, phase: int = 0) -> np.ndarray:
+    """The round-robin over ``nodes`` from ``phase`` as whole periods of
+    about :data:`PERIOD_BLOCK_PAGES` pages (at least one period).
+
+    Page ``j`` of a range interleaved at ``phase`` lands on
+    ``nodes[(j + phase) % k]``, which is ``block[j % len(block)]``: a
+    writer repeats the block over the range in place (:func:`tile_into`)
+    instead of building an assignment of the whole range. ``phase``
+    mirrors how Linux interleaving continues from the current position
+    rather than restarting per ``mbind`` call.
     """
     nodes = _validated_nodes(nodes)
-    if num_pages < 0:
-        raise ValueError(f"num_pages must be non-negative, got {num_pages}")
     m = len(nodes)
+    reps = max(1, PERIOD_BLOCK_PAGES // m)
     s = phase % m
-    # Page i lands on nodes[(i + phase) % m]: tile the node set rotated by
-    # the phase. (``np.resize`` would do the same but is far slower.)
-    return np.tile(np.concatenate((nodes[s:], nodes[:s])), -(-num_pages // m))[:num_pages]
+    # One period more than the block, so the rotation is a slice.
+    return np.tile(nodes, reps + 1)[s : s + reps * m]
+
+
+def tile_into(out: np.ndarray, block: np.ndarray) -> None:
+    """Write ``block`` repeated from its first entry over the contiguous
+    array ``out``, in place: its whole periods with one broadcast into a
+    ``(q, len(block))`` reshape, then the shorter tail from the block's
+    head."""
+    p = len(block)
+    mid = len(out) - len(out) % p
+    if mid:
+        out[:mid].reshape(-1, p)[...] = block
+    if mid < len(out):
+        out[mid:] = block[: len(out) - mid]
 
 
 def uniform_counts(
     num_pages: int, nodes: Sequence[int], num_nodes: int, *, phase: int = 0
 ) -> np.ndarray:
-    """Per-node page counts of :func:`uniform_assignment` over ``num_nodes``
-    nodes, without counting: ``num_pages // k`` each, plus one for the first
+    """Per-node page counts, over ``num_nodes`` nodes, of ``num_pages``
+    pages interleaved over ``nodes`` at ``phase`` (:func:`period_block`),
+    without counting: ``num_pages // k`` each, plus one for the first
     ``num_pages % k`` of the phase-rotated set."""
     nodes = list(nodes)
     s = phase % len(nodes)

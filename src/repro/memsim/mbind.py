@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.memsim.interleave import (
-    uniform_assignment,
+    period_block,
     uniform_counts,
     weighted_assignment,
     weighted_counts,
@@ -122,9 +122,9 @@ def _bind(space, start_page, num_pages, policy, nodes, weights, flags, phase, wh
     if policy in (MPol.BIND, MPol.PREFERRED):
         if len(node_list) != 1:
             raise ValueError(f"{policy.value} policy takes exactly one node, got {node_list}")
-        assignment = np.full(num_pages, node_list[0], dtype=np.int16)
+        assignment = [(num_pages, period_block(node_list))]
     elif policy is MPol.INTERLEAVE:
-        assignment = uniform_assignment(num_pages, node_list, phase=phase)
+        assignment = [(num_pages, period_block(node_list, phase=phase))]
     elif policy is MPol.WEIGHTED_INTERLEAVE:
         if weights is None:
             raise ValueError("weighted-interleave requires weights")

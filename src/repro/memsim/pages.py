@@ -13,10 +13,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.memsim.interleave import PERIOD_BLOCK_PAGES, tile_into
 from repro.units import PAGE_SIZE, bytes_to_pages
 
 #: Page-table value for a virtual page with no physical backing yet.
@@ -160,28 +161,32 @@ class AddressSpace:
     def map_segments(
         self,
         names: Sequence[str],
-        size_bytes: int,
-        kind: SegmentKind = SegmentKind.SHARED,
+        size_bytes: Union[int, Sequence[int]],
+        kind: Union[SegmentKind, Sequence[SegmentKind]] = SegmentKind.SHARED,
         owner_threads: Optional[Sequence[Optional[int]]] = None,
     ) -> List[Segment]:
-        """Map one ``size_bytes`` segment per name, back to back, with one
-        page-table fill (see :meth:`map_segment`); ``owner_threads`` gives
-        each segment's owner. Every segment is checked before any is mapped.
+        """Map one segment per name, back to back, with one page-table fill
+        (see :meth:`map_segment`). ``size_bytes`` and ``kind`` are one value
+        for every segment or one per name; ``owner_threads`` gives each
+        segment's owner. Every segment is checked before any is mapped.
         """
-        owners = [None] * len(names) if owner_threads is None else list(owner_threads)
-        if len(owners) != len(names):
-            raise ValueError(f"{len(owners)} owner threads for {len(names)} segments")
-        num_pages = bytes_to_pages(size_bytes, self.page_size)
-        start = self._next_page
+        count = len(names)
+        owners = [None] * count if owner_threads is None else list(owner_threads)
+        sizes = [size_bytes] * count if np.ndim(size_bytes) == 0 else list(size_bytes)
+        kinds = [kind] * count if isinstance(kind, SegmentKind) else list(kind)
+        for what, values in (("owner threads", owners), ("sizes", sizes), ("kinds", kinds)):
+            if len(values) != count:
+                raise ValueError(f"{len(values)} {what} for {count} segments")
+        start = end = self._next_page
         batch: Dict[str, Segment] = {}
-        for j, (name, owner) in enumerate(zip(names, owners)):
+        for name, size, kind_, owner in zip(names, sizes, kinds, owners):
             if name in self._segments_by_name or name in batch:
                 raise ValueError(f"segment named {name!r} already mapped")
-            batch[name] = Segment(name, start + j * num_pages, num_pages, kind, owner, self.page_size)
+            batch[name] = Segment(name, end, bytes_to_pages(size, self.page_size), kind_, owner, self.page_size)
+            end = batch[name].end_page
         if not batch:
             return []
         segs = list(batch.values())
-        end = segs[-1].end_page
         if end > len(self._buf):
             buf = np.empty(max(end, 2 * len(self._buf)), dtype=np.int16)
             buf[:start] = self._buf[:start]
@@ -312,7 +317,7 @@ class AddressSpace:
     def rebind(
         self,
         start_page: int,
-        assignment: np.ndarray,
+        assignment,
         *,
         move: bool = True,
         strict: bool = False,
@@ -320,11 +325,19 @@ class AddressSpace:
     ) -> Tuple[int, int]:
         """Bind a page range to ``assignment``; returns ``(touched, moved)``.
 
+        ``assignment`` is back-to-back ``(length, block)`` runs from
+        ``start_page``: page ``j`` of a run goes to ``block[j % len(block)]``,
+        so an interleave passes its period block
+        (:func:`~repro.memsim.interleave.period_block`) and no assignment of
+        the whole range is built. A flat array of node ids is one run whose
+        block is the whole range.
+
         Unbacked pages are always backed (``touched`` counts them). Pages
         already backed on another node are migrated only when ``move`` is
         set (``moved`` counts them); otherwise they stay put, and ``strict``
         refuses the call with ``PermissionError`` if there are any. The
-        range and node ids are checked before anything is written.
+        range and node ids are checked (each distinct block once) before
+        anything is written.
 
         ``counts``, one row of per-node page counts per segment, become
         those segments' kept counts (``touched`` is read off the old ones);
@@ -332,36 +345,39 @@ class AddressSpace:
         to its slice of ``assignment``) may pass it. Without it the counts
         of the changed pages are moved.
         """
-        assignment = np.asarray(assignment, dtype=np.int16)
-        n = len(assignment)
+        spans = _spans(assignment)
+        n = spans[-1][1] if spans else 0
         self._check_range(start_page, n)
-        # One pass: a negative id reads as a large unsigned one.
-        if n and assignment.view(np.uint16).max() >= self.num_nodes:
-            raise ValueError("assignment contains invalid node ids")
+        # One pass per block: a negative id reads as a large unsigned one.
+        for block in {id(block): block for _, _, block in spans}.values():
+            if block.view(np.uint16).max() >= self.num_nodes:
+                raise ValueError("assignment contains invalid node ids")
         view = self._buf[start_page : start_page + n]
         if counts is not None:
             i = bisect_right(self._starts, start_page) - 1
             counts = np.atleast_2d(np.array(counts, dtype=np.int64))
-            run = self._segments[i : i + len(counts)]
+            segs = self._segments[i : i + len(counts)]
             if not (
                 move
-                and len(run) == len(counts)
-                and (run[0].start_page, run[-1].end_page) == (start_page, start_page + n)
+                and len(segs) == len(counts)
+                and (segs[0].start_page, segs[-1].end_page) == (start_page, start_page + n)
                 and counts.shape[1:] == (self.num_nodes,)
-                and counts.sum(axis=1).tolist() == [seg.num_pages for seg in run]
+                and counts.sum(axis=1).tolist() == [seg.num_pages for seg in segs]
             ):
                 raise ValueError("counts must come with a move write of whole segments, a row each")
             rows = self._counts[i : i + len(counts)]
             touched = n - int(rows.sum())
-            moved = int(np.count_nonzero(view != assignment)) - touched
+            # A wholly unbacked range changes every page: nothing to compare.
+            moved = 0 if touched == n else int(np.count_nonzero(_unlike(view, spans))) - touched
             if touched or moved:
-                view[:] = assignment
+                for lo, hi, block in spans:
+                    tile_into(view[lo:hi], block)
                 self._version += 1
             rows[:] = counts
             return touched, moved
         # ``assignment`` holds no UNALLOCATED, so every unbacked page is a
         # changed one and the rest of the changed pages are nonconforming.
-        changed = view != assignment
+        changed = _unlike(view, spans)
         unbacked = view == UNALLOCATED
         touched = int(np.count_nonzero(unbacked))
         moved = int(np.count_nonzero(changed)) - touched
@@ -374,8 +390,12 @@ class AddressSpace:
             moved, changed = 0, unbacked
         if touched or moved:
             pages = np.flatnonzero(changed)
-            self._shift(start_page + pages, view[pages], assignment[pages])
-            view[pages] = assignment[pages]
+            new = np.empty(len(pages), dtype=np.int16)
+            bounds = np.searchsorted(pages, [lo for lo, _, _ in spans] + [n]).tolist()
+            for (lo, _, block), a, b in zip(spans, bounds, bounds[1:]):
+                new[a:b] = block[(pages[a:b] - lo) % len(block)]
+            self._shift(start_page + pages, view[pages], new)
+            view[pages] = new
             self._version += 1
         return touched, moved
 
@@ -469,3 +489,51 @@ class AddressSpace:
     def resident_bytes_per_node(self) -> np.ndarray:
         """Bytes resident on each node."""
         return self.node_histogram() * self.page_size
+
+
+def _unlike(view: np.ndarray, spans: List[Tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """Mask of the entries of ``view`` that differ from ``spans``' blocks
+    repeated over them, built span by span with no assignment of the
+    range."""
+    mask = np.empty(len(view), dtype=bool)
+    for lo, hi, block in spans:
+        # Split as :func:`~repro.memsim.interleave.tile_into` writes.
+        p = len(block)
+        mid = hi - (hi - lo) % p
+        if mid > lo:
+            np.not_equal(view[lo:mid].reshape(-1, p), block, out=mask[lo:mid].reshape(-1, p))
+        if hi > mid:
+            np.not_equal(view[mid:hi], block[: hi - mid], out=mask[mid:hi])
+    return mask
+
+
+def _spans(assignment) -> List[Tuple[int, int, np.ndarray]]:
+    """:meth:`AddressSpace.rebind`'s runs as ``(lo, hi, block)`` offsets
+    into the range, each block a 1-D ``int16`` array repeated over its
+    span; a flat assignment (one node id per page) is one span. Empty runs
+    are dropped, and back-to-back runs no longer than their blocks (each
+    writes only its block's head) are joined, up to about a period block
+    of pages per span, so many short sub-ranges cost a few compares and
+    writes rather than one each."""
+    if not (len(assignment) and isinstance(assignment[0], tuple)):
+        flat = np.asarray(assignment, dtype=np.int16)
+        return [(0, len(flat), flat)] if len(flat) else []
+    spans, heads, lo, head_lo = [], [], 0, 0
+    for length, block in assignment:
+        block = np.asarray(block, dtype=np.int16)
+        if length < 0 or block.ndim != 1 or not len(block):
+            raise ValueError(f"a run needs a non-negative length and a non-empty 1-D block, got {length}")
+        length = int(length)
+        if heads and (length > len(block) or lo + length - head_lo > PERIOD_BLOCK_PAGES):
+            spans.append((head_lo, lo, heads[0] if len(heads) == 1 else np.concatenate(heads)))
+            heads = []
+        if length > len(block):
+            spans.append((lo, lo + length, block))
+        elif length:
+            if not heads:
+                head_lo = lo
+            heads.append(block[:length])
+        lo += length
+    if heads:
+        spans.append((head_lo, lo, heads[0] if len(heads) == 1 else np.concatenate(heads)))
+    return spans

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.memsim.interleave import uniform_assignment, uniform_counts
+from repro.memsim.interleave import period_block, tile_into, uniform_counts
 from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
 from repro.memsim.pages import AddressSpace, SegmentKind
 
@@ -137,15 +137,16 @@ class _InterleavePolicy(PlacementPolicy):
     def place(self, space: AddressSpace, ctx: PlacementContext) -> PlacementStats:
         """Every segment's ``mbind(MPOL_INTERLEAVE, MOVE | STRICT)`` as one
         write: each starts at the phase of its first page, so together they
-        interleave the whole space, and their counts are known."""
+        interleave the whole space (one run of its period block), and their
+        counts are known."""
         nodes, segs = self._nodes(ctx), space.segments
         if not segs:
             return PlacementStats()
         # Segments of one size and phase mod k share their counts.
         keys = [(s.num_pages, s.start_page % len(nodes)) for s in segs]
         rows = {key: uniform_counts(key[0], nodes, space.num_nodes, phase=key[1]) for key in set(keys)}
-        assignment = uniform_assignment(space.total_pages, nodes)
-        return PlacementStats(*space.rebind(0, assignment, counts=[rows[key] for key in keys]))
+        runs = [(space.total_pages, period_block(nodes))]
+        return PlacementStats(*space.rebind(0, runs, counts=[rows[key] for key in keys]))
 
 
 class UniformWorkers(_InterleavePolicy):
@@ -265,12 +266,11 @@ class AutoNUMA(PlacementPolicy):
         # (the compare against the int16 page table casts in buffers).
         target = np.empty(space.total_pages, dtype=np.int8 if space.num_nodes < 128 else np.int16)
         for seg in space.segments:
+            view = target[seg.start_page : seg.end_page]
             if seg.kind is SegmentKind.PRIVATE:
-                target[seg.start_page : seg.end_page] = ctx.node_of_thread(seg.owner_thread)
+                view[...] = ctx.node_of_thread(seg.owner_thread)
             else:
-                target[seg.start_page : seg.end_page] = uniform_assignment(
-                    seg.num_pages, ctx.worker_nodes, phase=seg.start_page
-                )
+                tile_into(view, period_block(ctx.worker_nodes, phase=seg.start_page))
         self._target_memo = (key, target)
         return target
 

@@ -14,10 +14,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.memsim.interleave import uniform_assignment
 from repro.memsim.mbind import MbindFlag, MPol, mbind_segment
 from repro.memsim.pages import AddressSpace, SegmentKind
 from repro.memsim.policies import PlacementContext
+from tests.oracle.flat_rebind import uniform_assignment
 
 
 def interleave_place_reference(space: AddressSpace, nodes: Sequence[int]) -> Tuple[int, int]:

@@ -260,6 +260,47 @@ class TestNonFiniteWeights:
             placement_error(sp, [bad, 1.0])
 
 
+#: Weight vectors of the wrong length or shape for a 4-node space.
+_MISSHAPEN = {
+    "too short": [0.5, 0.5],
+    "too long": [0.2, 0.2, 0.2, 0.2, 0.1, 0.1],
+    "2-D": [[0.25, 0.25], [0.25, 0.25]],
+}
+
+
+class TestMisshapenWeights:
+    """Every weight entry point wants one finite weight per node: a short
+    vector once placed everything on the first nodes, a long one raised an
+    IndexError, and a 2-D one numpy's ambiguous-truth-value error."""
+
+    @pytest.mark.parametrize("bad", list(_MISSHAPEN.values()), ids=list(_MISSHAPEN))
+    @pytest.mark.parametrize("mode", ["user", "kernel"])
+    def test_apply_weighted_placement(self, mode, bad):
+        sp, _seg = make_space(num_nodes=4, pages=100)
+        with pytest.raises(ValueError, match="1-D vector of 4 entries"):
+            apply_weighted_placement(sp, bad, mode=mode)
+        assert sp.allocated_pages() == 0
+
+    @pytest.mark.parametrize("bad", list(_MISSHAPEN.values()), ids=list(_MISSHAPEN))
+    @pytest.mark.parametrize("apply", [apply_weighted_user, apply_weighted_kernel])
+    def test_segment_back_ends(self, apply, bad):
+        sp, seg = make_space(num_nodes=4, pages=100)
+        with pytest.raises(ValueError, match="1-D vector of 4 entries"):
+            apply(sp, seg, bad)
+        assert sp.allocated_pages() == 0
+
+    @pytest.mark.parametrize("bad", list(_MISSHAPEN.values()), ids=list(_MISSHAPEN))
+    def test_placement_error(self, bad):
+        sp, seg = make_space(num_nodes=4, pages=100)
+        apply_weighted_user(sp, seg, [0.25] * 4)
+        with pytest.raises(ValueError, match="1-D vector of 4 entries"):
+            placement_error(sp, bad)
+
+    def test_algorithm1_rejects_2d(self):
+        with pytest.raises(ValueError, match="1-D vector"):
+            algorithm1_subranges(100, _MISSHAPEN["2-D"])
+
+
 #: Weight draws rich in zeros and ties (ties exercise the tail fold).
 _weight = st.one_of(
     st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0]),

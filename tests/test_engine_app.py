@@ -32,6 +32,21 @@ class TestConstruction:
         assert names[0] == "shared"
         assert len([n for n in names if n.startswith("private-")]) == app.num_threads
 
+    def test_one_page_table_allocation(self, mach_b):
+        """The shared then the private segments, back to back, mapped with
+        one call: one version bump and a buffer of exactly their pages."""
+        app = Application("x", small_workload(), mach_b, (0,), num_threads=2, policy=None)
+        segs = app.space.segments
+        assert [(s.name, s.start_page, s.num_pages, s.owner_thread) for s in segs] == [
+            ("shared", 0, 4096, None),
+            ("private-0", 4096, 1024, 0),
+            ("private-1", 5120, 1024, 1),
+        ]
+        assert app.space.version == 1
+        # Mapping the private segments in a second call would have doubled
+        # the buffer to 8192 entries.
+        assert len(app.space._buf) == app.space.total_pages == 6144
+
     def test_no_private_segment_when_zero(self, mach_b):
         wl = small_workload(private_bytes_per_thread=0, private_fraction=0.0)
         app = Application("x", wl, mach_b, (0,), policy=None)

@@ -210,6 +210,33 @@ class TestMapSegments:
         assert (sp.page_nodes() == UNALLOCATED).all()
         assert sp.map_segments([], PAGE_SIZE) == [] and sp.version == version + 1
 
+    def test_mixed_batch_matches_one_by_one(self):
+        """Mixed kinds, sizes and owners in one call lay out and fill the
+        table exactly as mapping each segment on its own."""
+        specs = [("shared", 3 * PAGE_SIZE, SegmentKind.SHARED, None)] + [
+            (f"p{t}", PAGE_SIZE + t, SegmentKind.PRIVATE, t) for t in range(3)
+        ]
+        one = AddressSpace(2)
+        for name, size, kind, owner in specs:
+            one.map_segment(name, size, kind, owner)
+        batch = AddressSpace(2)
+        segs = batch.map_segments(*map(list, zip(*specs)))
+        assert tuple(segs) == one.segments == batch.segments
+        assert [s.start_page for s in segs] == [0, 3, 4, 6]
+        assert batch.version == 1 and batch.total_pages == one.total_pages == 8
+        assert (batch.page_nodes() == UNALLOCATED).all()
+        assert batch.counts.tolist() == [[0, 0]] * 4
+
+    @pytest.mark.parametrize(
+        "sizes, kinds",
+        [([PAGE_SIZE], SegmentKind.SHARED), (PAGE_SIZE, [SegmentKind.SHARED] * 3)],
+    )
+    def test_per_name_values_must_match(self, sizes, kinds):
+        sp = AddressSpace(2)
+        with pytest.raises(ValueError, match="for 2 segments"):
+            sp.map_segments(["a", "b"], sizes, kinds)
+        assert sp.segments == () and sp.version == 0
+
     @pytest.mark.parametrize(
         "names, owners",
         [(["a", "b", "a"], [0, 1, 2]), (["b", "x"], [0, 1]), (["c", "d"], [0]), (["e"], [None])],

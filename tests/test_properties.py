@@ -14,15 +14,12 @@ from repro.core.interleave import (
 from repro.memsim.contention import solve
 from repro.memsim.controller import MCModel
 from repro.memsim.flows import Consumer
-from repro.memsim.interleave import (
-    uniform_assignment,
-    weighted_assignment,
-    weighted_counts,
-)
+from repro.memsim.interleave import weighted_assignment, weighted_counts
 from repro.memsim.mbind import MbindFlag, MPol, mbind
 from repro.memsim.pages import UNALLOCATED, AddressSpace
 from repro.topology import fully_connected
 from repro.units import PAGE_SIZE
+from tests.oracle.flat_rebind import uniform_assignment
 
 IDEAL_MC = MCModel(efficiency_floor=0.9999, contention_decay=0.0, write_cost_factor=1.0)
 
